@@ -18,11 +18,7 @@ class BuildError(Exception):
 def build_model(ast: ScriptAst) -> FeatureModel:
     if ast.root is None:
         raise BuildError("missing root feature declaration")
-    declared = {ast.root.name}
-    for fd in ast.features:
-        if fd.name == ast.root.name or fd.name in declared and fd.name != ast.root.name:
-            pass  # duplicates are reported by static validation
-        declared.add(fd.name)
+    declared = {ast.root.name} | {fd.name for fd in ast.features}
 
     by_name = {fd.name: fd for fd in ast.features}
     for fd in ast.features:

@@ -301,10 +301,14 @@ def main(argv=None) -> int:
 
     if cfg.out or cfg.tvl_out:
         try:
+            # render both texts first: a model TVL cannot express writes neither
+            outputs = []
             if cfg.out:
-                _write(cfg.out, serialize_declarations(model))
+                outputs.append((cfg.out, serialize_declarations(model)))
             if cfg.tvl_out:
-                _write(cfg.tvl_out, export_tvl(model))
+                outputs.append((cfg.tvl_out, export_tvl(model)))
+            for path, text in outputs:
+                _write(path, text)
         except (UsageError, TvlExportError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

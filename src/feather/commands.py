@@ -330,12 +330,11 @@ def exec_update_feature(model: FeatureModel, cmd: UpdateFeature):
         return model, [("warning", NO_RESOLUTIONS_MSG)]
 
     if isinstance(cmd.target, VarRef):
-        targets = res.project(cmd.target.name)
-        if len(targets) > 1:
+        subs = _group_by(res, cmd.target.name)
+        if len(subs) > 1:
             raise CommandError("Command is ambiguous on which feature will be "
-                               f"updated {_listing(targets)}")
-        fname = targets[0]
-        sub = _restrict(res, cmd.target.name, fname)
+                               f"updated {_listing(subs)}")
+        [(fname, sub)] = subs.items()
     else:
         fname = cmd.target.name
         if fname not in model.features:
@@ -351,33 +350,35 @@ def exec_update_feature(model: FeatureModel, cmd: UpdateFeature):
     return work, []
 
 
-def _restrict(res: ResolutionSet, var: str, name: str) -> ResolutionSet:
+def _group_by(res: ResolutionSet, var: str) -> dict:
+    """The tuples split by their value of `var`, in first-seen order."""
     i = res.variables.index(var)
-    return ResolutionSet(res.variables, [t for t in res.tuples if t[i] == name])
+    subs: dict = {}
+    for t in res.tuples:
+        subs.setdefault(t[i], ResolutionSet(res.variables, [])).tuples.append(t)
+    return subs
 
 
 def exec_update_all_features(model: FeatureModel, cmd: UpdateAllFeatures):
     res = _resolve_command(model, cmd)
     if not res.tuples:
         return model, [("warning", NO_RESOLUTIONS_MSG)]
-    targets = res.project(cmd.var)
 
     # all slot derivations are checked before any edit: an ambiguity leaves
     # the model untouched, only integrity failures cause a partial effect
-    subs = {t: _restrict(res, cmd.var, t) for t in targets}
-    for t in targets:
-        _check_feature_update_slots(model, cmd, subs[t])
+    subs = _group_by(res, cmd.var)
+    for sub in subs.values():
+        _check_feature_update_slots(model, cmd, sub)
 
+    # targets are applied in place: each _Skip is raised before that
+    # target's first write, so a skipped target leaves `work` as it was
     work = model.copy()
     skipped = []
-    for t in targets:
-        probe = work.copy()
+    for t, sub in subs.items():
         try:
-            _apply_feature_update(probe, t, cmd, subs[t], model)
+            _apply_feature_update(work, t, cmd, sub, model)
         except _Skip as e:
             skipped.append((t, str(e)))
-            continue
-        work = probe
     diags = []
     if skipped:
         names = _listing([t for t, _ in skipped])
@@ -473,17 +474,8 @@ def exec_add_constraint(model: FeatureModel, cmd: AddConstraint):
         return model, [("warning", NO_RESOLUTIONS_MSG)]
     _check_literal_ends(model, cmd)
     work = model.copy()
-    existing = []
-    # one pass over an effect-key set; work.add_constraint would rescan the
-    # whole list per insertion, which hurts on bulk additions
-    seen = {c.effect_key() for c in work.constraints}
-    for c, _tuples in _candidate_constraints(model, cmd, res):
-        key = c.effect_key()
-        if key in seen:
-            existing.append(c)
-        else:
-            seen.add(key)
-            work.constraints.append(c)
+    existing = [c for c, _tuples in _candidate_constraints(model, cmd, res)
+                if not work.add_constraint(c)]
     diags = []
     if existing:
         listed = ", ".join(str(c) for c in existing)
@@ -494,14 +486,12 @@ def exec_add_constraint(model: FeatureModel, cmd: AddConstraint):
 
 def _matched_constraints(model, cmd, res):
     """Stored constraints matched by the description, with their tuples."""
-    stored = {c.effect_key(): c for c in model.constraints}
-    matched: dict = {}
+    matched = []
     for c, tuples in _candidate_constraints(model, cmd, res):
-        rep = stored.get(c.effect_key())
+        rep = model.stored_constraint(c)
         if rep is not None:
-            entry = matched.setdefault(rep.effect_key(), (rep, []))
-            entry[1].extend(tuples)
-    return list(matched.values())
+            matched.append((rep, tuples))
+    return matched
 
 
 def _derive_constraint_update(model, cmd, rep, sub):

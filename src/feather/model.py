@@ -70,11 +70,13 @@ class Feature:
 class FeatureModel:
     features: dict = field(default_factory=dict)  # name -> Feature, insertion-ordered
     root: str = ""
-    constraints: list = field(default_factory=list)
     next_group_id: int = 1
     # Optional "enum string in {...}" header carried over from a TVL input;
     # purely decorative, never enforced.
     tvl_string_enum: list | None = None
+    # effect_key() -> Constraint, insertion-ordered; holds at most one
+    # constraint per effect, so lookups, additions and removals are O(1)
+    _constraints: dict = field(default_factory=dict)
 
     # -- construction ------------------------------------------------------
 
@@ -95,10 +97,18 @@ class FeatureModel:
             n: Feature(f.name, f.parent, f.decomp, f.group_id, dict(f.attributes))
             for n, f in self.features.items()
         }
-        m.constraints = list(self.constraints)
+        m._constraints = dict(self._constraints)
         return m
 
     # -- queries -----------------------------------------------------------
+
+    @property
+    def constraints(self) -> list:
+        """The stored constraints in insertion order, as a new list.
+
+        Read-only: edits go through add_constraint and remove_constraint.
+        """
+        return list(self._constraints.values())
 
     def feature(self, name: str) -> Feature:
         try:
@@ -124,16 +134,15 @@ class FeatureModel:
             stack.extend(kids.get(n, ()))
         return result
 
-    def involving_ctcs(self, name: str) -> list:
-        self.feature(name)
-        return [c for c in self.constraints if c.involves(name)]
-
     def group_members(self, group_id: int) -> list:
         return [f.name for f in self.features.values() if f.group_id == group_id]
 
+    def stored_constraint(self, c: Constraint) -> Constraint | None:
+        """The stored constraint with the same effect as c, if any."""
+        return self._constraints.get(c.effect_key())
+
     def has_constraint(self, c: Constraint) -> bool:
-        key = c.effect_key()
-        return any(x.effect_key() == key for x in self.constraints)
+        return c.effect_key() in self._constraints
 
     # -- edits -------------------------------------------------------------
 
@@ -192,10 +201,13 @@ class FeatureModel:
         if f.is_root:
             raise ModelError("the root feature cannot be moved")
         self.feature(new_parent)
-        if new_parent in self.subtree(name):
-            raise ModelError(
-                f"moving {name!r} under {new_parent!r} would create a cycle"
-            )
+        n = new_parent
+        while n is not None:  # walk up: a cycle needs name among the ancestors
+            if n == name:
+                raise ModelError(
+                    f"moving {name!r} under {new_parent!r} would create a cycle"
+                )
+            n = self.features[n].parent
         # detach first so a group joined by this feature alone cannot be matched
         old = (f.parent, f.decomp, f.group_id)
         f.parent, f.decomp, f.group_id = None, None, 0
@@ -220,14 +232,16 @@ class FeatureModel:
                 g.parent = new_name
         if self.root == name:
             self.root = new_name
-        self.constraints = [
+        # a fresh name maps distinct effects to distinct effects
+        renamed = (
             Constraint(
                 new_name if c.left == name else c.left,
                 c.kind,
                 new_name if c.right == name else c.right,
             )
-            for c in self.constraints
-        ]
+            for c in self._constraints.values()
+        )
+        self._constraints = {c.effect_key(): c for c in renamed}
 
     def remove_subtree(self, name: str) -> set:
         """Remove a feature with all descendants and their constraints."""
@@ -237,37 +251,25 @@ class FeatureModel:
         doomed = self.subtree(name)
         for n in doomed:
             del self.features[n]
-        self.constraints = [
-            c for c in self.constraints
+        self._constraints = {
+            k: c for k, c in self._constraints.items()
             if c.left not in doomed and c.right not in doomed
-        ]
+        }
         return doomed
 
     def add_constraint(self, c: Constraint) -> bool:
         """Add a constraint unless a same-effect one is already stored."""
         self.feature(c.left)
         self.feature(c.right)
-        if self.has_constraint(c):
+        key = c.effect_key()
+        if key in self._constraints:
             return False
-        self.constraints.append(c)
+        self._constraints[key] = c
         return True
 
     def remove_constraint(self, c: Constraint) -> bool:
-        key = c.effect_key()
-        before = len(self.constraints)
-        self.constraints = [x for x in self.constraints if x.effect_key() != key]
-        return len(self.constraints) != before
-
-    def normalize_constraints(self) -> None:
-        """Collapse duplicates and symmetric excludes to one representative."""
-        seen = set()
-        kept = []
-        for c in self.constraints:
-            key = c.effect_key()
-            if key not in seen:
-                seen.add(key)
-                kept.append(c)
-        self.constraints = kept
+        """Remove the stored constraint with the same effect as c, if any."""
+        return self._constraints.pop(c.effect_key(), None) is not None
 
     # -- integrity ---------------------------------------------------------
 
@@ -329,13 +331,10 @@ class FeatureModel:
             if gid >= self.next_group_id:
                 problems.append(f"group: id {gid} not below next_group_id counter")
 
-        seen_keys = set()
-        for c in self.constraints:
+        for key, c in self._constraints.items():
             for end in (c.left, c.right):
                 if end not in self.features:
                     problems.append(f"constraint: {c} names unknown feature {end!r}")
-            key = c.effect_key()
-            if key in seen_keys:
-                problems.append(f"constraint: same-effect duplicate {c}")
-            seen_keys.add(key)
+            if key != c.effect_key():
+                problems.append(f"constraint: {c} is stored under key {key!r}")
         return problems

@@ -113,6 +113,18 @@ def test_tvl_export_error(tmp_path, capsys):
     assert "not a valid TVL identifier" in captured.err
 
 
+def test_tvl_export_error_writes_neither_output(tmp_path, capsys):
+    (tmp_path / "m.fd").write_text('root "My Root";\nfeature "A" "My Root" optional;\n')
+    (tmp_path / "c.feaf").write_text('remove feature "A";\n')
+    out, tvl = tmp_path / "o.fd", tmp_path / "o.tvl"
+    code = main(["-d", str(tmp_path / "m.fd"), "-c", str(tmp_path / "c.feaf"),
+                 "-o", str(out), "-ot", str(tvl)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "not a valid TVL identifier" in captured.err
+    assert not out.exists() and not tvl.exists()
+
+
 def test_parse_failure_exit_2(tmp_path, capsys):
     src = tmp_path / "bad.feaf"
     src.write_text('root "R" feature ;\n')

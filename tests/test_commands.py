@@ -173,6 +173,32 @@ def test_updateall_partial_effect_skips_root(services):
     assert m.validate() == []
 
 
+def test_updateall_skipped_middle_target_leaves_it_unchanged(services):
+    # targets run in declaration order; "Package 3" is the middle one and
+    # cannot move under its own child, the other two move into fresh groups
+    m, diags = run(services, """\
+    updateall feature F
+      set _parent = "Dating Club", _decomp = or
+      where F._name = "Package 1" or F._name = "Package 3"
+            or F._name = "Infrastructure";
+    """)
+    assert [d.message for d in diags] == [
+        "Command had a partial effect: skipped (Package 3)"]
+    p3, old = m.features["Package 3"], services.features["Package 3"]
+    assert (p3.parent, p3.decomp, p3.group_id) == (old.parent, old.decomp, old.group_id)
+    for name in ("Package 1", "Infrastructure"):
+        assert m.features[name].parent == "Dating Club"
+        assert m.features[name].decomp is DecompKind.OR
+    assert m.validate() == []
+
+    single = services
+    for name in ("Package 1", "Package 3", "Infrastructure"):
+        single, _ = run(single, f'update feature "{name}" '
+                                'set _parent = "Dating Club", _decomp = or;')
+    assert m.next_group_id == single.next_group_id
+    assert serialize_declarations(m) == serialize_declarations(single)
+
+
 def test_updateall_no_resolutions_warning(services):
     before = serialize_declarations(services)
     m, diags = run(services, """\

@@ -114,7 +114,34 @@ def test_remove_constraint_symmetric():
     m = small()
     m.add_constraint(Constraint("A", "excludes", "B"))
     assert m.remove_constraint(Constraint("B", "excludes", "A"))
+    assert not m.remove_constraint(Constraint("A", "excludes", "B"))
     assert m.constraints == []
+
+
+def test_constraints_keep_insertion_order_and_are_read_only():
+    m = small()
+    first, second = Constraint("A", "requires", "B"), Constraint("C", "excludes", "D")
+    m.add_constraint(first)
+    m.add_constraint(second)
+    m.remove_constraint(first)
+    m.add_constraint(first)  # a re-added constraint goes to the end
+    assert m.constraints == [second, first]
+    m.constraints.clear()
+    assert m.constraints == [second, first]
+    assert m.validate() == []
+
+
+def test_move_cycle_check_on_deep_chain():
+    m = FeatureModel.with_root("R")
+    parent = "R"
+    for i in range(3000):
+        m.attach_feature(Feature(f"F{i}"), parent, DecompKind.OPTIONAL)
+        parent = f"F{i}"
+    with pytest.raises(ModelError, match="cycle"):
+        m.move_feature("F0", "F2999", DecompKind.OPTIONAL)
+    assert m.features["F0"].parent == "R"
+    m.move_feature("F2999", "R", DecompKind.OPTIONAL)
+    assert m.validate() == []
 
 
 def test_copy_is_deep_enough():

@@ -8,6 +8,7 @@ command and ill formed after it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import DecompKind, FeatureModel
@@ -33,7 +34,7 @@ class TypeCheckError(Exception):
 
 
 class EvalError(Exception):
-    """Dynamic evaluation failure (division or modulo by zero)."""
+    """Dynamic evaluation failure (division or modulo by zero, overflow)."""
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,12 @@ def _trunc_div(a: int, b: int) -> int:
 
 
 def evaluate(expr, model: FeatureModel, binding: dict | None = None):
-    """Evaluate a typechecked expression; raises EvalError on division by zero."""
+    """Evaluate a typechecked expression.
+
+    Raises EvalError on division or modulo by zero and on a number out of
+    range: an integer too large to convert to a real, or a real result that
+    is not finite.
+    """
     binding = binding or {}
     if isinstance(expr, Lit):
         return expr.value
@@ -227,38 +233,48 @@ def evaluate(expr, model: FeatureModel, binding: dict | None = None):
     if isinstance(expr, Binary):
         a = evaluate(expr.left, model, binding)
         b = evaluate(expr.right, model, binding)
-        op = expr.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0:
-                raise EvalError("division by zero")
-            return a / b
-        if op == "%":
-            if b == 0:
-                raise EvalError("modulo by zero")
-            return a - _trunc_div(a, b) * b
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        if op == ">=":
-            return a >= b
-        if op == "=":
-            return _equal(a, b)
-        if op == "<>":
-            return not _equal(a, b)
-        if op == "and":
-            return a and b
-        if op == "or":
-            return a or b
+        try:
+            v = _apply(expr.op, a, b)
+        except OverflowError:
+            raise EvalError("number out of range") from None
+        if isinstance(v, float) and not math.isfinite(v):
+            raise EvalError("real result out of range")
+        return v
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _apply(op: str, a, b):
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        if b == 0:
+            raise EvalError("division by zero")
+        return a / b
+    if op == "%":
+        if b == 0:
+            raise EvalError("modulo by zero")
+        return a - _trunc_div(a, b) * b
+    if op == "<":
+        return a < b
+    if op == "<=":
+        return a <= b
+    if op == ">":
+        return a > b
+    if op == ">=":
+        return a >= b
+    if op == "=":
+        return _equal(a, b)
+    if op == "<>":
+        return not _equal(a, b)
+    if op == "and":
+        return a and b
+    if op == "or":
+        return a or b
+    raise TypeError(f"not a binary operator: {op!r}")
 
 
 def _equal(a, b) -> bool:

@@ -2,10 +2,16 @@
 
 A command's variables are resolved jointly: the result is the set of
 variable-to-feature tuples whose binding satisfies the where-clause. The
-search prunes per-variable candidate domains by attribute presence and type
-compatibility and checks where-conjuncts as soon as their variables are
-bound; both prunings are semantics-preserving, since a pruned tuple could
-never typecheck and evaluate to true.
+search binds variables smallest domain first. Per-variable candidate domains
+are pruned by attribute presence and type compatibility, and each
+where-conjunct is scheduled once, at the depth where its last variable is
+bound. A conjunct `V.a = U.b` between two variables is a hash-indexed
+equality join: `V`'s domain is indexed once by the key of `a`, and at `V`'s
+depth the search visits only the names whose key equals that of `U.b`.
+Keys follow `=` exactly (`1 = 1.0`; a boolean never equals a number), so
+the index drops only bindings under which the join is false or fails. All
+prunings are semantics-preserving: every surviving binding is still
+typechecked and evaluated against every conjunct.
 """
 
 from __future__ import annotations
@@ -13,9 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expressions import (
+    AttrRef,
     Binary,
     EvalError,
     TypeCheckError,
+    VarRef,
     compatible,
     evaluate,
     referenced_usages,
@@ -107,17 +115,7 @@ def resolve(model: FeatureModel, variables, where=None,
     if usages is None:
         usages = referenced_usages(where) if where is not None else {}
     domains = {v: candidate_domain(model, usages.get(v, [])) for v in variables}
-
-    conjuncts = []
-    if where is not None:
-        for c in _conjuncts(where):
-            conjuncts.append((c, variables_in(c) & set(variables)))
-
-    # variables with the smallest domains first; output order is restored below
-    order = sorted(variables, key=lambda v: len(domains[v]))
-    pending = list(conjuncts)
     binding: dict = {}
-    results = []
 
     def _holds(expr) -> bool:
         try:
@@ -126,25 +124,95 @@ def resolve(model: FeatureModel, variables, where=None,
         except (TypeCheckError, EvalError):
             return False
 
-    def search(depth: int, pending: list) -> None:
-        ready = [c for c, vs in pending if vs <= binding.keys()]
-        if any(not _holds(c) for c in ready):
-            return
+    # variables with the smallest domains first; output order is restored below
+    order = sorted(variables, key=lambda v: len(domains[v]))
+    depth_of = {v: d for d, v in enumerate(order)}
+    checks: list = [[] for _ in order]  # conjuncts decided once order[d] is bound
+    probes: list = [None] * len(order)  # per depth: (hash index, probe term) or None
+    for c in _conjuncts(where) if where is not None else []:
+        vs = variables_in(c) & depth_of.keys()
+        if not vs:
+            if not _holds(c):
+                return ResolutionSet(variables, [])
+            continue
+        d = max(depth_of[v] for v in vs)
+        checks[d].append(c)
+        if probes[d] is None:
+            probes[d] = _equijoin_probe(model, c, order[d], domains)
+
+    results = []
+
+    def search(depth: int) -> None:
         if depth == len(order):
             results.append(tuple(binding[v] for v in variables))
             return
-        rest = [(c, vs) for c, vs in pending if not vs <= binding.keys()]
         var = order[depth]
-        for name in domains[var]:
+        if probes[depth] is None:
+            names = domains[var]
+        else:
+            table, term = probes[depth]
+            names = table.get(_join_key(model, term, binding), ())
+        for name in names:
             binding[var] = name
-            search(depth + 1, rest)
-            del binding[var]
+            if all(_holds(c) for c in checks[depth]):
+                search(depth + 1)
+        binding.pop(var, None)
 
-    search(0, pending)
+    search(0)
 
     index = {name: i for i, name in enumerate(model.features)}
     results.sort(key=lambda t: tuple(index[n] for n in t))
     return ResolutionSet(variables, results)
+
+
+def _var_term(expr):
+    """The variable of a `V.attr` term, else None."""
+    if isinstance(expr, AttrRef) and isinstance(expr.subject, VarRef):
+        return expr.subject.name
+    return None
+
+
+def _equijoin_probe(model, conjunct, var, domains):
+    """A hash index answering `var.a = U.b` for another variable U.
+
+    The conjunct is decided at `var`'s depth, so U is bound before `var`.
+    Returns (index, U.b): the index maps the key of `var.a` to the names of
+    `var`'s domain, in domain order, and the search looks up the key of `U.b`
+    under the current binding. None when the conjunct has another shape.
+    """
+    if not (isinstance(conjunct, Binary) and conjunct.op == "="):
+        return None
+    for mine, other in ((conjunct.left, conjunct.right),
+                        (conjunct.right, conjunct.left)):
+        if _var_term(mine) == var and _var_term(other) in domains.keys() - {var}:
+            index: dict = {}
+            for name in domains[var]:
+                key = _join_key(model, mine, {var: name})
+                if key is not None:
+                    index.setdefault(key, []).append(name)
+            return index, other
+    return None
+
+
+def _join_key(model, term, binding):
+    """Hash key of a term's value: values `=` calls equal share a key.
+
+    None when the term fails to typecheck or its value equals nothing: a
+    number out of the range of a real, or NaN. Numbers are keyed by their
+    real value, so 1 = 1.0; other values by type, so true never equals 1.
+    """
+    try:
+        typecheck(term, model, binding)
+        value = evaluate(term, model, binding)
+    except TypeCheckError:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return type(value), value
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return None if value != value else ("numeric", value)
 
 
 def derive_unambiguous(resolutions: ResolutionSet, evaluate_slot):

@@ -7,6 +7,7 @@ so an embedded double quote is impossible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 KEYWORDS = {
@@ -82,7 +83,10 @@ def tokenize(text: str) -> list:
                 while j < n and text[j].isdigit():
                     j += 1
                 lit = text[i:j]
-                tokens.append(Token("REAL", lit, float(lit), start_line, start_col))
+                value = float(lit)
+                if not math.isfinite(value):
+                    raise LexError("real literal out of range", start_line, start_col)
+                tokens.append(Token("REAL", lit, value, start_line, start_col))
             else:
                 lit = text[i:j]
                 tokens.append(Token("INT", lit, int(lit), start_line, start_col))

@@ -9,6 +9,7 @@ export emits them inside the root block.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -72,7 +73,10 @@ def _tokenize(text: str) -> list:
                 j += 1
                 while j < n and text[j].isdigit():
                     j += 1
-                tokens.append(_Tok("REAL", float(text[i:j]), line))
+                value = float(text[i:j])
+                if not math.isfinite(value):
+                    raise TvlError(f"line {line}: real literal out of range")
+                tokens.append(_Tok("REAL", value, line))
             else:
                 tokens.append(_Tok("INT", int(text[i:j]), line))
             i = j

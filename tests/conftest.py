@@ -324,3 +324,43 @@ def random_where(rng: random.Random, variables, model: FeatureModel, depth: int 
         return Unary("not", random_where(rng, variables, model, depth - 1))
     return Binary(op, random_where(rng, variables, model, depth - 1),
                   random_where(rng, variables, model, depth - 1))
+
+
+# -- random equality joins ---------------------------------------------------
+
+# values that collide across types under `=`: 1 and 1.0 are equal, true and 1
+# are not, "F1" equals a feature name; 10**400 and NaN equal nothing
+JOIN_VALUES = (0, 1, 1.0, 2, 2.0, 2.5, True, False, "F1", "red", "1",
+               DecompKind.OR, 10**400, float("inf"), float("nan"))
+JOIN_ATTRS = ATTR_POOL[:3] + ("_name", "_parent", "_decomp", "_decompID")
+
+
+def random_join_model(rng: random.Random, max_features: int = 10) -> FeatureModel:
+    """A random model whose attribute values come from JOIN_VALUES."""
+    model = random_model(rng, max_features=max_features, max_attrs=3)
+    for f in model.features.values():
+        f.attributes = {attr: rng.choice(JOIN_VALUES)
+                        for attr in rng.sample(ATTR_POOL[:3], rng.randint(0, 3))}
+    return model
+
+
+def random_join_where(rng: random.Random, variables, model: FeatureModel):
+    """A conjunction holding one or two `V.a = U.b` joins between variables.
+
+    With three variables the joins may chain V to W to X. The remaining
+    conjuncts come from random_where, so a join may also sit under `or`.
+    """
+    def join():
+        v, u = rng.sample(variables, 2)
+        a = rng.choice(JOIN_ATTRS)
+        b = a if rng.random() < 0.5 else rng.choice(JOIN_ATTRS)
+        return Binary("=", AttrRef(VarRef(v), a), AttrRef(VarRef(u), b))
+
+    conjuncts = [join() for _ in range(rng.randint(1, 2))]
+    conjuncts += [random_where(rng, variables, model, depth=rng.randint(0, 1))
+                  for _ in range(rng.randint(0, 1))]
+    rng.shuffle(conjuncts)
+    where = conjuncts[0]
+    for c in conjuncts[1:]:
+        where = Binary("and", where, c)
+    return where

@@ -1,3 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import feather
 from feather.cli import USAGE, dump_intermediate, main, postfix_text
 from feather.parser import parse_commands, parse_script
 from feather.tvl import import_tvl
@@ -198,3 +206,50 @@ def test_dump_file_written(tmp_path, capsys):
     assert code == 0
     assert f"Generating intermediate language code file [{dump}]... OK" in captured.out
     assert "cmd 1 upf" in dump.read_text()
+
+
+# -- numbers out of range ---------------------------------------------------
+
+# an integer attribute too large to convert to a real
+HUGE_DECLS = (f'root "R";\nfeature "A" "R" optional attribute w {"1" + "0" * 399};\n'
+              'feature "B" "R" optional attribute w 2.5;\n')
+
+
+def feather_cli(tmp_path, decls: str, cmds: str):
+    """Run the command line in a child process; returns (exit, stdout, stderr, out)."""
+    (tmp_path / "m.fd").write_text(decls)
+    (tmp_path / "c.feaf").write_text(cmds)
+    env = dict(os.environ, PYTHONPATH=str(Path(feather.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "feather", "-d", "m.fd", "-c", "c.feaf", "-o", "out.fd"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert "Traceback" not in proc.stderr
+    out = tmp_path / "out.fd"
+    return proc.returncode, proc.stdout, proc.stderr, out.read_text() if out.exists() else None
+
+
+def test_integer_too_large_for_a_real_is_not_satisfied(tmp_path):
+    code, _, _, out = feather_cli(
+        tmp_path, HUGE_DECLS, "updateall feature F set w = numeric: 1 where F.w = 2.5;\n")
+    assert code == 0
+    assert out == HUGE_DECLS.replace("2.5", "1")
+
+
+def test_integer_too_large_for_a_real_is_an_error_in_a_slot(tmp_path):
+    code, stdout, _, out = feather_cli(
+        tmp_path, HUGE_DECLS, "updateall feature F set w = numeric: F.w / 3 where F.w > 0;\n")
+    assert code == 1
+    assert "cmd #1 (upmf) : number out of range" in stdout
+    assert out == HUGE_DECLS
+
+
+@pytest.mark.parametrize("decls, cmds", [
+    ('root "R" attribute w 1.0;\n',
+     f'update feature "R" set w = numeric: {"9" * 309}.0;\n'),
+    (f'root "R" attribute w {"9" * 309}.0;\n', ""),
+])
+def test_real_literal_out_of_range_is_a_parse_error(tmp_path, decls, cmds):
+    code, _, stderr, out = feather_cli(tmp_path, decls, cmds)
+    assert code == 2
+    assert "real literal out of range" in stderr
+    assert out is None

@@ -1,5 +1,6 @@
 import random
 
+from feather import expressions, resolver
 from feather.expressions import referenced_usages, variables_in
 from feather.resolver import (
     NO_RESOLUTION,
@@ -13,6 +14,8 @@ from conftest import (
     brute_force_resolve,
     build,
     parse_expr,
+    random_join_model,
+    random_join_where,
     random_model,
     random_where,
 )
@@ -106,3 +109,59 @@ def test_resolve_without_where_uses_command_usages():
 def test_variables_in_helper():
     w = parse_expr('V.n = 1 and "A".n = W.n')
     assert variables_in(w) == {"V", "W"}
+
+
+def test_equality_joins_equal_the_oracle():
+    rng = random.Random(31337)
+    satisfiable = 0
+    for case in range(500):
+        m = random_join_model(rng)
+        variables = ("V", "W", "X")[:rng.randint(2, 3)]
+        w = random_join_where(rng, variables, m)
+        want = brute_force_resolve(m, variables, w)
+        assert set(resolve(m, variables, w).tuples) == want, f"case {case}"
+        satisfiable += bool(want)
+    assert satisfiable >= 100
+
+
+def test_join_keys_follow_equality():
+    m = build('root "R" attribute n 1;\n'
+              'feature "A" "R" optional attribute n 1.0 attribute s "R";\n'
+              'feature "B" "R" optional attribute n true attribute s "1";\n'
+              'feature "C" "R" alternative to "C" attribute n 2;\n'
+              'feature "D" "R" alternative to "C";\n')
+    assert resolve(m, ["V", "W"], parse_expr("V.n = W.n and V._name <> W._name")
+                   ).tuples == [("R", "A"), ("A", "R")]
+    assert resolve(m, ["V", "W"], parse_expr("V.s = W._name")).tuples == [("A", "R")]
+    assert resolve(m, ["V", "W"], parse_expr("V._decompID = W._decompID and W.n = 2")
+                   ).tuples == [("C", "C"), ("D", "C")]
+    # optional features share decompID 0; the root has none
+    assert resolve(m, ["V", "W"], parse_expr('V._decompID = W._decompID and W._name = "A"')
+                   ).tuples == [("A", "A"), ("B", "A")]
+
+
+def test_sibling_join_work_grows_linearly(monkeypatch):
+    """Typecheck calls for a sibling join double, not quadruple, with the groups."""
+    calls = 0
+    original = expressions.typecheck
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(expressions, "typecheck", counting)
+    monkeypatch.setattr(resolver, "typecheck", counting)
+    where = parse_expr("X._parent = Y._parent and X.w > Y.w")
+    counts = {}
+    for groups in (5, 10):
+        lines = ['root "R";']
+        for g in range(groups):
+            lines.append(f'feature "P{g}" "R" optional;')
+            lines += [f'feature "P{g}C{i}" "P{g}" optional attribute w {i};'
+                      for i in range(20)]
+        m = build("\n".join(lines) + "\n")
+        calls = 0
+        assert len(resolve(m, ["X", "Y"], where).tuples) == groups * 190
+        counts[groups] = calls
+    assert counts[10] <= 2 * counts[5] + 100

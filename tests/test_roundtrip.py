@@ -1,13 +1,15 @@
 import random
+import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from feather.parser import parse_script
 from feather.build import build_model
-from feather.serializer import serialize_declarations
-from feather.tvl import export_tvl, import_tvl
+from feather.serializer import format_real, serialize_declarations
+from feather.tvl import TvlError, export_tvl, import_tvl
 
-from conftest import build, isomorphic, random_model
+from conftest import build, isomorphic, random_model, run
 
 # the punctuation allowed inside string literals, besides letters and digits
 STRING_CHARS = (
@@ -71,3 +73,24 @@ def test_feather_to_tvl_to_feather(seed):
     model = random_model(random.Random(seed), max_features=15)
     via_tvl = import_tvl(export_tvl(model))
     assert isomorphic(model, build(serialize_declarations(via_tvl)))
+
+
+def test_reals_stay_finite_through_a_round_trip():
+    largest = sys.float_info.max
+    text = (f'root "R";\n'
+            f'feature "A" "R" optional attribute w {format_real(largest)};\n')
+    model = build(text)
+    assert serialize_declarations(model) == text
+    assert import_tvl(export_tvl(model)).features["A"].attributes["w"] == largest
+    # a result beyond the largest real is an error; the model stays as it was
+    after, diags = run(model, "updateall feature F set w = numeric: "
+                              "F.w * 10.0 - F.w * 10.0 where F.w > 0;")
+    assert [(d.severity, d.message) for d in diags] == [
+        ("error", "real result out of range")]
+    assert serialize_declarations(after) == text
+    # so is a literal beyond it, in both languages
+    too_large = "1" + "0" * 309 + ".0"
+    _, errors = parse_script(f'root "R" attribute w {too_large};\n')
+    assert [str(e) for e in errors] == ["1:22: real literal out of range"]
+    with pytest.raises(TvlError, match="real literal out of range"):
+        import_tvl(f"root R {{ real w is {too_large}; }}\n")

@@ -9,6 +9,7 @@ command and ill formed after it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .model import DecompKind, FeatureModel
@@ -219,8 +220,8 @@ def evaluate(expr, model: FeatureModel, binding: dict | None = None):
     """Evaluate a typechecked expression.
 
     Raises EvalError on division or modulo by zero and on a number out of
-    range: an integer too large to convert to a real, or a real result that
-    is not finite.
+    range: an integer too large to convert to a real or to write in decimal,
+    or a real result that is not finite.
     """
     binding = binding or {}
     if isinstance(expr, Lit):
@@ -239,8 +240,21 @@ def evaluate(expr, model: FeatureModel, binding: dict | None = None):
             raise EvalError("number out of range") from None
         if isinstance(v, float) and not math.isfinite(v):
             raise EvalError("real result out of range")
+        if type(v) is int and not _writable(v):
+            raise EvalError("number out of range")
         return v
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+# 0 means no limit, as on interpreters without the limit
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _writable(n: int) -> bool:
+    """Whether str(n) has at most sys.get_int_max_str_digits() digits."""
+    limit = _max_str_digits()
+    # |n| < 2**bit_length <= 8**limit < 10**limit
+    return not limit or n.bit_length() <= 3 * limit or abs(n) < 10 ** limit
 
 
 def _apply(op: str, a, b):
@@ -278,12 +292,8 @@ def _apply(op: str, a, b):
 
 
 def _equal(a, b) -> bool:
-    ta, tb = _eq_class(a), _eq_class(b)
-    if ta != tb:
-        return False
-    if ta == "numeric":
-        return float(a) == float(b)
-    return a == b
+    # Python compares an int with a float exactly, never through a rounded real
+    return _eq_class(a) == _eq_class(b) and a == b
 
 
 def _eq_class(v) -> str:

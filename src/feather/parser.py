@@ -175,10 +175,12 @@ class _Parser:
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
+        if not ahead:  # EOF is the last token, and next() never moves past it
+            return self.tokens[self.pos]
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.kind != "EOF":
             self.pos += 1
         return t
@@ -187,7 +189,7 @@ class _Parser:
         return self.peek().kind in kinds
 
     def expect(self, kind: str, what: str | None = None) -> Token:
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.kind != kind:
             want = what or f"{kind!r}"
             raise ParseError(f"expected {want}, found {t.text or 'end of input'!r}",

@@ -197,9 +197,10 @@ def _equijoin_probe(model, conjunct, var, domains):
 def _join_key(model, term, binding):
     """Hash key of a term's value: values `=` calls equal share a key.
 
-    None when the term fails to typecheck or its value equals nothing: a
-    number out of the range of a real, or NaN. Numbers are keyed by their
-    real value, so 1 = 1.0; other values by type, so true never equals 1.
+    None when the term fails to typecheck or its value is NaN, which equals
+    nothing. Numbers are keyed by their value: an int and a float that `=`
+    calls equal are equal and hash alike, so 1 = 1.0 while 2**53 + 1 is not
+    2**53. Other values are keyed by type, so true never equals 1.
     """
     try:
         typecheck(term, model, binding)
@@ -208,10 +209,6 @@ def _join_key(model, term, binding):
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return type(value), value
-    try:
-        value = float(value)
-    except OverflowError:
-        return None
     return None if value != value else ("numeric", value)
 
 

@@ -9,13 +9,12 @@ export emits them inside the root block.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 
 from .model import Constraint, DecompKind, Feature, FeatureModel
 from .serializer import format_real
-from .tokens import STRING_PUNCT
+from .tokens import LexError, Lexicon, Token, lex
 
 KEYWORDS = {
     "enum", "string", "in", "root", "group", "allof", "oneof", "someof",
@@ -33,69 +32,13 @@ class TvlExportError(Exception):
     """The model cannot be represented in the TVL subset."""
 
 
-@dataclass
-class _Tok:
-    kind: str
-    value: object
-    line: int
+def _word(word: str, line: int, col: int) -> str:
+    if not word[0].isalpha():
+        raise LexError(f"unexpected character {word[0]!r}", line, col)
+    return "ID"
 
 
-def _tokenize(text: str) -> list:
-    tokens = []
-    i, line = 0, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                c = text[j]
-                if not (c.isascii() and (c.isalnum() or c in STRING_PUNCT)):
-                    raise TvlError(f"line {line}: character {c!r} not allowed in a string")
-                j += 1
-            if j >= n or text[j] != '"' or j == i + 1:
-                raise TvlError(f"line {line}: bad string literal")
-            tokens.append(_Tok("STRING", text[i + 1:j], line))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch in "+-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j + 1 < n and text[j] == "." and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                value = float(text[i:j])
-                if not math.isfinite(value):
-                    raise TvlError(f"line {line}: real literal out of range")
-                tokens.append(_Tok("REAL", value, line))
-            else:
-                tokens.append(_Tok("INT", int(text[i:j]), line))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            tokens.append(_Tok(word if word in KEYWORDS else "ID", word, line))
-            i = j
-            continue
-        if ch in "{},;":
-            tokens.append(_Tok(ch, ch, line))
-            i += 1
-            continue
-        raise TvlError(f"line {line}: unexpected character {ch!r}")
-    tokens.append(_Tok("EOF", None, line))
-    return tokens
+LEXICON = Lexicon(KEYWORDS, "{},;", _word, signed_numbers=True)
 
 
 @dataclass
@@ -108,20 +51,23 @@ class _Block:
 
 
 class _TvlParser:
-    def __init__(self, tokens: list):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        try:
+            self.tokens = lex(text, LEXICON)
+        except LexError as e:
+            raise TvlError(f"line {e.line}: {e.message}") from None
         self.pos = 0
 
-    def peek(self) -> _Tok:
+    def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def next(self) -> _Tok:
+    def next(self) -> Token:
         t = self.peek()
         if t.kind != "EOF":
             self.pos += 1
         return t
 
-    def expect(self, kind: str) -> _Tok:
+    def expect(self, kind: str) -> Token:
         t = self.peek()
         if t.kind != kind:
             raise TvlError(f"line {t.line}: expected {kind!r}, found {t.value!r}")
@@ -210,7 +156,7 @@ class _TvlParser:
 
 
 def import_tvl(text: str) -> FeatureModel:
-    header, blocks = _TvlParser(_tokenize(text)).parse()
+    header, blocks = _TvlParser(text).parse()
     by_name: dict = {}
     for b in blocks:
         if b.name in by_name:

@@ -9,7 +9,9 @@ by a seeded random.Random so failures reproduce.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import namedtuple
 
 import pytest
 
@@ -29,6 +31,8 @@ from feather.expressions import (
 )
 from feather.model import Constraint, DecompKind, Feature, FeatureModel
 from feather.parser import parse_commands, parse_script
+from feather.tokens import KEYWORDS, STRING_PUNCT, STRUCTURALS, SYMBOLS, LexError, Token
+from feather.tvl import KEYWORDS as TVL_KEYWORDS, TvlError
 
 SERVICES = """\
 root "Web Services";
@@ -329,9 +333,10 @@ def random_where(rng: random.Random, variables, model: FeatureModel, depth: int 
 # -- random equality joins ---------------------------------------------------
 
 # values that collide across types under `=`: 1 and 1.0 are equal, true and 1
-# are not, "F1" equals a feature name; 10**400 and NaN equal nothing
+# are not, "F1" equals a feature name; 10**400 equals only itself, NaN equals
+# nothing, and 2**53 + 1 is not 2**53 though both round to the same real
 JOIN_VALUES = (0, 1, 1.0, 2, 2.0, 2.5, True, False, "F1", "red", "1",
-               DecompKind.OR, 10**400, float("inf"), float("nan"))
+               DecompKind.OR, 10**400, float("inf"), float("nan"), 2**53, 2**53 + 1)
 JOIN_ATTRS = ATTR_POOL[:3] + ("_name", "_parent", "_decomp", "_decompID")
 
 
@@ -364,3 +369,151 @@ def random_join_where(rng: random.Random, variables, model: FeatureModel):
     for c in conjuncts[1:]:
         where = Binary("and", where, c)
     return where
+
+
+# -- reference lexers ----------------------------------------------------------
+
+# The character loops the master-regex lexer replaced, kept as oracles. They
+# read any character for which str.isdigit() holds as a digit: `int()` then
+# raises ValueError on "²", and "٣" reads as 3. See tests/test_lexer.py.
+
+_Tok = namedtuple("_Tok", "kind value line")
+
+
+def reference_tokenize(text: str) -> list:
+    tokens = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if ch in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        start_line, start_col = line, col
+        if ch == '"':
+            j = i + 1
+            while j < n and text[j] != '"' and text[j] != "\n":
+                c = text[j]
+                if not (c.isascii() and (c.isalnum() or c in STRING_PUNCT)):
+                    raise LexError(f"character {c!r} not allowed in a string",
+                                   line, col + (j - i))
+                j += 1
+            if j >= n or text[j] != '"':
+                raise LexError("unterminated string literal", start_line, start_col)
+            if j == i + 1:
+                raise LexError("empty string literal", start_line, start_col)
+            s = text[i + 1:j]
+            tokens.append(Token("STRING", s, s, start_line, start_col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j + 1 < n and text[j] == "." and text[j + 1].isdigit():
+                j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+                lit = text[i:j]
+                value = float(lit)
+                if not math.isfinite(value):
+                    raise LexError("real literal out of range", start_line, start_col)
+                tokens.append(Token("REAL", lit, value, start_line, start_col))
+            else:
+                lit = text[i:j]
+                tokens.append(Token("INT", lit, int(lit), start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            if word.startswith("_"):
+                if word not in STRUCTURALS:
+                    raise LexError(f"unknown structural attribute {word!r}",
+                                   start_line, start_col)
+                kind = word
+            elif word in KEYWORDS:
+                kind = word
+            elif word[0].isupper():
+                kind = "VAR"
+            else:
+                kind = "IDENT"
+            tokens.append(Token(kind, word, word, start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        for sym in SYMBOLS:
+            if text.startswith(sym, i):
+                tokens.append(Token(sym, sym, sym, start_line, start_col))
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            raise LexError(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("EOF", "", None, line, col))
+    return tokens
+
+
+def reference_tvl_tokenize(text: str) -> list:
+    tokens = []
+    i, line = 0, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            continue
+        if ch == '"':
+            j = i + 1
+            while j < n and text[j] not in '"\n':
+                c = text[j]
+                if not (c.isascii() and (c.isalnum() or c in STRING_PUNCT)):
+                    raise TvlError(f"line {line}: character {c!r} not allowed in a string")
+                j += 1
+            if j >= n or text[j] != '"' or j == i + 1:
+                raise TvlError(f"line {line}: bad string literal")
+            tokens.append(_Tok("STRING", text[i + 1:j], line))
+            i = j + 1
+            continue
+        if ch.isdigit() or (ch in "+-" and i + 1 < n and text[i + 1].isdigit()):
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            if j + 1 < n and text[j] == "." and text[j + 1].isdigit():
+                j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+                value = float(text[i:j])
+                if not math.isfinite(value):
+                    raise TvlError(f"line {line}: real literal out of range")
+                tokens.append(_Tok("REAL", value, line))
+            else:
+                tokens.append(_Tok("INT", int(text[i:j]), line))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            tokens.append(_Tok(word if word in TVL_KEYWORDS else "ID", word, line))
+            i = j
+            continue
+        if ch in "{},;":
+            tokens.append(_Tok(ch, ch, line))
+            i += 1
+            continue
+        raise TvlError(f"line {line}: unexpected character {ch!r}")
+    tokens.append(_Tok("EOF", None, line))
+    return tokens

@@ -215,13 +215,16 @@ HUGE_DECLS = (f'root "R";\nfeature "A" "R" optional attribute w {"1" + "0" * 399
               'feature "B" "R" optional attribute w 2.5;\n')
 
 
-def feather_cli(tmp_path, decls: str, cmds: str):
-    """Run the command line in a child process; returns (exit, stdout, stderr, out)."""
+def feather_cli(tmp_path, decls: str, cmds: str, model_flag: str = "-d"):
+    """Run the command line in a child process; returns (exit, stdout, stderr, out).
+
+    `decls` is the model, read with `-d`, or with `-t` as TVL.
+    """
     (tmp_path / "m.fd").write_text(decls)
     (tmp_path / "c.feaf").write_text(cmds)
     env = dict(os.environ, PYTHONPATH=str(Path(feather.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "feather", "-d", "m.fd", "-c", "c.feaf", "-o", "out.fd"],
+        [sys.executable, "-m", "feather", model_flag, "m.fd", "-c", "c.feaf", "-o", "out.fd"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert "Traceback" not in proc.stderr
     out = tmp_path / "out.fd"
@@ -253,3 +256,40 @@ def test_real_literal_out_of_range_is_a_parse_error(tmp_path, decls, cmds):
     assert code == 2
     assert "real literal out of range" in stderr
     assert out is None
+
+
+@pytest.mark.parametrize("flag, model, message", [
+    ("-d", 'root "R" attribute w \u00b2;\n', "1:22: unexpected character '\u00b2'"),
+    ("-d", 'root "R" attribute w \u0663;\n', "1:22: unexpected character '\u0663'"),
+    ("-d", f'root "R" attribute w {"1" * 5000};\n', "1:22: integer literal out of range"),
+    ("-t", "root R {\n  int w is \u00b2;\n}\n", "line 2: unexpected character '\u00b2'"),
+    ("-t", "root R {\n  int w is \u0663;\n}\n", "line 2: unexpected character '\u0663'"),
+    ("-t", f"root R {{\n  int w is {'1' * 5000};\n}}\n",
+     "line 2: integer literal out of range"),
+], ids=["fd-superscript", "fd-arabic-indic", "fd-5000-digits",
+        "tvl-superscript", "tvl-arabic-indic", "tvl-5000-digits"])
+def test_unreadable_number_is_a_parse_error(tmp_path, flag, model, message):
+    code, _, stderr, out = feather_cli(tmp_path, model, "", model_flag=flag)
+    assert code == 2
+    assert message in stderr
+    assert out is None
+
+
+# an integer whose square has more digits than int-to-str conversion allows
+WIDE_DECLS = (f'root "R";\nfeature "A" "R" optional attribute w {"9" * 2200};\n'
+              'feature "B" "R" optional attribute w 3;\n')
+
+
+def test_integer_result_past_the_digit_limit_is_an_error_in_a_slot(tmp_path):
+    code, stdout, _, out = feather_cli(
+        tmp_path, WIDE_DECLS, 'update feature "A" set w = numeric: "A".w * "A".w;\n')
+    assert code == 1
+    assert "cmd #1 (upf) : number out of range" in stdout
+    assert out == WIDE_DECLS
+
+
+def test_integer_result_past_the_digit_limit_is_not_satisfied(tmp_path):
+    code, _, _, out = feather_cli(
+        tmp_path, WIDE_DECLS, "updateall feature F set w = numeric: 1 where F.w * F.w > 0;\n")
+    assert code == 0
+    assert out == WIDE_DECLS.replace("w 3", "w 1")

@@ -97,6 +97,16 @@ def test_numeric_cross_type_equality():
     assert ev("2 < 2.5") is True
 
 
+def test_numeric_equality_is_exact():
+    # 2**53 + 1 is the first integer a real cannot hold; `=` must not round it
+    big = 2**53
+    assert ev(f"{big + 1} = {big}") is False
+    assert ev(f"{big + 1} <> {big}") is True
+    assert ev(f"{big + 1} <= {big}") is False
+    assert ev(f"{big} = {big}.0") is True
+    assert ev(f"{big + 1} = {float(big + 1)!r}") is False  # the literal rounds to 2**53
+
+
 def test_equality_rejects_mixed_classes():
     with pytest.raises(TypeCheckError):
         typecheck(parse_expr('1 = "one"'), model())

@@ -3,12 +3,17 @@
 Expressions are evaluated against a model plus a binding from feature
 variables to concrete feature names. Type checking is dynamic: it consults
 the current model state, so the same expression can be well formed before a
-command and ill formed after it.
+command and ill formed after it. compile_expr turns an expression into one
+closure that does both at once; a command compiles its expressions once and
+runs them under every binding. typecheck and evaluate walk the tree and are
+the reference the compiled form is tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -157,42 +162,50 @@ def typecheck(expr, model: FeatureModel, binding: dict | None = None) -> str:
     if isinstance(expr, AttrRef):
         return _attr_type(model, _subject_name(expr.subject, binding), expr.attr)
     if isinstance(expr, Unary):
-        t = typecheck(expr.operand, model, binding)
-        if expr.op == "-":
-            if t not in NUMERIC:
-                raise TypeCheckError(f"unary - applied to {t} operand")
-            return t
-        if t != BOOLEAN:
-            raise TypeCheckError(f"not applied to {t} operand")
-        return BOOLEAN
+        return _unary_type(expr.op, typecheck(expr.operand, model, binding))
     if isinstance(expr, Binary):
         lt = typecheck(expr.left, model, binding)
         rt = typecheck(expr.right, model, binding)
-        op = expr.op
-        if op in ARITH_OPS:
-            if lt not in NUMERIC or rt not in NUMERIC:
-                raise TypeCheckError(f"{op} applied to {lt} and {rt} operands")
-            if op == "/":
-                return REAL
-            if op == "%":
-                if lt != INTEGER or rt != INTEGER:
-                    raise TypeCheckError("% is defined on integers only")
-                return INTEGER
-            return INTEGER if lt == INTEGER and rt == INTEGER else REAL
-        if op in REL_OPS:
-            if lt not in NUMERIC or rt not in NUMERIC:
-                raise TypeCheckError(f"{op} applied to {lt} and {rt} operands")
-            return BOOLEAN
-        if op in EQ_OPS:
-            ok = (lt in NUMERIC and rt in NUMERIC) or lt == rt
-            if not ok:
-                raise TypeCheckError(f"{op} applied to {lt} and {rt} operands")
-            return BOOLEAN
-        if op in BOOL_OPS:
-            if lt != BOOLEAN or rt != BOOLEAN:
-                raise TypeCheckError(f"{op} applied to {lt} and {rt} operands")
-            return BOOLEAN
+        return _binary_type(expr.op, lt, rt)
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _unary_type(op: str, t: str) -> str:
+    if op == "-":
+        if t not in NUMERIC:
+            raise TypeCheckError(f"unary - applied to {t} operand")
+        return t
+    if t != BOOLEAN:
+        raise TypeCheckError(f"not applied to {t} operand")
+    return BOOLEAN
+
+
+def _binary_type(op: str, lt: str, rt: str) -> str:
+    """The type of `lt op rt`; the rules typecheck and compile_expr share."""
+    if op in ARITH_OPS:
+        if lt not in NUMERIC or rt not in NUMERIC:
+            raise TypeCheckError(f"{op} applied to {lt} and {rt} operands")
+        if op == "/":
+            return REAL
+        if op == "%":
+            if lt != INTEGER or rt != INTEGER:
+                raise TypeCheckError("% is defined on integers only")
+            return INTEGER
+        return INTEGER if lt == INTEGER and rt == INTEGER else REAL
+    if op in REL_OPS:
+        if lt not in NUMERIC or rt not in NUMERIC:
+            raise TypeCheckError(f"{op} applied to {lt} and {rt} operands")
+        return BOOLEAN
+    if op in EQ_OPS:
+        ok = (lt in NUMERIC and rt in NUMERIC) or lt == rt
+        if not ok:
+            raise TypeCheckError(f"{op} applied to {lt} and {rt} operands")
+        return BOOLEAN
+    if op in BOOL_OPS:
+        if lt != BOOLEAN or rt != BOOLEAN:
+            raise TypeCheckError(f"{op} applied to {lt} and {rt} operands")
+        return BOOLEAN
+    raise TypeError(f"not a binary operator: {op!r}")
 
 
 # -- evaluation ------------------------------------------------------------
@@ -234,16 +247,21 @@ def evaluate(expr, model: FeatureModel, binding: dict | None = None):
     if isinstance(expr, Binary):
         a = evaluate(expr.left, model, binding)
         b = evaluate(expr.right, model, binding)
-        try:
-            v = _apply(expr.op, a, b)
-        except OverflowError:
-            raise EvalError("number out of range") from None
-        if isinstance(v, float) and not math.isfinite(v):
-            raise EvalError("real result out of range")
-        if type(v) is int and not _writable(v):
-            raise EvalError("number out of range")
-        return v
+        return _apply_checked(expr.op, a, b)
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _apply_checked(op: str, a, b):
+    """_apply, with every number out of range an EvalError."""
+    try:
+        v = _apply(op, a, b)
+    except OverflowError:
+        raise EvalError("number out of range") from None
+    if isinstance(v, float) and not math.isfinite(v):
+        raise EvalError("real result out of range")
+    if type(v) is int and not _writable(v):
+        raise EvalError("number out of range")
+    return v
 
 
 # 0 means no limit, as on interpreters without the limit
@@ -306,6 +324,106 @@ def _eq_class(v) -> str:
     if isinstance(v, DecompKind):
         return DECOMP
     return STRING
+
+
+# -- compilation -----------------------------------------------------------
+
+
+def compile_expr(expr):
+    """Compile an expression into a closure `(features, binding) -> (type, value)`.
+
+    `features` is a model's feature dict. The closure fuses typecheck with
+    evaluate: it raises TypeCheckError and EvalError where they would, with
+    their messages. Like evaluate it is eager, so an evaluation error in one
+    operand is raised before a type error in a later operand that typecheck
+    would report first. Each node's attribute access, operator and type rule
+    are chosen here, once, rather than under every binding.
+    """
+    if isinstance(expr, Lit):
+        result = (type_of(expr.value), expr.value)
+        return lambda features, binding: result
+    if isinstance(expr, AttrRef):
+        return _compile_attr(expr.subject, expr.attr)
+    if isinstance(expr, Unary):
+        op, operand = expr.op, compile_expr(expr.operand)
+        apply = operator.neg if op == "-" else operator.not_
+
+        def unary(features, binding):
+            t, v = operand(features, binding)
+            return _unary_type(op, t), apply(v)
+        return unary
+    if isinstance(expr, Binary):
+        op = expr.op
+        left, right = compile_expr(expr.left), compile_expr(expr.right)
+        apply = _COMPILED_OPS.get(op) or functools.partial(_apply_checked, op)
+
+        def binary(features, binding):
+            lt, a = left(features, binding)
+            rt, b = right(features, binding)
+            return _binary_type(op, lt, rt), apply(a, b)
+        return binary
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+# Operators whose compiled form skips _apply_checked: they never overflow, and
+# once the type rule has passed both operands are of one class, so `=` is
+# Python's exact `==`.
+_COMPILED_OPS = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "=": operator.eq, "<>": operator.ne, "and": operator.and_, "or": operator.or_,
+}
+
+
+def _compile_attr(subject, attr: str):
+    read = _STRUCTURAL_READERS.get(attr) or _attribute_reader(attr)
+    if isinstance(subject, FeatureRef):
+        fname = subject.name
+
+        def named(features, binding):
+            f = features.get(fname)
+            if f is None:
+                raise TypeCheckError(f'there is no feature with the name "{fname}"')
+            return read(f)
+        return named
+    var = subject.name
+
+    def bound(features, binding):
+        name = binding.get(var)
+        if name is None:
+            raise TypeCheckError(f"unbound feature variable {var}")
+        f = features.get(name)
+        if f is None:
+            raise TypeCheckError(f'there is no feature with the name "{name}"')
+        return read(f)
+    return bound
+
+
+def _attribute_reader(attr: str):
+    def read(f):
+        try:
+            v = f.attributes[attr]
+        except KeyError:
+            raise TypeCheckError(
+                f'feature "{f.name}" has no attribute named {attr}') from None
+        return type_of(v), v
+    return read
+
+
+def _decomp_reader(t: str, value):
+    def read(f):
+        if f.is_root:
+            raise TypeCheckError(
+                f'the root feature "{f.name}" has no decomposition relation')
+        return t, value(f)
+    return read
+
+
+_STRUCTURAL_READERS = {
+    "_name": lambda f: (STRING, f.name),
+    "_parent": lambda f: (STRING, f.parent if f.parent is not None else ""),
+    "_decomp": _decomp_reader(DECOMP, lambda f: f.decomp),
+    "_decompID": _decomp_reader(DECOMP_ID, lambda f: ("decompID", f.group_id)),
+}
 
 
 # -- usage extraction ------------------------------------------------------

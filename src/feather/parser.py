@@ -1,8 +1,9 @@
 """Recursive-descent parser: declarations, commands, and static validation.
 
 Produces a ScriptAst. Expression sub-grammar uses C operator precedence
-(unary > mul > add > relational > equality > and > or); `not` is a unary
-operator, so it binds tighter than `and`.
+(unary > mul > add > relational > equality > and > or), parsed by precedence
+climbing; `not` is a unary operator, so it binds tighter than `and`.
+Expressions nested deeper than MAX_EXPR_DEPTH are a parse error.
 """
 
 from __future__ import annotations
@@ -22,6 +23,19 @@ DECOMP_KEYWORDS = {
 
 # attribute-name positions also admit lexer keywords that are plain words
 _ATTRNAME_KINDS = ("IDENT",)
+
+# binding strength of the binary operators, all left-associative
+BINARY_PRECEDENCE = {
+    "or": 1, "and": 2, "=": 3, "<>": 3, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
+}
+
+# The deepest expression nesting accepted: each parenthesis, unary operator and
+# binary operator between the whole expression and an operand is one level.
+# At the limit, parsing takes about two frames a level and every later walk
+# of the tree (usages, -x dump, resolving, slot values) one, well within the
+# default recursion limit; deeper input is a parse error.
+MAX_EXPR_DEPTH = 200
 
 
 class ParseError(Exception):
@@ -268,66 +282,46 @@ class _Parser:
     # -- expressions -------------------------------------------------------
 
     def parse_expr(self):
-        return self.parse_or_expr()
+        return self._expr(1, 0)[0]
 
-    def parse_or_expr(self):
-        left = self.parse_and_expr()
-        while self.at("or"):
-            self.next()
-            left = Binary("or", left, self.parse_and_expr())
-        return left
+    def _expr(self, min_prec: int, depth: int) -> tuple:
+        """(expression, its nesting) over operators binding at least
+        `min_prec`, inside `depth` levels of nesting."""
+        left, height = self._operand(depth)
+        while BINARY_PRECEDENCE.get(self.peek().kind, 0) >= min_prec:
+            t = self.next()
+            right, right_height = self._expr(BINARY_PRECEDENCE[t.kind] + 1, depth + 1)
+            height = max(height, right_height) + 1
+            self._check_depth(depth + height, t)
+            left = Binary(t.kind, left, right)
+        return left, height
 
-    def parse_and_expr(self):
-        left = self.parse_eq_expr()
-        while self.at("and"):
-            self.next()
-            left = Binary("and", left, self.parse_eq_expr())
-        return left
-
-    def parse_eq_expr(self):
-        left = self.parse_rel_expr()
-        while self.at("=", "<>"):
-            op = self.next().kind
-            left = Binary(op, left, self.parse_rel_expr())
-        return left
-
-    def parse_rel_expr(self):
-        left = self.parse_add_expr()
-        while self.at("<", "<=", ">", ">="):
-            op = self.next().kind
-            left = Binary(op, left, self.parse_add_expr())
-        return left
-
-    def parse_add_expr(self):
-        left = self.parse_mul_expr()
-        while self.at("+", "-"):
-            op = self.next().kind
-            left = Binary(op, left, self.parse_mul_expr())
-        return left
-
-    def parse_mul_expr(self):
-        left = self.parse_unary()
-        while self.at("*", "/", "%"):
-            op = self.next().kind
-            left = Binary(op, left, self.parse_unary())
-        return left
-
-    def parse_unary(self):
-        if self.at("-"):
-            self.next()
-            return Unary("-", self.parse_unary())
-        if self.at("not"):
-            self.next()
-            return Unary("not", self.parse_unary())
-        return self.parse_primary()
-
-    def parse_primary(self):
+    def _operand(self, depth: int) -> tuple:
+        """(operand, its nesting): unary operators, then a parenthesized
+        expression or a primary."""
+        ops = []
+        while self.at("-", "not"):
+            ops.append(self.next())
+            self._check_depth(depth + len(ops), ops[-1])
         t = self.peek()
         if t.kind == "(":
             self.next()
-            inner = self.parse_expr()
+            self._check_depth(depth + len(ops) + 1, t)
+            operand, height = self._expr(1, depth + len(ops) + 1)
             self.expect(")")
-            return inner
+            height += 1
+        else:
+            operand, height = self.parse_primary(), 0
+        for op in reversed(ops):
+            operand = Unary(op.kind, operand)
+        return operand, height + len(ops)
+
+    def _check_depth(self, depth: int, t: Token) -> None:
+        if depth > MAX_EXPR_DEPTH:
+            raise ParseError("expression nested too deeply", t.line, t.col)
+
+    def parse_primary(self):
+        t = self.peek()
         if t.kind == "INT" or t.kind == "REAL":
             self.next()
             return Lit(t.value)

@@ -10,8 +10,9 @@ equality join: `V`'s domain is indexed once by the key of `a`, and at `V`'s
 depth the search visits only the names whose key equals that of `U.b`.
 Keys follow `=` exactly (`1 = 1.0`; a boolean never equals a number), so
 the index drops only bindings under which the join is false or fails. All
-prunings are semantics-preserving: every surviving binding is still
-typechecked and evaluated against every conjunct.
+prunings are semantics-preserving: every surviving binding is still checked
+against every conjunct. The conjuncts decided at one depth are compiled once
+per resolve into one check that fuses typecheck with evaluation.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from .expressions import (
     AttrRef,
     Binary,
     EvalError,
+    NUMERIC,
     TypeCheckError,
     VarRef,
     compatible,
-    evaluate,
+    compile_expr,
     referenced_usages,
     type_of,
-    typecheck,
     variables_in,
 )
 from .model import FeatureModel
@@ -115,30 +116,29 @@ def resolve(model: FeatureModel, variables, where=None,
     if usages is None:
         usages = referenced_usages(where) if where is not None else {}
     domains = {v: candidate_domain(model, usages.get(v, [])) for v in variables}
+    features = model.features
     binding: dict = {}
-
-    def _holds(expr) -> bool:
-        try:
-            typecheck(expr, model, binding)
-            return evaluate(expr, model, binding) is True
-        except (TypeCheckError, EvalError):
-            return False
 
     # variables with the smallest domains first; output order is restored below
     order = sorted(variables, key=lambda v: len(domains[v]))
     depth_of = {v: d for d, v in enumerate(order)}
-    checks: list = [[] for _ in order]  # conjuncts decided once order[d] is bound
-    probes: list = [None] * len(order)  # per depth: (hash index, probe term) or None
+    scheduled: list = [[] for _ in order]  # conjuncts decided once order[d] is bound
+    constant = []  # conjuncts without variables
     for c in _conjuncts(where) if where is not None else []:
         vs = variables_in(c) & depth_of.keys()
-        if not vs:
-            if not _holds(c):
-                return ResolutionSet(variables, [])
-            continue
-        d = max(depth_of[v] for v in vs)
-        checks[d].append(c)
-        if probes[d] is None:
-            probes[d] = _equijoin_probe(model, c, order[d], domains)
+        if vs:
+            scheduled[max(depth_of[v] for v in vs)].append(c)
+        else:
+            constant.append(c)
+    if constant and not _all_hold(constant)(features, binding):
+        return ResolutionSet(variables, [])
+    checks = [_all_hold(cs) if cs else None for cs in scheduled]
+    probes: list = [None] * len(order)  # per depth: (hash index, probe term) or None
+    for d, cs in enumerate(scheduled):
+        for c in cs:
+            probes[d] = _equijoin_probe(features, c, order[d], domains)
+            if probes[d] is not None:
+                break
 
     results = []
 
@@ -146,23 +146,44 @@ def resolve(model: FeatureModel, variables, where=None,
         if depth == len(order):
             results.append(tuple(binding[v] for v in variables))
             return
-        var = order[depth]
+        var, check = order[depth], checks[depth]
         if probes[depth] is None:
             names = domains[var]
         else:
             table, term = probes[depth]
-            names = table.get(_join_key(model, term, binding), ())
+            names = table.get(_join_key(features, term, binding), ())
         for name in names:
             binding[var] = name
-            if all(_holds(c) for c in checks[depth]):
+            if check is None or check(features, binding):
                 search(depth + 1)
         binding.pop(var, None)
 
     search(0)
 
-    index = {name: i for i, name in enumerate(model.features)}
-    results.sort(key=lambda t: tuple(index[n] for n in t))
+    # one variable's tuples already follow its domain, in declaration order
+    if len(variables) > 1 and len(results) > 1:
+        index = {name: i for i, name in enumerate(features)}
+        results.sort(key=lambda t: tuple(index[n] for n in t))
     return ResolutionSet(variables, results)
+
+
+def _all_hold(conjuncts):
+    """One compiled check of the conjuncts under a binding.
+
+    False as soon as one of them is not true, or fails to typecheck or
+    evaluate, as the whole where-clause would.
+    """
+    compiled = [compile_expr(c) for c in conjuncts]
+
+    def holds(features, binding) -> bool:
+        try:
+            for c in compiled:
+                if c(features, binding)[1] is not True:
+                    return False
+        except (TypeCheckError, EvalError):
+            return False
+        return True
+    return holds
 
 
 def _var_term(expr):
@@ -172,30 +193,31 @@ def _var_term(expr):
     return None
 
 
-def _equijoin_probe(model, conjunct, var, domains):
+def _equijoin_probe(features, conjunct, var, domains):
     """A hash index answering `var.a = U.b` for another variable U.
 
     The conjunct is decided at `var`'s depth, so U is bound before `var`.
-    Returns (index, U.b): the index maps the key of `var.a` to the names of
-    `var`'s domain, in domain order, and the search looks up the key of `U.b`
-    under the current binding. None when the conjunct has another shape.
+    Returns (index, compiled U.b): the index maps the key of `var.a` to the
+    names of `var`'s domain, in domain order, and the search looks up the key
+    of `U.b` under the current binding. None when the conjunct has another
+    shape.
     """
     if not (isinstance(conjunct, Binary) and conjunct.op == "="):
         return None
     for mine, other in ((conjunct.left, conjunct.right),
                         (conjunct.right, conjunct.left)):
         if _var_term(mine) == var and _var_term(other) in domains.keys() - {var}:
-            index: dict = {}
+            term, index = compile_expr(mine), {}
             for name in domains[var]:
-                key = _join_key(model, mine, {var: name})
+                key = _join_key(features, term, {var: name})
                 if key is not None:
                     index.setdefault(key, []).append(name)
-            return index, other
+            return index, compile_expr(other)
     return None
 
 
-def _join_key(model, term, binding):
-    """Hash key of a term's value: values `=` calls equal share a key.
+def _join_key(features, term, binding):
+    """Hash key of a compiled term's value: values `=` calls equal share a key.
 
     None when the term fails to typecheck or its value is NaN, which equals
     nothing. Numbers are keyed by their value: an int and a float that `=`
@@ -203,12 +225,11 @@ def _join_key(model, term, binding):
     2**53. Other values are keyed by type, so true never equals 1.
     """
     try:
-        typecheck(term, model, binding)
-        value = evaluate(term, model, binding)
+        t, value = term(features, binding)
     except TypeCheckError:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return type(value), value
+    if t not in NUMERIC:
+        return t, value
     return None if value != value else ("numeric", value)
 
 

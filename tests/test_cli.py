@@ -1,13 +1,18 @@
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import feather
 from feather.cli import USAGE, dump_intermediate, main, postfix_text
-from feather.parser import parse_commands, parse_script
+from feather.parser import MAX_EXPR_DEPTH, parse_commands, parse_script
 from feather.tvl import import_tvl
 
 from conftest import SERVICES, build, isomorphic, parse_expr
@@ -215,16 +220,18 @@ HUGE_DECLS = (f'root "R";\nfeature "A" "R" optional attribute w {"1" + "0" * 399
               'feature "B" "R" optional attribute w 2.5;\n')
 
 
-def feather_cli(tmp_path, decls: str, cmds: str, model_flag: str = "-d"):
+def feather_cli(tmp_path, decls: str, cmds: str, model_flag: str = "-d", extra=()):
     """Run the command line in a child process; returns (exit, stdout, stderr, out).
 
-    `decls` is the model, read with `-d`, or with `-t` as TVL.
+    `decls` is the model, read with `-d`, or with `-t` as TVL; `extra` are
+    further arguments.
     """
     (tmp_path / "m.fd").write_text(decls)
     (tmp_path / "c.feaf").write_text(cmds)
     env = dict(os.environ, PYTHONPATH=str(Path(feather.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "feather", model_flag, "m.fd", "-c", "c.feaf", "-o", "out.fd"],
+        [sys.executable, "-m", "feather", model_flag, "m.fd", "-c", "c.feaf", "-o", "out.fd",
+         *extra],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert "Traceback" not in proc.stderr
     out = tmp_path / "out.fd"
@@ -293,3 +300,89 @@ def test_integer_result_past_the_digit_limit_is_not_satisfied(tmp_path):
         tmp_path, WIDE_DECLS, "updateall feature F set w = numeric: 1 where F.w * F.w > 0;\n")
     assert code == 0
     assert out == WIDE_DECLS.replace("w 3", "w 1")
+
+
+# -- expression nesting limit ---------------------------------------------------
+
+NEST_DECLS = ('root "R";\nfeature "F" "R" optional attribute a 2;\n'
+              'feature "G" "R" optional attribute a -5;\n')
+WITHOUT_F = NEST_DECLS.replace('feature "F" "R" optional attribute a 2;\n', "")
+
+
+# each shape nests `n` levels deep
+def nested_parens(n: int) -> str:
+    return 'update feature "F" set a = numeric: ' + "(" * n + "1" + ")" * n + ";\n"
+
+
+def plus_chain(n: int) -> str:  # n - 1 additions under one comparison
+    return "removeall feature X where " + " + ".join(["X.a"] * n) + " > 0;\n"
+
+
+def and_chain(n: int) -> str:  # n - 1 conjunctions over comparisons
+    return "removeall feature X where " + " and ".join(["X.a > 0"] * n) + ";\n"
+
+
+@pytest.mark.parametrize("shape, levels", [
+    (nested_parens, 1000), (plus_chain, 2000), (and_chain, 3000),
+    (nested_parens, MAX_EXPR_DEPTH + 1), (plus_chain, MAX_EXPR_DEPTH + 1),
+    (and_chain, MAX_EXPR_DEPTH + 1),
+], ids=["parens-1000", "plus-2000", "and-3000", "parens-over", "plus-over", "and-over"])
+def test_expression_nested_too_deeply_is_a_parse_error(tmp_path, shape, levels):
+    code, stdout, stderr, out = feather_cli(tmp_path, NEST_DECLS, "\n" + shape(levels))
+    assert code == 2
+    assert re.search(r"error: 2:\d+: expression nested too deeply", stderr)
+    assert "Parsing [c.feaf]... FAILED" in stdout
+    assert out is None
+
+
+@pytest.mark.parametrize("shape, expected", [
+    (nested_parens, NEST_DECLS.replace("a 2", "a 1")),
+    (plus_chain, WITHOUT_F),
+    (and_chain, WITHOUT_F),
+], ids=["parens", "plus", "and"])
+def test_expression_at_the_nesting_limit_runs(tmp_path, shape, expected):
+    code, stdout, _, out = feather_cli(tmp_path, NEST_DECLS, shape(MAX_EXPR_DEPTH),
+                                       extra=("-x", "c.eil"))
+    assert code == 0
+    assert "Errors & Warnings" not in stdout
+    assert out == expected
+    assert (tmp_path / "c.eil").read_text().startswith('root "R"')
+
+
+# ways to wrap an expression text in one more level, or two for `or`
+WRAPPERS = {
+    "(": "({})",
+    "-": "- {}",
+    "not": "not {}",
+    "+": "{} + X.a",
+    "*": "2 * {}",
+    "and": "{} and X.a > 0",
+    "or": "X.a < 0 or ({})",
+}
+DEPTHS = (st.integers(0, MAX_EXPR_DEPTH // 2)
+          | st.sampled_from([MAX_EXPR_DEPTH - 1, MAX_EXPR_DEPTH, MAX_EXPR_DEPTH + 1, 1500]))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(segments=st.lists(st.tuples(st.sampled_from(sorted(WRAPPERS)), DEPTHS),
+                         min_size=1, max_size=3),
+       template=st.sampled_from([
+           "removeall feature X where {};",
+           "updateall feature X set a = numeric: {} where X.a > 0;",
+           'update feature "F" set a = numeric: {};',
+       ]))
+def test_pathological_nesting_never_crashes(segments, template):
+    expr = "X.a"
+    for kind, count in segments:
+        for _ in range(count):
+            expr = WRAPPERS[kind].format(expr)
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "m.fd").write_text(NEST_DECLS)
+        (d / "c.feaf").write_text(template.format(expr) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["-d", str(d / "m.fd"), "-c", str(d / "c.feaf"),
+                         "-x", str(d / "c.eil"), "-o", str(d / "out.fd")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -1,6 +1,14 @@
+import functools
+import random
+
 import pytest
 
+from feather.commands import CommandError, _slot
 from feather.expressions import (
+    ARITH_OPS,
+    BOOLEAN,
+    NUMERIC,
+    REL_OPS,
     AttrRef,
     Binary,
     EvalError,
@@ -9,6 +17,7 @@ from feather.expressions import (
     TypeCheckError,
     Unary,
     VarRef,
+    compile_expr,
     evaluate,
     referenced_usages,
     typecheck,
@@ -16,7 +25,15 @@ from feather.expressions import (
 )
 from feather.model import DecompKind, Feature, FeatureModel
 
-from conftest import build, parse_expr
+from conftest import (
+    _rand_value_expr,
+    _random_operand,
+    build,
+    parse_expr,
+    random_join_where,
+    random_model,
+    random_where,
+)
 
 
 def model():
@@ -190,3 +207,93 @@ def test_conflicting_usages_empty_domain():
     from feather.resolver import candidate_domain
     u = referenced_usages(parse_expr('V.a < 5 and V.a = "x"'))
     assert candidate_domain(model(), u["V"]) == []
+
+
+# -- compiled expressions against typecheck + evaluate ------------------------
+
+# / 0 and % 0, an integer too large for a real, the first integer a real
+# cannot hold, NaN and the infinities
+EDGE_VALUES = (0, 0.0, -1, 10**400, 2**53 + 1, float("nan"), float("inf"), -float("inf"))
+
+
+def _edge_model(rng):
+    m = random_model(rng, max_features=8)
+    for f in m.features.values():
+        for attr in f.attributes:
+            if rng.random() < 0.4:
+                f.attributes[attr] = rng.choice(EDGE_VALUES)
+    return m
+
+
+def _arith_expr(rng, variables, m, depth=2):
+    """Arithmetic and comparisons over attributes and edge values."""
+    if depth <= 0 or rng.random() < 0.3:
+        if rng.random() < 0.5:
+            return Lit(rng.choice(EDGE_VALUES + (2, 1.5, True, "red")))
+        return _random_operand(rng, variables, m)
+    if rng.random() < 0.15:
+        return Unary(rng.choice(["-", "not"]), _arith_expr(rng, variables, m, depth - 1))
+    if rng.random() < 0.05:  # 10**400 to the 11th power has too many digits to write
+        terms = [_random_operand(rng, variables, m)] * 11
+        return functools.reduce(lambda a, b: Binary("*", a, b), terms)
+    return Binary(rng.choice(ARITH_OPS + REL_OPS + ("=",)),
+                  _arith_expr(rng, variables, m, depth - 1),
+                  _arith_expr(rng, variables, m, depth - 1))
+
+
+def _random_binding(rng, variables, m):
+    """Each variable bound to a feature, the root or a missing name, or unbound."""
+    names = list(m.features) + [m.root, "Ghost"]
+    return {v: rng.choice(names) for v in variables if rng.random() < 0.9}
+
+
+def _outcome(fn):
+    try:
+        t, v = fn()
+    except (TypeCheckError, EvalError, CommandError) as e:
+        return type(e), str(e)
+    # 1 and 1.0 differ; NaN is a value like any other here
+    return t, type(v), v if v == v else "NaN"
+
+
+def _reference_slot(expr, m, binding, expected):
+    """The slot value before compilation: typecheck, expected type, evaluate."""
+    t = typecheck(expr, m, binding)
+    if expected == "numeric" and t not in NUMERIC:
+        raise TypeCheckError(f"expected a numeric value, found {t}")
+    if expected == BOOLEAN and t != BOOLEAN:
+        raise TypeCheckError(f"expected a boolean value, found {t}")
+    return t, evaluate(expr, m, binding)
+
+
+def test_compiled_expressions_equal_typecheck_and_evaluate():
+    rng = random.Random(4242)
+    variables = ["V", "W"]
+    seen = {"value": 0, TypeCheckError: 0, EvalError: 0, "eval error first": 0}
+    for case in range(500):
+        m = _edge_model(rng)
+        exprs = [random_where(rng, variables, m), random_join_where(rng, variables, m),
+                 _rand_value_expr(rng, m, variables,
+                                  rng.choice(["numeric", "boolean", "string", "inherited"])),
+                 _arith_expr(rng, variables, m), _arith_expr(rng, variables, m)]
+        for expr in exprs:
+            run = compile_expr(expr)
+            expected = rng.choice([None, "numeric", BOOLEAN])
+            slot = _slot(expr, m, expected)
+            for _ in range(4):
+                b = _random_binding(rng, variables, m)
+                want = _outcome(lambda: (typecheck(expr, m, b), evaluate(expr, m, b)))
+                got = _outcome(lambda: run(m.features, b))
+                if got[0] is EvalError and want[0] is TypeCheckError:
+                    seen["eval error first"] += 1  # eager: an operand failed first
+                else:
+                    assert got == want, (case, expr, b)
+                seen["value" if len(want) == 3 else want[0]] += 1
+
+                ref = _outcome(lambda: _reference_slot(expr, m, b, expected))
+                got = _outcome(lambda: (None, slot(b)))
+                if len(ref) == 2:
+                    assert got == (CommandError, ref[1]), (case, expr, b, expected)
+                else:
+                    assert got[1:] == ref[1:], (case, expr, b, expected)
+    assert min(seen.values()) >= 20, seen

@@ -49,6 +49,13 @@ def test_declaration_order_of_results():
                          ("A", "B"), ("A", "C")]
 
 
+def test_tuples_follow_declaration_order_whatever_the_search_order():
+    # W has the smaller domain (only A and C carry both n and s), so the
+    # search binds W first and meets the tuples W-major
+    rs = resolve(model(), ["V", "W"], parse_expr('V.n <> W.n and W.s <> "z"'))
+    assert rs.tuples == [("R", "A"), ("R", "C"), ("A", "C"), ("B", "A"), ("C", "A")]
+
+
 def test_join_variables_across_conjuncts():
     m = model()
     w = parse_expr('V._parent = W._name and W.n = 5')
@@ -141,17 +148,20 @@ def test_join_keys_follow_equality():
 
 
 def test_sibling_join_work_grows_linearly(monkeypatch):
-    """Typecheck calls for a sibling join double, not quadruple, with the groups."""
+    """Compiled-condition calls for a sibling join double, not quadruple, with the groups."""
     calls = 0
-    original = expressions.typecheck
+    original = expressions.compile_expr
 
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return original(*args, **kwargs)
+    def counting(expr):
+        compiled = original(expr)
 
-    monkeypatch.setattr(expressions, "typecheck", counting)
-    monkeypatch.setattr(resolver, "typecheck", counting)
+        def run(*args):
+            nonlocal calls
+            calls += 1
+            return compiled(*args)
+        return run
+
+    monkeypatch.setattr(resolver, "compile_expr", counting)
     where = parse_expr("X._parent = Y._parent and X.w > Y.w")
     counts = {}
     for groups in (5, 10):

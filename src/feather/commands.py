@@ -20,7 +20,7 @@ from .expressions import (
     NUMERIC,
     TypeCheckError,
     VarRef,
-    compile_expr,
+    evaluate,
     referenced_usages,
     typecheck,
     variables_in,
@@ -179,34 +179,16 @@ def _needs_resolution(cmd: Command) -> bool:
 # -- slot evaluation -------------------------------------------------------
 
 
-def _slot(expr, model, expected=None):
-    """A slot expression compiled once: a function from a binding to its value.
-
-    Errors are CommandErrors with typecheck's precedence: a type error, then
-    "expected a ... value", then an evaluation error. The compiled form is
-    eager and may meet an evaluation error first, so then typecheck runs.
-    """
-    run, features = compile_expr(expr), model.features
-
-    def value(binding):
-        try:
-            try:
-                t, v = run(features, binding)
-            except EvalError:
-                _expect(typecheck(expr, model, binding), expected)
-                raise
-            _expect(t, expected)
-            return v
-        except (TypeCheckError, EvalError) as e:
-            raise CommandError(str(e)) from None
-    return value
-
-
-def _expect(t: str, expected) -> None:
-    if expected == "numeric" and t not in NUMERIC:
-        raise TypeCheckError(f"expected a numeric value, found {t}")
-    if expected == BOOLEAN and t != BOOLEAN:
-        raise TypeCheckError(f"expected a boolean value, found {t}")
+def _slot_value(expr, model, binding, expected=None):
+    try:
+        t = typecheck(expr, model, binding)
+        if expected == "numeric" and t not in NUMERIC:
+            raise TypeCheckError(f"expected a numeric value, found {t}")
+        if expected == BOOLEAN and t != BOOLEAN:
+            raise TypeCheckError(f"expected a boolean value, found {t}")
+        return evaluate(expr, model, binding)
+    except (TypeCheckError, EvalError) as e:
+        raise CommandError(str(e)) from None
 
 
 def _desc_name(desc, binding) -> str:
@@ -224,23 +206,11 @@ def _derive(resolutions, fn, ambiguity_message, list_values=True):
     return result
 
 
-def _feature_slots(model, cmd):
-    """(parent, decomposition, [(assignment, slot)]) of a feature command.
-
-    Each slot is compiled once against the pre-command model and derived
-    under any subset of the command's resolutions.
-    """
-    parent = _slot(cmd.parent, model) if cmd.parent is not None else None
-    decomp = _decomp_slot(model, cmd.decomp) if cmd.decomp is not None else None
-    return parent, decomp, [(a, _attr_slot(model, a)) for a in cmd.attrs]
-
-
 def _decomp_slot(model, spec):
     """The slot of a `_decomp =` specification: (kind, group id to join)."""
-    kind_of = _slot(spec.kind, model)
 
     def slot(binding):
-        kind = kind_of(binding)
+        kind = _slot_value(spec.kind, model, binding)
         gid = None
         if spec.sibling is not None:
             sib = _desc_name(spec.sibling, binding)
@@ -252,9 +222,10 @@ def _decomp_slot(model, spec):
     return slot
 
 
-def _derive_decomp(model, resolutions, slot, parent_name):
-    """Derive (kind, group id to join) and check that it fits under the parent."""
-    derived = _derive(resolutions, slot, DECOMP_AMBIGUITY, list_values=False)
+def _derive_decomp(model, resolutions, spec, parent_name):
+    """Derive (kind, group id to join) from a `_decomp =` specification."""
+    derived = _derive(resolutions, _decomp_slot(model, spec), DECOMP_AMBIGUITY,
+                      list_values=False)
     if derived is NO_RESOLUTION:
         return derived
     kind, gid = derived
@@ -268,20 +239,16 @@ def _derive_decomp(model, resolutions, slot, parent_name):
     return kind, gid
 
 
-def _attr_slot(model, assign):
-    value = _slot(assign.value, model,
-                  {"numeric": "numeric", "boolean": BOOLEAN}.get(assign.tag))
+def _derive_attr(model, resolutions, assign):
+    expected = {"numeric": "numeric", "boolean": BOOLEAN}.get(assign.tag)
 
     def slot(binding):
-        v = value(binding)
+        v = _slot_value(assign.value, model, binding, expected)
         if assign.tag == "inherited" and isinstance(v, (DecompKind, tuple)):
             raise CommandError(
                 f'attribute "{assign.name}" cannot inherit a decomposition value')
         return v
-    return slot
 
-
-def _derive_attr(resolutions, assign, slot):
     return _derive(
         resolutions, slot,
         f'Command is ambiguous on what the value of attribute "{assign.name}" will be')
@@ -295,17 +262,17 @@ def exec_add_feature(model: FeatureModel, cmd: AddFeature):
     if not res.tuples:
         return model, [("warning", NO_RESOLUTIONS_MSG)]
 
-    parent_slot, decomp_slot, attr_slots = _feature_slots(model, cmd)
-    parent = _derive(res, parent_slot, PARENT_AMBIGUITY)
+    parent = _derive(res, lambda b: _slot_value(cmd.parent, model, b),
+                     PARENT_AMBIGUITY)
     if parent not in model.features:
         raise CommandError(f'The specified parent (i.e., "{parent}") does not exist')
     if cmd.name in model.features:
         raise CommandError(f'Feature name "{cmd.name}" is in use')
-    kind, gid = _derive_decomp(model, res, decomp_slot, parent)
+    kind, gid = _derive_decomp(model, res, cmd.decomp, parent)
 
     attrs = {}
-    for a, slot in attr_slots:
-        attrs[a.name] = _derive_attr(res, a, slot)
+    for a in cmd.attrs:
+        attrs[a.name] = _derive_attr(model, res, a)
 
     work = model.copy()
     try:
@@ -316,11 +283,9 @@ def exec_add_feature(model: FeatureModel, cmd: AddFeature):
     return work, []
 
 
-def _apply_feature_update(work, fname, cmd, sub, model, slots):
+def _apply_feature_update(work, fname, cmd, sub, model):
     """One target's update; `sub` holds the tuples projecting to the target,
-    `model` is the pre-command snapshot the `_feature_slots` were compiled
-    against."""
-    parent_slot, decomp_slot, attr_slots = slots
+    `model` is the pre-command snapshot slot values are derived from."""
     f = work.features[fname]
     structural = cmd.parent is not None or cmd.decomp is not None
     if structural and f.is_root:
@@ -328,23 +293,24 @@ def _apply_feature_update(work, fname, cmd, sub, model, slots):
                     "relation update")
 
     new_parent = None
-    if parent_slot is not None:
-        new_parent = _derive(sub, parent_slot, PARENT_AMBIGUITY)
+    if cmd.parent is not None:
+        new_parent = _derive(sub, lambda b: _slot_value(cmd.parent, model, b),
+                             PARENT_AMBIGUITY)
         if new_parent not in model.features:
             raise CommandError(
                 f'The specified parent (i.e., "{new_parent}") does not exist')
 
     kind = gid = None
-    if decomp_slot is not None:
+    if cmd.decomp is not None:
         target_parent = new_parent if new_parent is not None else f.parent
-        kind, gid = _derive_decomp(model, sub, decomp_slot, target_parent)
+        kind, gid = _derive_decomp(model, sub, cmd.decomp, target_parent)
 
     updates = {}
-    for a, slot in attr_slots:
+    for a in cmd.attrs:
         if a.name not in f.attributes:
             raise CommandError(
                 f'Feature "{fname}" does not have an attribute named "{a.name}"')
-        updates[a.name] = _derive_attr(sub, a, slot)
+        updates[a.name] = _derive_attr(model, sub, a)
 
     if structural:
         move_parent = new_parent if new_parent is not None else f.parent
@@ -382,8 +348,7 @@ def exec_update_feature(model: FeatureModel, cmd: UpdateFeature):
 
     work = model.copy()
     try:
-        _apply_feature_update(work, fname, cmd, sub, model,
-                              _feature_slots(model, cmd))
+        _apply_feature_update(work, fname, cmd, sub, model)
     except _Skip as e:
         raise CommandError(str(e)) from None
     return work, []
@@ -406,9 +371,8 @@ def exec_update_all_features(model: FeatureModel, cmd: UpdateAllFeatures):
     # all slot derivations are checked before any edit: an ambiguity leaves
     # the model untouched, only integrity failures cause a partial effect
     subs = _group_by(res, cmd.var)
-    slots = _feature_slots(model, cmd)
     for sub in subs.values():
-        _check_feature_update_slots(sub, slots)
+        _check_feature_update_slots(model, cmd, sub)
 
     # targets are applied in place: each _Skip is raised before that
     # target's first write, so a skipped target leaves `work` as it was
@@ -416,7 +380,7 @@ def exec_update_all_features(model: FeatureModel, cmd: UpdateAllFeatures):
     skipped = []
     for t, sub in subs.items():
         try:
-            _apply_feature_update(work, t, cmd, sub, model, slots)
+            _apply_feature_update(work, t, cmd, sub, model)
         except _Skip as e:
             skipped.append((t, str(e)))
     diags = []
@@ -427,14 +391,14 @@ def exec_update_all_features(model: FeatureModel, cmd: UpdateAllFeatures):
     return work, diags
 
 
-def _check_feature_update_slots(sub, slots):
-    parent_slot, decomp_slot, attr_slots = slots
-    if parent_slot is not None:
-        _derive(sub, parent_slot, PARENT_AMBIGUITY)
-    if decomp_slot is not None:
-        _derive(sub, decomp_slot, DECOMP_AMBIGUITY, list_values=False)
-    for a, slot in attr_slots:
-        _derive_attr(sub, a, slot)
+def _check_feature_update_slots(model, cmd, sub):
+    if cmd.parent is not None:
+        _derive(sub, lambda b: _slot_value(cmd.parent, model, b), PARENT_AMBIGUITY)
+    if cmd.decomp is not None:
+        _derive(sub, _decomp_slot(model, cmd.decomp), DECOMP_AMBIGUITY,
+                list_values=False)
+    for a in cmd.attrs:
+        _derive_attr(model, sub, a)
 
 
 def exec_remove_feature(model: FeatureModel, cmd: RemoveFeature):
@@ -522,17 +486,18 @@ def _matched_constraints(model, cmd, res):
     return matched
 
 
-def _derive_constraint_update(model, cmd, rep, sub, left_slot, right_slot):
-    def name(slot, side):
+def _derive_constraint_update(model, cmd, rep, sub):
+    def name_slot(expr, side):
         value = _derive(
-            sub, slot, f"Command is ambiguous on what the new {side}-feature will be")
+            sub, lambda b: _slot_value(expr, model, b),
+            f"Command is ambiguous on what the new {side}-feature will be")
         if value not in model.features:
             raise CommandError(
                 f'The specified feature (i.e., "{value}") does not exist')
         return value
 
-    left = rep.left if left_slot is None else name(left_slot, "left")
-    right = rep.right if right_slot is None else name(right_slot, "right")
+    left = rep.left if cmd.new_left is None else name_slot(cmd.new_left, "left")
+    right = rep.right if cmd.new_right is None else name_slot(cmd.new_right, "right")
     kind = cmd.new_kind if cmd.new_kind is not None else rep.kind
     return Constraint(left, kind, right)
 
@@ -549,13 +514,10 @@ def exec_update_constraint(model: FeatureModel, cmd: UpdateConstraint, multi: bo
         if len(matched) > 1:
             raise CommandError("Command is ambiguous on which constraint will "
                                f"be updated {_listing([c for c, _ in matched])}")
-    left_slot, right_slot = (None if e is None else _slot(e, model)
-                             for e in (cmd.new_left, cmd.new_right))
     replacements = []
     for rep, tuples in matched:
         sub = ResolutionSet(res.variables, tuples)
-        replacements.append((rep, _derive_constraint_update(
-            model, cmd, rep, sub, left_slot, right_slot)))
+        replacements.append((rep, _derive_constraint_update(model, cmd, rep, sub)))
     work = model.copy()
     for rep, new in replacements:
         work.remove_constraint(rep)

@@ -11,7 +11,6 @@ the reference the compiled form is tested against.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import sys
@@ -242,26 +241,39 @@ def evaluate(expr, model: FeatureModel, binding: dict | None = None):
     if isinstance(expr, AttrRef):
         return _attr_value(model, _subject_name(expr.subject, binding), expr.attr)
     if isinstance(expr, Unary):
-        v = evaluate(expr.operand, model, binding)
-        return (-v) if expr.op == "-" else (not v)
+        return _UNARY_OPS[expr.op](evaluate(expr.operand, model, binding))
     if isinstance(expr, Binary):
         a = evaluate(expr.left, model, binding)
         b = evaluate(expr.right, model, binding)
-        return _apply_checked(expr.op, a, b)
+        return _BINARY_OPS[expr.op](a, b)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _apply_checked(op: str, a, b):
-    """_apply, with every number out of range an EvalError."""
-    try:
-        v = _apply(op, a, b)
-    except OverflowError:
-        raise EvalError("number out of range") from None
-    if isinstance(v, float) and not math.isfinite(v):
-        raise EvalError("real result out of range")
-    if type(v) is int and not _writable(v):
-        raise EvalError("number out of range")
-    return v
+def _div(a, b):
+    if b == 0:
+        raise EvalError("division by zero")
+    return a / b
+
+
+def _mod(a: int, b: int) -> int:
+    if b == 0:
+        raise EvalError("modulo by zero")
+    return a - _trunc_div(a, b) * b
+
+
+def _checked(arith):
+    """`arith`, with every number out of range an EvalError."""
+    def apply(a, b):
+        try:
+            v = arith(a, b)
+        except OverflowError:
+            raise EvalError("number out of range") from None
+        if isinstance(v, float) and not math.isfinite(v):
+            raise EvalError("real result out of range")
+        if type(v) is int and not _writable(v):
+            raise EvalError("number out of range")
+        return v
+    return apply
 
 
 # 0 means no limit, as on interpreters without the limit
@@ -275,55 +287,17 @@ def _writable(n: int) -> bool:
     return not limit or n.bit_length() <= 3 * limit or abs(n) < 10 ** limit
 
 
-def _apply(op: str, a, b):
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise EvalError("division by zero")
-        return a / b
-    if op == "%":
-        if b == 0:
-            raise EvalError("modulo by zero")
-        return a - _trunc_div(a, b) * b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    if op == "=":
-        return _equal(a, b)
-    if op == "<>":
-        return not _equal(a, b)
-    if op == "and":
-        return a and b
-    if op == "or":
-        return a or b
-    raise TypeError(f"not a binary operator: {op!r}")
-
-
-def _equal(a, b) -> bool:
-    # Python compares an int with a float exactly, never through a rounded real
-    return _eq_class(a) == _eq_class(b) and a == b
-
-
-def _eq_class(v) -> str:
-    if isinstance(v, bool):
-        return BOOLEAN
-    if isinstance(v, (int, float)):
-        return "numeric"
-    if isinstance(v, tuple):
-        return DECOMP_ID
-    if isinstance(v, DecompKind):
-        return DECOMP
-    return STRING
+# What each operator means, for evaluate and compile_expr alike. Both run
+# only on operands that passed the type rule: those of `=` and `<>` are then
+# of one class (numbers, or two values of the same type), so Python's `==`
+# is exact equality, an int against a real included.
+_UNARY_OPS = {"-": operator.neg, "not": operator.not_}
+_BINARY_OPS = {
+    "+": _checked(operator.add), "-": _checked(operator.sub),
+    "*": _checked(operator.mul), "/": _checked(_div), "%": _checked(_mod),
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "=": operator.eq, "<>": operator.ne, "and": operator.and_, "or": operator.or_,
+}
 
 
 # -- compilation -----------------------------------------------------------
@@ -346,7 +320,7 @@ def compile_expr(expr):
         return _compile_attr(expr.subject, expr.attr)
     if isinstance(expr, Unary):
         op, operand = expr.op, compile_expr(expr.operand)
-        apply = operator.neg if op == "-" else operator.not_
+        apply = _UNARY_OPS[op]
 
         def unary(features, binding):
             t, v = operand(features, binding)
@@ -355,7 +329,7 @@ def compile_expr(expr):
     if isinstance(expr, Binary):
         op = expr.op
         left, right = compile_expr(expr.left), compile_expr(expr.right)
-        apply = _COMPILED_OPS.get(op) or functools.partial(_apply_checked, op)
+        apply = _BINARY_OPS[op]
 
         def binary(features, binding):
             lt, a = left(features, binding)
@@ -363,15 +337,6 @@ def compile_expr(expr):
             return _binary_type(op, lt, rt), apply(a, b)
         return binary
     raise TypeError(f"not an expression node: {expr!r}")
-
-
-# Operators whose compiled form skips _apply_checked: they never overflow, and
-# once the type rule has passed both operands are of one class, so `=` is
-# Python's exact `==`.
-_COMPILED_OPS = {
-    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-    "=": operator.eq, "<>": operator.ne, "and": operator.and_, "or": operator.or_,
-}
 
 
 def _compile_attr(subject, attr: str):

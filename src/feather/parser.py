@@ -30,12 +30,13 @@ BINARY_PRECEDENCE = {
     "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
 }
 
-# The deepest expression nesting accepted: each parenthesis, unary operator and
-# binary operator between the whole expression and an operand is one level.
-# At the limit, parsing takes about two frames a level and every later walk
-# of the tree (usages, -x dump, resolving, slot values) one, well within the
-# default recursion limit; deeper input is a parse error.
-MAX_EXPR_DEPTH = 200
+# The deepest expression nesting accepted, in levels: each unary and binary
+# operator between the whole expression and an operand is one level, each
+# parenthesis two, its cost in parser frames. Every later walk of the tree
+# (usages, -x dump, resolving, slot values) takes one frame per operator, so
+# an expression at the limit needs about 425 frames, well within the default
+# recursion limit; deeper input is a parse error.
+MAX_EXPR_DEPTH = 400
 
 
 class ParseError(Exception):
@@ -306,10 +307,10 @@ class _Parser:
         t = self.peek()
         if t.kind == "(":
             self.next()
-            self._check_depth(depth + len(ops) + 1, t)
-            operand, height = self._expr(1, depth + len(ops) + 1)
+            self._check_depth(depth + len(ops) + 2, t)
+            operand, height = self._expr(1, depth + len(ops) + 2)
             self.expect(")")
-            height += 1
+            height += 2
         else:
             operand, height = self.parse_primary(), 0
         for op in reversed(ops):

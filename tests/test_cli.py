@@ -309,11 +309,15 @@ NEST_DECLS = ('root "R";\nfeature "F" "R" optional attribute a 2;\n'
 WITHOUT_F = NEST_DECLS.replace('feature "F" "R" optional attribute a 2;\n', "")
 
 
-# each shape nests `n` levels deep
-def nested_parens(n: int) -> str:
+def nested_parens(n: int) -> str:  # n parentheses, two levels each
     return 'update feature "F" set a = numeric: ' + "(" * n + "1" + ")" * n + ";\n"
 
 
+def negated_parens(n: int) -> str:  # one level more than nested_parens(n)
+    return nested_parens(n).replace("numeric: (", "numeric: -(", 1)
+
+
+# the chains nest `n` levels deep
 def plus_chain(n: int) -> str:  # n - 1 additions under one comparison
     return "removeall feature X where " + " + ".join(["X.a"] * n) + " > 0;\n"
 
@@ -324,9 +328,10 @@ def and_chain(n: int) -> str:  # n - 1 conjunctions over comparisons
 
 @pytest.mark.parametrize("shape, levels", [
     (nested_parens, 1000), (plus_chain, 2000), (and_chain, 3000),
-    (nested_parens, MAX_EXPR_DEPTH + 1), (plus_chain, MAX_EXPR_DEPTH + 1),
-    (and_chain, MAX_EXPR_DEPTH + 1),
-], ids=["parens-1000", "plus-2000", "and-3000", "parens-over", "plus-over", "and-over"])
+    (nested_parens, MAX_EXPR_DEPTH // 2 + 1), (negated_parens, MAX_EXPR_DEPTH // 2),
+    (plus_chain, MAX_EXPR_DEPTH + 1), (and_chain, MAX_EXPR_DEPTH + 1),
+], ids=["parens-1000", "plus-2000", "and-3000", "parens-over", "negated-parens-over",
+        "plus-over", "and-over"])
 def test_expression_nested_too_deeply_is_a_parse_error(tmp_path, shape, levels):
     code, stdout, stderr, out = feather_cli(tmp_path, NEST_DECLS, "\n" + shape(levels))
     assert code == 2
@@ -335,13 +340,13 @@ def test_expression_nested_too_deeply_is_a_parse_error(tmp_path, shape, levels):
     assert out is None
 
 
-@pytest.mark.parametrize("shape, expected", [
-    (nested_parens, NEST_DECLS.replace("a 2", "a 1")),
-    (plus_chain, WITHOUT_F),
-    (and_chain, WITHOUT_F),
+@pytest.mark.parametrize("shape, levels, expected", [
+    (nested_parens, MAX_EXPR_DEPTH // 2, NEST_DECLS.replace("a 2", "a 1")),
+    (plus_chain, MAX_EXPR_DEPTH, WITHOUT_F),
+    (and_chain, MAX_EXPR_DEPTH, WITHOUT_F),
 ], ids=["parens", "plus", "and"])
-def test_expression_at_the_nesting_limit_runs(tmp_path, shape, expected):
-    code, stdout, _, out = feather_cli(tmp_path, NEST_DECLS, shape(MAX_EXPR_DEPTH),
+def test_expression_at_the_nesting_limit_runs(tmp_path, shape, levels, expected):
+    code, stdout, _, out = feather_cli(tmp_path, NEST_DECLS, shape(levels),
                                        extra=("-x", "c.eil"))
     assert code == 0
     assert "Errors & Warnings" not in stdout
@@ -349,7 +354,7 @@ def test_expression_at_the_nesting_limit_runs(tmp_path, shape, expected):
     assert (tmp_path / "c.eil").read_text().startswith('root "R"')
 
 
-# ways to wrap an expression text in one more level, or two for `or`
+# ways to wrap an expression text in one more level, two for `(`, three for `or`
 WRAPPERS = {
     "(": "({})",
     "-": "- {}",

@@ -123,6 +123,21 @@ def test_update_feature_unknown_attribute(services):
         ("error", 'Feature "Bull Market" does not have an attribute named "price"')]
 
 
+def test_slot_diagnostic_precedence():
+    # a slot type-checks in full before it evaluates: a type error anywhere
+    # in the value, or the wrong type for the tag, wins over a division by
+    # zero to its left
+    m = build('root "R";\nfeature "A" "R" optional attribute x 1;\n')
+    before = serialize_declarations(m)
+    for value, message in [
+            ('1 / 0 + "R".missing', 'feature "R" has no attribute named missing'),
+            ("(1 / 0) = 1", "expected a numeric value, found boolean"),
+            ("1 / 0", "division by zero")]:
+        after, diags = run(m, f'update feature "A" set x = numeric: {value};')
+        assert [(d.severity, d.message) for d in diags] == [("error", message)]
+        assert serialize_declarations(after) == before
+
+
 def test_updateall_caps_extracost(services):
     m, diags = run(services, """\
     updateall feature F

@@ -10,19 +10,18 @@ on success (multi-target commands may commit a defined partial effect).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from .expressions import (
-    AttrRef,
     BOOLEAN,
     EvalError,
-    Lit,
     NUMERIC,
     TypeCheckError,
     VarRef,
-    evaluate,
+    compile_expr,
+    compile_type,
     referenced_usages,
-    typecheck,
     variables_in,
 )
 from .model import Constraint, DecompKind, Feature, FeatureModel, ModelError
@@ -179,16 +178,27 @@ def _needs_resolution(cmd: Command) -> bool:
 # -- slot evaluation -------------------------------------------------------
 
 
-def _slot_value(expr, model, binding, expected=None):
-    try:
-        t = typecheck(expr, model, binding)
-        if expected == "numeric" and t not in NUMERIC:
-            raise TypeCheckError(f"expected a numeric value, found {t}")
-        if expected == BOOLEAN and t != BOOLEAN:
-            raise TypeCheckError(f"expected a boolean value, found {t}")
-        return evaluate(expr, model, binding)
-    except (TypeCheckError, EvalError) as e:
-        raise CommandError(str(e)) from None
+def _slot(expr, model, expected=None):
+    """A slot expression compiled once: a function from a binding to its value.
+
+    Under a binding it runs the type pass, the expected-type check and the
+    value pass, in that order, so that a type error anywhere in the
+    expression or a value of the wrong type wins over an evaluation error.
+    """
+    type_pass, value_pass = compile_type(expr), compile_expr(expr)
+    features = model.features
+
+    def value(binding):
+        try:
+            t = type_pass(features, binding)
+            if expected == "numeric" and t not in NUMERIC:
+                raise TypeCheckError(f"expected a numeric value, found {t}")
+            if expected == BOOLEAN and t != BOOLEAN:
+                raise TypeCheckError(f"expected a boolean value, found {t}")
+            return value_pass(features, binding)[1]
+        except (TypeCheckError, EvalError) as e:
+            raise CommandError(str(e)) from None
+    return value
 
 
 def _desc_name(desc, binding) -> str:
@@ -208,9 +218,10 @@ def _derive(resolutions, fn, ambiguity_message, list_values=True):
 
 def _decomp_slot(model, spec):
     """The slot of a `_decomp =` specification: (kind, group id to join)."""
+    kind_of = _slot(spec.kind, model)
 
     def slot(binding):
-        kind = _slot_value(spec.kind, model, binding)
+        kind = kind_of(binding)
         gid = None
         if spec.sibling is not None:
             sib = _desc_name(spec.sibling, binding)
@@ -241,9 +252,10 @@ def _derive_decomp(model, resolutions, spec, parent_name):
 
 def _derive_attr(model, resolutions, assign):
     expected = {"numeric": "numeric", "boolean": BOOLEAN}.get(assign.tag)
+    value_of = _slot(assign.value, model, expected)
 
     def slot(binding):
-        v = _slot_value(assign.value, model, binding, expected)
+        v = value_of(binding)
         if assign.tag == "inherited" and isinstance(v, (DecompKind, tuple)):
             raise CommandError(
                 f'attribute "{assign.name}" cannot inherit a decomposition value')
@@ -262,8 +274,7 @@ def exec_add_feature(model: FeatureModel, cmd: AddFeature):
     if not res.tuples:
         return model, [("warning", NO_RESOLUTIONS_MSG)]
 
-    parent = _derive(res, lambda b: _slot_value(cmd.parent, model, b),
-                     PARENT_AMBIGUITY)
+    parent = _derive(res, _slot(cmd.parent, model), PARENT_AMBIGUITY)
     if parent not in model.features:
         raise CommandError(f'The specified parent (i.e., "{parent}") does not exist')
     if cmd.name in model.features:
@@ -294,8 +305,7 @@ def _apply_feature_update(work, fname, cmd, sub, model):
 
     new_parent = None
     if cmd.parent is not None:
-        new_parent = _derive(sub, lambda b: _slot_value(cmd.parent, model, b),
-                             PARENT_AMBIGUITY)
+        new_parent = _derive(sub, _slot(cmd.parent, model), PARENT_AMBIGUITY)
         if new_parent not in model.features:
             raise CommandError(
                 f'The specified parent (i.e., "{new_parent}") does not exist')
@@ -393,7 +403,7 @@ def exec_update_all_features(model: FeatureModel, cmd: UpdateAllFeatures):
 
 def _check_feature_update_slots(model, cmd, sub):
     if cmd.parent is not None:
-        _derive(sub, lambda b: _slot_value(cmd.parent, model, b), PARENT_AMBIGUITY)
+        _derive(sub, _slot(cmd.parent, model), PARENT_AMBIGUITY)
     if cmd.decomp is not None:
         _derive(sub, _decomp_slot(model, cmd.decomp), DECOMP_AMBIGUITY,
                 list_values=False)
@@ -489,7 +499,7 @@ def _matched_constraints(model, cmd, res):
 def _derive_constraint_update(model, cmd, rep, sub):
     def name_slot(expr, side):
         value = _derive(
-            sub, lambda b: _slot_value(expr, model, b),
+            sub, _slot(expr, model),
             f"Command is ambiguous on what the new {side}-feature will be")
         if value not in model.features:
             raise CommandError(
@@ -552,28 +562,28 @@ def exec_remove_constraint(model: FeatureModel, cmd, multi: bool):
 # -- dispatch and script runner -------------------------------------------
 
 
+# keyed by the exact class: UpdateAllConstraints subclasses UpdateConstraint
+_EXECUTORS = {
+    AddFeature: exec_add_feature,
+    UpdateFeature: exec_update_feature,
+    UpdateAllFeatures: exec_update_all_features,
+    RemoveFeature: exec_remove_feature,
+    RemoveAllFeatures: exec_remove_all_features,
+    AddConstraint: exec_add_constraint,
+    UpdateConstraint: functools.partial(exec_update_constraint, multi=False),
+    UpdateAllConstraints: functools.partial(exec_update_constraint, multi=True),
+    RemoveConstraint: functools.partial(exec_remove_constraint, multi=False),
+    RemoveAllConstraints: functools.partial(exec_remove_constraint, multi=True),
+}
+
+
 def execute(model: FeatureModel, cmd: Command):
     """Run one command; returns (model', [(severity, message), ...])."""
-    try:
-        if isinstance(cmd, AddFeature):
-            return exec_add_feature(model, cmd)
-        if isinstance(cmd, UpdateAllFeatures):
-            return exec_update_all_features(model, cmd)
-        if isinstance(cmd, UpdateFeature):
-            return exec_update_feature(model, cmd)
-        if isinstance(cmd, RemoveAllFeatures):
-            return exec_remove_all_features(model, cmd)
-        if isinstance(cmd, RemoveFeature):
-            return exec_remove_feature(model, cmd)
-        if isinstance(cmd, AddConstraint):
-            return exec_add_constraint(model, cmd)
-        if isinstance(cmd, (RemoveConstraint, RemoveAllConstraints)):
-            return exec_remove_constraint(model, cmd,
-                                          multi=isinstance(cmd, RemoveAllConstraints))
-        if isinstance(cmd, UpdateConstraint):
-            return exec_update_constraint(model, cmd,
-                                          multi=isinstance(cmd, UpdateAllConstraints))
+    run = _EXECUTORS.get(type(cmd))
+    if run is None:
         raise TypeError(f"unknown command {cmd!r}")
+    try:
+        return run(model, cmd)
     except CommandError as e:
         return model, [("error", str(e))]
 

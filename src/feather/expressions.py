@@ -3,10 +3,12 @@
 Expressions are evaluated against a model plus a binding from feature
 variables to concrete feature names. Type checking is dynamic: it consults
 the current model state, so the same expression can be well formed before a
-command and ill formed after it. compile_expr turns an expression into one
-closure that does both at once; a command compiles its expressions once and
-runs them under every binding. typecheck and evaluate walk the tree and are
-the reference the compiled form is tested against.
+command and ill formed after it. A command compiles its expressions once
+and runs them under every binding: compile_expr gives one closure that
+type-checks and evaluates at once, compile_type one that type-checks only.
+Both are built from the same attribute readers and type rules. A
+where-conjunct runs the first; a slot runs the second and then the first,
+so that every type error in it is reported before an evaluation error.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import operator
 import sys
 from dataclasses import dataclass
 
-from .model import DecompKind, FeatureModel
+from .model import DecompKind
 
-# value types, as reported by typecheck
+# value types, as reported by the type pass
 INTEGER = "integer"
 REAL = "real"
 BOOLEAN = "boolean"
@@ -112,61 +114,7 @@ def _collect_vars(expr, out: set) -> None:
         _collect_vars(expr.right, out)
 
 
-# -- type checking ---------------------------------------------------------
-
-
-def _attr_type(model: FeatureModel, fname: str, attr: str) -> str:
-    if fname not in model.features:
-        raise TypeCheckError(f'there is no feature with the name "{fname}"')
-    f = model.features[fname]
-    if attr == "_name":
-        return STRING
-    if attr == "_parent":
-        return STRING
-    if attr == "_decomp":
-        if f.is_root:
-            raise TypeCheckError(
-                f'the root feature "{fname}" has no decomposition relation'
-            )
-        return DECOMP
-    if attr == "_decompID":
-        if f.is_root:
-            raise TypeCheckError(
-                f'the root feature "{fname}" has no decomposition relation'
-            )
-        return DECOMP_ID
-    if attr not in f.attributes:
-        raise TypeCheckError(f'feature "{fname}" has no attribute named {attr}')
-    return type_of(f.attributes[attr])
-
-
-def _subject_name(subject, binding: dict) -> str:
-    if isinstance(subject, FeatureRef):
-        return subject.name
-    name = binding.get(subject.name)
-    if name is None:
-        raise TypeCheckError(f"unbound feature variable {subject.name}")
-    return name
-
-
-def typecheck(expr, model: FeatureModel, binding: dict | None = None) -> str:
-    """Return the expression's type or raise TypeCheckError.
-
-    The check is total: `and`/`or` do not short-circuit, every subterm must
-    be well formed.
-    """
-    binding = binding or {}
-    if isinstance(expr, Lit):
-        return type_of(expr.value)
-    if isinstance(expr, AttrRef):
-        return _attr_type(model, _subject_name(expr.subject, binding), expr.attr)
-    if isinstance(expr, Unary):
-        return _unary_type(expr.op, typecheck(expr.operand, model, binding))
-    if isinstance(expr, Binary):
-        lt = typecheck(expr.left, model, binding)
-        rt = typecheck(expr.right, model, binding)
-        return _binary_type(expr.op, lt, rt)
-    raise TypeError(f"not an expression node: {expr!r}")
+# -- type rules ------------------------------------------------------------
 
 
 def _unary_type(op: str, t: str) -> str:
@@ -180,7 +128,7 @@ def _unary_type(op: str, t: str) -> str:
 
 
 def _binary_type(op: str, lt: str, rt: str) -> str:
-    """The type of `lt op rt`; the rules typecheck and compile_expr share."""
+    """The type of `lt op rt`; the rule compile_type and compile_expr share."""
     if op in ARITH_OPS:
         if lt not in NUMERIC or rt not in NUMERIC:
             raise TypeCheckError(f"{op} applied to {lt} and {rt} operands")
@@ -207,46 +155,12 @@ def _binary_type(op: str, lt: str, rt: str) -> str:
     raise TypeError(f"not a binary operator: {op!r}")
 
 
-# -- evaluation ------------------------------------------------------------
-
-
-def _attr_value(model: FeatureModel, fname: str, attr: str):
-    f = model.features[fname]
-    if attr == "_name":
-        return f.name
-    if attr == "_parent":
-        return f.parent if f.parent is not None else ""
-    if attr == "_decomp":
-        return f.decomp
-    if attr == "_decompID":
-        return ("decompID", f.group_id)
-    return f.attributes[attr]
+# -- operators -------------------------------------------------------------
 
 
 def _trunc_div(a: int, b: int) -> int:
     q = abs(a) // abs(b)
     return q if (a >= 0) == (b >= 0) else -q
-
-
-def evaluate(expr, model: FeatureModel, binding: dict | None = None):
-    """Evaluate a typechecked expression.
-
-    Raises EvalError on division or modulo by zero and on a number out of
-    range: an integer too large to convert to a real or to write in decimal,
-    or a real result that is not finite.
-    """
-    binding = binding or {}
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, AttrRef):
-        return _attr_value(model, _subject_name(expr.subject, binding), expr.attr)
-    if isinstance(expr, Unary):
-        return _UNARY_OPS[expr.op](evaluate(expr.operand, model, binding))
-    if isinstance(expr, Binary):
-        a = evaluate(expr.left, model, binding)
-        b = evaluate(expr.right, model, binding)
-        return _BINARY_OPS[expr.op](a, b)
-    raise TypeError(f"not an expression node: {expr!r}")
 
 
 def _div(a, b):
@@ -287,10 +201,10 @@ def _writable(n: int) -> bool:
     return not limit or n.bit_length() <= 3 * limit or abs(n) < 10 ** limit
 
 
-# What each operator means, for evaluate and compile_expr alike. Both run
-# only on operands that passed the type rule: those of `=` and `<>` are then
-# of one class (numbers, or two values of the same type), so Python's `==`
-# is exact equality, an int against a real included.
+# What each operator means. compile_expr applies one only to operands that
+# passed its type rule: those of `=` and `<>` are then of one class (numbers,
+# or two values of the same type), so Python's `==` is exact equality, an
+# int against a real included.
 _UNARY_OPS = {"-": operator.neg, "not": operator.not_}
 _BINARY_OPS = {
     "+": _checked(operator.add), "-": _checked(operator.sub),
@@ -306,12 +220,13 @@ _BINARY_OPS = {
 def compile_expr(expr):
     """Compile an expression into a closure `(features, binding) -> (type, value)`.
 
-    `features` is a model's feature dict. The closure fuses typecheck with
-    evaluate: it raises TypeCheckError and EvalError where they would, with
-    their messages. Like evaluate it is eager, so an evaluation error in one
-    operand is raised before a type error in a later operand that typecheck
-    would report first. Each node's attribute access, operator and type rule
-    are chosen here, once, rather than under every binding.
+    `features` is a model's feature dict. The closure raises TypeCheckError
+    for an ill-formed term and EvalError for a division or modulo by zero or
+    a number out of range. It is eager, left to right, so an evaluation error
+    in one operand is raised before a type error in a later operand; run
+    compile_type's closure first to report every type error first. Each
+    node's attribute access, operator and type rule are chosen here, once,
+    rather than under every binding.
     """
     if isinstance(expr, Lit):
         result = (type_of(expr.value), expr.value)
@@ -336,6 +251,29 @@ def compile_expr(expr):
             rt, b = right(features, binding)
             return _binary_type(op, lt, rt), apply(a, b)
         return binary
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def compile_type(expr):
+    """Compile an expression into a closure `(features, binding) -> type`.
+
+    The type pass alone: it raises the TypeCheckError of the first ill-formed
+    term, left to right, and no type rule short-circuits. It evaluates no
+    operator, so it never raises EvalError.
+    """
+    if isinstance(expr, Lit):
+        t = type_of(expr.value)
+        return lambda features, binding: t
+    if isinstance(expr, AttrRef):
+        read = _compile_attr(expr.subject, expr.attr)
+        return lambda features, binding: read(features, binding)[0]
+    if isinstance(expr, Unary):
+        op, operand = expr.op, compile_type(expr.operand)
+        return lambda features, binding: _unary_type(op, operand(features, binding))
+    if isinstance(expr, Binary):
+        op, left, right = expr.op, compile_type(expr.left), compile_type(expr.right)
+        return lambda features, binding: _binary_type(
+            op, left(features, binding), right(features, binding))
     raise TypeError(f"not an expression node: {expr!r}")
 
 

@@ -12,7 +12,8 @@ Keys follow `=` exactly (`1 = 1.0`; a boolean never equals a number), so
 the index drops only bindings under which the join is false or fails. All
 prunings are semantics-preserving: every surviving binding is still checked
 against every conjunct. The conjuncts decided at one depth are compiled once
-per resolve into one check that fuses typecheck with evaluation.
+per resolve (compile_expr) into one check that type-checks and evaluates in
+one pass; a conjunct that fails either way is false.
 """
 
 from __future__ import annotations

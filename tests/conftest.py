@@ -18,6 +18,11 @@ import pytest
 from feather.build import build_model
 from feather.commands import RunMode, run_script
 from feather.expressions import (
+    _BINARY_OPS,
+    _UNARY_OPS,
+    DECOMP,
+    DECOMP_ID,
+    STRING,
     AttrRef,
     Binary,
     EvalError,
@@ -26,8 +31,9 @@ from feather.expressions import (
     TypeCheckError,
     Unary,
     VarRef,
-    evaluate,
-    typecheck,
+    _binary_type,
+    _unary_type,
+    type_of,
 )
 from feather.model import Constraint, DecompKind, Feature, FeatureModel
 from feather.parser import parse_commands, parse_script
@@ -109,6 +115,101 @@ def isomorphic(a: FeatureModel, b: FeatureModel) -> bool:
         return False
     return ({c.effect_key() for c in a.constraints}
             == {c.effect_key() for c in b.constraints})
+
+
+# -- tree-walking reference for the compiled expressions --------------------
+#
+# typecheck and evaluate walk the tree once per binding. The program compiles
+# each expression into closures instead (expressions.compile_type and
+# compile_expr); these are the reference those closures are tested against.
+
+
+def _attr_type(model: FeatureModel, fname: str, attr: str) -> str:
+    if fname not in model.features:
+        raise TypeCheckError(f'there is no feature with the name "{fname}"')
+    f = model.features[fname]
+    if attr == "_name":
+        return STRING
+    if attr == "_parent":
+        return STRING
+    if attr == "_decomp":
+        if f.is_root:
+            raise TypeCheckError(
+                f'the root feature "{fname}" has no decomposition relation'
+            )
+        return DECOMP
+    if attr == "_decompID":
+        if f.is_root:
+            raise TypeCheckError(
+                f'the root feature "{fname}" has no decomposition relation'
+            )
+        return DECOMP_ID
+    if attr not in f.attributes:
+        raise TypeCheckError(f'feature "{fname}" has no attribute named {attr}')
+    return type_of(f.attributes[attr])
+
+
+def _subject_name(subject, binding: dict) -> str:
+    if isinstance(subject, FeatureRef):
+        return subject.name
+    name = binding.get(subject.name)
+    if name is None:
+        raise TypeCheckError(f"unbound feature variable {subject.name}")
+    return name
+
+
+def typecheck(expr, model: FeatureModel, binding: dict | None = None) -> str:
+    """Return the expression's type or raise TypeCheckError.
+
+    The check is total: `and`/`or` do not short-circuit, every subterm must
+    be well formed.
+    """
+    binding = binding or {}
+    if isinstance(expr, Lit):
+        return type_of(expr.value)
+    if isinstance(expr, AttrRef):
+        return _attr_type(model, _subject_name(expr.subject, binding), expr.attr)
+    if isinstance(expr, Unary):
+        return _unary_type(expr.op, typecheck(expr.operand, model, binding))
+    if isinstance(expr, Binary):
+        lt = typecheck(expr.left, model, binding)
+        rt = typecheck(expr.right, model, binding)
+        return _binary_type(expr.op, lt, rt)
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _attr_value(model: FeatureModel, fname: str, attr: str):
+    f = model.features[fname]
+    if attr == "_name":
+        return f.name
+    if attr == "_parent":
+        return f.parent if f.parent is not None else ""
+    if attr == "_decomp":
+        return f.decomp
+    if attr == "_decompID":
+        return ("decompID", f.group_id)
+    return f.attributes[attr]
+
+
+def evaluate(expr, model: FeatureModel, binding: dict | None = None):
+    """Evaluate a typechecked expression.
+
+    Raises EvalError on division or modulo by zero and on a number out of
+    range: an integer too large to convert to a real or to write in decimal,
+    or a real result that is not finite.
+    """
+    binding = binding or {}
+    if isinstance(expr, Lit):
+        return expr.value
+    if isinstance(expr, AttrRef):
+        return _attr_value(model, _subject_name(expr.subject, binding), expr.attr)
+    if isinstance(expr, Unary):
+        return _UNARY_OPS[expr.op](evaluate(expr.operand, model, binding))
+    if isinstance(expr, Binary):
+        a = evaluate(expr.left, model, binding)
+        b = evaluate(expr.right, model, binding)
+        return _BINARY_OPS[expr.op](a, b)
+    raise TypeError(f"not an expression node: {expr!r}")
 
 
 # -- brute-force resolution oracle ------------------------------------------

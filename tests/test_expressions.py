@@ -15,9 +15,8 @@ from feather.expressions import (
     Unary,
     VarRef,
     compile_expr,
-    evaluate,
+    compile_type,
     referenced_usages,
-    typecheck,
     variables_in,
 )
 from feather.model import DecompKind, Feature, FeatureModel
@@ -26,10 +25,12 @@ from conftest import (
     _rand_value_expr,
     _random_operand,
     build,
+    evaluate,
     parse_expr,
     random_join_where,
     random_model,
     random_where,
+    typecheck,
 )
 
 
@@ -206,7 +207,7 @@ def test_conflicting_usages_empty_domain():
     assert candidate_domain(model(), u["V"]) == []
 
 
-# -- compiled expressions against typecheck + evaluate ------------------------
+# -- compiled expressions against the tree-walking typecheck + evaluate -------
 
 # / 0 and % 0, an integer too large for a real, the first integer a real
 # cannot hold, NaN and the infinities
@@ -253,6 +254,13 @@ def _outcome(fn):
     return t, type(v), v if v == v else "NaN"
 
 
+def _type_outcome(fn):
+    try:
+        return fn()
+    except TypeCheckError as e:
+        return TypeCheckError, str(e)
+
+
 def test_compiled_expressions_equal_typecheck_and_evaluate():
     rng = random.Random(4242)
     variables = ["V", "W"]
@@ -264,7 +272,7 @@ def test_compiled_expressions_equal_typecheck_and_evaluate():
                                   rng.choice(["numeric", "boolean", "string", "inherited"])),
                  _arith_expr(rng, variables, m), _arith_expr(rng, variables, m)]
         for expr in exprs:
-            run = compile_expr(expr)
+            run, run_type = compile_expr(expr), compile_type(expr)
             for _ in range(4):
                 b = _random_binding(rng, variables, m)
                 want = _outcome(lambda: (typecheck(expr, m, b), evaluate(expr, m, b)))
@@ -273,5 +281,10 @@ def test_compiled_expressions_equal_typecheck_and_evaluate():
                     seen["eval error first"] += 1  # eager: an operand failed first
                 else:
                     assert got == want, (case, expr, b)
+                assert (_type_outcome(lambda: run_type(m.features, b))
+                        == _type_outcome(lambda: typecheck(expr, m, b))), (case, expr, b)
+                # a slot runs the type pass and then the value pass: no exemption
+                slot = _outcome(lambda: (run_type(m.features, b), run(m.features, b)[1]))
+                assert slot == want, (case, expr, b)
                 seen["value" if len(want) == 3 else want[0]] += 1
     assert min(seen.values()) >= 20, seen

@@ -25,6 +25,7 @@ class DecompKind(enum.Enum):
         return self.value
 
 
+# the attributes every feature has; also reserved words of the script lexer
 STRUCTURAL_ATTRS = ("_name", "_parent", "_decomp", "_decompID")
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .expressions import AttrRef, Binary, FeatureRef, Lit, Unary, VarRef
 from .model import DecompKind
-from .tokens import LexError, Token, tokenize
+from .tokens import STRUCTURALS, LexError, Token, tokenize
 
 DECOMP_KEYWORDS = {
     "mandatory": DecompKind.MANDATORY,
@@ -346,7 +346,7 @@ class _Parser:
 
     def parse_attr_name(self) -> str:
         t = self.peek()
-        if t.kind == "IDENT" or t.kind in ("_name", "_parent", "_decomp", "_decompID"):
+        if t.kind == "IDENT" or t.kind in STRUCTURALS:
             self.next()
             return t.value
         self.fail(f"expected an attribute name, found {t.text!r}")

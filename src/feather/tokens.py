@@ -16,6 +16,8 @@ import math
 import re
 from typing import Callable, NamedTuple
 
+from .model import STRUCTURAL_ATTRS
+
 KEYWORDS = {
     "root", "feature", "attribute", "constraint", "requires", "excludes",
     "mandatory", "optional", "alternative", "or", "to",
@@ -25,7 +27,7 @@ KEYWORDS = {
     "leftfeature", "rightfeature", "constrainttype",
 }
 
-STRUCTURALS = {"_name", "_parent", "_decomp", "_decompID"}
+STRUCTURALS = set(STRUCTURAL_ATTRS)
 
 SYMBOLS = ("<=", ">=", "<>", ";", ",", "(", ")", ".", "=", ":",
            "+", "-", "*", "/", "%", "<", ">")

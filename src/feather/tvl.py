@@ -233,8 +233,13 @@ def export_tvl(model: FeatureModel) -> str:
         listed = ", ".join(f'"{s}"' for s in model.tvl_string_enum)
         lines.append(f"enum string in {{ {listed} }};")
 
-    def emit(name: str, is_root: bool) -> None:
+    # preorder with an explicit stack: a deep chain must not exhaust the
+    # interpreter's recursion limit
+    stack = [model.root]
+    while stack:
+        name = stack.pop()
         f = model.features[name]
+        is_root = name == model.root
         lines.append(("root " if is_root else "") + name + " {")
         for attr, value in f.attributes.items():
             lines.append(_attr_line(attr, value))
@@ -259,9 +264,6 @@ def export_tvl(model: FeatureModel) -> str:
             for c in model.constraints:
                 lines.append(f"  {c.left} {c.kind} {c.right};")
         lines.append("}")
-        # recurse in listing order so that export(import(text)) is stable
-        for k in listing_order:
-            emit(k.name, False)
-
-    emit(model.root, True)
+        # children in listing order, so that export(import(text)) is stable
+        stack.extend(k.name for k in reversed(listing_order))
     return "\n".join(lines) + "\n"

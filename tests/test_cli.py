@@ -302,6 +302,22 @@ def test_integer_result_past_the_digit_limit_is_not_satisfied(tmp_path):
     assert out == WIDE_DECLS.replace("w 3", "w 1")
 
 
+def test_deep_chain_round_trips_through_tvl(tmp_path):
+    # 3,000 levels is past the default recursion limit of the interpreter
+    chain = 'root "R";\nfeature "F1" "R" mandatory;\n' + "".join(
+        f'feature "F{i}" "F{i - 1}" mandatory;\n' for i in range(2, 3001))
+    to_tvl, back = tmp_path / "to_tvl", tmp_path / "back"
+    to_tvl.mkdir()
+    back.mkdir()
+    code, _, stderr, out = feather_cli(to_tvl, chain, "", extra=("-ot", "out.tvl"))
+    assert (code, out) == (0, chain)
+    assert "Traceback" not in stderr
+    code, _, stderr, out = feather_cli(back, (to_tvl / "out.tvl").read_text(), "",
+                                       model_flag="-t")
+    assert (code, out) == (0, chain)
+    assert "Traceback" not in stderr
+
+
 # -- expression nesting limit ---------------------------------------------------
 
 NEST_DECLS = ('root "R";\nfeature "F" "R" optional attribute a 2;\n'

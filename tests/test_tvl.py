@@ -55,6 +55,29 @@ def test_header_survives_round_trip():
     assert import_tvl(text).tvl_string_enum == ["low", "high"]
 
 
+def test_export_writes_blocks_in_preorder():
+    # each block is followed by its children's subtrees, in listing order
+    assert export_tvl(import_tvl(SAMPLE)) == """\
+enum string in { "low", "high" };
+root Computer {
+  int price is 100;
+  group allof { CPU, opt GPU }
+  GPU requires Fast;
+}
+CPU {
+  group oneof { Fast, Slow }
+}
+Fast {
+  string rating is "high";
+}
+Slow {
+}
+GPU {
+  real weight is 0.5;
+}
+"""
+
+
 def test_import_export_import_isomorphic():
     a = import_tvl(SAMPLE)
     b = import_tvl(export_tvl(a))

@@ -138,6 +138,36 @@ def test_slot_diagnostic_precedence():
         assert serialize_declarations(after) == before
 
 
+def test_command_diagnostic_precedence():
+    # when a command breaks two rules, the first check in command order wins
+    m = build('root "R" attribute w 0;\n'
+              'feature "A" "R" optional attribute w 0 attribute n 1;\n'
+              'feature "B" "A" optional attribute n 1;\n'
+              'feature "C" "A" optional attribute n 2;\n'
+              'constraint "B" requires "C";\n')
+    before = serialize_declarations(m)
+    for command, message in [
+            # the root check comes before the attribute checks
+            ('update feature "R" set _decomp = optional, missing = numeric: 1;',
+             "The root feature cannot figure in a decomposition relation update"),
+            # the parent is derived and checked before the attribute values
+            ('update feature "B" set _parent = "Nope", n = numeric: U.n '
+             'where U._parent = "A";',
+             'The specified parent (i.e., "Nope") does not exist'),
+            # every target's slots are derived before any target is skipped:
+            # the root would be skipped, "A" has two values for w
+            ("updateall feature V set _decomp = optional, w = numeric: U.n "
+             "where U._parent = V._name;",
+             'Command is ambiguous on what the value of attribute "w" will be (1, 2)'),
+            # the new left end is derived before the new right end is checked
+            ('update constraint "B" requires "C" set leftfeature = L._name, '
+             'rightfeature = "Nope" where L._parent = "A";',
+             "Command is ambiguous on what the new left-feature will be (B, C)")]:
+        after, diags = run(m, command)
+        assert [(d.severity, d.message) for d in diags] == [("error", message)]
+        assert serialize_declarations(after) == before
+
+
 def test_updateall_caps_extracost(services):
     m, diags = run(services, """\
     updateall feature F

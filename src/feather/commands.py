@@ -1,10 +1,12 @@
 """Execution of the ten command types.
 
-Every command resolves its feature variables jointly against the current
-model, checks its ambiguity and integrity rules, and either transforms the
-model or reports a diagnostic. A failing command never leaves a partially
-applied edit behind: edits happen on a working copy that is committed only
-on success (multi-target commands may commit a defined partial effect).
+`execute` resolves each command's feature variables jointly against the
+current model, once; without resolutions the command ends in a warning.
+Its executor then derives every value it assigns, each slot compiled once,
+checks the ambiguity and integrity rules, and only then edits the model. A
+failing command never leaves a partially applied edit behind: edits happen
+on a working copy that is committed only on success (multi-target commands
+may commit a defined partial effect).
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .parser import (
 )
 from .resolver import (
     Ambiguous,
-    NO_RESOLUTION,
     ResolutionSet,
     derive_unambiguous,
     merge_usages,
@@ -94,85 +95,61 @@ def _listing(values) -> str:
 
 # -- gathering variables and usages ---------------------------------------
 
+# the usage context of an attribute value, by its tag
+_TAG_CONTEXTS = {"numeric": "numeric", "boolean": BOOLEAN}
 
-def _descriptor_vars(*descs):
-    for d in descs:
-        if isinstance(d, VarRef):
-            yield d.name
+
+def _command_parts(cmd: Command) -> list:
+    """The parts of a command that can name feature variables, in order:
+    (expression, usage context of its value) and (feature descriptor,
+    attribute usages its feature must admit) pairs."""
+    parts: list = []
+    if isinstance(cmd, (AddFeature, UpdateFeature, UpdateAllFeatures)):
+        # updating an attribute requires the target to carry it already
+        carried = [(a.name, "any") for a in cmd.attrs]
+        if isinstance(cmd, UpdateFeature):
+            parts.append((cmd.target, carried))
+        if isinstance(cmd, UpdateAllFeatures):
+            parts.append((VarRef(cmd.var), carried))
+        if cmd.parent is not None:
+            parts.append((cmd.parent, "any"))
+        if cmd.decomp is not None:
+            parts += [(cmd.decomp.kind, "any"), (cmd.decomp.sibling, [])]
+        parts += [(a.value, _TAG_CONTEXTS.get(a.tag, "any")) for a in cmd.attrs]
+    elif isinstance(cmd, RemoveFeature):
+        parts.append((cmd.target, []))
+    elif isinstance(cmd, RemoveAllFeatures):
+        parts.append((VarRef(cmd.var), []))
+    else:  # constraint commands
+        parts += [(cmd.left, []), (cmd.right, [])]
+        if isinstance(cmd, UpdateConstraint):
+            parts += [(e, "any") for e in (cmd.new_left, cmd.new_right)
+                      if e is not None]
+    if cmd.where is not None:
+        parts.append((cmd.where, BOOLEAN))
+    return parts
 
 
 def command_variables(cmd: Command) -> list:
     """All feature variables of a command, in order of first occurrence."""
-    seen: list = []
-
-    def add(names):
-        for n in names:
-            if n not in seen:
-                seen.append(n)
-
-    def add_expr(expr):
-        if expr is not None:
-            add(sorted(variables_in(expr)))
-
-    if isinstance(cmd, (AddFeature, UpdateFeature, UpdateAllFeatures)):
-        if isinstance(cmd, UpdateFeature):
-            add(_descriptor_vars(cmd.target))
-        if isinstance(cmd, UpdateAllFeatures):
-            add([cmd.var])
-        add_expr(cmd.parent)
-        if cmd.decomp is not None:
-            add_expr(cmd.decomp.kind)
-            add(_descriptor_vars(cmd.decomp.sibling))
-        for a in cmd.attrs:
-            add_expr(a.value)
-    elif isinstance(cmd, RemoveFeature):
-        add(_descriptor_vars(cmd.target))
-    elif isinstance(cmd, RemoveAllFeatures):
-        add([cmd.var])
-    else:  # constraint commands
-        add(_descriptor_vars(cmd.left, cmd.right))
-        if isinstance(cmd, UpdateConstraint):
-            add_expr(cmd.new_left)
-            add_expr(cmd.new_right)
-    add_expr(cmd.where)
-    return seen
+    seen: dict = {}
+    for part, usage in _command_parts(cmd):
+        if isinstance(usage, str):
+            seen.update(dict.fromkeys(sorted(variables_in(part))))
+        elif isinstance(part, VarRef):
+            seen[part.name] = None
+    return list(seen)
 
 
 def command_usages(cmd: Command) -> dict:
-    """Merged attribute usages of every expression the command contains."""
+    """Merged attribute usages of every part of the command."""
     maps = []
-    if cmd.where is not None:
-        maps.append(referenced_usages(cmd.where, BOOLEAN))
-    if isinstance(cmd, (AddFeature, UpdateFeature, UpdateAllFeatures)):
-        if cmd.parent is not None:
-            maps.append(referenced_usages(cmd.parent, "any"))
-        if cmd.decomp is not None:
-            maps.append(referenced_usages(cmd.decomp.kind, "any"))
-        for a in cmd.attrs:
-            top = {"numeric": "numeric", "boolean": BOOLEAN}.get(a.tag, "any")
-            maps.append(referenced_usages(a.value, top))
-        # updating an attribute requires the target to carry it already
-        target_var = None
-        if isinstance(cmd, UpdateAllFeatures):
-            target_var = cmd.var
-        elif isinstance(cmd, UpdateFeature) and isinstance(cmd.target, VarRef):
-            target_var = cmd.target.name
-        if target_var is not None and not isinstance(cmd, AddFeature):
-            maps.append({target_var: [(a.name, "any") for a in cmd.attrs]})
-    elif isinstance(cmd, UpdateConstraint):
-        for e in (cmd.new_left, cmd.new_right):
-            if e is not None:
-                maps.append(referenced_usages(e, "any"))
+    for part, usage in _command_parts(cmd):
+        if isinstance(usage, str):
+            maps.append(referenced_usages(part, usage))
+        elif isinstance(part, VarRef):
+            maps.append({part.name: usage})
     return merge_usages(*maps)
-
-
-def _resolve_command(model: FeatureModel, cmd: Command) -> ResolutionSet:
-    variables = command_variables(cmd)
-    return resolve(model, variables, cmd.where, usages=command_usages(cmd))
-
-
-def _needs_resolution(cmd: Command) -> bool:
-    return cmd.where is not None or bool(command_variables(cmd))
 
 
 # -- slot evaluation -------------------------------------------------------
@@ -207,13 +184,17 @@ def _desc_name(desc, binding) -> str:
     return desc.name
 
 
-def _derive(resolutions, fn, ambiguity_message, list_values=True):
-    result = derive_unambiguous(resolutions, fn)
-    if isinstance(result, Ambiguous):
-        if list_values:
-            raise CommandError(f"{ambiguity_message} {_listing(result.values)}")
-        raise CommandError(ambiguity_message)
-    return result
+def _deriver(slot, ambiguity_message, list_values=True):
+    """A function from a resolution set to the value of `slot` under all of
+    its tuples, which must agree."""
+    def derive(resolutions):
+        result = derive_unambiguous(resolutions, slot)
+        if isinstance(result, Ambiguous):
+            if list_values:
+                raise CommandError(f"{ambiguity_message} {_listing(result.values)}")
+            raise CommandError(ambiguity_message)
+        return result
+    return derive
 
 
 def _decomp_slot(model, spec):
@@ -233,13 +214,8 @@ def _decomp_slot(model, spec):
     return slot
 
 
-def _derive_decomp(model, resolutions, spec, parent_name):
-    """Derive (kind, group id to join) from a `_decomp =` specification."""
-    derived = _derive(resolutions, _decomp_slot(model, spec), DECOMP_AMBIGUITY,
-                      list_values=False)
-    if derived is NO_RESOLUTION:
-        return derived
-    kind, gid = derived
+def _check_group_fit(model, kind, gid, parent_name):
+    """A group to join must be a group of `kind` under `parent_name`."""
     if gid is not None:
         members = model.group_members(gid) if gid > 0 else []
         rep = model.features[members[0]] if members else None
@@ -247,12 +223,10 @@ def _derive_decomp(model, resolutions, spec, parent_name):
                 or rep.parent != parent_name):
             raise CommandError(
                 "The described transformation does not fit the model structure")
-    return kind, gid
 
 
-def _derive_attr(model, resolutions, assign):
-    expected = {"numeric": "numeric", "boolean": BOOLEAN}.get(assign.tag)
-    value_of = _slot(assign.value, model, expected)
+def _attr_slot(model, assign):
+    value_of = _slot(assign.value, model, _TAG_CONTEXTS.get(assign.tag))
 
     def slot(binding):
         v = value_of(binding)
@@ -260,30 +234,41 @@ def _derive_attr(model, resolutions, assign):
             raise CommandError(
                 f'attribute "{assign.name}" cannot inherit a decomposition value')
         return v
+    return slot
 
-    return _derive(
-        resolutions, slot,
-        f'Command is ambiguous on what the value of attribute "{assign.name}" will be')
+
+def _feature_slots(model, cmd) -> dict:
+    """The slots of a feature command, compiled once per command.
+
+    Keyed "_parent", "_decomp" and by attribute position; each maps a
+    resolution set to the slot's derived value.
+    """
+    slots: dict = {}
+    if cmd.parent is not None:
+        slots["_parent"] = _deriver(_slot(cmd.parent, model), PARENT_AMBIGUITY)
+    if cmd.decomp is not None:
+        slots["_decomp"] = _deriver(_decomp_slot(model, cmd.decomp),
+                                    DECOMP_AMBIGUITY, list_values=False)
+    for i, a in enumerate(cmd.attrs):
+        slots[i] = _deriver(
+            _attr_slot(model, a),
+            f'Command is ambiguous on what the value of attribute "{a.name}" will be')
+    return slots
 
 
 # -- feature commands ------------------------------------------------------
 
 
-def exec_add_feature(model: FeatureModel, cmd: AddFeature):
-    res = _resolve_command(model, cmd)
-    if not res.tuples:
-        return model, [("warning", NO_RESOLUTIONS_MSG)]
-
-    parent = _derive(res, _slot(cmd.parent, model), PARENT_AMBIGUITY)
+def exec_add_feature(model: FeatureModel, cmd: AddFeature, res: ResolutionSet):
+    slots = _feature_slots(model, cmd)
+    parent = slots["_parent"](res)
     if parent not in model.features:
         raise CommandError(f'The specified parent (i.e., "{parent}") does not exist')
     if cmd.name in model.features:
         raise CommandError(f'Feature name "{cmd.name}" is in use')
-    kind, gid = _derive_decomp(model, res, cmd.decomp, parent)
-
-    attrs = {}
-    for a in cmd.attrs:
-        attrs[a.name] = _derive_attr(model, res, a)
+    kind, gid = slots["_decomp"](res)
+    _check_group_fit(model, kind, gid, parent)
+    attrs = {a.name: slots[i](res) for i, a in enumerate(cmd.attrs)}
 
     work = model.copy()
     try:
@@ -294,9 +279,9 @@ def exec_add_feature(model: FeatureModel, cmd: AddFeature):
     return work, []
 
 
-def _apply_feature_update(work, fname, cmd, sub, model):
-    """One target's update; `sub` holds the tuples projecting to the target,
-    `model` is the pre-command snapshot slot values are derived from."""
+def _apply_feature_update(work, fname, cmd, derived, model):
+    """One target's update; `derived(key)` is the target's value of the slot
+    under `key` (see _feature_slots), `model` the pre-command snapshot."""
     f = work.features[fname]
     structural = cmd.parent is not None or cmd.decomp is not None
     if structural and f.is_root:
@@ -305,25 +290,25 @@ def _apply_feature_update(work, fname, cmd, sub, model):
 
     new_parent = None
     if cmd.parent is not None:
-        new_parent = _derive(sub, _slot(cmd.parent, model), PARENT_AMBIGUITY)
+        new_parent = derived("_parent")
         if new_parent not in model.features:
             raise CommandError(
                 f'The specified parent (i.e., "{new_parent}") does not exist')
 
+    move_parent = new_parent if new_parent is not None else f.parent
     kind = gid = None
     if cmd.decomp is not None:
-        target_parent = new_parent if new_parent is not None else f.parent
-        kind, gid = _derive_decomp(model, sub, cmd.decomp, target_parent)
+        kind, gid = derived("_decomp")
+        _check_group_fit(model, kind, gid, move_parent)
 
     updates = {}
-    for a in cmd.attrs:
+    for i, a in enumerate(cmd.attrs):
         if a.name not in f.attributes:
             raise CommandError(
                 f'Feature "{fname}" does not have an attribute named "{a.name}"')
-        updates[a.name] = _derive_attr(model, sub, a)
+        updates[a.name] = derived(i)
 
     if structural:
-        move_parent = new_parent if new_parent is not None else f.parent
         move_kind = kind if kind is not None else f.decomp
         try:
             work.move_feature(fname, move_parent, move_kind, join_group=gid)
@@ -338,27 +323,28 @@ def _apply_feature_update(work, fname, cmd, sub, model):
         work.rename_feature(fname, new_name)
 
 
-def exec_update_feature(model: FeatureModel, cmd: UpdateFeature):
-    res = _resolve_command(model, cmd)
-    if _needs_resolution(cmd) and not res.tuples:
-        return model, [("warning", NO_RESOLUTIONS_MSG)]
-
+def _single_target(model, cmd, res, verb):
+    """The one feature a single-target command edits, with its tuples."""
     if isinstance(cmd.target, VarRef):
         subs = _group_by(res, cmd.target.name)
         if len(subs) > 1:
             raise CommandError("Command is ambiguous on which feature will be "
-                               f"updated {_listing(subs)}")
+                               f"{verb} {_listing(subs)}")
         [(fname, sub)] = subs.items()
-    else:
-        fname = cmd.target.name
-        if fname not in model.features:
-            raise CommandError(
-                f'The specified feature (i.e., "{fname}") does not exist')
-        sub = res
+        return fname, sub
+    fname = cmd.target.name
+    if fname not in model.features:
+        raise CommandError(f'The specified feature (i.e., "{fname}") does not exist')
+    return fname, res
 
+
+def exec_update_feature(model: FeatureModel, cmd: UpdateFeature, res: ResolutionSet):
+    fname, sub = _single_target(model, cmd, res, "updated")
+    slots = _feature_slots(model, cmd)
     work = model.copy()
     try:
-        _apply_feature_update(work, fname, cmd, sub, model)
+        # slots are derived as the update reaches them
+        _apply_feature_update(work, fname, cmd, lambda key: slots[key](sub), model)
     except _Skip as e:
         raise CommandError(str(e)) from None
     return work, []
@@ -373,24 +359,21 @@ def _group_by(res: ResolutionSet, var: str) -> dict:
     return subs
 
 
-def exec_update_all_features(model: FeatureModel, cmd: UpdateAllFeatures):
-    res = _resolve_command(model, cmd)
-    if not res.tuples:
-        return model, [("warning", NO_RESOLUTIONS_MSG)]
-
-    # all slot derivations are checked before any edit: an ambiguity leaves
+def exec_update_all_features(model: FeatureModel, cmd: UpdateAllFeatures,
+                             res: ResolutionSet):
+    # every target's slots are derived before any edit: an ambiguity leaves
     # the model untouched, only integrity failures cause a partial effect
-    subs = _group_by(res, cmd.var)
-    for sub in subs.values():
-        _check_feature_update_slots(model, cmd, sub)
+    slots = _feature_slots(model, cmd)
+    derived = {t: {key: derive(sub) for key, derive in slots.items()}
+               for t, sub in _group_by(res, cmd.var).items()}
 
     # targets are applied in place: each _Skip is raised before that
     # target's first write, so a skipped target leaves `work` as it was
     work = model.copy()
     skipped = []
-    for t, sub in subs.items():
+    for t, values in derived.items():
         try:
-            _apply_feature_update(work, t, cmd, sub, model)
+            _apply_feature_update(work, t, cmd, values.__getitem__, model)
         except _Skip as e:
             skipped.append((t, str(e)))
     diags = []
@@ -401,31 +384,8 @@ def exec_update_all_features(model: FeatureModel, cmd: UpdateAllFeatures):
     return work, diags
 
 
-def _check_feature_update_slots(model, cmd, sub):
-    if cmd.parent is not None:
-        _derive(sub, _slot(cmd.parent, model), PARENT_AMBIGUITY)
-    if cmd.decomp is not None:
-        _derive(sub, _decomp_slot(model, cmd.decomp), DECOMP_AMBIGUITY,
-                list_values=False)
-    for a in cmd.attrs:
-        _derive_attr(model, sub, a)
-
-
-def exec_remove_feature(model: FeatureModel, cmd: RemoveFeature):
-    res = _resolve_command(model, cmd)
-    if _needs_resolution(cmd) and not res.tuples:
-        return model, [("warning", NO_RESOLUTIONS_MSG)]
-    if isinstance(cmd.target, VarRef):
-        targets = res.project(cmd.target.name)
-        if len(targets) > 1:
-            raise CommandError("Command is ambiguous on which feature will be "
-                               f"removed {_listing(targets)}")
-        fname = targets[0]
-    else:
-        fname = cmd.target.name
-        if fname not in model.features:
-            raise CommandError(
-                f'The specified feature (i.e., "{fname}") does not exist')
+def exec_remove_feature(model: FeatureModel, cmd: RemoveFeature, res: ResolutionSet):
+    fname, _sub = _single_target(model, cmd, res, "removed")
     if fname == model.root:
         raise CommandError("The root feature cannot be removed")
     work = model.copy()
@@ -433,10 +393,8 @@ def exec_remove_feature(model: FeatureModel, cmd: RemoveFeature):
     return work, []
 
 
-def exec_remove_all_features(model: FeatureModel, cmd: RemoveAllFeatures):
-    res = _resolve_command(model, cmd)
-    if not res.tuples:
-        return model, [("warning", NO_RESOLUTIONS_MSG)]
+def exec_remove_all_features(model: FeatureModel, cmd: RemoveAllFeatures,
+                             res: ResolutionSet):
     work = model.copy()
     diags = []
     for fname in res.project(cmd.var):
@@ -470,10 +428,7 @@ def _candidate_constraints(model, cmd, res):
     return list(out.values())
 
 
-def exec_add_constraint(model: FeatureModel, cmd: AddConstraint):
-    res = _resolve_command(model, cmd)
-    if not res.tuples:
-        return model, [("warning", NO_RESOLUTIONS_MSG)]
+def exec_add_constraint(model: FeatureModel, cmd: AddConstraint, res: ResolutionSet):
     _check_literal_ends(model, cmd)
     work = model.copy()
     existing = [c for c, _tuples in _candidate_constraints(model, cmd, res)
@@ -496,26 +451,24 @@ def _matched_constraints(model, cmd, res):
     return matched
 
 
-def _derive_constraint_update(model, cmd, rep, sub):
-    def name_slot(expr, side):
-        value = _derive(
-            sub, _slot(expr, model),
-            f"Command is ambiguous on what the new {side}-feature will be")
-        if value not in model.features:
-            raise CommandError(
-                f'The specified feature (i.e., "{value}") does not exist')
-        return value
+def _end_slot(model, expr, side):
+    """The slot of a new constraint end, compiled once per command: a
+    function from a resolution set to the feature name; None without one."""
+    if expr is None:
+        return None
+    derive = _deriver(_slot(expr, model),
+                      f"Command is ambiguous on what the new {side}-feature will be")
 
-    left = rep.left if cmd.new_left is None else name_slot(cmd.new_left, "left")
-    right = rep.right if cmd.new_right is None else name_slot(cmd.new_right, "right")
-    kind = cmd.new_kind if cmd.new_kind is not None else rep.kind
-    return Constraint(left, kind, right)
+    def end(resolutions):
+        name = derive(resolutions)
+        if name not in model.features:
+            raise CommandError(f'The specified feature (i.e., "{name}") does not exist')
+        return name
+    return end
 
 
-def exec_update_constraint(model: FeatureModel, cmd: UpdateConstraint, multi: bool):
-    res = _resolve_command(model, cmd)
-    if _needs_resolution(cmd) and not res.tuples:
-        return model, [("warning", NO_RESOLUTIONS_MSG)]
+def exec_update_constraint(model: FeatureModel, cmd: UpdateConstraint,
+                           res: ResolutionSet, multi: bool):
     _check_literal_ends(model, cmd)
     matched = _matched_constraints(model, cmd, res)
     if not multi:
@@ -524,10 +477,15 @@ def exec_update_constraint(model: FeatureModel, cmd: UpdateConstraint, multi: bo
         if len(matched) > 1:
             raise CommandError("Command is ambiguous on which constraint will "
                                f"be updated {_listing([c for c, _ in matched])}")
+    new_left = _end_slot(model, cmd.new_left, "left")
+    new_right = _end_slot(model, cmd.new_right, "right")
     replacements = []
     for rep, tuples in matched:
         sub = ResolutionSet(res.variables, tuples)
-        replacements.append((rep, _derive_constraint_update(model, cmd, rep, sub)))
+        left = rep.left if new_left is None else new_left(sub)
+        right = rep.right if new_right is None else new_right(sub)
+        kind = cmd.new_kind if cmd.new_kind is not None else rep.kind
+        replacements.append((rep, Constraint(left, kind, right)))
     work = model.copy()
     for rep, new in replacements:
         work.remove_constraint(rep)
@@ -539,10 +497,7 @@ def exec_update_constraint(model: FeatureModel, cmd: UpdateConstraint, multi: bo
     return work, diags
 
 
-def exec_remove_constraint(model: FeatureModel, cmd, multi: bool):
-    res = _resolve_command(model, cmd)
-    if _needs_resolution(cmd) and not res.tuples:
-        return model, [("warning", NO_RESOLUTIONS_MSG)]
+def exec_remove_constraint(model: FeatureModel, cmd, res: ResolutionSet, multi: bool):
     _check_literal_ends(model, cmd)
     matched = _matched_constraints(model, cmd, res)
     if not multi:
@@ -582,8 +537,12 @@ def execute(model: FeatureModel, cmd: Command):
     run = _EXECUTORS.get(type(cmd))
     if run is None:
         raise TypeError(f"unknown command {cmd!r}")
+    res = resolve(model, command_variables(cmd), cmd.where,
+                  usages=command_usages(cmd))
+    if not res.tuples:
+        return model, [("warning", NO_RESOLUTIONS_MSG)]
     try:
-        return run(model, cmd)
+        return run(model, cmd, res)
     except CommandError as e:
         return model, [("error", str(e))]
 

@@ -1,5 +1,6 @@
 import random
 
+from feather import commands
 from feather.commands import RunMode
 from feather.model import Constraint, DecompKind
 from feather.serializer import serialize_declarations
@@ -166,6 +167,31 @@ def test_command_diagnostic_precedence():
         after, diags = run(m, command)
         assert [(d.severity, d.message) for d in diags] == [("error", message)]
         assert serialize_declarations(after) == before
+
+
+def test_slots_compile_once_per_command(monkeypatch):
+    # counts compiles, not time: a slot compiled per target or per matched
+    # constraint would make the count grow with the model
+    compiled = []
+    compile_type = commands.compile_type
+    monkeypatch.setattr(commands, "compile_type",
+                        lambda expr: compiled.append(expr) or compile_type(expr))
+
+    def compiles(n, command):
+        m = build('root "R";\nfeature "T" "R" optional;\nfeature "U" "R" optional;\n'
+                  + "".join(f'feature "F{i}" "R" optional attribute x {i};\n'
+                            f'constraint "F{i}" requires "T";\n' for i in range(n)))
+        compiled.clear()
+        after, diags = run(m, command)
+        assert diags == [] and serialize_declarations(after) != serialize_declarations(m)
+        return len(compiled)
+
+    upmf = ('updateall feature V set _parent = "R", _decomp = optional, '
+            'x = numeric: V.x + 1 where V.x >= 0;')
+    assert compiles(5, upmf) == compiles(50, upmf) == 3
+    upmc = ('updateall constraint V requires "T" '
+            'set leftfeature = V._name, rightfeature = "U";')
+    assert compiles(5, upmc) == 2
 
 
 def test_updateall_caps_extracost(services):

@@ -28,15 +28,18 @@ def build_model(ast: ScriptAst) -> FeatureModel:
         if fd.name == ast.root.name:
             raise BuildError(f'the root feature "{fd.name}" is declared twice')
 
-    # the parent graph must be a tree rooted at the root feature
+    # the parent graph must be a tree rooted at the root feature; a walk
+    # stops at the first feature known to reach the root
+    reaches_root = {ast.root.name}
     for fd in ast.features:
         seen = set()
         n = fd.name
-        while n != ast.root.name:
+        while n not in reaches_root:
             if n in seen:
                 raise BuildError(f'parent declarations form a cycle through "{n}"')
             seen.add(n)
             n = by_name[n].parent
+        reaches_root |= seen
 
     # group membership: union sibling references, then check consistency
     parent_of = {}

@@ -306,19 +306,19 @@ class FeatureModel:
                 if attr in STRUCTURAL_ATTRS or not attr[:1].islower():
                     problems.append(f"attribute: {name!r} has bad identifier {attr!r}")
 
-        # parent graph must be a tree rooted at the root
+        # parent graph must be a tree rooted at the root; a walk stops at the
+        # first feature whose walk is already known to run into a cycle or not
+        cyclic: dict = {}
         for name in self.features:
-            seen = set()
+            path: dict = {}
             n = name
-            while n is not None:
-                if n in seen:
-                    problems.append(f"tree: cycle through {name!r}")
-                    break
-                seen.add(n)
-                f = self.features.get(n)
-                if f is None:
-                    break
-                n = f.parent
+            while n in self.features and n not in cyclic and n not in path:
+                path[n] = None
+                n = self.features[n].parent
+            verdict = cyclic.get(n, n in path)
+            cyclic.update(dict.fromkeys(path, verdict))
+        problems += [f"tree: cycle through {name!r}"
+                     for name in self.features if cyclic[name]]
 
         groups: dict = {}
         for f in self.features.values():

@@ -1,6 +1,10 @@
+import time
+
 import pytest
 
+from feather.build import BuildError, build_model
 from feather.model import Constraint, DecompKind, Feature, FeatureModel, ModelError
+from feather.parser import FeatureDecl, RootDecl, ScriptAst
 
 
 def small():
@@ -142,6 +146,48 @@ def test_move_cycle_check_on_deep_chain():
     assert m.features["F0"].parent == "R"
     m.move_feature("F2999", "R", DecompKind.OPTIONAL)
     assert m.validate() == []
+
+
+def chain(depth: int) -> ScriptAst:
+    """Declarations of a chain: F0 under the root R, each F(i) under F(i-1)."""
+    return ScriptAst(RootDecl("R", []), [
+        FeatureDecl(f"F{i}", f"F{i - 1}" if i else "R", DecompKind.MANDATORY, None, [])
+        for i in range(depth)])
+
+
+def test_tree_checks_grow_linearly_with_depth():
+    # a walk to the root from every feature takes 16 times as long at four
+    # times the depth; walks that stop at features already checked take 4
+    def best_time(check, arg):
+        times = []
+        for _ in range(5):
+            started = time.perf_counter()
+            check(arg)
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    shallow, deep = chain(1000), chain(4000)
+    assert best_time(build_model, deep) < 8 * best_time(build_model, shallow)
+    shallow, deep = build_model(shallow), build_model(deep)
+    assert best_time(FeatureModel.validate, deep) < 8 * best_time(
+        FeatureModel.validate, shallow)
+
+
+def test_tree_check_messages():
+    ast = chain(3)
+    ast.features[0].parent = "F2"
+    with pytest.raises(BuildError) as e:
+        build_model(ast)
+    assert str(e.value) == 'parent declarations form a cycle through "F0"'
+
+    m = build_model(chain(4))
+    m.features["F1"].parent = "F3"  # F1 -> F3 -> F2 -> F1
+    m.features["G"] = Feature("G", "F2", DecompKind.OPTIONAL)
+    m.features["H"] = Feature("H", "Nowhere", DecompKind.OPTIONAL)
+    assert [p for p in m.validate() if p.startswith("tree:")] == [
+        "tree: parent of 'H' ('Nowhere') does not exist",
+        "tree: cycle through 'F1'", "tree: cycle through 'F2'",
+        "tree: cycle through 'F3'", "tree: cycle through 'G'"]
 
 
 def test_copy_is_deep_enough():

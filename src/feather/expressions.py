@@ -278,7 +278,7 @@ def compile_type(expr):
 
 
 def _compile_attr(subject, attr: str):
-    read = _STRUCTURAL_READERS.get(attr) or _attribute_reader(attr)
+    read = _structural_reader(attr) if attr in STRUCTURAL else _attribute_reader(attr)
     if isinstance(subject, FeatureRef):
         fname = subject.name
 
@@ -312,32 +312,31 @@ def _attribute_reader(attr: str):
     return read
 
 
-def _decomp_reader(t: str, value):
+def _structural_reader(attr: str):
+    t, value, on_root = STRUCTURAL[attr]
+
     def read(f):
-        if f.is_root:
+        if not on_root and f.is_root:
             raise TypeCheckError(
                 f'the root feature "{f.name}" has no decomposition relation')
         return t, value(f)
     return read
 
 
-_STRUCTURAL_READERS = {
-    "_name": lambda f: (STRING, f.name),
-    "_parent": lambda f: (STRING, f.parent if f.parent is not None else ""),
-    "_decomp": _decomp_reader(DECOMP, lambda f: f.decomp),
-    "_decompID": _decomp_reader(DECOMP_ID, lambda f: ("decompID", f.group_id)),
+# The attributes every feature has (model.STRUCTURAL_ATTRS), each with its
+# type, a reader of its value and whether the root has it: the root has no
+# decomposition relation.
+STRUCTURAL = {
+    "_name": (STRING, lambda f: f.name, True),
+    "_parent": (STRING, lambda f: f.parent if f.parent is not None else "", True),
+    "_decomp": (DECOMP, lambda f: f.decomp, False),
+    "_decompID": (DECOMP_ID, lambda f: ("decompID", f.group_id), False),
 }
 
 
 # -- usage extraction ------------------------------------------------------
 
 # usage contexts: numeric / boolean / string / decomp / decomp_id / any
-STRUCTURAL_TYPES = {
-    "_name": STRING,
-    "_parent": STRING,
-    "_decomp": DECOMP,
-    "_decompID": DECOMP_ID,
-}
 
 
 def referenced_usages(expr, top_context: str = BOOLEAN) -> dict:
@@ -358,9 +357,8 @@ def _ctx_class(t: str) -> str:
 
 
 def _record(usages: dict, var: str, attr: str, ctx: str) -> None:
-    fixed = STRUCTURAL_TYPES.get(attr)
-    if fixed is not None:
-        ctx = _ctx_class(fixed)
+    if attr in STRUCTURAL:
+        ctx = _ctx_class(STRUCTURAL[attr][0])
     usages.setdefault(var, []).append((attr, ctx))
 
 
@@ -369,7 +367,7 @@ def _static_type(expr) -> str | None:
     if isinstance(expr, Lit):
         return type_of(expr.value)
     if isinstance(expr, AttrRef):
-        return STRUCTURAL_TYPES.get(expr.attr)
+        return STRUCTURAL[expr.attr][0] if expr.attr in STRUCTURAL else None
     if isinstance(expr, Unary):
         return BOOLEAN if expr.op == "not" else None
     if isinstance(expr, Binary):

@@ -25,6 +25,7 @@ from .expressions import (
     Binary,
     EvalError,
     NUMERIC,
+    STRUCTURAL,
     TypeCheckError,
     VarRef,
     compatible,
@@ -78,12 +79,9 @@ def candidate_domain(model: FeatureModel, usages: list) -> list:
 
 
 def _admits(f, attr: str, ctx: str) -> bool:
-    if attr in ("_name", "_parent"):
-        return compatible("string", ctx)
-    if attr == "_decomp":
-        return not f.is_root and compatible("decomp", ctx)
-    if attr == "_decompID":
-        return not f.is_root and compatible("decomp_id", ctx)
+    if attr in STRUCTURAL:
+        t, _read, on_root = STRUCTURAL[attr]
+        return (on_root or not f.is_root) and compatible(t, ctx)
     if attr not in f.attributes:
         return False
     return compatible(type_of(f.attributes[attr]), ctx)

@@ -336,9 +336,8 @@ STRUCTURAL = {
 
 # -- usage extraction ------------------------------------------------------
 
+
 # usage contexts: numeric / boolean / string / decomp / decomp_id / any
-
-
 def referenced_usages(expr, top_context: str = BOOLEAN) -> dict:
     """Per-variable list of (attribute, demanded-context) pairs.
 

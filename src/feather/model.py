@@ -307,13 +307,13 @@ class FeatureModel:
                     problems.append(f"attribute: {name!r} has bad identifier {attr!r}")
 
         # parent graph must be a tree rooted at the root; a walk stops at the
-        # first feature whose walk is already known to run into a cycle or not
+        # first feature already known to lead into a cycle or not
         cyclic: dict = {}
         for name in self.features:
-            path: dict = {}
+            path = set()
             n = name
             while n in self.features and n not in cyclic and n not in path:
-                path[n] = None
+                path.add(n)
                 n = self.features[n].parent
             verdict = cyclic.get(n, n in path)
             cyclic.update(dict.fromkeys(path, verdict))

@@ -160,6 +160,10 @@ def test_command_diagnostic_precedence():
             ("updateall feature V set _decomp = optional, w = numeric: U.n "
              "where U._parent = V._name;",
              'Command is ambiguous on what the value of attribute "w" will be (1, 2)'),
+            # and before any target's parent is checked
+            ('updateall feature V set _parent = "Nope", w = numeric: U.n '
+             'where U._parent = V._name;',
+             'Command is ambiguous on what the value of attribute "w" will be (1, 2)'),
             # the new left end is derived before the new right end is checked
             ('update constraint "B" requires "C" set leftfeature = L._name, '
              'rightfeature = "Nope" where L._parent = "A";',

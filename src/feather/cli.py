@@ -193,6 +193,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: byte {exc.start} is not UTF-8") from None
 
 
 def _write(path: str, text: str) -> None:

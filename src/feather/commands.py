@@ -2,11 +2,12 @@
 
 `execute` resolves each command's feature variables jointly against the
 current model, once; without resolutions the command ends in a warning.
-Its executor then derives every value it assigns, each slot compiled once,
-checks the ambiguity and integrity rules, and only then edits the model. A
-failing command never leaves a partially applied edit behind: edits happen
-on a working copy that is committed only on success (multi-target commands
-may commit a defined partial effect).
+Otherwise it hands one working copy of the model to the command's executor,
+which derives every value it assigns, each slot compiled once, checks the
+ambiguity and integrity rules, then edits the copy and returns the command's
+diagnostics. `execute` is the one atomicity point: an error discards the
+copy, even after a write, so a failing command leaves no edit behind
+(multi-target commands may commit a defined partial effect).
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ class CommandError(Exception):
 
 
 class _Skip(Exception):
-    """Aborts one target of a multi-target command."""
+    """Aborts one target of a multi-target command; one that leaves an
+    executor aborts the command as a CommandError does."""
 
 
 def _fmt(value) -> str:
@@ -269,37 +271,32 @@ def exec_add_feature(model: FeatureModel, cmd: AddFeature, res: ResolutionSet):
     kind, gid = slots["_decomp"](res)
     _check_group_fit(model, kind, gid, parent)
     attrs = {a.name: slots[i](res) for i, a in enumerate(cmd.attrs)}
-
-    work = model.copy()
-    try:
-        work.attach_feature(Feature(cmd.name, attributes=attrs), parent, kind,
-                            join_group=gid)
-    except ModelError as e:
-        raise CommandError(str(e)) from None
-    return work, []
+    model.attach_feature(Feature(cmd.name, attributes=attrs), parent, kind,
+                         join_group=gid)
+    return []
 
 
-def _apply_feature_update(work, fname, cmd, derived, model):
-    """One target's update; `derived(key)` is the target's value of the slot
-    under `key` (see _feature_slots), `model` the pre-command snapshot."""
-    f = work.features[fname]
+def _check_feature_update(model, fname, cmd, derived):
+    """One target's update, checked before any edit: (move, attribute values)
+    with move the (parent, kind, group id) to move to or None; None for the
+    root in a structural update. `derived(key)` is the target's value of
+    the slot under `key` (see _feature_slots)."""
+    f = model.features[fname]
     structural = cmd.parent is not None or cmd.decomp is not None
     if structural and f.is_root:
-        raise _Skip("The root feature cannot figure in a decomposition "
-                    "relation update")
+        return None
 
-    new_parent = None
+    parent = f.parent
     if cmd.parent is not None:
-        new_parent = derived("_parent")
-        if new_parent not in model.features:
+        parent = derived("_parent")
+        if parent not in model.features:
             raise CommandError(
-                f'The specified parent (i.e., "{new_parent}") does not exist')
+                f'The specified parent (i.e., "{parent}") does not exist')
 
-    move_parent = new_parent if new_parent is not None else f.parent
-    kind = gid = None
+    kind, gid = f.decomp, None
     if cmd.decomp is not None:
         kind, gid = derived("_decomp")
-        _check_group_fit(model, kind, gid, move_parent)
+        _check_group_fit(model, kind, gid, parent)
 
     updates = {}
     for i, a in enumerate(cmd.attrs):
@@ -307,20 +304,23 @@ def _apply_feature_update(work, fname, cmd, derived, model):
             raise CommandError(
                 f'Feature "{fname}" does not have an attribute named "{a.name}"')
         updates[a.name] = derived(i)
+    return ((parent, kind, gid) if structural else None), updates
 
-    if structural:
-        move_kind = kind if kind is not None else f.decomp
+
+def _write_feature_update(model, fname, update):
+    """Apply a checked update; raises _Skip, before any write, for a root
+    target or a move the model refuses."""
+    if update is None:
+        raise _Skip("The root feature cannot figure in a decomposition "
+                    "relation update")
+    move, updates = update
+    if move is not None:
+        parent, kind, gid = move
         try:
-            work.move_feature(fname, move_parent, move_kind, join_group=gid)
+            model.move_feature(fname, parent, kind, join_group=gid)
         except ModelError as e:
             raise _Skip(str(e)) from None
-    f.attributes.update(updates)
-
-    new_name = getattr(cmd, "new_name", None)
-    if new_name is not None and new_name != fname:
-        if new_name in work.features:
-            raise CommandError(f'New feature name "{new_name}" is in use')
-        work.rename_feature(fname, new_name)
+    model.features[fname].attributes.update(updates)
 
 
 def _single_target(model, cmd, res, verb):
@@ -341,13 +341,15 @@ def _single_target(model, cmd, res, verb):
 def exec_update_feature(model: FeatureModel, cmd: UpdateFeature, res: ResolutionSet):
     fname, sub = _single_target(model, cmd, res, "updated")
     slots = _feature_slots(model, cmd)
-    work = model.copy()
-    try:
-        # slots are derived as the update reaches them
-        _apply_feature_update(work, fname, cmd, lambda key: slots[key](sub), model)
-    except _Skip as e:
-        raise CommandError(str(e)) from None
-    return work, []
+    # slots are derived as the check reaches them
+    update = _check_feature_update(model, fname, cmd, lambda key: slots[key](sub))
+    _write_feature_update(model, fname, update)
+    # a refused move wins over a name in use, so this check follows the move
+    if cmd.new_name is not None and cmd.new_name != fname:
+        if cmd.new_name in model.features:
+            raise CommandError(f'New feature name "{cmd.new_name}" is in use')
+        model.rename_feature(fname, cmd.new_name)
+    return []
 
 
 def _group_by(res: ResolutionSet, var: str) -> dict:
@@ -361,50 +363,45 @@ def _group_by(res: ResolutionSet, var: str) -> dict:
 
 def exec_update_all_features(model: FeatureModel, cmd: UpdateAllFeatures,
                              res: ResolutionSet):
-    # every target's slots are derived before any edit: an ambiguity leaves
-    # the model untouched, only integrity failures cause a partial effect
+    # every target is derived, then checked, before any is written: an
+    # ambiguity or a failed check leaves the model untouched, each target is
+    # checked against the model as the command found it, and only a move the
+    # edited model refuses skips a target
     slots = _feature_slots(model, cmd)
     derived = {t: {key: derive(sub) for key, derive in slots.items()}
                for t, sub in _group_by(res, cmd.var).items()}
-
-    # targets are applied in place: each _Skip is raised before that
-    # target's first write, so a skipped target leaves `work` as it was
-    work = model.copy()
+    updates = {t: _check_feature_update(model, t, cmd, values.__getitem__)
+               for t, values in derived.items()}
     skipped = []
-    for t, values in derived.items():
+    for t, update in updates.items():
         try:
-            _apply_feature_update(work, t, cmd, values.__getitem__, model)
-        except _Skip as e:
-            skipped.append((t, str(e)))
-    diags = []
+            _write_feature_update(model, t, update)
+        except _Skip:
+            skipped.append(t)
     if skipped:
-        names = _listing([t for t, _ in skipped])
-        diags.append(("warning",
-                      f"Command had a partial effect: skipped {names}"))
-    return work, diags
+        return [("warning", f"Command had a partial effect: skipped {_listing(skipped)}")]
+    return []
 
 
 def exec_remove_feature(model: FeatureModel, cmd: RemoveFeature, res: ResolutionSet):
     fname, _sub = _single_target(model, cmd, res, "removed")
     if fname == model.root:
         raise CommandError("The root feature cannot be removed")
-    work = model.copy()
-    work.remove_subtree(fname)
-    return work, []
+    model.remove_subtree(fname)
+    return []
 
 
 def exec_remove_all_features(model: FeatureModel, cmd: RemoveAllFeatures,
                              res: ResolutionSet):
-    work = model.copy()
     diags = []
     for fname in res.project(cmd.var):
-        if fname == work.root:
+        if fname == model.root:
             diags.append(("warning", "Command had a partial effect: the root "
                                      "feature cannot be removed"))
             continue
-        if fname in work.features:  # may already be gone as a descendant
-            work.remove_subtree(fname)
-    return work, diags
+        if fname in model.features:  # may already be gone as a descendant
+            model.remove_subtree(fname)
+    return diags
 
 
 # -- constraint commands ---------------------------------------------------
@@ -430,15 +427,12 @@ def _candidate_constraints(model, cmd, res):
 
 def exec_add_constraint(model: FeatureModel, cmd: AddConstraint, res: ResolutionSet):
     _check_literal_ends(model, cmd)
-    work = model.copy()
     existing = [c for c, _tuples in _candidate_constraints(model, cmd, res)
-                if not work.add_constraint(c)]
-    diags = []
+                if not model.add_constraint(c)]
     if existing:
         listed = ", ".join(str(c) for c in existing)
-        diags.append(("warning",
-                      f"Following Cross-tree Constraint(s) already exist: {listed}"))
-    return work, diags
+        return [("warning", f"Following Cross-tree Constraint(s) already exist: {listed}")]
+    return []
 
 
 def _matched_constraints(model, cmd, res):
@@ -486,15 +480,13 @@ def exec_update_constraint(model: FeatureModel, cmd: UpdateConstraint,
         right = rep.right if new_right is None else new_right(sub)
         kind = cmd.new_kind if cmd.new_kind is not None else rep.kind
         replacements.append((rep, Constraint(left, kind, right)))
-    work = model.copy()
-    for rep, new in replacements:
-        work.remove_constraint(rep)
+    for rep, _new in replacements:
+        model.remove_constraint(rep)
     for _rep, new in replacements:
-        work.add_constraint(new)
-    diags = []
+        model.add_constraint(new)
     if multi and not matched:
-        diags.append(("warning", "No constraints match the update all command"))
-    return work, diags
+        return [("warning", "No constraints match the update all command")]
+    return []
 
 
 def exec_remove_constraint(model: FeatureModel, cmd, res: ResolutionSet, multi: bool):
@@ -502,16 +494,15 @@ def exec_remove_constraint(model: FeatureModel, cmd, res: ResolutionSet, multi: 
     matched = _matched_constraints(model, cmd, res)
     if not multi:
         if not matched:
-            return model, [("warning", "No constraints match the remove command")]
+            return [("warning", "No constraints match the remove command")]
         if len(matched) > 1:
             raise CommandError("Command is ambiguous on which constraint will "
                                f"be removed {_listing([c for c, _ in matched])}")
     if multi and not matched:
-        return model, [("warning", "No constraints match the remove all command")]
-    work = model.copy()
+        return [("warning", "No constraints match the remove all command")]
     for rep, _tuples in matched:
-        work.remove_constraint(rep)
-    return work, []
+        model.remove_constraint(rep)
+    return []
 
 
 # -- dispatch and script runner -------------------------------------------
@@ -541,9 +532,10 @@ def execute(model: FeatureModel, cmd: Command):
                   usages=command_usages(cmd))
     if not res.tuples:
         return model, [("warning", NO_RESOLUTIONS_MSG)]
+    work = model.copy()
     try:
-        return run(model, cmd, res)
-    except CommandError as e:
+        return work, run(work, cmd, res)
+    except (CommandError, _Skip) as e:
         return model, [("error", str(e))]
 
 

@@ -117,22 +117,26 @@ class FeatureModel:
         except KeyError:
             raise ModelError(f"unknown feature {name!r}") from None
 
-    def children(self, name: str) -> list:
-        return [f.name for f in self.features.values() if f.parent == name]
-
-    def subtree(self, name: str) -> set:
-        """The feature plus all its transitive descendants."""
-        self.feature(name)
+    def child_features(self) -> dict:
+        """Each parent's name -> its child features, in insertion order."""
         kids: dict = {}
         for f in self.features.values():
             if f.parent is not None:
-                kids.setdefault(f.parent, []).append(f.name)
+                kids.setdefault(f.parent, []).append(f)
+        return kids
+
+    def children(self, name: str) -> list:
+        return [f.name for f in self.child_features().get(name, ())]
+
+    def subtree(self, name: str) -> set:
+        """The feature plus all its transitive descendants."""
+        kids = self.child_features()
         result = set()
-        stack = [name]
+        stack = [self.feature(name)]
         while stack:
-            n = stack.pop()
-            result.add(n)
-            stack.extend(kids.get(n, ()))
+            f = stack.pop()
+            result.add(f.name)
+            stack.extend(kids.get(f.name, ()))
         return result
 
     def group_members(self, group_id: int) -> list:

@@ -44,24 +44,19 @@ def serialize_declarations(model: FeatureModel) -> str:
     root = model.features[model.root]
     lines.append(f'root "{root.name}"{_attr_text(root.attributes)};')
 
-    children: dict = {}
-    for f in model.features.values():
-        if f.parent is not None:
-            children.setdefault(f.parent, []).append(f.name)
-
+    children = model.child_features()
     group_first: dict = {}
     stack = list(reversed(children.get(model.root, [])))
     while stack:
-        name = stack.pop()
-        f = model.features[name]
+        f = stack.pop()
         if f.group_id > 0:
-            sibling = group_first.setdefault(f.group_id, name)
+            sibling = group_first.setdefault(f.group_id, f.name)
             decomp = f'{f.decomp} to "{sibling}"'
         else:
             decomp = str(f.decomp)
         lines.append(
             f'feature "{f.name}" "{f.parent}" {decomp}{_attr_text(f.attributes)};')
-        stack.extend(reversed(children.get(name, [])))
+        stack.extend(reversed(children.get(f.name, [])))
 
     for c in model.constraints:
         lines.append(f'constraint "{c.left}" {c.kind} "{c.right}";')

@@ -61,6 +61,10 @@ class _TvlParser:
     def peek(self) -> Token:
         return self.tokens[self.pos]
 
+    def found(self) -> str:  # the next token as an error message shows it
+        t = self.peek()
+        return repr("end of input" if t.kind == "EOF" else t.value)
+
     def next(self) -> Token:
         t = self.peek()
         if t.kind != "EOF":
@@ -70,7 +74,7 @@ class _TvlParser:
     def expect(self, kind: str) -> Token:
         t = self.peek()
         if t.kind != kind:
-            raise TvlError(f"line {t.line}: expected {kind!r}, found {t.value!r}")
+            raise TvlError(f"line {t.line}: expected {kind!r}, found {self.found()}")
         return self.next()
 
     def parse(self):
@@ -152,7 +156,7 @@ class _TvlParser:
             return self.next().kind == "true"
         if tag == "string" and t.kind == "STRING":
             return self.next().value
-        raise TvlError(f"line {t.line}: value {t.value!r} does not match type {tag}")
+        raise TvlError(f"line {t.line}: value {self.found()} does not match type {tag}")
 
 
 def import_tvl(text: str) -> FeatureModel:
@@ -223,11 +227,7 @@ def _attr_line(name: str, value) -> str:
 
 def export_tvl(model: FeatureModel) -> str:
     _check_exportable(model)
-    children: dict = {}
-    for f in model.features.values():
-        if f.parent is not None:
-            children.setdefault(f.parent, []).append(f)
-
+    children = model.child_features()
     lines = []
     if model.tvl_string_enum:
         listed = ", ".join(f'"{s}"' for s in model.tvl_string_enum)

@@ -92,6 +92,15 @@ def test_mode_prefix_monotonicity(tmp_path, capsys):
     assert e[:len(w)] == w
 
 
+@pytest.mark.parametrize("flag, code", [("-e", 0), ("-i", 0), ("-w", 1)])
+def test_warnings_alone_exit_1_only_when_they_halt(tmp_path, capsys, flag, code):
+    src = tmp_path / "warn.feaf"
+    src.write_text(SERVICES + 'remove constraint "Bull Market" requires "Stock Wizard";\n'
+                   'update feature "Dating Club" set extracost = numeric: 5;\n')
+    assert main([flag, "-f", str(src)]) == code
+    assert "cmd #1 (rmc) : No constraints match the remove command" in capsys.readouterr().out
+
+
 def test_split_inputs(tmp_path, capsys):
     decls = tmp_path / "model.fd"
     cmds = tmp_path / "script.fc"
@@ -155,6 +164,20 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["-f", str(tmp_path / "missing.feaf")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags", [["-f", "bad"], ["-d", "bad"], ["-t", "bad"],
+                                   ["-d", "ok.fd", "-c", "bad"]])
+def test_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, flags):
+    (tmp_path / "bad").write_bytes(b'root "R";\xff\n')
+    (tmp_path / "ok.fd").write_text('root "R";\n')
+    outputs = [tmp_path / "out.fd", tmp_path / "out.eil"]
+    code = main([str(tmp_path / f) if f[0] != "-" else f for f in flags]
+                + ["-o", str(outputs[0]), "-x", str(outputs[1])])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[0] == (
+        f"error: cannot read {tmp_path / 'bad'}: byte 9 is not UTF-8")
+    assert not any(p.exists() for p in outputs)
 
 
 def test_help(capsys):
@@ -407,3 +430,22 @@ def test_pathological_nesting_never_crashes(segments, template):
                          "-x", str(d / "c.eil"), "-o", str(d / "out.fd")])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# -- arbitrary bytes ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("flags", [["-f"], ["-d", "-c"], ["-t"]])
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_arbitrary_input_bytes_never_crash(flags, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        args = []
+        for i, flag in enumerate(flags):
+            (d / f"in{i}").write_bytes(data.draw(st.binary(), label=flag))
+            args += [flag, str(d / f"in{i}")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args + ["-o", str(d / "out.fd"), "-ot", str(d / "out.tvl")])
+    assert code in (0, 1, 2)

@@ -1,8 +1,10 @@
 import random
 
+import pytest
+
 from feather import commands
 from feather.commands import RunMode
-from feather.model import Constraint, DecompKind
+from feather.model import Constraint, DecompKind, FeatureModel
 from feather.serializer import serialize_declarations
 
 from conftest import build, isomorphic, run
@@ -272,6 +274,61 @@ def test_updateall_skipped_middle_target_leaves_it_unchanged(services):
                                 'set _parent = "Dating Club", _decomp = or;')
     assert m.next_group_id == single.next_group_id
     assert serialize_declarations(m) == serialize_declarations(single)
+
+
+def test_updateall_checks_every_target_against_the_model_it_found():
+    # "B" fits "A"'s group as the command found it, but "A" leaves that group
+    # first: the move is refused and "B" skipped, not the command rejected
+    m = build('root "R";\nfeature "P" "R" optional;\nfeature "Q" "R" optional;\n'
+              'feature "A" "P" or to "A";\nfeature "B" "R" optional;\n'
+              'feature "C" "Q" or to "C";\n')
+    after, diags = run(m, """\
+    updateall feature F set _parent = X._name, _decomp = or to S
+      where (F._name = "A" and X._name = "Q" and S._name = "C")
+         or (F._name = "B" and X._name = "P" and S._name = "A");
+    """)
+    assert [(d.severity, d.message) for d in diags] == [
+        ("warning", "Command had a partial effect: skipped (B)")]
+    assert after.features["A"].group_id == m.features["C"].group_id
+    b, old = after.features["B"], m.features["B"]
+    assert (b.parent, b.decomp, b.group_id) == (old.parent, old.decomp, old.group_id)
+    assert after.validate() == []
+
+
+ATOMIC_MODEL = ('root "R";\nfeature "A" "R" optional attribute n 1;\n'
+                'feature "B" "R" optional attribute n 2;\nfeature "C" "A" or to "C";\n'
+                'constraint "A" requires "B";\nconstraint "C" excludes "B";\n')
+
+
+@pytest.mark.parametrize("write, command", [
+    ("attach_feature", 'add feature "N" with attributes (_parent = "R", _decomp = or);'),
+    ("move_feature", 'update feature "B" set _parent = "A", _decomp = or;'),
+    ("rename_feature", 'update feature "B" set _name = "Z";'),
+    ("move_feature", "updateall feature V set _decomp = or where V.n > 0;"),
+    ("remove_subtree", 'remove feature "A";'),
+    ("remove_subtree", "removeall feature V where V.n > 0;"),
+    ("add_constraint", 'add constraint "B" requires "A";'),
+    ("remove_constraint", 'update constraint "A" requires "B" set rightfeature = "C";'),
+    ("remove_constraint", 'updateall constraint V requires "B" set rightfeature = "C";'),
+    ("remove_constraint", 'remove constraint "A" requires "B";'),
+    ("remove_constraint", 'removeall constraint V requires "B";'),
+])
+def test_a_command_failing_after_its_first_write_has_no_effect(monkeypatch, write, command):
+    # the command writes, then fails: execute must hand back the model it got
+    m = build(ATOMIC_MODEL)
+    before = (serialize_declarations(m), m.next_group_id)
+    original = getattr(FeatureModel, write)
+    calls = []
+
+    def write_then_fail(self, *args, **kwargs):
+        calls.append(original(self, *args, **kwargs))
+        raise commands.CommandError("failed after a write")
+
+    monkeypatch.setattr(FeatureModel, write, write_then_fail)
+    after, diags = run(m, command)
+    assert calls
+    assert [(d.severity, d.message) for d in diags] == [("error", "failed after a write")]
+    assert (serialize_declarations(after), after.next_group_id) == before
 
 
 def test_updateall_no_resolutions_warning(services):

@@ -112,6 +112,18 @@ def test_import_rejects_type_mismatch():
         import_tvl('root R { real x is 3; }\n')
 
 
+@pytest.mark.parametrize("text, message", [
+    ("root R {\n", "line 2: expected '}', found 'end of input'"),
+    ("root R { int x is\n", "line 2: value 'end of input' does not match type int"),
+    ("root R { int x is 1.5; }\n", "line 1: value 1.5 does not match type int"),
+    ("root R { } }\n", "line 1: expected 'EOF', found '}'"),
+])
+def test_import_error_names_the_end_of_input(text, message):
+    with pytest.raises(TvlError) as e:
+        import_tvl(text)
+    assert str(e.value) == message
+
+
 def test_import_signed_numbers():
     m = import_tvl("root R { int a is -4; real b is -1.25; }\n")
     assert m.features["R"].attributes == {"a": -4, "b": -1.25}

@@ -12,7 +12,9 @@ from .model import Constraint, DecompKind, Feature, FeatureModel, ModelError
 from .parser import ParseError, parse_commands, parse_declarations, parse_script, validate_static
 from .resolver import ResolutionSet, resolve
 from .serializer import serialize_declarations
-from .tvl import TvlError, TvlExportError, export_tvl, import_tvl
+
+# TVL support loads on first use, through __getattr__ (PEP 562)
+_TVL_NAMES = ("TvlError", "TvlExportError", "export_tvl", "import_tvl")
 
 __all__ = [
     "BuildError",
@@ -41,3 +43,10 @@ __all__ = [
 ]
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    if name in _TVL_NAMES:
+        from . import tvl
+        return getattr(tvl, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,7 +4,7 @@ Orchestrates the whole pipeline: read the input files, parse, build the
 starting model, execute the commands under the selected running mode, print
 the transcript, and save the transformed model to the requested outputs.
 Exit codes: 0 on full success, 1 when execution halted or produced an error
-diagnostic, 2 on a usage or parse failure.
+diagnostic, 2 on a usage, file, parse or export failure.
 """
 
 from __future__ import annotations
@@ -13,23 +13,8 @@ import sys
 
 from .build import BuildError, build_model
 from .commands import RunMode, run_script
-from .expressions import AttrRef, Binary, FeatureRef, Lit, Unary, VarRef
-from .model import DecompKind
-from .parser import (
-    AddFeature,
-    ConstraintCommand,
-    RemoveAllFeatures,
-    RemoveFeature,
-    UpdateAllFeatures,
-    UpdateConstraint,
-    UpdateFeature,
-    parse_commands,
-    parse_declarations,
-    parse_script,
-    validate_static,
-)
-from .serializer import format_value, serialize_declarations
-from .tvl import TvlError, TvlExportError, export_tvl, import_tvl
+from .parser import ScriptAst, parse_commands, parse_declarations, parse_script, validate_static
+from .serializer import serialize_declarations
 
 USAGE = """\
 -i : Running Mode - Ignore all errors & warnings
@@ -46,7 +31,11 @@ USAGE = """\
 
 
 class UsageError(Exception):
-    pass
+    """Wrong flags: reported with the usage text."""
+
+
+class FileError(Exception):
+    """An input or output that fails: reported alone."""
 
 
 class CliConfig:
@@ -98,92 +87,6 @@ def parse_args(args: list) -> CliConfig:
     return cfg
 
 
-# -- postfix dump -----------------------------------------------------------
-
-
-def _postfix(expr) -> list:
-    if isinstance(expr, FeatureRef):
-        return [f'"{expr.name}"']
-    if isinstance(expr, VarRef):
-        return [expr.name]
-    if isinstance(expr, Lit):
-        if isinstance(expr.value, DecompKind):
-            return [str(expr.value)]
-        return [format_value(expr.value)]
-    if isinstance(expr, AttrRef):
-        subject = _postfix(expr.subject)[0]
-        return [f"{subject}.{expr.attr}"]
-    if isinstance(expr, Unary):
-        return _postfix(expr.operand) + [expr.op]
-    if isinstance(expr, Binary):
-        return _postfix(expr.left) + _postfix(expr.right) + [expr.op]
-    raise TypeError(f"not an expression: {expr!r}")
-
-
-def postfix_text(expr) -> str:
-    return " ".join(_postfix(expr))
-
-
-def _dump_fdesc(desc) -> str:
-    return f'"{desc.name}"' if isinstance(desc, FeatureRef) else desc.name
-
-
-def _dump_decomp(spec) -> str:
-    text = postfix_text(spec.kind)
-    if spec.sibling is not None:
-        text += f" to {_dump_fdesc(spec.sibling)}"
-    return text
-
-
-def dump_intermediate(ast) -> str:
-    """A line-oriented dump of the script with expressions in postfix."""
-    lines = []
-    if ast.root is not None:
-        lines.append(f'root "{ast.root.name}"')
-        for ident, value in ast.root.attributes:
-            lines.append(f"  attr {ident} {format_value(value)}")
-    for f in ast.features:
-        decomp = str(f.decomp)
-        if f.sibling is not None:
-            decomp += f' to "{f.sibling}"'
-        lines.append(f'feature "{f.name}" "{f.parent}" {decomp}')
-        for ident, value in f.attributes:
-            lines.append(f"  attr {ident} {format_value(value)}")
-    for c in ast.constraints:
-        lines.append(f'constraint "{c.left}" {c.kind} "{c.right}"')
-    for i, cmd in enumerate(ast.commands, 1):
-        lines.append(f"cmd {i} {cmd.code}")
-        if isinstance(cmd, AddFeature):
-            lines.append(f'  name "{cmd.name}"')
-        if isinstance(cmd, (UpdateFeature, RemoveFeature)):
-            lines.append(f"  target {_dump_fdesc(cmd.target)}")
-        if isinstance(cmd, (UpdateAllFeatures, RemoveAllFeatures)):
-            lines.append(f"  target {cmd.var}")
-        if isinstance(cmd, UpdateFeature) and cmd.new_name is not None:
-            lines.append(f'  name "{cmd.new_name}"')
-        if isinstance(cmd, (AddFeature, UpdateFeature, UpdateAllFeatures)):
-            if cmd.parent is not None:
-                lines.append(f"  parent {postfix_text(cmd.parent)}")
-            if cmd.decomp is not None:
-                lines.append(f"  decomp {_dump_decomp(cmd.decomp)}")
-            for a in cmd.attrs:
-                lines.append(f"  attr {a.tag} {a.name} {postfix_text(a.value)}")
-        if isinstance(cmd, ConstraintCommand):
-            lines.append(
-                f"  constraint {_dump_fdesc(cmd.left)} {cmd.kind} "
-                f"{_dump_fdesc(cmd.right)}")
-        if isinstance(cmd, UpdateConstraint):
-            if cmd.new_left is not None:
-                lines.append(f"  leftfeature {_dump_fdesc(cmd.new_left)}")
-            if cmd.new_kind is not None:
-                lines.append(f"  constrainttype {cmd.new_kind}")
-            if cmd.new_right is not None:
-                lines.append(f"  rightfeature {_dump_fdesc(cmd.new_right)}")
-        if cmd.where is not None:
-            lines.append(f"  where {postfix_text(cmd.where)}")
-    return "\n".join(lines) + "\n"
-
-
 # -- orchestration ----------------------------------------------------------
 
 
@@ -192,9 +95,9 @@ def _read(path: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+        raise FileError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise UsageError(f"cannot read {path}: byte {exc.start} is not UTF-8") from None
+        raise FileError(f"cannot read {path}: byte {exc.start} is not UTF-8") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -202,13 +105,11 @@ def _write(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+        raise FileError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _parse_phase(cfg: CliConfig, out):
     """Parse all inputs; returns (model, commands) or None on failure."""
-    from .parser import ScriptAst
-
     errors = []
     ast = ScriptAst()
     primary = cfg.script or cfg.declarations or cfg.tvl_in
@@ -223,6 +124,7 @@ def _parse_phase(cfg: CliConfig, out):
         ast, errs = parse_declarations(text)
         errors.extend(errs)
     else:
+        from .tvl import TvlError, import_tvl
         text = _read(cfg.tvl_in)
         try:
             model = import_tvl(text)
@@ -255,6 +157,7 @@ def _parse_phase(cfg: CliConfig, out):
 
     dump_name = cfg.dump or f"{primary}.eil"
     if cfg.dump:
+        from .dump import dump_intermediate
         _write(cfg.dump, dump_intermediate(ast))
     print(f"Generating intermediate language code file [{dump_name}]... OK",
           file=out)
@@ -279,9 +182,8 @@ def main(argv=None) -> int:
     print("-----", file=out)
     try:
         parsed = _parse_phase(cfg, out)
-    except UsageError as exc:
+    except FileError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(USAGE, file=sys.stderr)
         return 2
     if parsed is None:
         return 2
@@ -308,10 +210,14 @@ def main(argv=None) -> int:
             if cfg.out:
                 outputs.append((cfg.out, serialize_declarations(model)))
             if cfg.tvl_out:
-                outputs.append((cfg.tvl_out, export_tvl(model)))
+                from .tvl import TvlExportError, export_tvl
+                try:
+                    outputs.append((cfg.tvl_out, export_tvl(model)))
+                except TvlExportError as exc:
+                    raise FileError(str(exc)) from None
             for path, text in outputs:
                 _write(path, text)
-        except (UsageError, TvlExportError) as exc:
+        except FileError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print("Saving the transformed model... DONE!", file=out)

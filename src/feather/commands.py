@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+import operator
 
 from .expressions import (
     BOOLEAN,
@@ -41,6 +41,7 @@ from .parser import (
     UpdateConstraint,
     UpdateFeature,
 )
+from .record import Record
 from .resolver import (
     Ambiguous,
     ResolutionSet,
@@ -61,12 +62,9 @@ class RunMode(enum.Enum):
     STOP_ON_WARNING = "stop_on_warning"
 
 
-@dataclass
-class Diagnostic:
-    index: int  # 1-based command position in the script
-    code: str
-    severity: str  # "warning" | "error"
-    message: str
+class Diagnostic(Record):
+    # index: the 1-based command position in the script; severity: "warning" | "error"
+    __slots__ = ("index", "code", "severity", "message")
 
     def render(self) -> str:
         return f"cmd #{self.index} ({self.code}) : {self.message}"
@@ -414,13 +412,25 @@ def _check_literal_ends(model, cmd):
                 f'The specified feature (i.e., "{desc.name}") does not exist')
 
 
+def _end_reader(desc, variables):
+    """A function from a resolution tuple to the name of a constraint end."""
+    if isinstance(desc, VarRef):
+        return operator.itemgetter(variables.index(desc.name))
+    return lambda t: desc.name
+
+
 def _candidate_constraints(model, cmd, res):
     """Distinct (constraint, supporting tuples) in enumeration order."""
-    out: dict = {}
-    for t, binding in zip(res.tuples, res.bindings()):
-        c = Constraint(_desc_name(cmd.left, binding), cmd.kind,
-                       _desc_name(cmd.right, binding))
-        entry = out.setdefault(c.effect_key(), (c, []))
+    left = _end_reader(cmd.left, res.variables)
+    right = _end_reader(cmd.right, res.variables)
+    out: dict = {}  # effect key -> (first constraint with it, tuples)
+    by_ends: dict = {}  # (left, right) -> its effect key's entry
+    for t in res.tuples:
+        ends = (left(t), right(t))
+        entry = by_ends.get(ends)
+        if entry is None:
+            c = Constraint(ends[0], cmd.kind, ends[1])
+            entry = by_ends[ends] = out.setdefault(c.effect_key(), (c, []))
         entry[1].append(t)
     return list(out.values())
 

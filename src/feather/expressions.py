@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 
 from .model import DecompKind
+from .record import FrozenRecord
 
 # value types, as reported by the type pass
 INTEGER = "integer"
@@ -44,42 +44,54 @@ class EvalError(Exception):
     """Dynamic evaluation failure (division or modulo by zero, overflow)."""
 
 
-@dataclass(frozen=True)
-class FeatureRef:
+class FeatureRef(FrozenRecord):
     """A literal feature name, written "Name" in source."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class VarRef:
+class VarRef(FrozenRecord):
     """A feature variable, resolved at execution time."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: object  # int | float | bool | str | DecompKind
+class Lit(FrozenRecord):
+    __slots__ = ("value",)  # int | float | bool | str | DecompKind
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class AttrRef:
-    subject: object  # FeatureRef | VarRef
-    attr: str
+class AttrRef(FrozenRecord):
+    __slots__ = ("subject", "attr")  # subject: FeatureRef | VarRef
+
+    def __init__(self, subject, attr: str):
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "attr", attr)
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str  # "-" | "not"
-    operand: object
+class Unary(FrozenRecord):
+    __slots__ = ("op", "operand")  # op: "-" | "not"
+
+    def __init__(self, op: str, operand):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: object
-    right: object
+class Binary(FrozenRecord):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left, right):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 def type_of(value) -> str:

@@ -8,7 +8,8 @@ feature; the root carries neither a parent nor a decomposition.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+
+from .record import FrozenRecord, Record
 
 
 class DecompKind(enum.Enum):
@@ -33,13 +34,15 @@ class ModelError(Exception):
     """Raised when a primitive edit would break model integrity."""
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(FrozenRecord):
     """Cross-tree constraint: left requires/excludes right."""
 
-    left: str
-    kind: str  # "requires" | "excludes"
-    right: str
+    __slots__ = ("left", "kind", "right")  # kind: "requires" | "excludes"
+
+    def __init__(self, left: str, kind: str, right: str):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "right", right)
 
     def effect_key(self) -> tuple:
         # excludes is symmetric: (X exc Y) and (Y exc X) have the same effect
@@ -54,30 +57,30 @@ class Constraint:
         return f"({self.left} {self.kind} {self.right})"
 
 
-@dataclass
-class Feature:
-    name: str
-    parent: str | None = None
-    decomp: DecompKind | None = None
-    group_id: int = 0
-    attributes: dict = field(default_factory=dict)
+class Feature(Record):
+    __slots__ = ("name", "parent", "decomp", "group_id", "attributes")
+
+    def __init__(self, name: str, parent: str | None = None,
+                 decomp: DecompKind | None = None, group_id: int = 0,
+                 attributes: dict | None = None):
+        self.name, self.parent, self.decomp = name, parent, decomp
+        self.group_id = group_id
+        self.attributes = {} if attributes is None else attributes
 
     @property
     def is_root(self) -> bool:
         return self.parent is None
 
 
-@dataclass
-class FeatureModel:
-    features: dict = field(default_factory=dict)  # name -> Feature, insertion-ordered
-    root: str = ""
-    next_group_id: int = 1
-    # Optional "enum string in {...}" header carried over from a TVL input;
-    # purely decorative, never enforced.
-    tvl_string_enum: list | None = None
-    # effect_key() -> Constraint, insertion-ordered; holds at most one
-    # constraint per effect, so lookups, additions and removals are O(1)
-    _constraints: dict = field(default_factory=dict)
+class FeatureModel(Record):
+    # features: name -> Feature, insertion-ordered.
+    # tvl_string_enum: an optional "enum string in {...}" header carried over
+    # from a TVL input; purely decorative, never enforced.
+    # _constraints: effect_key() -> Constraint, insertion-ordered; holds at
+    # most one constraint per effect, so lookups, additions and removals are O(1)
+    __slots__ = ("features", "root", "next_group_id", "tvl_string_enum", "_constraints")
+    _defaults = {"features": {}, "root": "", "next_group_id": 1,
+                 "tvl_string_enum": None, "_constraints": {}}
 
     # -- construction ------------------------------------------------------
 

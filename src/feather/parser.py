@@ -8,10 +8,9 @@ Expressions nested deeper than MAX_EXPR_DEPTH are a parse error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .expressions import AttrRef, Binary, FeatureRef, Lit, Unary, VarRef
 from .model import DecompKind
+from .record import Record
 from .tokens import STRUCTURALS, LexError, Token, tokenize
 
 DECOMP_KEYWORDS = {
@@ -50,135 +49,110 @@ class ParseError(Exception):
 # -- AST -------------------------------------------------------------------
 
 
-@dataclass
-class RootDecl:
-    name: str
-    attributes: list  # [(ident, literal value)]
-    line: int = 0
+class RootDecl(Record):
+    __slots__ = ("name", "attributes", "line")  # attributes: [(ident, literal value)]
+    _defaults = {"line": 0}
 
 
-@dataclass
-class FeatureDecl:
-    name: str
-    parent: str
-    decomp: DecompKind
-    sibling: str | None  # present iff decomp is a group kind
-    attributes: list
-    line: int = 0
+class FeatureDecl(Record):
+    __slots__ = ("name", "parent", "decomp", "sibling", "attributes", "line")
+
+    def __init__(self, name: str, parent: str, decomp: DecompKind,
+                 sibling: str | None, attributes: list, line: int = 0):
+        self.name, self.parent, self.decomp = name, parent, decomp
+        self.sibling = sibling  # present iff decomp is a group kind
+        self.attributes, self.line = attributes, line
 
 
-@dataclass
-class ConstraintDecl:
-    left: str
-    kind: str
-    right: str
-    line: int = 0
+class ConstraintDecl(Record):
+    __slots__ = ("left", "kind", "right", "line")
+
+    def __init__(self, left: str, kind: str, right: str, line: int = 0):
+        self.left, self.kind, self.right, self.line = left, kind, right, line
 
 
-@dataclass
-class DecompSpec:
+class DecompSpec(Record):
     """Right-hand side of a `_decomp =` assignment."""
 
-    kind: object  # Lit(DecompKind) or AttrRef(fdesc, "_decomp")
-    sibling: object | None  # FeatureRef | VarRef | None
+    # kind: Lit(DecompKind) or AttrRef(fdesc, "_decomp");
+    # sibling: FeatureRef | VarRef | None
+    __slots__ = ("kind", "sibling")
 
 
-@dataclass
-class AttrAssign:
-    name: str
-    tag: str  # numeric | boolean | string | inherited
-    value: object  # expression
+class AttrAssign(Record):
+    # tag: numeric | boolean | string | inherited; value: an expression
+    __slots__ = ("name", "tag", "value")
 
 
-@dataclass
-class Command:
-    code: str = ""
-    where: object = None
-    line: int = 0
+class Command(Record):
+    __slots__ = ("code", "where", "line")
+    _defaults = {"code": "", "where": None, "line": 0}
 
 
-@dataclass
 class AddFeature(Command):
-    name: str = ""
-    parent: object = None  # Lit(str) | AttrRef(VarRef, "_name")
-    decomp: DecompSpec | None = None
-    attrs: list = field(default_factory=list)
-    code: str = "addf"
+    # parent: Lit(str) | AttrRef(VarRef, "_name"); decomp: DecompSpec | None
+    __slots__ = ("name", "parent", "decomp", "attrs")
+    _defaults = {"code": "addf", "name": "", "parent": None, "decomp": None,
+                 "attrs": []}
 
 
-@dataclass
 class UpdateFeature(Command):
-    target: object = None  # FeatureRef | VarRef
-    new_name: str | None = None
-    parent: object = None
-    decomp: DecompSpec | None = None
-    attrs: list = field(default_factory=list)
-    code: str = "upf"
+    # target: FeatureRef | VarRef
+    __slots__ = ("target", "new_name", "parent", "decomp", "attrs")
+    _defaults = {"code": "upf", "target": None, "new_name": None, "parent": None,
+                 "decomp": None, "attrs": []}
 
 
-@dataclass
 class UpdateAllFeatures(Command):
-    var: str = ""
-    parent: object = None
-    decomp: DecompSpec | None = None
-    attrs: list = field(default_factory=list)
-    code: str = "upmf"
+    __slots__ = ("var", "parent", "decomp", "attrs")
+    _defaults = {"code": "upmf", "var": "", "parent": None, "decomp": None, "attrs": []}
 
 
-@dataclass
 class RemoveFeature(Command):
-    target: object = None
-    code: str = "rmf"
+    __slots__ = ("target",)
+    _defaults = {"code": "rmf", "target": None}
 
 
-@dataclass
 class RemoveAllFeatures(Command):
-    var: str = ""
-    code: str = "rmmf"
+    __slots__ = ("var",)
+    _defaults = {"code": "rmmf", "var": ""}
 
 
-@dataclass
 class ConstraintCommand(Command):
-    left: object = None  # FeatureRef | VarRef
-    kind: str = ""
-    right: object = None
+    __slots__ = ("left", "kind", "right")  # left, right: FeatureRef | VarRef
+    _defaults = {"left": None, "kind": "", "right": None}
 
 
-@dataclass
 class AddConstraint(ConstraintCommand):
-    code: str = "addc"
+    __slots__ = ()
+    _defaults = {"code": "addc"}
 
 
-@dataclass
 class UpdateConstraint(ConstraintCommand):
-    new_left: object = None
-    new_kind: str | None = None
-    new_right: object = None
-    updates: list = field(default_factory=list)  # slot names, for static checks
-    code: str = "upc"
+    # updates: the slot names, for static checks
+    __slots__ = ("new_left", "new_kind", "new_right", "updates")
+    _defaults = {"code": "upc", "new_left": None, "new_kind": None,
+                 "new_right": None, "updates": []}
 
 
-@dataclass
 class UpdateAllConstraints(UpdateConstraint):
-    code: str = "upmc"
+    __slots__ = ()
+    _defaults = {"code": "upmc"}
 
 
-@dataclass
 class RemoveConstraint(ConstraintCommand):
-    code: str = "rmc"
+    __slots__ = ()
+    _defaults = {"code": "rmc"}
 
 
-@dataclass
 class RemoveAllConstraints(ConstraintCommand):
-    code: str = "rmmc"
+    __slots__ = ()
+    _defaults = {"code": "rmmc"}
 
 
-@dataclass
-class ScriptAst:
-    root: RootDecl | None = None
-    features: list = field(default_factory=list)
-    constraints: list = field(default_factory=list)
-    commands: list = field(default_factory=list)
+class ScriptAst(Record):
+    __slots__ = ("root", "features", "constraints", "commands")  # root: RootDecl | None
+    _defaults = {"root": None, "features": [], "constraints": [], "commands": []}
 
 
 # -- parser ----------------------------------------------------------------

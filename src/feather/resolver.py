@@ -18,8 +18,6 @@ one pass; a conjunct that fails either way is false.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .expressions import (
     AttrRef,
     Binary,
@@ -35,12 +33,15 @@ from .expressions import (
     variables_in,
 )
 from .model import FeatureModel
+from .record import Record
 
 
-@dataclass
-class ResolutionSet:
-    variables: tuple
-    tuples: list  # equal-length name tuples, declaration-order lexicographic
+class ResolutionSet(Record):
+    __slots__ = ("variables", "tuples")
+
+    def __init__(self, variables: tuple, tuples: list):
+        # tuples: equal-length name tuples, declaration-order lexicographic
+        self.variables, self.tuples = variables, tuples
 
     def bindings(self):
         for t in self.tuples:
@@ -57,9 +58,8 @@ class ResolutionSet:
         return out
 
 
-@dataclass
-class Ambiguous:
-    values: list
+class Ambiguous(Record):
+    __slots__ = ("values",)
 
 
 class NoResolution:

@@ -8,8 +8,6 @@ reference that first member.
 
 from __future__ import annotations
 
-import decimal
-
 from .model import FeatureModel
 
 
@@ -26,6 +24,7 @@ def format_value(v) -> str:
 def format_real(v: float) -> str:
     s = repr(float(v))
     if "e" in s or "E" in s:
+        import decimal  # loaded here: few runs print an exponent
         s = format(decimal.Decimal(s), "f")
     if "." not in s:
         s += ".0"

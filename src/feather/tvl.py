@@ -10,9 +10,9 @@ export emits them inside the root block.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .model import Constraint, DecompKind, Feature, FeatureModel
+from .record import Record
 from .serializer import format_real
 from .tokens import LexError, Lexicon, Token, lex
 
@@ -41,13 +41,16 @@ def _word(word: str, line: int, col: int) -> str:
 LEXICON = Lexicon(KEYWORDS, "{},;", _word, signed_numbers=True)
 
 
-@dataclass
-class _Block:
-    name: str
-    attributes: dict = field(default_factory=dict)
-    groups: list = field(default_factory=list)  # (cardinality, [(opt?, id)])
-    constraints: list = field(default_factory=list)
-    line: int = 0
+class _Block(Record):
+    __slots__ = ("name", "attributes", "groups", "constraints", "line")
+
+    def __init__(self, name: str, attributes: dict | None = None, groups: list | None = None,
+                 constraints: list | None = None, line: int = 0):
+        self.name = name
+        self.attributes = {} if attributes is None else attributes
+        self.groups = [] if groups is None else groups  # (cardinality, [(opt?, id)])
+        self.constraints = [] if constraints is None else constraints
+        self.line = line
 
 
 class _TvlParser:

@@ -234,6 +234,21 @@ def brute_force_resolve(model: FeatureModel, variables, where) -> set:
     return satisfied
 
 
+def reference_candidate_constraints(cmd, res) -> list:
+    """Distinct (constraint, supporting tuples) of a constraint command, as
+    commands._candidate_constraints gave them first: one binding dict and one
+    Constraint per resolution tuple, then deduplicated by effect key."""
+    def name(desc, binding):
+        return binding[desc.name] if isinstance(desc, VarRef) else desc.name
+
+    out: dict = {}
+    for t, binding in zip(res.tuples, res.bindings()):
+        c = Constraint(name(cmd.left, binding), cmd.kind, name(cmd.right, binding))
+        entry = out.setdefault(c.effect_key(), (c, []))
+        entry[1].append(t)
+    return list(out.values())
+
+
 # -- random model generation ------------------------------------------------
 
 ATTR_POOL = ("size", "cost", "rank", "flag", "label", "ratio")

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import feather
-from feather.cli import USAGE, dump_intermediate, main, postfix_text
+from feather.cli import USAGE, main
+from feather.dump import dump_intermediate, postfix_text
 from feather.parser import MAX_EXPR_DEPTH, parse_commands, parse_script
 from feather.tvl import import_tvl
 
@@ -175,9 +176,24 @@ def test_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, flags):
     code = main([str(tmp_path / f) if f[0] != "-" else f for f in flags]
                 + ["-o", str(outputs[0]), "-x", str(outputs[1])])
     assert code == 2
-    assert capsys.readouterr().err.splitlines()[0] == (
-        f"error: cannot read {tmp_path / 'bad'}: byte 9 is not UTF-8")
+    assert capsys.readouterr().err == (
+        f"error: cannot read {tmp_path / 'bad'}: byte 9 is not UTF-8\n")
     assert not any(p.exists() for p in outputs)
+
+
+def test_missing_input_file_is_reported_without_the_usage(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.feaf"
+    assert main(["-f", str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {missing}: No such file or directory\n")
+
+
+def test_unwritable_dump_is_reported_without_the_usage(tmp_path, capsys):
+    src, dump = tmp_path / "input.feaf", tmp_path / "no such dir" / "input.eil"
+    src.write_text(CLEAN_SCRIPT)
+    assert main(["-f", str(src), "-x", str(dump)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {dump}: No such file or directory\n")
 
 
 def test_help(capsys):

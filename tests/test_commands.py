@@ -1,13 +1,17 @@
+import itertools
 import random
 
 import pytest
 
 from feather import commands
 from feather.commands import RunMode
+from feather.expressions import FeatureRef, VarRef
 from feather.model import Constraint, DecompKind, FeatureModel
+from feather.parser import AddConstraint
+from feather.resolver import ResolutionSet
 from feather.serializer import serialize_declarations
 
-from conftest import build, isomorphic, run
+from conftest import build, isomorphic, reference_candidate_constraints, run
 
 BRIDGE_PRO = """\
 add feature "Bridge Pro"
@@ -424,6 +428,28 @@ def test_add_constraint_symmetric_excludes_dedup(services):
     m, diags = run(services, 'add constraint "All Sideways" excludes "Highway Jam";')
     assert [d.severity for d in diags] == ["warning"]
     assert len(m.constraints) == len(services.constraints)
+
+
+def test_candidate_constraints_match_the_reference():
+    rng = random.Random(11)
+    names, swapped = ("A", "B", "C", "D"), 0
+    for _ in range(600):
+        variables = ("X", "Y", "Z")[:rng.randint(1, 3)]
+        every = list(itertools.product(names, repeat=len(variables)))
+        res = ResolutionSet(variables, rng.sample(every, rng.randint(0, min(14, len(every)))))
+        left, right = (VarRef(rng.choice(variables)) if rng.random() < 0.7
+                       else FeatureRef(rng.choice(names)) for _ in range(2))
+        cmd = AddConstraint(left=left, kind=rng.choice(("requires", "excludes")),
+                            right=right)
+        got = commands._candidate_constraints(None, cmd, res)
+        assert got == reference_candidate_constraints(cmd, res)
+
+        def end(desc, t):
+            return t[variables.index(desc.name)] if isinstance(desc, VarRef) else desc.name
+        # an excludes whose tuples name its ends in both orders
+        swapped += any(len({(end(left, t), end(right, t)) for t in tuples}) > 1
+                       for _c, tuples in got)
+    assert swapped > 20
 
 
 def test_update_constraint_rightfeature(services):

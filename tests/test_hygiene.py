@@ -1,25 +1,38 @@
-"""Source hygiene: each module of `feather` uses every name it imports."""
+"""Source hygiene: each module of `feather` uses every name it imports, the
+package exports what `__all__` lists, and a run imports only what it needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import feather
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "feather"
-# __init__.py imports names only to re-export them
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
+
+# modules a run loads only when it needs them
+ON_DEMAND = ("dataclasses", "inspect", "decimal", "feather.tvl", "feather.dump")
 
 
 def unused_imports(source: str) -> list:
-    """The names a module imports and never reads, sorted."""
+    """The names a module imports and never reads, sorted; a name that
+    `__all__` lists counts as read."""
     tree = ast.parse(source)
-    imported = set()
+    imported, used = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(a.asname or a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(a.asname or a.name for a in node.names)
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
     return sorted(imported - used)
 
 
@@ -28,6 +41,56 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["b", "regex"]
 
 
+def test_unused_imports_inside_functions_are_found():
+    source = ("def f():\n    import decimal\n    return decimal.Decimal\n"
+              "def g():\n    from . import tvl\n")
+    assert unused_imports(source) == ["tvl"]
+
+
+def test_names_in_all_count_as_used():
+    assert unused_imports("from .a import b, c\n__all__ = ['b']\n") == ["c"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_exported_name_resolves():
+    for name in feather.__all__:
+        assert getattr(feather, name) is not None, name
+    assert feather.import_tvl is feather.tvl.import_tvl
+    with pytest.raises(AttributeError):
+        feather.no_such_name  # noqa: B018
+    assert not hasattr(feather, "tvl_lexicon")
+
+
+def loaded_after(code: str) -> list:
+    """The modules of ON_DEMAND loaded after `code` runs in a fresh
+    interpreter without site packages."""
+    code += f"\nimport sys\nprint([m for m in {ON_DEMAND!r} if m in sys.modules])\n"
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_nothing_on_demand():
+    assert loaded_after("import feather") == []
+
+
+def test_lazy_exports_load_tvl():
+    assert loaded_after("import feather\nfeather.export_tvl") == ["feather.tvl"]
+
+
+def test_a_feather_run_loads_neither_tvl_nor_the_dumper(tmp_path):
+    (tmp_path / "m.fd").write_text('root "R";\nfeature "A" "R" optional attribute w 1;\n')
+    (tmp_path / "c.feaf").write_text('update feature "A" set w = numeric: 2.5;\n')
+    args = ["-d", str(tmp_path / "m.fd"), "-c", str(tmp_path / "c.feaf"),
+            "-o", str(tmp_path / "out.fd")]
+
+    def run(extra):
+        return f"from feather.cli import main\nassert main({args + extra!r}) == 0"
+    assert loaded_after(run([])) == []
+    assert loaded_after(run(["-x", str(tmp_path / "c.eil")])) == ["feather.dump"]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .expressions import AttrRef, Binary, FeatureRef, Lit, Unary, VarRef
 from .model import DecompKind
 from .record import Record
-from .tokens import STRUCTURALS, LexError, Token, tokenize
+from .tokens import STRUCTURALS, LexError, Tokens, tokenize
 
 DECOMP_KEYWORDS = {
     "mandatory": DecompKind.MANDATORY,
@@ -19,9 +19,6 @@ DECOMP_KEYWORDS = {
     "alternative": DecompKind.ALTERNATIVE,
     "or": DecompKind.OR,
 }
-
-# attribute-name positions also admit lexer keywords that are plain words
-_ATTRNAME_KINDS = ("IDENT",)
 
 # binding strength of the binary operators, all left-associative
 BINARY_PRECEDENCE = {
@@ -41,9 +38,7 @@ MAX_EXPR_DEPTH = 400
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
-        self.message = message
-        self.line = line
-        self.col = col
+        self.message, self.line, self.col = message, line, col
 
 
 # -- AST -------------------------------------------------------------------
@@ -157,102 +152,110 @@ class ScriptAst(Record):
 
 # -- parser ----------------------------------------------------------------
 
+# the command keywords, each with its constraint command
+CONSTRAINT_COMMANDS = {"add": AddConstraint, "update": UpdateConstraint,
+                       "updateall": UpdateAllConstraints, "remove": RemoveConstraint,
+                       "removeall": RemoveAllConstraints}
+
 
 class _Parser:
-    def __init__(self, tokens: list):
-        self.tokens = tokens
+    """Walks the kinds and values of a token stream. `pos` never passes
+    EOF, the last token; a method that skips a token has seen its kind."""
+
+    def __init__(self, tokens: Tokens):
+        self.tokens, self.kinds, self.values = tokens, tokens.kinds, tokens.values
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        if not ahead:  # EOF is the last token, and next() never moves past it
-            return self.tokens[self.pos]
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> Token:
-        t = self.tokens[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
-        return t
-
     def at(self, *kinds: str) -> bool:
-        return self.peek().kind in kinds
+        return self.kinds[self.pos] in kinds
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        t = self.tokens[self.pos]
-        if t.kind != kind:
-            want = what or f"{kind!r}"
-            raise ParseError(f"expected {want}, found {t.text or 'end of input'!r}",
-                            t.line, t.col)
-        return self.next()
+    def skip(self, kind: str) -> bool:  # steps over the next token if it is of `kind`
+        found = self.kinds[self.pos] == kind
+        self.pos += found
+        return found
 
-    def fail(self, message: str):
-        t = self.peek()
-        raise ParseError(message, t.line, t.col)
+    def text(self) -> str:  # the next token's source text, "" at EOF
+        return self.tokens.text(self.pos)
+
+    def expect(self, kind: str, what: str | None = None):
+        """The value of the next token, which must be of `kind`."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            self.fail(f"expected {what or repr(kind)}, found {self.text() or 'end of input'!r}")
+        self.pos = pos + 1
+        return self.values[pos]
+
+    def fail(self, message: str, pos: int | None = None):
+        raise ParseError(message, *self.tokens.position(self.pos if pos is None else pos))
 
     # -- declarations ------------------------------------------------------
 
     def parse_root(self) -> RootDecl:
-        t = self.expect("root", "the root feature declaration")
-        name = self.expect("STRING", "the root feature name").value
+        line = self.tokens.line(self.pos)
+        self.expect("root", "the root feature declaration")
+        name = self.expect("STRING", "the root feature name")
         attrs = self.parse_attr_decls()
         self.expect(";")
-        return RootDecl(name, attrs, line=t.line)
+        return RootDecl(name, attrs, line=line)
 
     def parse_attr_decls(self) -> list:
         attrs = []
-        while self.at("attribute"):
-            self.next()
-            ident = self.expect("IDENT", "an attribute identifier").value
+        while self.skip("attribute"):
+            ident = self.expect("IDENT", "an attribute identifier")
             attrs.append((ident, self.parse_literal()))
         return attrs
 
     def parse_literal(self):
-        sign = 1
-        if self.at("+", "-"):
-            sign = -1 if self.next().kind == "-" else 1
-        t = self.peek()
-        if t.kind in ("INT", "REAL"):
-            self.next()
-            return sign * t.value
+        sign, kind = 1, self.kinds[self.pos]
+        if kind == "+" or kind == "-":
+            sign = -1 if kind == "-" else 1
+            self.pos += 1
+            kind = self.kinds[self.pos]
+        if kind == "INT" or kind == "REAL":
+            self.pos += 1
+            return sign * self.values[self.pos - 1]
         if sign == -1:
             self.fail("expected a numeric literal after the sign")
-        if t.kind in ("true", "false"):
-            self.next()
-            return t.kind == "true"
-        if t.kind == "STRING":
-            self.next()
-            return t.value
-        self.fail(f"expected a literal value, found {t.text!r}")
+        if kind == "true" or kind == "false":
+            self.pos += 1
+            return kind == "true"
+        if kind == "STRING":
+            self.pos += 1
+            return self.values[self.pos - 1]
+        self.fail(f"expected a literal value, found {self.text()!r}")
 
     def parse_feature_decl(self) -> FeatureDecl:
-        t = self.expect("feature")
-        name = self.expect("STRING", "a feature name").value
-        parent = self.expect("STRING", "a parent name").value
-        kw = self.peek()
-        if kw.kind not in DECOMP_KEYWORDS:
-            self.fail(f"expected a decomposition kind, found {kw.text!r}")
-        self.next()
-        kind = DECOMP_KEYWORDS[kw.kind]
+        line = self.tokens.line(self.pos)
+        self.pos += 1  # feature
+        name = self.expect("STRING", "a feature name")
+        parent = self.expect("STRING", "a parent name")
+        kind = DECOMP_KEYWORDS.get(self.kinds[self.pos])
+        if kind is None:
+            self.fail(f"expected a decomposition kind, found {self.text()!r}")
+        self.pos += 1
         sibling = None
         if kind.is_group:
             self.expect("to")
-            sibling = self.expect("STRING", "a sibling feature name").value
+            sibling = self.expect("STRING", "a sibling feature name")
         attrs = self.parse_attr_decls()
         self.expect(";")
-        return FeatureDecl(name, parent, kind, sibling, attrs, line=t.line)
+        return FeatureDecl(name, parent, kind, sibling, attrs, line=line)
 
     def parse_constraint_decl(self) -> ConstraintDecl:
-        t = self.expect("constraint")
-        left = self.expect("STRING", "a feature name").value
+        line = self.tokens.line(self.pos)
+        self.pos += 1  # constraint
+        left = self.expect("STRING", "a feature name")
         kind = self.parse_ctc_type()
-        right = self.expect("STRING", "a feature name").value
+        right = self.expect("STRING", "a feature name")
         self.expect(";")
-        return ConstraintDecl(left, kind, right, line=t.line)
+        return ConstraintDecl(left, kind, right, line=line)
 
     def parse_ctc_type(self) -> str:
-        if not self.at("requires", "excludes"):
-            self.fail(f"expected requires or excludes, found {self.peek().text!r}")
-        return self.next().kind
+        kind = self.kinds[self.pos]
+        if kind != "requires" and kind != "excludes":
+            self.fail(f"expected requires or excludes, found {self.text()!r}")
+        self.pos += 1
+        return kind
 
     # -- expressions -------------------------------------------------------
 
@@ -263,198 +266,165 @@ class _Parser:
         """(expression, its nesting) over operators binding at least
         `min_prec`, inside `depth` levels of nesting."""
         left, height = self._operand(depth)
-        while BINARY_PRECEDENCE.get(self.peek().kind, 0) >= min_prec:
-            t = self.next()
-            right, right_height = self._expr(BINARY_PRECEDENCE[t.kind] + 1, depth + 1)
+        while BINARY_PRECEDENCE.get(self.kinds[self.pos], 0) >= min_prec:
+            at, op = self.pos, self.kinds[self.pos]
+            self.pos += 1
+            right, right_height = self._expr(BINARY_PRECEDENCE[op] + 1, depth + 1)
             height = max(height, right_height) + 1
-            self._check_depth(depth + height, t)
-            left = Binary(t.kind, left, right)
+            self._check_depth(depth + height, at)
+            left = Binary(op, left, right)
         return left, height
 
     def _operand(self, depth: int) -> tuple:
         """(operand, its nesting): unary operators, then a parenthesized
         expression or a primary."""
-        ops = []
-        while self.at("-", "not"):
-            ops.append(self.next())
+        ops = []  # positions of the unary operators
+        while self.kinds[self.pos] in ("-", "not"):
+            ops.append(self.pos)
+            self.pos += 1
             self._check_depth(depth + len(ops), ops[-1])
-        t = self.peek()
-        if t.kind == "(":
-            self.next()
-            self._check_depth(depth + len(ops) + 2, t)
+        if self.skip("("):
+            self._check_depth(depth + len(ops) + 2, self.pos - 1)
             operand, height = self._expr(1, depth + len(ops) + 2)
             self.expect(")")
             height += 2
         else:
             operand, height = self.parse_primary(), 0
-        for op in reversed(ops):
-            operand = Unary(op.kind, operand)
+        for at in reversed(ops):
+            operand = Unary(self.kinds[at], operand)
         return operand, height + len(ops)
 
-    def _check_depth(self, depth: int, t: Token) -> None:
+    def _check_depth(self, depth: int, at: int) -> None:
         if depth > MAX_EXPR_DEPTH:
-            raise ParseError("expression nested too deeply", t.line, t.col)
+            self.fail("expression nested too deeply", at)
 
     def parse_primary(self):
-        t = self.peek()
-        if t.kind == "INT" or t.kind == "REAL":
-            self.next()
-            return Lit(t.value)
-        if t.kind in ("true", "false"):
-            self.next()
-            return Lit(t.kind == "true")
-        if t.kind in DECOMP_KEYWORDS:  # decomposition literal in operand position
-            self.next()
-            return Lit(DECOMP_KEYWORDS[t.kind])
-        if t.kind == "STRING":
-            self.next()
-            if self.at("."):
-                self.next()
-                return AttrRef(FeatureRef(t.value), self.parse_attr_name())
-            return Lit(t.value)
-        if t.kind == "VAR":
-            self.next()
+        kind, value = self.kinds[self.pos], self.values[self.pos]
+        if kind == "INT" or kind == "REAL":
+            self.pos += 1
+            return Lit(value)
+        if kind == "true" or kind == "false":
+            self.pos += 1
+            return Lit(kind == "true")
+        if kind in DECOMP_KEYWORDS:  # decomposition literal in operand position
+            self.pos += 1
+            return Lit(DECOMP_KEYWORDS[kind])
+        if kind == "STRING":
+            self.pos += 1
+            if self.skip("."):
+                return AttrRef(FeatureRef(value), self.parse_attr_name())
+            return Lit(value)
+        if kind == "VAR":
+            self.pos += 1
             self.expect(".", "'.' after a feature variable")
-            return AttrRef(VarRef(t.value), self.parse_attr_name())
-        self.fail(f"expected an operand, found {t.text or 'end of input'!r}")
+            return AttrRef(VarRef(value), self.parse_attr_name())
+        self.fail(f"expected an operand, found {self.text() or 'end of input'!r}")
 
     def parse_attr_name(self) -> str:
-        t = self.peek()
-        if t.kind == "IDENT" or t.kind in STRUCTURALS:
-            self.next()
-            return t.value
-        self.fail(f"expected an attribute name, found {t.text!r}")
+        kind = self.kinds[self.pos]
+        if kind == "IDENT" or kind in STRUCTURALS:
+            self.pos += 1
+            return self.values[self.pos - 1]
+        self.fail(f"expected an attribute name, found {self.text()!r}")
 
     # -- command building blocks ------------------------------------------
 
     def parse_fdesc(self):
-        t = self.peek()
-        if t.kind == "STRING":
-            self.next()
-            return FeatureRef(t.value)
-        if t.kind == "VAR":
-            self.next()
-            return VarRef(t.value)
-        self.fail(f"expected a feature name or variable, found {t.text!r}")
+        kind = self.kinds[self.pos]
+        if kind == "STRING" or kind == "VAR":
+            self.pos += 1
+            return (FeatureRef if kind == "STRING" else VarRef)(self.values[self.pos - 1])
+        self.fail(f"expected a feature name or variable, found {self.text()!r}")
 
     def parse_name_desc(self):
         """FeatureNameDescription: "Name" or Var._name, as a string expression."""
-        t = self.peek()
-        if t.kind == "STRING":
-            self.next()
-            return Lit(t.value)
-        if t.kind == "VAR":
-            self.next()
+        kind, value = self.kinds[self.pos], self.values[self.pos]
+        if kind == "STRING":
+            self.pos += 1
+            return Lit(value)
+        if kind == "VAR":
+            self.pos += 1
             self.expect(".")
             self.expect("_name", "'_name' after the feature variable")
-            return AttrRef(VarRef(t.value), "_name")
-        self.fail(f"expected a feature name or Variable._name, found {t.text!r}")
+            return AttrRef(VarRef(value), "_name")
+        self.fail(f"expected a feature name or Variable._name, found {self.text()!r}")
 
     def parse_decomp_spec(self) -> DecompSpec:
-        t = self.peek()
-        if t.kind in DECOMP_KEYWORDS:
-            self.next()
-            kind = Lit(DECOMP_KEYWORDS[t.kind])
+        kind = self.kinds[self.pos]
+        if kind in DECOMP_KEYWORDS:
+            self.pos += 1
+            kind = Lit(DECOMP_KEYWORDS[kind])
         else:
             fd = self.parse_fdesc()
             self.expect(".")
             self.expect("_decomp", "'_decomp'")
             kind = AttrRef(fd, "_decomp")
         sibling = None
-        if self.at("to"):
-            self.next()
+        if self.skip("to"):
             sibling = self.parse_fdesc()
         return DecompSpec(kind, sibling)
 
     def parse_attr_assign(self) -> AttrAssign:
-        name = self.expect("IDENT", "an attribute identifier").value
+        name = self.expect("IDENT", "an attribute identifier")
         self.expect("=")
-        t = self.peek()
-        if t.kind == "inherited":
-            self.next()
-            self.expect(":")
+        tag = self.kinds[self.pos]
+        if tag not in ("inherited", "numeric", "boolean", "string"):
+            self.fail(f"expected a value type tag, found {self.text()!r}")
+        self.pos += 1
+        self.expect(":")
+        if tag == "inherited":
             fd = self.parse_fdesc()
             self.expect(".")
-            return AttrAssign(name, "inherited", AttrRef(fd, self.parse_attr_name()))
-        if t.kind == "numeric":
-            self.next()
-            self.expect(":")
-            return AttrAssign(name, "numeric", self.parse_expr())
-        if t.kind == "boolean":
-            self.next()
-            self.expect(":")
-            return AttrAssign(name, "boolean", self.parse_expr())
-        if t.kind == "string":
-            self.next()
-            self.expect(":")
-            return AttrAssign(name, "string", Lit(self.expect("STRING").value))
-        self.fail(f"expected a value type tag, found {t.text!r}")
+            return AttrAssign(name, tag, AttrRef(fd, self.parse_attr_name()))
+        if tag == "string":
+            return AttrAssign(name, tag, Lit(self.expect("STRING")))
+        return AttrAssign(name, tag, self.parse_expr())
 
     def parse_where(self):
-        if self.at("where"):
-            self.next()
+        if self.skip("where"):
             return self.parse_expr()
         return None
 
     # -- commands ----------------------------------------------------------
 
     def parse_command(self) -> Command:
-        t = self.peek()
-        if t.kind == "add":
-            if self.peek(1).kind == "feature":
-                return self.parse_add_feature()
-            return self.parse_constraint_command("addc")
-        if t.kind == "update":
-            if self.peek(1).kind == "feature":
-                return self.parse_update_feature(multi=False)
-            return self.parse_constraint_command("upc")
-        if t.kind == "updateall":
-            if self.peek(1).kind == "feature":
-                return self.parse_update_feature(multi=True)
-            return self.parse_constraint_command("upmc")
-        if t.kind == "remove":
-            if self.peek(1).kind == "feature":
-                return self.parse_remove_feature(multi=False)
-            return self.parse_constraint_command("rmc")
-        if t.kind == "removeall":
-            if self.peek(1).kind == "feature":
-                return self.parse_remove_feature(multi=True)
-            return self.parse_constraint_command("rmmc")
-        self.fail(f"expected a command, found {t.text or 'end of input'!r}")
+        kind = self.kinds[self.pos]  # a key of CONSTRAINT_COMMANDS
+        if self.kinds[self.pos + 1] != "feature":
+            return self.parse_constraint_command(CONSTRAINT_COMMANDS[kind])
+        if kind == "add":
+            return self.parse_add_feature()
+        if kind in ("update", "updateall"):
+            return self.parse_update_feature(multi=kind == "updateall")
+        return self.parse_remove_feature(multi=kind == "removeall")
 
     def parse_add_feature(self) -> AddFeature:
-        t = self.expect("add")
-        self.expect("feature")
-        name = self.expect("STRING", "the new feature name").value
-        self.expect("with")
-        self.expect("attributes")
-        self.expect("(")
-        cmd = AddFeature(name=name, line=t.line)
+        line = self.tokens.line(self.pos)
+        self.pos += 2  # add feature
+        name = self.expect("STRING", "the new feature name")
+        for kind in ("with", "attributes", "("):
+            self.expect(kind)
+        cmd = AddFeature(name=name, line=line)
         # the two structural slots come first, in either order
         for _ in range(2):
-            s = self.peek()
-            if s.kind == "_parent" and cmd.parent is None:
-                self.next()
+            kind = self.kinds[self.pos]
+            if kind == "_parent" and cmd.parent is None:
+                self.pos += 1
                 self.expect("=")
                 cmd.parent = self.parse_name_desc()
-            elif s.kind == "_decomp" and cmd.decomp is None:
-                self.next()
+            elif kind == "_decomp" and cmd.decomp is None:
+                self.pos += 1
                 self.expect("=")
                 cmd.decomp = self.parse_decomp_spec()
             else:
                 self.fail("add feature requires exactly one _parent and one "
                           "_decomp assignment first")
-            if self.at(","):
-                self.next()
-            elif self.at(")"):
+            if not self.skip(",") and self.at(")"):
                 break
         if cmd.parent is None or cmd.decomp is None:
             self.fail("add feature requires both _parent and _decomp assignments")
         while not self.at(")"):
             cmd.attrs.append(self.parse_attr_assign())
-            if self.at(","):
-                self.next()
-            else:
+            if not self.skip(","):
                 break
         self.expect(")")
         cmd.where = self.parse_where()
@@ -462,101 +432,85 @@ class _Parser:
         return cmd
 
     def parse_update_feature(self, multi: bool) -> Command:
-        t = self.next()  # update | updateall
-        self.expect("feature")
+        line = self.tokens.line(self.pos)
+        self.pos += 2  # update feature | updateall feature
         if multi:
-            var = self.expect("VAR", "a feature variable").value
-            cmd = UpdateAllFeatures(var=var, line=t.line)
+            cmd = UpdateAllFeatures(var=self.expect("VAR", "a feature variable"), line=line)
         else:
-            cmd = UpdateFeature(target=self.parse_fdesc(), line=t.line)
+            cmd = UpdateFeature(target=self.parse_fdesc(), line=line)
         self.expect("set")
         while True:
-            s = self.peek()
-            if s.kind == "_name":
+            kind = self.kinds[self.pos]
+            if kind == "_name":
                 if multi:
                     self.fail("updateall feature cannot set _name")
-                self.next()
+                self.pos += 1
                 self.expect("=")
-                new = self.expect("STRING", "the new feature name").value
+                new = self.expect("STRING", "the new feature name")
                 if cmd.new_name is not None:
                     self.fail("_name is set twice")
                 cmd.new_name = new
-            elif s.kind == "_parent":
-                self.next()
+            elif kind == "_parent":
+                self.pos += 1
                 self.expect("=")
                 if cmd.parent is not None:
                     self.fail("_parent is set twice")
                 cmd.parent = self.parse_name_desc()
-            elif s.kind == "_decomp":
-                self.next()
+            elif kind == "_decomp":
+                self.pos += 1
                 self.expect("=")
                 if cmd.decomp is not None:
                     self.fail("_decomp is set twice")
                 cmd.decomp = self.parse_decomp_spec()
             else:
                 cmd.attrs.append(self.parse_attr_assign())
-            if self.at(","):
-                self.next()
-            else:
+            if not self.skip(","):
                 break
         cmd.where = self.parse_where()
         self.expect(";")
         return cmd
 
     def parse_remove_feature(self, multi: bool) -> Command:
-        t = self.next()  # remove | removeall
-        self.expect("feature")
+        line = self.tokens.line(self.pos)
+        self.pos += 2  # remove feature | removeall feature
         if multi:
-            cmd = RemoveAllFeatures(var=self.expect("VAR", "a feature variable").value,
-                                    line=t.line)
+            cmd = RemoveAllFeatures(var=self.expect("VAR", "a feature variable"), line=line)
         else:
-            cmd = RemoveFeature(target=self.parse_fdesc(), line=t.line)
+            cmd = RemoveFeature(target=self.parse_fdesc(), line=line)
         cmd.where = self.parse_where()
         self.expect(";")
         return cmd
 
-    def parse_constraint_command(self, code: str) -> Command:
-        t = self.next()  # add | update | updateall | remove | removeall
+    def parse_constraint_command(self, cls) -> Command:
+        line = self.tokens.line(self.pos)
+        self.pos += 1  # add | update | updateall | remove | removeall
         self.expect("constraint")
         left = self.parse_fdesc()
         kind = self.parse_ctc_type()
         right = self.parse_fdesc()
-        cls = {"addc": AddConstraint, "upc": UpdateConstraint,
-               "upmc": UpdateAllConstraints, "rmc": RemoveConstraint,
-               "rmmc": RemoveAllConstraints}[code]
-        cmd = cls(left=left, kind=kind, right=right, line=t.line)
-        if code in ("upc", "upmc"):
+        cmd = cls(left=left, kind=kind, right=right, line=line)
+        if isinstance(cmd, UpdateConstraint):  # updateall too
             self.expect("set")
             while True:
-                s = self.peek()
-                if s.kind == "leftfeature":
-                    self.next()
-                    self.expect("=")
+                kind = self.kinds[self.pos]
+                if kind not in ("leftfeature", "rightfeature", "constrainttype"):
+                    self.fail(f"expected a constraint element, found {self.text()!r}")
+                self.pos += 1
+                self.expect("=")
+                if kind == "leftfeature":
                     cmd.new_left = self.parse_name_desc()
-                    cmd.updates.append("leftfeature")
-                elif s.kind == "rightfeature":
-                    self.next()
-                    self.expect("=")
+                elif kind == "rightfeature":
                     cmd.new_right = self.parse_name_desc()
-                    cmd.updates.append("rightfeature")
-                elif s.kind == "constrainttype":
-                    self.next()
-                    self.expect("=")
+                else:
                     cmd.new_kind = self.parse_ctc_type()
-                    cmd.updates.append("constrainttype")
-                else:
-                    self.fail(f"expected a constraint element, found {s.text!r}")
-                if self.at(","):
-                    self.next()
-                else:
+                cmd.updates.append(kind)
+                if not self.skip(","):
                     break
         cmd.where = self.parse_where()
         self.expect(";")
         return cmd
 
     # -- top level ---------------------------------------------------------
-
-    COMMAND_STARTS = ("add", "update", "updateall", "remove", "removeall")
 
     def parse_script(self, declarations: bool = True,
                      commands: bool = True) -> tuple:
@@ -573,16 +527,16 @@ class _Parser:
             except ParseError as e:
                 errors.append(e)
                 self._resync()
-            while self.at("feature", "constraint"):
+            while self.kinds[self.pos] in ("feature", "constraint"):
                 try:
-                    if self.at("feature"):
+                    if self.kinds[self.pos] == "feature":
                         ast.features.append(self.parse_feature_decl())
                     else:
                         ast.constraints.append(self.parse_constraint_decl())
                 except ParseError as e:
                     errors.append(e)
                     self._resync()
-        while self.at(*self.COMMAND_STARTS):
+        while self.kinds[self.pos] in CONSTRAINT_COMMANDS:
             if not commands:
                 self.fail("commands are not allowed in a declarations file")
             try:
@@ -591,16 +545,14 @@ class _Parser:
                 errors.append(e)
                 self._resync()
         if not self.at("EOF"):
-            t = self.peek()
-            errors.append(ParseError(
-                f"unexpected input {t.text!r}", t.line, t.col))
+            errors.append(ParseError(f"unexpected input {self.text()!r}",
+                                     *self.tokens.position(self.pos)))
         return ast, errors
 
     def _resync(self) -> None:
         while not self.at(";", "EOF"):
-            self.next()
-        if self.at(";"):
-            self.next()
+            self.pos += 1
+        self.skip(";")
 
 
 def parse_script(text: str) -> tuple:

@@ -9,11 +9,12 @@ bound. A conjunct `V.a = U.b` between two variables is a hash-indexed
 equality join: `V`'s domain is indexed once by the key of `a`, and at `V`'s
 depth the search visits only the names whose key equals that of `U.b`.
 Keys follow `=` exactly (`1 = 1.0`; a boolean never equals a number), so
-the index drops only bindings under which the join is false or fails. All
-prunings are semantics-preserving: every surviving binding is still checked
-against every conjunct. The conjuncts decided at one depth are compiled once
-per resolve (compile_expr) into one check that type-checks and evaluates in
-one pass; a conjunct that fails either way is false.
+the index returns exactly the bindings under which the join is true, and the
+join needs no check of its own. All prunings are semantics-preserving: every
+surviving binding is checked against every other conjunct. The conjuncts
+decided at one depth are compiled once per resolve (compile_expr) into one
+check that type-checks and evaluates in one pass; a conjunct that fails
+either way is false.
 """
 
 from __future__ import annotations
@@ -131,13 +132,14 @@ def resolve(model: FeatureModel, variables, where=None,
             constant.append(c)
     if constant and not _all_hold(constant)(features, binding):
         return ResolutionSet(variables, [])
-    checks = [_all_hold(cs) if cs else None for cs in scheduled]
     probes: list = [None] * len(order)  # per depth: (hash index, probe term) or None
     for d, cs in enumerate(scheduled):
         for c in cs:
             probes[d] = _equijoin_probe(features, c, order[d], domains)
             if probes[d] is not None:
+                cs.remove(c)  # the index lookup decides it
                 break
+    checks = [_all_hold(cs) if cs else None for cs in scheduled]
 
     results = []
 

@@ -7,14 +7,15 @@ so an embedded double quote is impossible. Digits are ASCII only.
 A language is a `Lexicon`: its keywords, symbols, whether numbers carry a
 sign, and a classifier for the other words. The lexicon is compiled into one
 master regex, and `lex` makes one match per token, the blanks before a token
-folding into its match.
+folding into its match. The result is a `Tokens` stream of parallel columns;
+line and column are worked out from a token's offset only when asked for.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .model import STRUCTURAL_ATTRS
 
@@ -34,28 +35,23 @@ SYMBOLS = ("<=", ">=", "<>", ";", ",", "(", ")", ".", "=", ":",
 
 STRING_PUNCT = set("~!@#$%^&*()_+[]'/.,-;: ")
 
-
-class Token(NamedTuple):
-    kind: str  # keyword/symbol text, or STRING / INT / REAL / IDENT / VAR / ID / EOF
-    text: str
-    value: object
-    line: int
-    col: int
+# kind: keyword/symbol text, or STRING / INT / REAL / IDENT / VAR / ID / EOF
+Token = namedtuple("Token", "kind text value line col")
 
 
 class LexError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
-        self.message = message
-        self.line = line
-        self.col = col
+        self.message, self.line, self.col = message, line, col
 
 
 _STRING_CHAR = "[0-9A-Za-z" + "".join(map(re.escape, sorted(STRING_PUNCT))) + "]"
 _STRING_BODY = re.compile(_STRING_CHAR + "*")
+_NUMBER = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+)?")
 
-# group numbers of a master regex, in the order its alternatives are tried
-_WORD, _SYMBOL, _NEWLINES, _STRING, _REAL, _INT, _OTHER = range(1, 8)
+# group numbers of a master regex, in the order its alternatives are tried;
+# at the end of the text no group takes part
+_WORD, _STRING, _REAL, _INT, _OTHER = range(1, 6)
 
 
 class Lexicon:
@@ -63,91 +59,142 @@ class Lexicon:
 
     A word is a run of `\\w` characters, which are those for which
     `str.isalnum()` holds, and `_`, that does not start with an ASCII digit
-    (a number does). A keyword's kind is the keyword itself;
-    `classify(word, line, col)` gives the kind of any other word, or raises
-    LexError.
+    (a number does). A keyword's kind is the keyword itself, and so is a
+    symbol's; `classify(word)` gives the kind of any other word, or raises
+    ValueError with the message of the LexError to report.
     """
 
-    def __init__(self, keywords, symbols, classify: Callable,
-                 signed_numbers: bool = False):
+    def __init__(self, keywords, symbols, classify, signed_numbers: bool = False):
         number = "[+-]?[0-9]+" if signed_numbers else "[0-9]+"
         symbol = "|".join(map(re.escape, sorted(symbols, key=len, reverse=True)))
-        self.keywords = {word: word for word in keywords}
+        self.kinds = {word: word for word in (*keywords, *symbols)}
         self.classify = classify
         self.pattern = re.compile(
-            r"[ \t\r]*(?:([^\W0-9]\w*)"
-            f"|({symbol})"
-            "|(\n(?:[ \t\r]*\n)*)"  # ends after the last newline of a blank run
+            rf"[ \t\r\n]*(?:([^\W0-9]\w*|{symbol})"
             f'|"({_STRING_CHAR}+)"'
             rf"|({number}\.[0-9]+)"
             f"|({number})"
-            "|([^ \t\r\n]))")
+            r"|([^ \t\r\n])|\Z)")
 
 
-def lex(text: str, lexicon: Lexicon) -> list:
+class Tokens:
+    """The tokens of `source` as parallel lists: `kinds`, `values`, and
+    `starts`, each token's offset (a string's is that of its opening quote).
+    The last token is EOF, at the end of the source. The stream also reads
+    as a sequence of `Token`s, each built when it is read.
+    """
+
+    __slots__ = ("source", "kinds", "values", "starts", "_offset", "_line")
+
+    def __init__(self, source: str, kinds: list, values: list, starts: list):
+        self.source, self.kinds, self.values, self.starts = source, kinds, values, starts
+        self._offset, self._line = 0, 1  # the offset last asked for, and its line
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i: int) -> Token:
+        i = range(len(self.kinds))[i]
+        return Token(self.kinds[i], self.text(i), self.values[i], *self.position(i))
+
+    def text(self, i: int) -> str:
+        """The source text of token `i`: a string without its quotes, and
+        the empty text for EOF."""
+        kind = self.kinds[i]
+        if kind == "INT" or kind == "REAL":
+            return _NUMBER.match(self.source, self.starts[i])[0]
+        return "" if kind == "EOF" else self.values[i]
+
+    def line(self, i: int) -> int:
+        """The line of token `i`, from 1, counted on from the offset last
+        asked for, or from the start if that lies ahead."""
+        offset = self.starts[i]
+        if offset < self._offset:
+            self._offset, self._line = 0, 1
+        self._line += self.source.count("\n", self._offset, offset)
+        self._offset = offset
+        return self._line
+
+    def position(self, i: int) -> tuple:
+        """(line, column) of token `i`, both from 1."""
+        return self.line(i), self.starts[i] - self.source.rfind("\n", 0, self.starts[i])
+
+
+def lex(text: str, lexicon: Lexicon) -> Tokens:
     """The tokens of `text`, ending with EOF; raises LexError."""
-    tokens = []
-    append = tokens.append
-    new = tuple.__new__  # builds a Token without its Python-level __new__
-    keyword, classify = lexicon.keywords.get, lexicon.classify
-    line, line_start = 1, 0  # line_start: offset of the line's first character
+    kinds, values, starts = [], [], []
+    add_kind, add_value, add_start = kinds.append, values.append, starts.append
+    known = lexicon.kinds.copy()  # grows by the other words of this text
     for m in lexicon.pattern.finditer(text):
         k = m.lastindex
-        if k == _NEWLINES:
-            line += text.count("\n", m.start(k), m.end())
-            line_start = m.end()
-            continue
-        value = m[k]
-        col = m.start(k) - line_start + 1
         if k == _WORD:
-            kind = keyword(value) or classify(value, line, col)
-            append(new(Token, (kind, value, value, line, col)))
-        elif k == _SYMBOL:
-            append(new(Token, (value, value, value, line, col)))
+            value = m[1]
+            kind = known.get(value)
+            if kind is None:
+                try:
+                    kind = known[value] = lexicon.classify(value)
+                except ValueError as e:
+                    _raise(str(e), text, m.start(1))
+            add_kind(kind)
+            add_value(value)
+            add_start(m.start(1))
         elif k == _STRING:
-            append(new(Token, ("STRING", value, value, line, col - 1)))
+            add_kind("STRING")
+            add_value(m[2])
+            add_start(m.start(2) - 1)
         elif k == _INT:
             try:
-                number = int(value)
+                add_value(int(m[4]))
             except ValueError:  # more digits than sys.get_int_max_str_digits()
-                raise LexError("integer literal out of range", line, col) from None
-            append(new(Token, ("INT", value, number, line, col)))
+                _raise("integer literal out of range", text, m.start(4))
+            add_kind("INT")
+            add_start(m.start(4))
         elif k == _REAL:
-            number = float(value)
+            number = float(m[3])
             if not math.isfinite(number):
-                raise LexError("real literal out of range", line, col)
-            append(new(Token, ("REAL", value, number, line, col)))
-        else:
-            _fail(text, m.start(k), line, col)
-    append(new(Token, ("EOF", "", None, line, len(text) - line_start + 1)))
-    return tokens
+                _raise("real literal out of range", text, m.start(3))
+            add_kind("REAL")
+            add_value(number)
+            add_start(m.start(3))
+        elif k == _OTHER:
+            _fail(text, m.start(5))
+        else:  # the end of the text
+            break
+    add_kind("EOF")
+    add_value(None)
+    add_start(len(text))
+    return Tokens(text, kinds, values, starts)
 
 
-def _fail(text: str, start: int, line: int, col: int):
+def _raise(message: str, text: str, offset: int):
+    raise LexError(message, text.count("\n", 0, offset) + 1,
+                   offset - text.rfind("\n", 0, offset))
+
+
+def _fail(text: str, start: int):
     """Raise the error for the character at `start`, which starts no token."""
     ch = text[start]
     if ch != '"':
-        raise LexError(f"unexpected character {ch!r}", line, col)
+        _raise(f"unexpected character {ch!r}", text, start)
     end = _STRING_BODY.match(text, start + 1).end()
     stop = text[end:end + 1]
     if stop == '"':
-        raise LexError("empty string literal", line, col)
+        _raise("empty string literal", text, start)
     if stop in ("", "\n"):
-        raise LexError("unterminated string literal", line, col)
-    raise LexError(f"character {stop!r} not allowed in a string",
-                   line, col + end - start)
+        _raise("unterminated string literal", text, start)
+    _raise(f"character {stop!r} not allowed in a string", text, end)
 
 
-def _feather_word(word: str, line: int, col: int) -> str:
+def _feather_word(word: str) -> str:
     if word[0] == "_":
-        raise LexError(f"unknown structural attribute {word!r}", line, col)
+        raise ValueError(f"unknown structural attribute {word!r}")
     if not word[0].isalpha():
-        raise LexError(f"unexpected character {word[0]!r}", line, col)
+        raise ValueError(f"unexpected character {word[0]!r}")
     return "VAR" if word[0].isupper() else "IDENT"
 
 
 LEXICON = Lexicon(KEYWORDS | STRUCTURALS, SYMBOLS, _feather_word)
 
 
-def tokenize(text: str) -> list:
+def tokenize(text: str) -> Tokens:
     return lex(text, LEXICON)

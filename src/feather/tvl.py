@@ -14,7 +14,7 @@ import re
 from .model import Constraint, DecompKind, Feature, FeatureModel
 from .record import Record
 from .serializer import format_real
-from .tokens import LexError, Lexicon, Token, lex
+from .tokens import LexError, Lexicon, lex
 
 KEYWORDS = {
     "enum", "string", "in", "root", "group", "allof", "oneof", "someof",
@@ -32,9 +32,9 @@ class TvlExportError(Exception):
     """The model cannot be represented in the TVL subset."""
 
 
-def _word(word: str, line: int, col: int) -> str:
+def _word(word: str) -> str:
     if not word[0].isalpha():
-        raise LexError(f"unexpected character {word[0]!r}", line, col)
+        raise ValueError(f"unexpected character {word[0]!r}")
     return "ID"
 
 
@@ -54,112 +54,110 @@ class _Block(Record):
 
 
 class _TvlParser:
+    """Walks the kinds and values of the token stream; `pos` never passes
+    EOF, except that a successful `expect("EOF")` ends the parse."""
+
     def __init__(self, text: str):
         try:
             self.tokens = lex(text, LEXICON)
         except LexError as e:
             raise TvlError(f"line {e.line}: {e.message}") from None
+        self.kinds, self.values = self.tokens.kinds, self.tokens.values
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def fail(self, message: str):
+        raise TvlError(f"line {self.tokens.line(self.pos)}: {message}")
 
-    def found(self) -> str:  # the next token as an error message shows it
-        t = self.peek()
-        return repr("end of input" if t.kind == "EOF" else t.value)
-
-    def next(self) -> Token:
-        t = self.peek()
-        if t.kind != "EOF":
-            self.pos += 1
-        return t
-
-    def expect(self, kind: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise TvlError(f"line {t.line}: expected {kind!r}, found {self.found()}")
-        return self.next()
+    def expect(self, kind: str):
+        """The value of the next token, which must be of `kind`."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            found = "end of input" if self.kinds[pos] == "EOF" else self.values[pos]
+            self.fail(f"expected {kind!r}, found {found!r}")
+        self.pos = pos + 1
+        return self.values[pos]
 
     def parse(self):
+        kinds = self.kinds
         header = None
-        if self.peek().kind == "enum":
-            self.next()
+        if kinds[0] == "enum":
+            self.pos = 1
             self.expect("string")
             self.expect("in")
             self.expect("{")
-            header = [self.expect("STRING").value]
-            while self.peek().kind == ",":
-                self.next()
-                header.append(self.expect("STRING").value)
+            header = [self.expect("STRING")]
+            while kinds[self.pos] == ",":
+                self.pos += 1
+                header.append(self.expect("STRING"))
             self.expect("}")
             self.expect(";")
         blocks = []
         self.expect("root")
         blocks.append(self.parse_block())
-        while self.peek().kind == "ID":
+        while kinds[self.pos] == "ID":
             blocks.append(self.parse_block())
         self.expect("EOF")
         return header, blocks
 
     def parse_block(self) -> _Block:
-        t = self.expect("ID")
-        block = _Block(t.value, line=t.line)
+        kinds, values = self.kinds, self.values
+        line = self.tokens.line(self.pos)
+        block = _Block(self.expect("ID"), line=line)
         self.expect("{")
-        while self.peek().kind in ("int", "real", "bool", "string"):
-            tag = self.next().kind
+        while kinds[self.pos] in ("int", "real", "bool", "string"):
+            tag = kinds[self.pos]
+            self.pos += 1
             name = self.parse_attr_id()
             self.expect("is")
             block.attributes[name] = self.parse_value(tag)
             self.expect(";")
-        while self.peek().kind == "group":
-            self.next()
-            card = self.peek()
-            if card.kind not in ("allof", "oneof", "someof"):
-                raise TvlError(
-                    f"line {card.line}: expected allof, oneof, or someof")
-            self.next()
+        while kinds[self.pos] == "group":
+            card = kinds[self.pos + 1]
+            if card not in ("allof", "oneof", "someof"):
+                self.pos += 1
+                self.fail("expected allof, oneof, or someof")
+            self.pos += 2
             self.expect("{")
             members = []
             while True:
-                opt = False
-                if card.kind == "allof" and self.peek().kind == "opt":
-                    self.next()
-                    opt = True
-                members.append((opt, self.expect("ID").value))
-                if self.peek().kind != ",":
+                opt = card == "allof" and kinds[self.pos] == "opt"
+                if opt:
+                    self.pos += 1
+                members.append((opt, self.expect("ID")))
+                if kinds[self.pos] != ",":
                     break
-                self.next()
+                self.pos += 1
             self.expect("}")
-            block.groups.append((card.kind, members))
-        while self.peek().kind == "ID":
-            left = self.next().value
-            op = self.peek()
-            if op.kind not in ("requires", "excludes"):
-                raise TvlError(f"line {op.line}: expected requires or excludes")
-            self.next()
-            right = self.expect("ID").value
+            block.groups.append((card, members))
+        while kinds[self.pos] == "ID":
+            left = values[self.pos]
+            self.pos += 1
+            op = kinds[self.pos]
+            if op not in ("requires", "excludes"):
+                self.fail("expected requires or excludes")
+            self.pos += 1
+            right = self.expect("ID")
             self.expect(";")
-            block.constraints.append(Constraint(left, op.kind, right))
+            block.constraints.append(Constraint(left, op, right))
         self.expect("}")
         return block
 
     def parse_attr_id(self) -> str:
-        t = self.peek()
-        if t.kind != "ID" or not t.value[0].islower():
-            raise TvlError(f"line {t.line}: expected a lowercase attribute id")
-        return self.next().value
+        if self.kinds[self.pos] != "ID" or not self.values[self.pos][0].islower():
+            self.fail("expected a lowercase attribute id")
+        self.pos += 1
+        return self.values[self.pos - 1]
 
     def parse_value(self, tag: str):
-        t = self.peek()
-        if tag == "int" and t.kind == "INT":
-            return self.next().value
-        if tag == "real" and t.kind == "REAL":
-            return float(self.next().value)
-        if tag == "bool" and t.kind in ("true", "false"):
-            return self.next().kind == "true"
-        if tag == "string" and t.kind == "STRING":
-            return self.next().value
-        raise TvlError(f"line {t.line}: value {self.found()} does not match type {tag}")
+        kind = self.kinds[self.pos]
+        if kind == {"int": "INT", "real": "REAL", "string": "STRING"}.get(tag):
+            self.pos += 1
+            return self.values[self.pos - 1]
+        if tag == "bool" and kind in ("true", "false"):
+            self.pos += 1
+            return kind == "true"
+        shown = "end of input" if kind == "EOF" else self.tokens.text(self.pos)
+        self.fail(f"value {shown!r} does not match type {tag}")
 
 
 def import_tvl(text: str) -> FeatureModel:

@@ -36,9 +36,33 @@ from feather.expressions import (
     type_of,
 )
 from feather.model import Constraint, DecompKind, Feature, FeatureModel
-from feather.parser import parse_commands, parse_script
-from feather.tokens import KEYWORDS, STRING_PUNCT, STRUCTURALS, SYMBOLS, LexError, Token
-from feather.tvl import KEYWORDS as TVL_KEYWORDS, TvlError
+from feather.parser import (
+    BINARY_PRECEDENCE,
+    DECOMP_KEYWORDS,
+    MAX_EXPR_DEPTH,
+    AddConstraint,
+    AddFeature,
+    AttrAssign,
+    Command,
+    ConstraintDecl,
+    DecompSpec,
+    FeatureDecl,
+    ParseError,
+    RemoveAllConstraints,
+    RemoveAllFeatures,
+    RemoveConstraint,
+    RemoveFeature,
+    RootDecl,
+    ScriptAst,
+    UpdateAllConstraints,
+    UpdateAllFeatures,
+    UpdateConstraint,
+    UpdateFeature,
+    parse_commands,
+    parse_script,
+)
+from feather.tokens import KEYWORDS, STRING_PUNCT, STRUCTURALS, SYMBOLS, LexError, Token, lex
+from feather.tvl import KEYWORDS as TVL_KEYWORDS, LEXICON as TVL_LEXICON, TvlError, _Block
 
 SERVICES = """\
 root "Web Services";
@@ -633,3 +657,577 @@ def reference_tvl_tokenize(text: str) -> list:
         raise TvlError(f"line {line}: unexpected character {ch!r}")
     tokens.append(_Tok("EOF", None, line))
     return tokens
+
+
+# -- reference parsers ---------------------------------------------------------
+
+# The Token-walking parsers that the column-walking ones replaced, kept as
+# oracles: ReferenceParser reads the tokens of reference_tokenize, and
+# ReferenceTvlParser the Token sequence of the TVL lexer. Both build the
+# program's own AST records. See tests/test_parser_differential.py.
+
+
+class ReferenceParser:
+    def __init__(self, tokens: list):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self, ahead: int = 0) -> Token:
+        if not ahead:  # EOF is the last token, and next() never moves past it
+            return self.tokens[self.pos]
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+
+    def next(self) -> Token:
+        t = self.tokens[self.pos]
+        if t.kind != "EOF":
+            self.pos += 1
+        return t
+
+    def at(self, *kinds: str) -> bool:
+        return self.peek().kind in kinds
+
+    def expect(self, kind: str, what: str | None = None) -> Token:
+        t = self.tokens[self.pos]
+        if t.kind != kind:
+            want = what or f"{kind!r}"
+            raise ParseError(f"expected {want}, found {t.text or 'end of input'!r}",
+                            t.line, t.col)
+        return self.next()
+
+    def fail(self, message: str):
+        t = self.peek()
+        raise ParseError(message, t.line, t.col)
+
+    # -- declarations ------------------------------------------------------
+
+    def parse_root(self) -> RootDecl:
+        t = self.expect("root", "the root feature declaration")
+        name = self.expect("STRING", "the root feature name").value
+        attrs = self.parse_attr_decls()
+        self.expect(";")
+        return RootDecl(name, attrs, line=t.line)
+
+    def parse_attr_decls(self) -> list:
+        attrs = []
+        while self.at("attribute"):
+            self.next()
+            ident = self.expect("IDENT", "an attribute identifier").value
+            attrs.append((ident, self.parse_literal()))
+        return attrs
+
+    def parse_literal(self):
+        sign = 1
+        if self.at("+", "-"):
+            sign = -1 if self.next().kind == "-" else 1
+        t = self.peek()
+        if t.kind in ("INT", "REAL"):
+            self.next()
+            return sign * t.value
+        if sign == -1:
+            self.fail("expected a numeric literal after the sign")
+        if t.kind in ("true", "false"):
+            self.next()
+            return t.kind == "true"
+        if t.kind == "STRING":
+            self.next()
+            return t.value
+        self.fail(f"expected a literal value, found {t.text!r}")
+
+    def parse_feature_decl(self) -> FeatureDecl:
+        t = self.expect("feature")
+        name = self.expect("STRING", "a feature name").value
+        parent = self.expect("STRING", "a parent name").value
+        kw = self.peek()
+        if kw.kind not in DECOMP_KEYWORDS:
+            self.fail(f"expected a decomposition kind, found {kw.text!r}")
+        self.next()
+        kind = DECOMP_KEYWORDS[kw.kind]
+        sibling = None
+        if kind.is_group:
+            self.expect("to")
+            sibling = self.expect("STRING", "a sibling feature name").value
+        attrs = self.parse_attr_decls()
+        self.expect(";")
+        return FeatureDecl(name, parent, kind, sibling, attrs, line=t.line)
+
+    def parse_constraint_decl(self) -> ConstraintDecl:
+        t = self.expect("constraint")
+        left = self.expect("STRING", "a feature name").value
+        kind = self.parse_ctc_type()
+        right = self.expect("STRING", "a feature name").value
+        self.expect(";")
+        return ConstraintDecl(left, kind, right, line=t.line)
+
+    def parse_ctc_type(self) -> str:
+        if not self.at("requires", "excludes"):
+            self.fail(f"expected requires or excludes, found {self.peek().text!r}")
+        return self.next().kind
+
+    # -- expressions -------------------------------------------------------
+
+    def parse_expr(self):
+        return self._expr(1, 0)[0]
+
+    def _expr(self, min_prec: int, depth: int) -> tuple:
+        """(expression, its nesting) over operators binding at least
+        `min_prec`, inside `depth` levels of nesting."""
+        left, height = self._operand(depth)
+        while BINARY_PRECEDENCE.get(self.peek().kind, 0) >= min_prec:
+            t = self.next()
+            right, right_height = self._expr(BINARY_PRECEDENCE[t.kind] + 1, depth + 1)
+            height = max(height, right_height) + 1
+            self._check_depth(depth + height, t)
+            left = Binary(t.kind, left, right)
+        return left, height
+
+    def _operand(self, depth: int) -> tuple:
+        """(operand, its nesting): unary operators, then a parenthesized
+        expression or a primary."""
+        ops = []
+        while self.at("-", "not"):
+            ops.append(self.next())
+            self._check_depth(depth + len(ops), ops[-1])
+        t = self.peek()
+        if t.kind == "(":
+            self.next()
+            self._check_depth(depth + len(ops) + 2, t)
+            operand, height = self._expr(1, depth + len(ops) + 2)
+            self.expect(")")
+            height += 2
+        else:
+            operand, height = self.parse_primary(), 0
+        for op in reversed(ops):
+            operand = Unary(op.kind, operand)
+        return operand, height + len(ops)
+
+    def _check_depth(self, depth: int, t: Token) -> None:
+        if depth > MAX_EXPR_DEPTH:
+            raise ParseError("expression nested too deeply", t.line, t.col)
+
+    def parse_primary(self):
+        t = self.peek()
+        if t.kind == "INT" or t.kind == "REAL":
+            self.next()
+            return Lit(t.value)
+        if t.kind in ("true", "false"):
+            self.next()
+            return Lit(t.kind == "true")
+        if t.kind in DECOMP_KEYWORDS:  # decomposition literal in operand position
+            self.next()
+            return Lit(DECOMP_KEYWORDS[t.kind])
+        if t.kind == "STRING":
+            self.next()
+            if self.at("."):
+                self.next()
+                return AttrRef(FeatureRef(t.value), self.parse_attr_name())
+            return Lit(t.value)
+        if t.kind == "VAR":
+            self.next()
+            self.expect(".", "'.' after a feature variable")
+            return AttrRef(VarRef(t.value), self.parse_attr_name())
+        self.fail(f"expected an operand, found {t.text or 'end of input'!r}")
+
+    def parse_attr_name(self) -> str:
+        t = self.peek()
+        if t.kind == "IDENT" or t.kind in STRUCTURALS:
+            self.next()
+            return t.value
+        self.fail(f"expected an attribute name, found {t.text!r}")
+
+    # -- command building blocks ------------------------------------------
+
+    def parse_fdesc(self):
+        t = self.peek()
+        if t.kind == "STRING":
+            self.next()
+            return FeatureRef(t.value)
+        if t.kind == "VAR":
+            self.next()
+            return VarRef(t.value)
+        self.fail(f"expected a feature name or variable, found {t.text!r}")
+
+    def parse_name_desc(self):
+        """FeatureNameDescription: "Name" or Var._name, as a string expression."""
+        t = self.peek()
+        if t.kind == "STRING":
+            self.next()
+            return Lit(t.value)
+        if t.kind == "VAR":
+            self.next()
+            self.expect(".")
+            self.expect("_name", "'_name' after the feature variable")
+            return AttrRef(VarRef(t.value), "_name")
+        self.fail(f"expected a feature name or Variable._name, found {t.text!r}")
+
+    def parse_decomp_spec(self) -> DecompSpec:
+        t = self.peek()
+        if t.kind in DECOMP_KEYWORDS:
+            self.next()
+            kind = Lit(DECOMP_KEYWORDS[t.kind])
+        else:
+            fd = self.parse_fdesc()
+            self.expect(".")
+            self.expect("_decomp", "'_decomp'")
+            kind = AttrRef(fd, "_decomp")
+        sibling = None
+        if self.at("to"):
+            self.next()
+            sibling = self.parse_fdesc()
+        return DecompSpec(kind, sibling)
+
+    def parse_attr_assign(self) -> AttrAssign:
+        name = self.expect("IDENT", "an attribute identifier").value
+        self.expect("=")
+        t = self.peek()
+        if t.kind == "inherited":
+            self.next()
+            self.expect(":")
+            fd = self.parse_fdesc()
+            self.expect(".")
+            return AttrAssign(name, "inherited", AttrRef(fd, self.parse_attr_name()))
+        if t.kind == "numeric":
+            self.next()
+            self.expect(":")
+            return AttrAssign(name, "numeric", self.parse_expr())
+        if t.kind == "boolean":
+            self.next()
+            self.expect(":")
+            return AttrAssign(name, "boolean", self.parse_expr())
+        if t.kind == "string":
+            self.next()
+            self.expect(":")
+            return AttrAssign(name, "string", Lit(self.expect("STRING").value))
+        self.fail(f"expected a value type tag, found {t.text!r}")
+
+    def parse_where(self):
+        if self.at("where"):
+            self.next()
+            return self.parse_expr()
+        return None
+
+    # -- commands ----------------------------------------------------------
+
+    def parse_command(self) -> Command:
+        t = self.peek()
+        if t.kind == "add":
+            if self.peek(1).kind == "feature":
+                return self.parse_add_feature()
+            return self.parse_constraint_command("addc")
+        if t.kind == "update":
+            if self.peek(1).kind == "feature":
+                return self.parse_update_feature(multi=False)
+            return self.parse_constraint_command("upc")
+        if t.kind == "updateall":
+            if self.peek(1).kind == "feature":
+                return self.parse_update_feature(multi=True)
+            return self.parse_constraint_command("upmc")
+        if t.kind == "remove":
+            if self.peek(1).kind == "feature":
+                return self.parse_remove_feature(multi=False)
+            return self.parse_constraint_command("rmc")
+        if t.kind == "removeall":
+            if self.peek(1).kind == "feature":
+                return self.parse_remove_feature(multi=True)
+            return self.parse_constraint_command("rmmc")
+        self.fail(f"expected a command, found {t.text or 'end of input'!r}")
+
+    def parse_add_feature(self) -> AddFeature:
+        t = self.expect("add")
+        self.expect("feature")
+        name = self.expect("STRING", "the new feature name").value
+        self.expect("with")
+        self.expect("attributes")
+        self.expect("(")
+        cmd = AddFeature(name=name, line=t.line)
+        # the two structural slots come first, in either order
+        for _ in range(2):
+            s = self.peek()
+            if s.kind == "_parent" and cmd.parent is None:
+                self.next()
+                self.expect("=")
+                cmd.parent = self.parse_name_desc()
+            elif s.kind == "_decomp" and cmd.decomp is None:
+                self.next()
+                self.expect("=")
+                cmd.decomp = self.parse_decomp_spec()
+            else:
+                self.fail("add feature requires exactly one _parent and one "
+                          "_decomp assignment first")
+            if self.at(","):
+                self.next()
+            elif self.at(")"):
+                break
+        if cmd.parent is None or cmd.decomp is None:
+            self.fail("add feature requires both _parent and _decomp assignments")
+        while not self.at(")"):
+            cmd.attrs.append(self.parse_attr_assign())
+            if self.at(","):
+                self.next()
+            else:
+                break
+        self.expect(")")
+        cmd.where = self.parse_where()
+        self.expect(";")
+        return cmd
+
+    def parse_update_feature(self, multi: bool) -> Command:
+        t = self.next()  # update | updateall
+        self.expect("feature")
+        if multi:
+            var = self.expect("VAR", "a feature variable").value
+            cmd = UpdateAllFeatures(var=var, line=t.line)
+        else:
+            cmd = UpdateFeature(target=self.parse_fdesc(), line=t.line)
+        self.expect("set")
+        while True:
+            s = self.peek()
+            if s.kind == "_name":
+                if multi:
+                    self.fail("updateall feature cannot set _name")
+                self.next()
+                self.expect("=")
+                new = self.expect("STRING", "the new feature name").value
+                if cmd.new_name is not None:
+                    self.fail("_name is set twice")
+                cmd.new_name = new
+            elif s.kind == "_parent":
+                self.next()
+                self.expect("=")
+                if cmd.parent is not None:
+                    self.fail("_parent is set twice")
+                cmd.parent = self.parse_name_desc()
+            elif s.kind == "_decomp":
+                self.next()
+                self.expect("=")
+                if cmd.decomp is not None:
+                    self.fail("_decomp is set twice")
+                cmd.decomp = self.parse_decomp_spec()
+            else:
+                cmd.attrs.append(self.parse_attr_assign())
+            if self.at(","):
+                self.next()
+            else:
+                break
+        cmd.where = self.parse_where()
+        self.expect(";")
+        return cmd
+
+    def parse_remove_feature(self, multi: bool) -> Command:
+        t = self.next()  # remove | removeall
+        self.expect("feature")
+        if multi:
+            cmd = RemoveAllFeatures(var=self.expect("VAR", "a feature variable").value,
+                                    line=t.line)
+        else:
+            cmd = RemoveFeature(target=self.parse_fdesc(), line=t.line)
+        cmd.where = self.parse_where()
+        self.expect(";")
+        return cmd
+
+    def parse_constraint_command(self, code: str) -> Command:
+        t = self.next()  # add | update | updateall | remove | removeall
+        self.expect("constraint")
+        left = self.parse_fdesc()
+        kind = self.parse_ctc_type()
+        right = self.parse_fdesc()
+        cls = {"addc": AddConstraint, "upc": UpdateConstraint,
+               "upmc": UpdateAllConstraints, "rmc": RemoveConstraint,
+               "rmmc": RemoveAllConstraints}[code]
+        cmd = cls(left=left, kind=kind, right=right, line=t.line)
+        if code in ("upc", "upmc"):
+            self.expect("set")
+            while True:
+                s = self.peek()
+                if s.kind == "leftfeature":
+                    self.next()
+                    self.expect("=")
+                    cmd.new_left = self.parse_name_desc()
+                    cmd.updates.append("leftfeature")
+                elif s.kind == "rightfeature":
+                    self.next()
+                    self.expect("=")
+                    cmd.new_right = self.parse_name_desc()
+                    cmd.updates.append("rightfeature")
+                elif s.kind == "constrainttype":
+                    self.next()
+                    self.expect("=")
+                    cmd.new_kind = self.parse_ctc_type()
+                    cmd.updates.append("constrainttype")
+                else:
+                    self.fail(f"expected a constraint element, found {s.text!r}")
+                if self.at(","):
+                    self.next()
+                else:
+                    break
+        cmd.where = self.parse_where()
+        self.expect(";")
+        return cmd
+
+    # -- top level ---------------------------------------------------------
+
+    COMMAND_STARTS = ("add", "update", "updateall", "remove", "removeall")
+
+    def parse_script(self, declarations: bool = True,
+                     commands: bool = True) -> tuple:
+        """Parse a whole input; returns (ScriptAst, error diagnostics).
+
+        On a syntax error inside a statement, parsing resynchronizes at the
+        next ';' and continues, so several errors can be reported at once.
+        """
+        ast = ScriptAst()
+        errors = []
+        if declarations:
+            try:
+                ast.root = self.parse_root()
+            except ParseError as e:
+                errors.append(e)
+                self._resync()
+            while self.at("feature", "constraint"):
+                try:
+                    if self.at("feature"):
+                        ast.features.append(self.parse_feature_decl())
+                    else:
+                        ast.constraints.append(self.parse_constraint_decl())
+                except ParseError as e:
+                    errors.append(e)
+                    self._resync()
+        while self.at(*self.COMMAND_STARTS):
+            if not commands:
+                self.fail("commands are not allowed in a declarations file")
+            try:
+                ast.commands.append(self.parse_command())
+            except ParseError as e:
+                errors.append(e)
+                self._resync()
+        if not self.at("EOF"):
+            t = self.peek()
+            errors.append(ParseError(
+                f"unexpected input {t.text!r}", t.line, t.col))
+        return ast, errors
+
+    def _resync(self) -> None:
+        while not self.at(";", "EOF"):
+            self.next()
+        if self.at(";"):
+            self.next()
+
+
+def reference_parse(text: str, declarations: bool = True, commands: bool = True) -> tuple:
+    """(ScriptAst, errors) as parser._parse gave them with ReferenceParser."""
+    try:
+        tokens = reference_tokenize(text)
+    except LexError as e:
+        return ScriptAst(), [ParseError(e.message, e.line, e.col)]
+    try:
+        return ReferenceParser(tokens).parse_script(declarations, commands)
+    except ParseError as e:
+        return ScriptAst(), [e]
+
+
+class ReferenceTvlParser:
+    def __init__(self, text: str):
+        try:
+            self.tokens = list(lex(text, TVL_LEXICON))
+        except LexError as e:
+            raise TvlError(f"line {e.line}: {e.message}") from None
+        self.pos = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def found(self) -> str:  # the next token as an error message shows it
+        t = self.peek()
+        return repr("end of input" if t.kind == "EOF" else t.value)
+
+    def next(self) -> Token:
+        t = self.peek()
+        if t.kind != "EOF":
+            self.pos += 1
+        return t
+
+    def expect(self, kind: str) -> Token:
+        t = self.peek()
+        if t.kind != kind:
+            raise TvlError(f"line {t.line}: expected {kind!r}, found {self.found()}")
+        return self.next()
+
+    def parse(self):
+        header = None
+        if self.peek().kind == "enum":
+            self.next()
+            self.expect("string")
+            self.expect("in")
+            self.expect("{")
+            header = [self.expect("STRING").value]
+            while self.peek().kind == ",":
+                self.next()
+                header.append(self.expect("STRING").value)
+            self.expect("}")
+            self.expect(";")
+        blocks = []
+        self.expect("root")
+        blocks.append(self.parse_block())
+        while self.peek().kind == "ID":
+            blocks.append(self.parse_block())
+        self.expect("EOF")
+        return header, blocks
+
+    def parse_block(self) -> _Block:
+        t = self.expect("ID")
+        block = _Block(t.value, line=t.line)
+        self.expect("{")
+        while self.peek().kind in ("int", "real", "bool", "string"):
+            tag = self.next().kind
+            name = self.parse_attr_id()
+            self.expect("is")
+            block.attributes[name] = self.parse_value(tag)
+            self.expect(";")
+        while self.peek().kind == "group":
+            self.next()
+            card = self.peek()
+            if card.kind not in ("allof", "oneof", "someof"):
+                raise TvlError(
+                    f"line {card.line}: expected allof, oneof, or someof")
+            self.next()
+            self.expect("{")
+            members = []
+            while True:
+                opt = False
+                if card.kind == "allof" and self.peek().kind == "opt":
+                    self.next()
+                    opt = True
+                members.append((opt, self.expect("ID").value))
+                if self.peek().kind != ",":
+                    break
+                self.next()
+            self.expect("}")
+            block.groups.append((card.kind, members))
+        while self.peek().kind == "ID":
+            left = self.next().value
+            op = self.peek()
+            if op.kind not in ("requires", "excludes"):
+                raise TvlError(f"line {op.line}: expected requires or excludes")
+            self.next()
+            right = self.expect("ID").value
+            self.expect(";")
+            block.constraints.append(Constraint(left, op.kind, right))
+        self.expect("}")
+        return block
+
+    def parse_attr_id(self) -> str:
+        t = self.peek()
+        if t.kind != "ID" or not t.value[0].islower():
+            raise TvlError(f"line {t.line}: expected a lowercase attribute id")
+        return self.next().value
+
+    def parse_value(self, tag: str):
+        t = self.peek()
+        if tag == "int" and t.kind == "INT":
+            return self.next().value
+        if tag == "real" and t.kind == "REAL":
+            return float(self.next().value)
+        if tag == "bool" and t.kind in ("true", "false"):
+            return self.next().kind == "true"
+        if tag == "string" and t.kind == "STRING":
+            return self.next().value
+        raise TvlError(f"line {t.line}: value {self.found()} does not match type {tag}")

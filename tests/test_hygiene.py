@@ -14,8 +14,8 @@ import feather
 SRC = Path(__file__).resolve().parent.parent / "src" / "feather"
 MODULES = sorted(SRC.glob("*.py"))
 
-# modules a run loads only when it needs them
-ON_DEMAND = ("dataclasses", "inspect", "decimal", "feather.tvl", "feather.dump")
+# modules a run loads only when it needs them (typing: never)
+ON_DEMAND = ("dataclasses", "inspect", "typing", "decimal", "feather.tvl", "feather.dump")
 
 
 def unused_imports(source: str) -> list:

@@ -1,0 +1,240 @@
+"""The column-walking parsers against the Token-walking ones they replaced.
+
+Both parsers read random texts built from token pieces, and texts made from
+valid inputs by changing one token. For Feather the ASTs and the errors, as
+(message, line, column) and after resynchronizing, must be equal; for TVL the
+parse results or the error texts, apart from the quoted numbers of a value
+that does not match its type. The token streams must also keep the contract
+the benchmark's trace relies on.
+"""
+
+import random
+import re
+import time
+
+import pytest
+
+from feather import parser, tokens, tvl
+from feather.parser import parse_commands, parse_declarations, parse_script
+from feather.tokens import KEYWORDS, STRUCTURALS, SYMBOLS, lex, tokenize
+
+from conftest import (
+    SERVICES,
+    ReferenceTvlParser,
+    reference_parse,
+    reference_tokenize,
+    reference_tvl_tokenize,
+)
+
+COMMANDS = """\
+add feature "New" with attributes (_parent = "Package 1", _decomp = optional,
+  price = numeric: 3 * (2 + 1), flag = boolean: not true and 1 < 2);
+add feature "Alt" with attributes (_decomp = alternative to "3D Racing",
+  _parent = V._name) where V._name = "Package 2";
+update feature "Package 1" set _name = "P1",
+  price = numeric: -"Package 1".price / 2 % 3, stype = string: "basic";
+update feature V set _parent = "Package 3", _decomp = W._decomp to W,
+  stype = inherited: W.stype where V.stype = "fun" and W.extracost >= 8;
+updateall feature V set price = numeric: V.price + 1.5
+  where V.price <> 12.5 or V._decomp = or;
+remove feature "Bull Market";
+removeall feature V where not (V.stype = "utility");
+add constraint V requires "Infrastructure" where V.extracost > 5;
+update constraint "Video Chat" requires "High Speed Connection Protocol"
+  set leftfeature = "Dating Club", constrainttype = excludes;
+updateall constraint V excludes W set rightfeature = V._name
+  where V._decompID = W._decompID;
+remove constraint "Highway Jam" excludes "All Sideways";
+removeall constraint V requires W where V._parent = W._parent;
+"""
+
+TVL_MODEL = """\
+enum string in { "a", "b c" };
+root R {
+  int n is 3;
+  real r is -1.25;
+  bool b is true;
+  string s is "a";
+  group allof { A, opt B }
+  group oneof { C, D }
+  A requires B;
+}
+A { group someof { E, F } C excludes D; }
+B { }
+C { int m is +2; real q is 1.50; }
+D { bool f is false; }
+E { }
+F { }
+"""
+
+# pieces of random texts; none holds a non-ASCII digit or an over-long
+# integer, on which the reference lexer differs (tests/test_lexer.py)
+FEATHER_PIECES = (sorted(KEYWORDS | STRUCTURALS) + list(SYMBOLS)
+                  + ['"A"', '"Package 1"', '"x y"', "1", "2.5", "007", "V", "W",
+                     "price", "stype", " ", " ", "\n", "\t"])
+FEATHER_BAD = ['"', '""', "_bogus", "#", "1.", "é"]
+TVL_PIECES = (sorted(tvl.KEYWORDS) + ["{", "}", ",", ";", "R", "A", "B", "x", "n",
+                                      "-3", "+2", "2.5", "1.50", '"s"', " ", " ", "\n"])
+TVL_BAD = ['"', "_", "#", "<", "é"]
+
+MODES = [(parse_script, True, True), (parse_declarations, True, False),
+         (parse_commands, False, True)]
+
+
+def random_text(rng, pieces, bad):
+    return "".join(rng.choice(bad if rng.random() < 0.03 else pieces)
+                   for _ in range(rng.randint(0, 30)))
+
+
+def spans(stream) -> list:
+    """(start, end) of each token but EOF in the stream's source."""
+    return [(start, start + len(t.text) + (2 if t.kind == "STRING" else 0))
+            for start, t in zip(stream.starts, stream) if t.kind != "EOF"]
+
+
+def one_token_per_line(text: str, lexer) -> str:
+    return "\n".join(text[start:end] for start, end in spans(lexer(text)))
+
+
+def mutate(rng, text, token_spans, pieces):
+    """`text` with one token deleted, doubled, replaced by a piece, or
+    preceded by one."""
+    start, end = rng.choice(token_spans)
+    source, piece = text[start:end], rng.choice(pieces)
+    new = rng.choice(["", f"{source} {source}", piece, f"{piece} {source}"])
+    return text[:start] + new + text[end:]
+
+
+def feather_outcome(ast, errors):
+    return ast, [(e.message, e.line, e.col) for e in errors]
+
+
+def test_the_valid_inputs_parse():
+    assert not parse_script(SERVICES + COMMANDS)[1]
+    assert len(parse_commands(COMMANDS)[0].commands) == 12
+    assert tvl.import_tvl(TVL_MODEL).tvl_string_enum == ["a", "b c"]
+
+
+def test_feather_parser_equals_the_reference():
+    rng = random.Random(2019)
+    valid = [SERVICES, COMMANDS, SERVICES + COMMANDS,
+             one_token_per_line(SERVICES + COMMANDS, tokenize)]
+    valid_spans = [spans(tokenize(text)) for text in valid]
+    failed = resynced = clean = 0
+    for case in range(3_000):
+        if case % 2:
+            k = rng.randrange(len(valid))
+            text = mutate(rng, valid[k], valid_spans[k], FEATHER_PIECES + FEATHER_BAD)
+        else:
+            text = random_text(rng, FEATHER_PIECES, FEATHER_BAD)
+        parse, declarations, commands = rng.choice(MODES)
+        got = feather_outcome(*parse(text))
+        assert got == feather_outcome(*reference_parse(text, declarations, commands)), (
+            case, text)
+        failed += bool(got[1])
+        resynced += len(got[1]) > 1
+        clean += case % 2 and not got[1]
+    assert failed >= 1_500 and resynced >= 150 and clean >= 15
+
+
+def unquote_number(message: str) -> str:
+    """A value mismatch message with the number written as the reference
+    wrote it: the number's value, unquoted."""
+    m = re.fullmatch(r"(line \d+: value )'([-+]?[0-9]+(\.[0-9]+)?)'( .*)", message)
+    if m is None:
+        return message
+    return f"{m[1]}{float(m[2]) if m[3] else int(m[2])!r}{m[4]}"
+
+
+def tvl_outcome(parser_class, text):
+    try:
+        return parser_class(text).parse()
+    except tvl.TvlError as e:
+        return unquote_number(str(e))
+
+
+def test_tvl_parser_equals_the_reference():
+    rng = random.Random(2020)
+    def tvl_lex(text):
+        return lex(text, tvl.LEXICON)
+    valid = [TVL_MODEL, one_token_per_line(TVL_MODEL, tvl_lex)]
+    valid_spans = [spans(tvl_lex(text)) for text in valid]
+    failed = parsed = 0
+    for case in range(3_000):
+        if case % 2:
+            k = rng.randrange(len(valid))
+            text = mutate(rng, valid[k], valid_spans[k], TVL_PIECES + TVL_BAD)
+        else:
+            text = "root R {" + random_text(rng, TVL_PIECES, TVL_BAD)
+        got = tvl_outcome(tvl._TvlParser, text)
+        assert got == tvl_outcome(ReferenceTvlParser, text), (case, text)
+        failed += isinstance(got, str)
+        parsed += not isinstance(got, str)
+    assert failed >= 1_500 and parsed >= 40
+
+
+@pytest.mark.parametrize("message, reference", [
+    ("line 1: value '1.5' does not match type int", "line 1: value 1.5 does not match type int"),
+    ("line 2: value '+2' does not match type real", "line 2: value 2 does not match type real"),
+    ("line 1: value '1.50' does not match type bool", "line 1: value 1.5 does not match type bool"),
+    ("line 1: value 's' does not match type int", "line 1: value 's' does not match type int"),
+])
+def test_number_quotes_are_the_only_message_change(message, reference):
+    assert unquote_number(message) == reference
+
+
+# -- the token stream's contract ------------------------------------------------
+
+
+@pytest.mark.parametrize("text", ["", "  \n", SERVICES, COMMANDS, 'x\n 1.50 "a b" <='])
+def test_length_counts_the_tokens_with_eof(text):
+    stream = tokenize(text)
+    assert len(stream) == len(list(stream)) == len(reference_tokenize(text))
+    # positions read backwards equal those read forwards and the reference's
+    backwards = [stream[i] for i in reversed(range(len(stream)))]
+    assert backwards[::-1] == list(stream)
+    assert [(t.line, t.col) for t in stream] == [(t.line, t.col)
+                                                 for t in reference_tokenize(text)]
+    assert stream[-1].kind == "EOF" and stream[len(stream) - 1] == stream[-1]
+    with pytest.raises(IndexError):
+        stream[len(stream)]
+
+
+@pytest.mark.parametrize("text", ["", "root R { }", TVL_MODEL])
+def test_tvl_length_counts_the_tokens_with_eof(text):
+    stream = lex(text, tvl.LEXICON)
+    assert len(stream) == len(list(stream)) == len(reference_tvl_tokenize(text))
+    assert [t.kind for t in stream] == [t.kind for t in reference_tvl_tokenize(text)]
+
+
+@pytest.mark.parametrize("lexicon", [tokens.LEXICON, tvl.LEXICON], ids=["feather", "tvl"])
+def test_trailing_blanks_lex_in_linear_time(lexicon):
+    """A master regex that needs a token after the blanks retries from each
+    trailing blank: 20,000 of them took 45 s on a 2-vCPU VM (Python 3.11)."""
+    start = time.perf_counter()
+    assert len(lex("x" + " \t\r" * 7_000, lexicon)) == 2
+    assert time.perf_counter() - start < 1
+
+
+def test_a_parse_tokenizes_once_through_the_module_global(monkeypatch):
+    """perfbench/traced.py counts tokens by wrapping parser.tokenize."""
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
+    monkeypatch.setattr(parser, "tokenize", counting)
+    parse_declarations(SERVICES)
+    parse_commands(COMMANDS)
+    parse_script(SERVICES + COMMANDS)
+    assert calls == [SERVICES, COMMANDS, SERVICES + COMMANDS]
+
+
+def test_input_without_errors_builds_no_token(monkeypatch):
+    def no_token(*args):
+        raise AssertionError("a Token was built")
+    monkeypatch.setattr(tokens, "Token", no_token)
+    assert not parse_script(SERVICES + COMMANDS)[1]
+    assert len(tvl.import_tvl(TVL_MODEL).features) == 7
+    with pytest.raises(AssertionError, match="a Token was built"):
+        tokenize("x")[0]

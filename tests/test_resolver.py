@@ -1,7 +1,15 @@
 import random
 
 from feather import expressions, resolver
-from feather.expressions import referenced_usages, variables_in
+from feather.expressions import (
+    Binary,
+    EvalError,
+    Lit,
+    TypeCheckError,
+    compile_expr,
+    referenced_usages,
+    variables_in,
+)
 from feather.resolver import (
     NO_RESOLUTION,
     Ambiguous,
@@ -11,6 +19,7 @@ from feather.resolver import (
 )
 
 from conftest import (
+    JOIN_VALUES,
     brute_force_resolve,
     build,
     parse_expr,
@@ -145,6 +154,25 @@ def test_join_keys_follow_equality():
     # optional features share decompID 0; the root has none
     assert resolve(m, ["V", "W"], parse_expr('V._decompID = W._decompID and W._name = "A"')
                    ).tuples == [("A", "A"), ("B", "A")]
+
+
+def test_equal_join_keys_are_exactly_equality():
+    """The hash index alone decides a join conjunct, so two values must share
+    a key exactly when `=` on them type-checks and is true."""
+    def key(value):
+        return resolver._join_key({}, compile_expr(Lit(value)), {})
+
+    equal_pairs = 0
+    for a in JOIN_VALUES:
+        for b in JOIN_VALUES:
+            try:
+                holds = compile_expr(Binary("=", Lit(a), Lit(b)))({}, {})[1] is True
+            except (TypeCheckError, EvalError):
+                holds = False
+            same_key = key(a) is not None and key(a) == key(b)
+            assert same_key == holds, (a, b)
+            equal_pairs += holds
+    assert equal_pairs > len(JOIN_VALUES)  # 1 = 1.0 and 2 = 2.0 among them
 
 
 def test_sibling_join_work_grows_linearly(monkeypatch):

@@ -115,7 +115,7 @@ def test_import_rejects_type_mismatch():
 @pytest.mark.parametrize("text, message", [
     ("root R {\n", "line 2: expected '}', found 'end of input'"),
     ("root R { int x is\n", "line 2: value 'end of input' does not match type int"),
-    ("root R { int x is 1.5; }\n", "line 1: value 1.5 does not match type int"),
+    ("root R { int x is 1.5; }\n", "line 1: value '1.5' does not match type int"),
     ("root R { } }\n", "line 1: expected 'EOF', found '}'"),
 ])
 def test_import_error_names_the_end_of_input(text, message):

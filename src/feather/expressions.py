@@ -4,11 +4,11 @@ Expressions are evaluated against a model plus a binding from feature
 variables to concrete feature names. Type checking is dynamic: it consults
 the current model state, so the same expression can be well formed before a
 command and ill formed after it. A command compiles its expressions once
-and runs them under every binding: compile_expr gives one closure that
-type-checks and evaluates at once, compile_type one that type-checks only.
-Both are built from the same attribute readers and type rules. A
-where-conjunct runs the first; a slot runs the second and then the first,
-so that every type error in it is reported before an evaluation error.
+and runs them under every binding. compile_typed's closure type-checks and
+evaluates at once, applying when compiling the rules over static types;
+compile_expr's wraps it to give (type, value); compile_type's type-checks
+only. A where-conjunct runs the first; a slot runs the last and then the
+second, so that every type error in it is reported before an evaluation error.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ DECOMP = "decomp"
 DECOMP_ID = "decomp_id"
 
 NUMERIC = (INTEGER, REAL)
+TYPES = NUMERIC + (BOOLEAN, STRING, DECOMP, DECOMP_ID)
 
 ARITH_OPS = ("+", "-", "*", "/", "%")
 REL_OPS = ("<", "<=", ">", ">=")
@@ -94,18 +95,14 @@ class Binary(FrozenRecord):
         object.__setattr__(self, "right", right)
 
 
+_TYPE_OF = {bool: BOOLEAN, int: INTEGER, float: REAL, str: STRING, DecompKind: DECOMP}
+
+
 def type_of(value) -> str:
-    if isinstance(value, bool):
-        return BOOLEAN
-    if isinstance(value, int):
-        return INTEGER
-    if isinstance(value, float):
-        return REAL
-    if isinstance(value, str):
-        return STRING
-    if isinstance(value, DecompKind):
-        return DECOMP
-    raise TypeError(f"unsupported attribute value {value!r}")
+    try:
+        return _TYPE_OF[type(value)]
+    except KeyError:
+        raise TypeError(f"unsupported attribute value {value!r}") from None
 
 
 def variables_in(expr) -> set:
@@ -238,32 +235,62 @@ def compile_expr(expr):
     in one operand is raised before a type error in a later operand; run
     compile_type's closure first to report every type error first. Each
     node's attribute access, operator and type rule are chosen here, once,
-    rather than under every binding.
+    rather than under every binding. It wraps compile_typed's closure.
+    """
+    return _tagged(*compile_typed(expr))
+
+
+def compile_typed(expr, leaf=None):
+    """Compile an expression into (static type or None, closure).
+
+    A static type is one every binding gives: its rule is applied here, once,
+    and the closure returns the value alone. Otherwise the closure returns
+    (type, value); so it does where a rule fails on static types, raising
+    after both operands ran. `leaf(term)` may compile an attribute term in
+    place of the model read, to such a pair, or give None.
     """
     if isinstance(expr, Lit):
-        result = (type_of(expr.value), expr.value)
-        return lambda features, binding: result
+        value = expr.value
+        return type_of(value), lambda features, binding: value
     if isinstance(expr, AttrRef):
-        return _compile_attr(expr.subject, expr.attr)
+        return (leaf and leaf(expr)) or (None, _compile_attr(expr.subject, expr.attr))
     if isinstance(expr, Unary):
-        op, operand = expr.op, compile_expr(expr.operand)
-        apply = _UNARY_OPS[op]
+        op, apply = expr.op, _UNARY_OPS[expr.op]
+        t, operand = compile_typed(expr.operand, leaf)
+        try:
+            if t is not None:
+                return _unary_type(op, t), lambda features, binding: apply(
+                    operand(features, binding))
+        except TypeCheckError:
+            operand = _tagged(t, operand)
 
         def unary(features, binding):
             t, v = operand(features, binding)
             return _unary_type(op, t), apply(v)
-        return unary
+        return None, unary
     if isinstance(expr, Binary):
-        op = expr.op
-        left, right = compile_expr(expr.left), compile_expr(expr.right)
-        apply = _BINARY_OPS[op]
+        op, apply = expr.op, _BINARY_OPS[expr.op]
+        lt, left = compile_typed(expr.left, leaf)
+        rt, right = compile_typed(expr.right, leaf)
+        try:
+            if lt is not None and rt is not None:
+                return _binary_type(op, lt, rt), lambda features, binding: apply(
+                    left(features, binding), right(features, binding))
+        except TypeCheckError:
+            pass
+        left, right = _tagged(lt, left), _tagged(rt, right)
 
         def binary(features, binding):
             lt, a = left(features, binding)
             rt, b = right(features, binding)
             return _binary_type(op, lt, rt), apply(a, b)
-        return binary
+        return None, binary
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _tagged(t, run):
+    """The (type, value) closure of a compiled node of static type t."""
+    return run if t is None else lambda features, binding: (t, run(features, binding))
 
 
 def compile_type(expr):
@@ -289,50 +316,35 @@ def compile_type(expr):
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+def attr_reader(attr: str):
+    """A reader of one attribute: (type, value), or None where a feature lacks it."""
+    if attr in STRUCTURAL:
+        t, value, on_root = STRUCTURAL[attr]
+        return lambda f: (t, value(f)) if on_root or not f.is_root else None
+
+    def read(f):
+        v = f.attributes.get(attr)
+        return None if v is None else (type_of(v), v)
+    return read
+
+
 def _compile_attr(subject, attr: str):
-    read = _structural_reader(attr) if attr in STRUCTURAL else _attribute_reader(attr)
-    if isinstance(subject, FeatureRef):
-        fname = subject.name
+    read, var, named = attr_reader(attr), subject.name, isinstance(subject, FeatureRef)
+    lacks = ('the root feature "{}" has no decomposition relation' if attr in STRUCTURAL
+             else f'feature "{{}}" has no attribute named {attr}')
 
-        def named(features, binding):
-            f = features.get(fname)
-            if f is None:
-                raise TypeCheckError(f'there is no feature with the name "{fname}"')
-            return read(f)
-        return named
-    var = subject.name
-
-    def bound(features, binding):
-        name = binding.get(var)
+    def term(features, binding):
+        name = var if named else binding.get(var)
         if name is None:
             raise TypeCheckError(f"unbound feature variable {var}")
         f = features.get(name)
         if f is None:
             raise TypeCheckError(f'there is no feature with the name "{name}"')
-        return read(f)
-    return bound
-
-
-def _attribute_reader(attr: str):
-    def read(f):
-        try:
-            v = f.attributes[attr]
-        except KeyError:
-            raise TypeCheckError(
-                f'feature "{f.name}" has no attribute named {attr}') from None
-        return type_of(v), v
-    return read
-
-
-def _structural_reader(attr: str):
-    t, value, on_root = STRUCTURAL[attr]
-
-    def read(f):
-        if not on_root and f.is_root:
-            raise TypeCheckError(
-                f'the root feature "{f.name}" has no decomposition relation')
-        return t, value(f)
-    return read
+        pair = read(f)
+        if pair is None:
+            raise TypeCheckError(lacks.format(name))
+        return pair
+    return term
 
 
 # The attributes every feature has (model.STRUCTURAL_ATTRS), each with its
@@ -414,10 +426,7 @@ def _walk_usages(expr, ctx: str, usages: dict) -> None:
             _walk_usages(expr.right, _ctx_class(lt) if lt else "any", usages)
 
 
-def compatible(value_type: str, ctx: str) -> bool:
-    """Whether an attribute of value_type satisfies a usage context."""
-    if ctx == "any":
-        return True
-    if ctx == "numeric":
-        return value_type in NUMERIC
-    return value_type == ctx
+def admitted_types(contexts) -> set:
+    """The types of the attribute values that satisfy every usage context."""
+    return {t for t in TYPES if all(c in ("any", t) or c == "numeric" and t in NUMERIC
+                                    for c in contexts)}

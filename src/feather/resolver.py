@@ -1,36 +1,42 @@
 """Resolution of feature variables against the live model.
 
 A command's variables are resolved jointly: the result is the set of
-variable-to-feature tuples whose binding satisfies the where-clause. The
-search binds variables smallest domain first. Per-variable candidate domains
-are pruned by attribute presence and type compatibility, and each
-where-conjunct is scheduled once, at the depth where its last variable is
-bound. A conjunct `V.a = U.b` between two variables is a hash-indexed
-equality join: `V`'s domain is indexed once by the key of `a`, and at `V`'s
-depth the search visits only the names whose key equals that of `U.b`.
-Keys follow `=` exactly (`1 = 1.0`; a boolean never equals a number), so
-the index returns exactly the bindings under which the join is true, and the
-join needs no check of its own. All prunings are semantics-preserving: every
-surviving binding is checked against every other conjunct. The conjuncts
-decided at one depth are compiled once per resolve (compile_expr) into one
-check that type-checks and evaluates in one pass; a conjunct that fails
-either way is false.
+variable-to-feature tuples whose binding satisfies the where-clause. Each
+candidate domain is pruned by attribute presence and type compatibility,
+and the same scan reads each attribute a where-term takes of the variable
+into a column: name to (type, value). Conjuncts compile once per resolve
+(compile_typed) against the columns. A term then costs two dict reads under
+a binding; a column of one type over the domain has its type rule applied
+at compile time, and a named feature's term is read once. A conjunct that
+fails to typecheck or evaluate is false.
+
+Conjuncts of one variable filter its domain before the search. The search
+binds the rest smallest domain first, deciding each conjunct at the depth
+where its last variable is bound. A conjunct `V.a = U.b` is a hash join:
+`V`'s domain is indexed once by the key of its `a` column, and the search
+visits only the names whose key equals that of `U.b`. Keys follow `=`
+exactly (`1 = 1.0`; a boolean never equals a number), so the join needs no
+check of its own. Each depth walks its names in domain order, so only a
+search order other than the declaration order needs a sort.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .expressions import (
     AttrRef,
     Binary,
     EvalError,
+    FeatureRef,
     NUMERIC,
-    STRUCTURAL,
     TypeCheckError,
     VarRef,
-    compatible,
+    admitted_types,
+    attr_reader,
     compile_expr,
+    compile_typed,
     referenced_usages,
-    type_of,
     variables_in,
 )
 from .model import FeatureModel
@@ -70,22 +76,28 @@ class NoResolution:
 NO_RESOLUTION = NoResolution()
 
 
-def candidate_domain(model: FeatureModel, usages: list) -> list:
-    """Features admissible for a variable given its (attr, context) usages."""
+def candidate_domain(model: FeatureModel, usages: list, columns=None) -> list:
+    """Features admissible for a variable given its (attr, context) usages.
+
+    `columns` maps used attributes to dicts that the same scan fills, each
+    feature's name to the (type, value) of that attribute.
+    """
+    contexts: dict = {}
+    for attr, ctx in usages:
+        contexts.setdefault(attr, []).append(ctx)
+    tests = [(attr_reader(attr), admitted_types(cs), (columns or {}).get(attr))
+             for attr, cs in contexts.items()]
     out = []
     for f in model.features.values():
-        if all(_admits(f, attr, ctx) for attr, ctx in usages):
+        for read, admitted, column in tests:
+            pair = read(f)
+            if pair is None or pair[0] not in admitted:
+                break
+            if column is not None:
+                column[f.name] = pair
+        else:
             out.append(f.name)
     return out
-
-
-def _admits(f, attr: str, ctx: str) -> bool:
-    if attr in STRUCTURAL:
-        t, _read, on_root = STRUCTURAL[attr]
-        return (on_root or not f.is_root) and compatible(t, ctx)
-    if attr not in f.attributes:
-        return False
-    return compatible(type_of(f.attributes[attr]), ctx)
 
 
 def merge_usages(*usage_maps: dict) -> dict:
@@ -107,84 +119,106 @@ def resolve(model: FeatureModel, variables, where=None,
     """All tuples over the candidate domains satisfying the where-clause.
 
     `usages` widens the domain restriction beyond the where-clause (a command
-    passes the usages of every expression it contains); when omitted it is
-    computed from the where-clause alone. A binding under which the
-    where-clause fails to typecheck, or raises a dynamic error, does not
-    satisfy the clause.
+    passes the usages of every expression it contains). A binding under
+    which the where-clause fails to typecheck, or raises a dynamic error,
+    does not satisfy the clause.
     """
     variables = tuple(variables)
-    if usages is None:
-        usages = referenced_usages(where) if where is not None else {}
-    domains = {v: candidate_domain(model, usages.get(v, [])) for v in variables}
-    features = model.features
-    binding: dict = {}
+    terms = referenced_usages(where) if where is not None else {}
+    usages = terms if usages is None else merge_usages(usages, terms)
+    features, binding = model.features, {}
+    columns = {v: {attr: {} for attr, _ in terms.get(v, ())} for v in variables}
+    domains = {v: candidate_domain(model, usages.get(v, []), columns[v])
+               for v in variables}
 
-    # variables with the smallest domains first; output order is restored below
+    def leaf(term):
+        if isinstance(term.subject, FeatureRef):
+            try:
+                t, value = compile_expr(term)(features, binding)
+            except TypeCheckError:
+                return None
+            return t, lambda features, binding: value
+        var = term.subject.name
+        if var not in columns:
+            return None
+        column, names = columns[var][term.attr], domains[var]
+        if len({column[n][0] for n in names}) != 1:
+            return None, lambda features, binding: column[binding[var]]
+        values = {n: column[n][1] for n in names}
+        return column[names[0]][0], lambda features, binding: values[binding[var]]
+
+    single, joint, constant = {v: [] for v in variables}, [], []
+    for c in _conjuncts(where) if where is not None else []:
+        vs = variables_in(c) & columns.keys()
+        (joint if len(vs) > 1 else single[vs.pop()] if vs else constant).append(c)
+    if constant and not _all_hold(constant, leaf)(features, binding):
+        return ResolutionSet(variables, [])
+    for v, cs in single.items():
+        if cs:
+            holds = _all_hold(cs, leaf)
+            domains[v] = [n for n in domains[v] if holds(features, {v: n})]
+
     order = sorted(variables, key=lambda v: len(domains[v]))
     depth_of = {v: d for d, v in enumerate(order)}
     scheduled: list = [[] for _ in order]  # conjuncts decided once order[d] is bound
-    constant = []  # conjuncts without variables
-    for c in _conjuncts(where) if where is not None else []:
-        vs = variables_in(c) & depth_of.keys()
-        if vs:
-            scheduled[max(depth_of[v] for v in vs)].append(c)
-        else:
-            constant.append(c)
-    if constant and not _all_hold(constant)(features, binding):
-        return ResolutionSet(variables, [])
-    probes: list = [None] * len(order)  # per depth: (hash index, probe term) or None
+    for c in joint:
+        scheduled[max(depth_of[v] for v in variables_in(c) & depth_of.keys())].append(c)
+    probes: list = [None] * len(order)  # per depth: (hash index, U, U's keys) or None
     for d, cs in enumerate(scheduled):
         for c in cs:
-            probes[d] = _equijoin_probe(features, c, order[d], domains)
+            probes[d] = _equijoin_probe(c, order[d], domains, columns)
             if probes[d] is not None:
                 cs.remove(c)  # the index lookup decides it
                 break
-    checks = [_all_hold(cs) if cs else None for cs in scheduled]
-
-    results = []
+    checks = [_all_hold(cs, leaf) if cs else None for cs in scheduled]
+    results, last = [] if order else [()], len(order) - 1
 
     def search(depth: int) -> None:
-        if depth == len(order):
-            results.append(tuple(binding[v] for v in variables))
-            return
-        var, check = order[depth], checks[depth]
-        if probes[depth] is None:
+        var, check, probe = order[depth], checks[depth], probes[depth]
+        if probe is None:
             names = domains[var]
         else:
-            table, term = probes[depth]
-            names = table.get(_join_key(features, term, binding), ())
+            table, other, keys = probe
+            names = table.get(keys[binding[other]], ())
         for name in names:
             binding[var] = name
             if check is None or check(features, binding):
-                search(depth + 1)
+                if depth < last:
+                    search(depth + 1)
+                else:  # the binding holds order's variables in order
+                    results.append(tuple(binding.values()))
         binding.pop(var, None)
 
-    search(0)
-
-    # one variable's tuples already follow its domain, in declaration order
-    if len(variables) > 1 and len(results) > 1:
+    if order:
+        search(0)
+    if tuple(order) != variables:
         index = {name: i for i, name in enumerate(features)}
-        results.sort(key=lambda t: tuple(index[n] for n in t))
+        results = sorted(map(itemgetter(*map(order.index, variables)), results),
+                         key=lambda t: tuple(map(index.__getitem__, t)))
     return ResolutionSet(variables, results)
 
 
-def _all_hold(conjuncts):
+def _all_hold(conjuncts, leaf):
     """One compiled check of the conjuncts under a binding.
 
     False as soon as one of them is not true, or fails to typecheck or
     evaluate, as the whole where-clause would.
     """
-    compiled = [compile_expr(c) for c in conjuncts]
+    compiled = [_value_of(*compile_typed(c, leaf)) for c in conjuncts]
 
     def holds(features, binding) -> bool:
         try:
             for c in compiled:
-                if c(features, binding)[1] is not True:
+                if c(features, binding) is not True:
                     return False
         except (TypeCheckError, EvalError):
             return False
         return True
     return holds
+
+
+def _value_of(t, run):
+    return run if t else lambda features, binding: run(features, binding)[1]
 
 
 def _var_term(expr):
@@ -194,41 +228,38 @@ def _var_term(expr):
     return None
 
 
-def _equijoin_probe(features, conjunct, var, domains):
+def _equijoin_probe(conjunct, var, domains, columns):
     """A hash index answering `var.a = U.b` for another variable U.
 
     The conjunct is decided at `var`'s depth, so U is bound before `var`.
-    Returns (index, compiled U.b): the index maps the key of `var.a` to the
-    names of `var`'s domain, in domain order, and the search looks up the key
-    of `U.b` under the current binding. None when the conjunct has another
-    shape.
+    Returns (index, U, keys): the index maps the key of `var.a` to the names
+    of `var`'s domain, in domain order, and keys maps each name of U's domain
+    to the key of its `U.b`. None when the conjunct has another shape.
     """
     if not (isinstance(conjunct, Binary) and conjunct.op == "="):
         return None
     for mine, other in ((conjunct.left, conjunct.right),
                         (conjunct.right, conjunct.left)):
-        if _var_term(mine) == var and _var_term(other) in domains.keys() - {var}:
-            term, index = compile_expr(mine), {}
+        u = _var_term(other)
+        if _var_term(mine) == var and u in domains.keys() - {var}:
+            column, index = columns[var][mine.attr], {}
             for name in domains[var]:
-                key = _join_key(features, term, {var: name})
+                key = _join_key(*column[name])
                 if key is not None:
                     index.setdefault(key, []).append(name)
-            return index, compile_expr(other)
+            column = columns[u][other.attr]
+            return index, u, {name: _join_key(*column[name]) for name in domains[u]}
     return None
 
 
-def _join_key(features, term, binding):
-    """Hash key of a compiled term's value: values `=` calls equal share a key.
+def _join_key(t: str, value):
+    """Hash key of a typed value: values `=` calls equal share a key.
 
-    None when the term fails to typecheck or its value is NaN, which equals
-    nothing. Numbers are keyed by their value: an int and a float that `=`
-    calls equal are equal and hash alike, so 1 = 1.0 while 2**53 + 1 is not
-    2**53. Other values are keyed by type, so true never equals 1.
+    None when the value is NaN, which equals nothing. Numbers are keyed by
+    their value: an int and a float that `=` calls equal are equal and hash
+    alike, so 1 = 1.0 while 2**53 + 1 is not 2**53. Other values are keyed by
+    type, so true never equals 1.
     """
-    try:
-        t, value = term(features, binding)
-    except TypeCheckError:
-        return None
     if t not in NUMERIC:
         return t, value
     return None if value != value else ("numeric", value)

@@ -72,7 +72,7 @@ class _TvlParser:
         """The value of the next token, which must be of `kind`."""
         pos = self.pos
         if self.kinds[pos] != kind:
-            found = "end of input" if self.kinds[pos] == "EOF" else self.values[pos]
+            found = "end of input" if self.kinds[pos] == "EOF" else self.tokens.text(pos)
             self.fail(f"expected {kind!r}, found {found!r}")
         self.pos = pos + 1
         return self.values[pos]

@@ -138,9 +138,10 @@ def test_feather_parser_equals_the_reference():
 
 
 def unquote_number(message: str) -> str:
-    """A value mismatch message with the number written as the reference
-    wrote it: the number's value, unquoted."""
-    m = re.fullmatch(r"(line \d+: value )'([-+]?[0-9]+(\.[0-9]+)?)'( .*)", message)
+    """A value mismatch or unexpected token message with the number written
+    as the reference wrote it: the number's value, unquoted."""
+    m = re.fullmatch(r"(line \d+: (?:value |expected '[^']+', found ))"
+                     r"'([-+]?[0-9]+(\.[0-9]+)?)'( .*|)", message)
     if m is None:
         return message
     return f"{m[1]}{float(m[2]) if m[3] else int(m[2])!r}{m[4]}"
@@ -178,6 +179,9 @@ def test_tvl_parser_equals_the_reference():
     ("line 2: value '+2' does not match type real", "line 2: value 2 does not match type real"),
     ("line 1: value '1.50' does not match type bool", "line 1: value 1.5 does not match type bool"),
     ("line 1: value 's' does not match type int", "line 1: value 's' does not match type int"),
+    ("line 1: expected 'ID', found '1.50'", "line 1: expected 'ID', found 1.5"),
+    ("line 3: expected '}', found '-3'", "line 3: expected '}', found -3"),
+    ("line 1: expected 'ID', found 'is'", "line 1: expected 'ID', found 'is'"),
 ])
 def test_number_quotes_are_the_only_message_change(message, reference):
     assert unquote_number(message) == reference

@@ -1,15 +1,22 @@
 import random
+from operator import itemgetter
 
-from feather import expressions, resolver
+from feather import commands, expressions, resolver
 from feather.expressions import (
+    AttrRef,
     Binary,
     EvalError,
+    FeatureRef,
     Lit,
     TypeCheckError,
+    Unary,
+    VarRef,
     compile_expr,
     referenced_usages,
     variables_in,
 )
+from feather.model import Constraint, DecompKind
+from feather.parser import parse_commands
 from feather.resolver import (
     NO_RESOLUTION,
     Ambiguous,
@@ -19,6 +26,7 @@ from feather.resolver import (
 )
 
 from conftest import (
+    ATTR_POOL,
     JOIN_VALUES,
     brute_force_resolve,
     build,
@@ -160,7 +168,7 @@ def test_equal_join_keys_are_exactly_equality():
     """The hash index alone decides a join conjunct, so two values must share
     a key exactly when `=` on them type-checks and is true."""
     def key(value):
-        return resolver._join_key({}, compile_expr(Lit(value)), {})
+        return resolver._join_key(*compile_expr(Lit(value))({}, {}))
 
     equal_pairs = 0
     for a in JOIN_VALUES:
@@ -178,18 +186,18 @@ def test_equal_join_keys_are_exactly_equality():
 def test_sibling_join_work_grows_linearly(monkeypatch):
     """Compiled-condition calls for a sibling join double, not quadruple, with the groups."""
     calls = 0
-    original = expressions.compile_expr
+    original = expressions.compile_typed
 
-    def counting(expr):
-        compiled = original(expr)
+    def counting(expr, leaf=None):
+        t, compiled = original(expr, leaf)
 
         def run(*args):
             nonlocal calls
             calls += 1
             return compiled(*args)
-        return run
+        return t, run
 
-    monkeypatch.setattr(resolver, "compile_expr", counting)
+    monkeypatch.setattr(resolver, "compile_typed", counting)
     where = parse_expr("X._parent = Y._parent and X.w > Y.w")
     counts = {}
     for groups in (5, 10):
@@ -202,4 +210,140 @@ def test_sibling_join_work_grows_linearly(monkeypatch):
         calls = 0
         assert len(resolve(m, ["X", "Y"], where).tuples) == groups * 190
         counts[groups] = calls
+    assert counts[5] >= 5 * 20 * 20  # X.w > Y.w, once per pair of siblings
     assert counts[10] <= 2 * counts[5] + 100
+
+
+def test_tuples_follow_declaration_order_when_the_search_order_is_it(monkeypatch):
+    # V carries both n and s, so its domain is the smaller one and is bound
+    # first: the search order is the declaration order, and nothing is sorted
+    reorders = []
+    monkeypatch.setattr(resolver, "itemgetter",
+                        lambda *i: reorders.append(i) or itemgetter(*i))
+    rs = resolve(model(), ["V", "W"], parse_expr('V.n <> W.n and V.s <> "z"'))
+    assert rs.tuples == [("A", "R"), ("A", "B"), ("A", "C"), ("C", "R"), ("C", "A")]
+    assert reorders == []
+    # the same clause with the variables declared the other way round
+    rs = resolve(model(), ["W", "V"], parse_expr('V.n <> W.n and V.s <> "z"'))
+    assert rs.tuples == [("R", "A"), ("R", "C"), ("A", "C"), ("B", "A"), ("C", "A")]
+    assert reorders == [(1, 0)]
+
+
+def test_execute_resolves_once_and_scans_each_domain_once(monkeypatch):
+    """The benchmark wraps feather.commands.resolve and
+    feather.resolver.candidate_domain by name, and counts as candidates the
+    product of the domain sizes, taken before the one-variable filters."""
+    resolves, sizes = [], []
+    real_resolve, real_domain = commands.resolve, resolver.candidate_domain
+
+    def counting_resolve(*args, **kwargs):
+        resolves.append(args)
+        return real_resolve(*args, **kwargs)
+
+    def counting_domain(*args, **kwargs):
+        out = real_domain(*args, **kwargs)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(commands, "resolve", counting_resolve)
+    monkeypatch.setattr(resolver, "candidate_domain", counting_domain)
+    m = model()  # n on R, A, B, C; s on A, C, D
+    cmd = parse_commands('add constraint X requires Y\n'
+                         '  where X.n > 6 and Y.s = "x" and X.n > Y.n;')[0].commands[0]
+    m2, diagnostics = commands.execute(m, cmd)
+    assert diagnostics == []
+    assert m2.constraints == [Constraint("B", "requires", "A"),
+                              Constraint("C", "requires", "A")]
+    assert len(resolves) == 1
+    assert sorted(sizes) == [2, 4]  # Y needs n and s, X needs n
+
+
+# -- the column path against the oracle ---------------------------------------
+
+# A model draws each attribute from one pool. A pool of one type gives columns
+# whose type rule is decided once per resolve; JOIN_VALUES gives mixed ones.
+COLUMN_POOLS = (JOIN_VALUES, JOIN_VALUES, (0, 1, 2, 2**53, 2**53 + 1, 10**400),
+                (0, 1, 2, 2**53, 2**53 + 1, 10**400), (1.0, 2.0, 2.5, float("inf"), float("nan")),
+                ("F1", "red", "1"), (True, False))
+STRUCTURAL_POOLS = {"_name": ("F0", "F1", "F2"), "_decomp": tuple(DecompKind)}
+COLUMN_ATTRS = ATTR_POOL[:3] + ("_name", "_parent", "_decomp", "_decompID")
+
+
+def random_column_model(rng):
+    """A random model, and the pool of values of each attribute."""
+    m = random_join_model(rng, max_features=7)
+    pools = {attr: rng.choice(COLUMN_POOLS) for attr in ATTR_POOL[:3]}
+    for f in m.features.values():
+        f.attributes = {a: rng.choice(pools[a]) for a in f.attributes}
+    return m, {**pools, **STRUCTURAL_POOLS, "_parent": STRUCTURAL_POOLS["_name"]}
+
+
+def _column_term(rng, variables, m, pools):
+    """A term: mostly a variable's attribute, else a named feature's, which
+    may be missing or lack the attribute, else a literal."""
+    r = rng.random()
+    if r < 0.1:
+        return Lit(rng.choice(JOIN_VALUES))
+    if r < 0.25:
+        name = rng.choice(list(m.features) + ["Ghost"])
+        return AttrRef(FeatureRef(name), rng.choice(COLUMN_ATTRS))
+    return AttrRef(VarRef(rng.choice(variables)), rng.choice(COLUMN_ATTRS))
+
+
+def _column_comparison(rng, variables, m, pools):
+    """A comparison whose sides may divide or take a modulo by zero, or
+    overflow; the right one is often a value of the left one's pool."""
+    left = _column_term(rng, variables, m, pools)
+    if isinstance(left, AttrRef) and left.attr in pools and rng.random() < 0.6:
+        right = Lit(rng.choice(pools[left.attr]))
+        if not isinstance(right.value, DecompKind) and rng.random() < 0.5:
+            right = Lit(rng.choice([v for v in JOIN_VALUES if type(v) is type(right.value)]))
+    else:
+        right = _column_term(rng, variables, m, pools)
+    sides = [left, right]
+    if rng.random() < 0.35:
+        i = rng.randrange(2)
+        risky = Lit(rng.choice([0, 0, 2, 0.5, 10**400, float("inf"), 1e308]))
+        sides[i] = Binary(rng.choice(["+", "-", "*", "/", "%"]), sides[i], risky)
+    pool = pools.get(getattr(left, "attr", None), JOIN_VALUES)
+    numeric = pool is JOIN_VALUES or all(type(v) in (int, float) for v in pool)
+    ops = ["<", "<=", ">", ">=", "=", "<>"] if numeric else ["=", "=", "<>"]
+    return Binary(rng.choice(ops), *sides)
+
+
+def _column_conjunct(rng, variables, m, pools):
+    shape = rng.random()
+    if shape < 0.1:  # a boolean column as the conjunct itself
+        return AttrRef(VarRef(rng.choice(variables)), rng.choice(ATTR_POOL[:3]))
+    if shape < 0.25:
+        return Unary("not", _column_comparison(rng, variables, m, pools))
+    if shape < 0.45:  # evaluated eagerly: an error on either side makes it false
+        return Binary("or", _column_comparison(rng, variables, m, pools),
+                      _column_comparison(rng, variables, m, pools))
+    if shape < 0.55:  # no variables at all
+        return rng.choice([Lit(True), Lit(False), Binary("=", Lit(1), Lit(1.0)),
+                           Binary(">", Binary("/", Lit(1), Lit(0)), Lit(0)),
+                           Binary(">", AttrRef(FeatureRef("F0"), "size"), Lit(0))])
+    if shape < 0.7 and len(variables) > 1:  # a hash join
+        v, u = rng.sample(variables, 2)
+        a = rng.choice(COLUMN_ATTRS)
+        b = a if rng.random() < 0.7 else rng.choice(COLUMN_ATTRS)
+        return Binary("=", AttrRef(VarRef(v), a), AttrRef(VarRef(u), b))
+    return _column_comparison(rng, variables, m, pools)
+
+
+def test_column_path_equals_the_oracle():
+    rng = random.Random(20261018)
+    satisfiable = 0
+    for case in range(1200):
+        m, pools = random_column_model(rng)
+        variables = ("V", "W", "X")[:rng.choice([1, 1, 2, 2, 3])]
+        where = _column_conjunct(rng, variables, m, pools)
+        for _ in range(rng.choice([0, 0, 1, 1, 2])):
+            where = Binary("and", where, _column_conjunct(rng, variables, m, pools))
+        index = {name: i for i, name in enumerate(m.features)}
+        want = sorted(brute_force_resolve(m, variables, where),
+                      key=lambda t: [index[n] for n in t])
+        assert resolve(m, variables, where).tuples == want, f"case {case}"
+        satisfiable += bool(want)
+    assert satisfiable >= 100

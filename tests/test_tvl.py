@@ -124,6 +124,13 @@ def test_import_error_names_the_end_of_input(text, message):
     assert str(e.value) == message
 
 
+@pytest.mark.parametrize("number", ["1.5", "-3"])
+def test_unexpected_number_is_quoted_as_written(number):
+    with pytest.raises(TvlError) as e:
+        import_tvl(f"root R {{ group allof {{ {number} }} }}\n")
+    assert str(e.value) == f"line 1: expected 'ID', found '{number}'"
+
+
 def test_import_signed_numbers():
     m = import_tvl("root R { int a is -4; real b is -1.25; }\n")
     assert m.features["R"].attributes == {"a": -4, "b": -1.25}

@@ -243,11 +243,11 @@ def compile_expr(expr):
 def compile_typed(expr, leaf=None):
     """Compile an expression into (static type or None, closure).
 
-    A static type is one every binding gives: its rule is applied here, once,
-    and the closure returns the value alone. Otherwise the closure returns
-    (type, value); so it does where a rule fails on static types, raising
-    after both operands ran. `leaf(term)` may compile an attribute term in
-    place of the model read, to such a pair, or give None.
+    A static type is one every binding gives: a binary node's rule is applied
+    here, once, and the closure returns the value alone. Otherwise, as for a
+    unary node or a rule failing on static types (raised after both operands
+    ran), the closure returns (type, value). `leaf(term)` may compile an
+    attribute term in place of the model read, to such a pair, or give None.
     """
     if isinstance(expr, Lit):
         value = expr.value
@@ -256,13 +256,7 @@ def compile_typed(expr, leaf=None):
         return (leaf and leaf(expr)) or (None, _compile_attr(expr.subject, expr.attr))
     if isinstance(expr, Unary):
         op, apply = expr.op, _UNARY_OPS[expr.op]
-        t, operand = compile_typed(expr.operand, leaf)
-        try:
-            if t is not None:
-                return _unary_type(op, t), lambda features, binding: apply(
-                    operand(features, binding))
-        except TypeCheckError:
-            operand = _tagged(t, operand)
+        operand = _tagged(*compile_typed(expr.operand, leaf))
 
         def unary(features, binding):
             t, v = operand(features, binding)
@@ -329,7 +323,8 @@ def attr_reader(attr: str):
 
 
 def _compile_attr(subject, attr: str):
-    read, var, named = attr_reader(attr), subject.name, isinstance(subject, FeatureRef)
+    read, var = attr_reader(attr), subject.name
+    named = isinstance(subject, FeatureRef)
     lacks = ('the root feature "{}" has no decomposition relation' if attr in STRUCTURAL
              else f'feature "{{}}" has no attribute named {attr}')
 
@@ -428,5 +423,8 @@ def _walk_usages(expr, ctx: str, usages: dict) -> None:
 
 def admitted_types(contexts) -> set:
     """The types of the attribute values that satisfy every usage context."""
-    return {t for t in TYPES if all(c in ("any", t) or c == "numeric" and t in NUMERIC
-                                    for c in contexts)}
+    admitted = set(TYPES)
+    for ctx in contexts:
+        if ctx != "any":
+            admitted &= set(NUMERIC) if ctx == "numeric" else {ctx}
+    return admitted

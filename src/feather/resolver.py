@@ -6,9 +6,9 @@ candidate domain is pruned by attribute presence and type compatibility,
 and the same scan reads each attribute a where-term takes of the variable
 into a column: name to (type, value). Conjuncts compile once per resolve
 (compile_typed) against the columns. A term then costs two dict reads under
-a binding; a column of one type over the domain has its type rule applied
-at compile time, and a named feature's term is read once. A conjunct that
-fails to typecheck or evaluate is false.
+a binding, and a column of one type over the domain has its type rule
+applied at compile time. A conjunct that fails to typecheck or evaluate is
+false.
 
 Conjuncts of one variable filter its domain before the search. The search
 binds the rest smallest domain first, deciding each conjunct at the depth
@@ -28,13 +28,11 @@ from .expressions import (
     AttrRef,
     Binary,
     EvalError,
-    FeatureRef,
     NUMERIC,
     TypeCheckError,
     VarRef,
     admitted_types,
     attr_reader,
-    compile_expr,
     compile_typed,
     referenced_usages,
     variables_in,
@@ -121,9 +119,11 @@ def resolve(model: FeatureModel, variables, where=None,
     `usages` widens the domain restriction beyond the where-clause (a command
     passes the usages of every expression it contains). A binding under
     which the where-clause fails to typecheck, or raises a dynamic error,
-    does not satisfy the clause.
+    does not satisfy the clause. A variable may be declared once only.
     """
     variables = tuple(variables)
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"repeated variable in {variables}")
     terms = referenced_usages(where) if where is not None else {}
     usages = terms if usages is None else merge_usages(usages, terms)
     features, binding = model.features, {}
@@ -132,13 +132,7 @@ def resolve(model: FeatureModel, variables, where=None,
                for v in variables}
 
     def leaf(term):
-        if isinstance(term.subject, FeatureRef):
-            try:
-                t, value = compile_expr(term)(features, binding)
-            except TypeCheckError:
-                return None
-            return t, lambda features, binding: value
-        var = term.subject.name
+        var = _var_term(term)
         if var not in columns:
             return None
         column, names = columns[var][term.attr], domains[var]
@@ -147,10 +141,16 @@ def resolve(model: FeatureModel, variables, where=None,
         values = {n: column[n][1] for n in names}
         return column[names[0]][0], lambda features, binding: values[binding[var]]
 
-    single, joint, constant = {v: [] for v in variables}, [], []
+    single = {v: [] for v in variables}  # conjuncts of one variable, by variable
+    joint, constant = [], []  # conjuncts of several variables, of none
     for c in _conjuncts(where) if where is not None else []:
         vs = variables_in(c) & columns.keys()
-        (joint if len(vs) > 1 else single[vs.pop()] if vs else constant).append(c)
+        if len(vs) > 1:
+            joint.append(c)
+        elif vs:
+            single[vs.pop()].append(c)
+        else:
+            constant.append(c)
     if constant and not _all_hold(constant, leaf)(features, binding):
         return ResolutionSet(variables, [])
     for v, cs in single.items():
@@ -171,7 +171,8 @@ def resolve(model: FeatureModel, variables, where=None,
                 cs.remove(c)  # the index lookup decides it
                 break
     checks = [_all_hold(cs, leaf) if cs else None for cs in scheduled]
-    results, last = [] if order else [()], len(order) - 1
+    results = [] if order else [()]
+    last = len(order) - 1
 
     def search(depth: int) -> None:
         var, check, probe = order[depth], checks[depth], probes[depth]

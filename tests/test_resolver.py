@@ -1,6 +1,8 @@
 import random
 from operator import itemgetter
 
+import pytest
+
 from feather import commands, expressions, resolver
 from feather.expressions import (
     AttrRef,
@@ -51,6 +53,14 @@ def test_single_variable_filtering():
     w = parse_expr("V.n > 4")
     rs = resolve(m, ["V"], w)
     assert rs.tuples == [("A",), ("B",), ("C",)]
+
+
+def test_a_repeated_variable_is_rejected():
+    # tuples have one name per declared variable, so each is declared once
+    with pytest.raises(ValueError):
+        resolve(model(), ["V", "V"], parse_expr("V.n > 0"))
+    with pytest.raises(ValueError):
+        resolve(model(), ["V", "W", "V"])
 
 
 def test_attribute_presence_prunes_domain():
@@ -290,9 +300,10 @@ def _column_term(rng, variables, m, pools):
     return AttrRef(VarRef(rng.choice(variables)), rng.choice(COLUMN_ATTRS))
 
 
-def _column_comparison(rng, variables, m, pools):
-    """A comparison whose sides may divide or take a modulo by zero, or
-    overflow; the right one is often a value of the left one's pool."""
+def _column_comparison(rng, variables, m, pools, risk=0.35):
+    """A comparison whose sides may, with probability `risk`, divide or take
+    a modulo by zero, or overflow; the right one is often a value of the left
+    one's pool."""
     left = _column_term(rng, variables, m, pools)
     if isinstance(left, AttrRef) and left.attr in pools and rng.random() < 0.6:
         right = Lit(rng.choice(pools[left.attr]))
@@ -301,7 +312,7 @@ def _column_comparison(rng, variables, m, pools):
     else:
         right = _column_term(rng, variables, m, pools)
     sides = [left, right]
-    if rng.random() < 0.35:
+    if rng.random() < risk:
         i = rng.randrange(2)
         risky = Lit(rng.choice([0, 0, 2, 0.5, 10**400, float("inf"), 1e308]))
         sides[i] = Binary(rng.choice(["+", "-", "*", "/", "%"]), sides[i], risky)
@@ -317,9 +328,13 @@ def _column_conjunct(rng, variables, m, pools):
         return AttrRef(VarRef(rng.choice(variables)), rng.choice(ATTR_POOL[:3]))
     if shape < 0.25:
         return Unary("not", _column_comparison(rng, variables, m, pools))
-    if shape < 0.45:  # evaluated eagerly: an error on either side makes it false
+    if shape < 0.35:  # evaluated eagerly: an error on either side makes it false
         return Binary("or", _column_comparison(rng, variables, m, pools),
-                      _column_comparison(rng, variables, m, pools))
+                      _column_comparison(rng, variables, m, pools, risk=0.8))
+    if shape < 0.45:  # even where the left side is true
+        column = AttrRef(VarRef(rng.choice(variables)), rng.choice(ATTR_POOL[:3]))
+        risky = Binary(rng.choice(["/", "%", "*"]), column, Lit(rng.choice([0, 0, 1e308])))
+        return Binary("or", Lit(True), Binary(">", risky, Lit(0)))
     if shape < 0.55:  # no variables at all
         return rng.choice([Lit(True), Lit(False), Binary("=", Lit(1), Lit(1.0)),
                            Binary(">", Binary("/", Lit(1), Lit(0)), Lit(0)),
@@ -329,6 +344,12 @@ def _column_conjunct(rng, variables, m, pools):
         a = rng.choice(COLUMN_ATTRS)
         b = a if rng.random() < 0.7 else rng.choice(COLUMN_ATTRS)
         return Binary("=", AttrRef(VarRef(v), a), AttrRef(VarRef(u), b))
+    if shape < 0.8:  # `=` between two columns keeps every type in the domain
+        v = rng.choice(variables)
+        mixed = [a for a in ATTR_POOL[:3] if pools[a] is JOIN_VALUES] or ATTR_POOL[:3]
+        a = rng.choice(mixed)
+        b = rng.choice([b for b in ATTR_POOL[:3] if b != a])
+        return Binary(rng.choice(["=", "<>"]), AttrRef(VarRef(v), a), AttrRef(VarRef(v), b))
     return _column_comparison(rng, variables, m, pools)
 
 

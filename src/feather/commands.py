@@ -2,12 +2,14 @@
 
 `execute` resolves each command's feature variables jointly against the
 current model, once; without resolutions the command ends in a warning.
-Otherwise it hands one working copy of the model to the command's executor,
-which derives every value it assigns, each slot compiled once, checks the
-ambiguity and integrity rules, then edits the copy and returns the command's
-diagnostics. `execute` is the one atomicity point: an error discards the
-copy, even after a write, so a failing command leaves no edit behind
-(multi-target commands may commit a defined partial effect).
+Otherwise it hands one working copy of the model to the command's executor.
+The executor derives every value it assigns from the resolution tuples, each
+slot compiled once (`_deriver`: the slot's values under the tuples must
+agree, or the command is ambiguous). It checks the ambiguity and integrity
+rules, then edits the copy and returns the command's diagnostics. `execute`
+is the one atomicity point: an error discards the copy, even after a write,
+so a failing command leaves no edit behind (multi-target commands may
+commit a defined partial effect).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .expressions import (
     compile_expr,
     compile_type,
     referenced_usages,
-    variables_in,
 )
 from .model import Constraint, DecompKind, Feature, FeatureModel, ModelError
 from .parser import (
@@ -42,13 +43,7 @@ from .parser import (
     UpdateFeature,
 )
 from .record import Record
-from .resolver import (
-    Ambiguous,
-    ResolutionSet,
-    derive_unambiguous,
-    merge_usages,
-    resolve,
-)
+from .resolver import ResolutionSet, resolve
 from .serializer import format_value
 
 NO_RESOLUTIONS_MSG = "No resolutions could be found to satisfy the where clause"
@@ -130,26 +125,19 @@ def _command_parts(cmd: Command) -> list:
     return parts
 
 
-def command_variables(cmd: Command) -> list:
-    """All feature variables of a command, in order of first occurrence."""
-    seen: dict = {}
-    for part, usage in _command_parts(cmd):
-        if isinstance(usage, str):
-            seen.update(dict.fromkeys(sorted(variables_in(part))))
-        elif isinstance(part, VarRef):
-            seen[part.name] = None
-    return list(seen)
-
-
 def command_usages(cmd: Command) -> dict:
-    """Merged attribute usages of every part of the command."""
-    maps = []
+    """Each feature variable of a command, in order of first occurrence, to
+    the merged attribute usages of every part of the command. An expression
+    part adds its variables in sorted order."""
+    usages: dict = {}
     for part, usage in _command_parts(cmd):
         if isinstance(usage, str):
-            maps.append(referenced_usages(part, usage))
+            used = referenced_usages(part, usage)
+            for var in sorted(used):
+                usages.setdefault(var, []).extend(used[var])
         elif isinstance(part, VarRef):
-            maps.append({part.name: usage})
-    return merge_usages(*maps)
+            usages.setdefault(part.name, []).extend(usage)
+    return usages
 
 
 # -- slot evaluation -------------------------------------------------------
@@ -185,15 +173,20 @@ def _desc_name(desc, binding) -> str:
 
 
 def _deriver(slot, ambiguity_message, list_values=True):
-    """A function from a resolution set to the value of `slot` under all of
-    its tuples, which must agree."""
+    """A function from a non-empty resolution set to the value of `slot`
+    under all of its tuples, which must agree. Values of different types
+    differ: 5 and 5.0, or true and 1, are two values."""
     def derive(resolutions):
-        result = derive_unambiguous(resolutions, slot)
-        if isinstance(result, Ambiguous):
+        values: dict = {}  # (type, value) -> the value, in first-seen order
+        for t in resolutions.tuples:
+            v = slot(dict(zip(resolutions.variables, t)))
+            values.setdefault((type(v), v), v)
+        if len(values) > 1:
             if list_values:
-                raise CommandError(f"{ambiguity_message} {_listing(result.values)}")
+                raise CommandError(f"{ambiguity_message} {_listing(values.values())}")
             raise CommandError(ambiguity_message)
-        return result
+        [value] = values.values()
+        return value
     return derive
 
 
@@ -392,7 +385,7 @@ def exec_remove_feature(model: FeatureModel, cmd: RemoveFeature, res: Resolution
 def exec_remove_all_features(model: FeatureModel, cmd: RemoveAllFeatures,
                              res: ResolutionSet):
     diags = []
-    for fname in res.project(cmd.var):
+    for fname in _group_by(res, cmd.var):
         if fname == model.root:
             diags.append(("warning", "Command had a partial effect: the root "
                                      "feature cannot be removed"))
@@ -419,25 +412,20 @@ def _end_reader(desc, variables):
     return lambda t: desc.name
 
 
-def _candidate_constraints(model, cmd, res):
+def _candidate_constraints(cmd, res):
     """Distinct (constraint, supporting tuples) in enumeration order."""
     left = _end_reader(cmd.left, res.variables)
     right = _end_reader(cmd.right, res.variables)
     out: dict = {}  # effect key -> (first constraint with it, tuples)
-    by_ends: dict = {}  # (left, right) -> its effect key's entry
     for t in res.tuples:
-        ends = (left(t), right(t))
-        entry = by_ends.get(ends)
-        if entry is None:
-            c = Constraint(ends[0], cmd.kind, ends[1])
-            entry = by_ends[ends] = out.setdefault(c.effect_key(), (c, []))
-        entry[1].append(t)
+        c = Constraint(left(t), cmd.kind, right(t))
+        out.setdefault(c.effect_key(), (c, []))[1].append(t)
     return list(out.values())
 
 
 def exec_add_constraint(model: FeatureModel, cmd: AddConstraint, res: ResolutionSet):
     _check_literal_ends(model, cmd)
-    existing = [c for c, _tuples in _candidate_constraints(model, cmd, res)
+    existing = [c for c, _tuples in _candidate_constraints(cmd, res)
                 if not model.add_constraint(c)]
     if existing:
         listed = ", ".join(str(c) for c in existing)
@@ -448,7 +436,7 @@ def exec_add_constraint(model: FeatureModel, cmd: AddConstraint, res: Resolution
 def _matched_constraints(model, cmd, res):
     """Stored constraints matched by the description, with their tuples."""
     matched = []
-    for c, tuples in _candidate_constraints(model, cmd, res):
+    for c, tuples in _candidate_constraints(cmd, res):
         rep = model.stored_constraint(c)
         if rep is not None:
             matched.append((rep, tuples))
@@ -538,8 +526,8 @@ def execute(model: FeatureModel, cmd: Command):
     run = _EXECUTORS.get(type(cmd))
     if run is None:
         raise TypeError(f"unknown command {cmd!r}")
-    res = resolve(model, command_variables(cmd), cmd.where,
-                  usages=command_usages(cmd))
+    usages = command_usages(cmd)
+    res = resolve(model, list(usages), cmd.where, usages=usages)
     if not res.tuples:
         return model, [("warning", NO_RESOLUTIONS_MSG)]
     work = model.copy()

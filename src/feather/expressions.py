@@ -105,24 +105,6 @@ def type_of(value) -> str:
         raise TypeError(f"unsupported attribute value {value!r}") from None
 
 
-def variables_in(expr) -> set:
-    """All feature-variable names occurring in the expression."""
-    out: set = set()
-    _collect_vars(expr, out)
-    return out
-
-
-def _collect_vars(expr, out: set) -> None:
-    if isinstance(expr, AttrRef):
-        if isinstance(expr.subject, VarRef):
-            out.add(expr.subject.name)
-    elif isinstance(expr, Unary):
-        _collect_vars(expr.operand, out)
-    elif isinstance(expr, Binary):
-        _collect_vars(expr.left, out)
-        _collect_vars(expr.right, out)
-
-
 # -- type rules ------------------------------------------------------------
 
 

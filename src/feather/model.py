@@ -50,9 +50,6 @@ class Constraint(FrozenRecord):
             return ("excludes",) + tuple(sorted((self.left, self.right)))
         return ("requires", self.left, self.right)
 
-    def involves(self, name: str) -> bool:
-        return self.left == name or self.right == name
-
     def __str__(self) -> str:
         return f"({self.left} {self.kind} {self.right})"
 
@@ -128,9 +125,6 @@ class FeatureModel(Record):
                 kids.setdefault(f.parent, []).append(f)
         return kids
 
-    def children(self, name: str) -> list:
-        return [f.name for f in self.child_features().get(name, ())]
-
     def subtree(self, name: str) -> set:
         """The feature plus all its transitive descendants."""
         kids = self.child_features()
@@ -148,9 +142,6 @@ class FeatureModel(Record):
     def stored_constraint(self, c: Constraint) -> Constraint | None:
         """The stored constraint with the same effect as c, if any."""
         return self._constraints.get(c.effect_key())
-
-    def has_constraint(self, c: Constraint) -> bool:
-        return c.effect_key() in self._constraints
 
     # -- edits -------------------------------------------------------------
 

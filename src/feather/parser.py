@@ -11,7 +11,7 @@ from __future__ import annotations
 from .expressions import AttrRef, Binary, FeatureRef, Lit, Unary, VarRef
 from .model import DecompKind
 from .record import Record
-from .tokens import STRUCTURALS, LexError, Tokens, tokenize
+from .tokens import STRUCTURALS, Cursor, LexError, tokenize
 
 DECOMP_KEYWORDS = {
     "mandatory": DecompKind.MANDATORY,
@@ -158,32 +158,8 @@ CONSTRAINT_COMMANDS = {"add": AddConstraint, "update": UpdateConstraint,
                        "removeall": RemoveAllConstraints}
 
 
-class _Parser:
-    """Walks the kinds and values of a token stream. `pos` never passes
-    EOF, the last token; a method that skips a token has seen its kind."""
-
-    def __init__(self, tokens: Tokens):
-        self.tokens, self.kinds, self.values = tokens, tokens.kinds, tokens.values
-        self.pos = 0
-
-    def at(self, *kinds: str) -> bool:
-        return self.kinds[self.pos] in kinds
-
-    def skip(self, kind: str) -> bool:  # steps over the next token if it is of `kind`
-        found = self.kinds[self.pos] == kind
-        self.pos += found
-        return found
-
-    def text(self) -> str:  # the next token's source text, "" at EOF
-        return self.tokens.text(self.pos)
-
-    def expect(self, kind: str, what: str | None = None):
-        """The value of the next token, which must be of `kind`."""
-        pos = self.pos
-        if self.kinds[pos] != kind:
-            self.fail(f"expected {what or repr(kind)}, found {self.text() or 'end of input'!r}")
-        self.pos = pos + 1
-        return self.values[pos]
+class _Parser(Cursor):
+    """The parser of transformation scripts."""
 
     def fail(self, message: str, pos: int | None = None):
         raise ParseError(message, *self.tokens.position(self.pos if pos is None else pos))

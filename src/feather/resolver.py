@@ -1,14 +1,17 @@
 """Resolution of feature variables against the live model.
 
 A command's variables are resolved jointly: the result is the set of
-variable-to-feature tuples whose binding satisfies the where-clause. Each
-candidate domain is pruned by attribute presence and type compatibility,
-and the same scan reads each attribute a where-term takes of the variable
-into a column: name to (type, value). Conjuncts compile once per resolve
-(compile_typed) against the columns. A term then costs two dict reads under
-a binding, and a column of one type over the domain has its type rule
-applied at compile time. A conjunct that fails to typecheck or evaluate is
-false.
+variable-to-feature tuples whose binding satisfies the where-clause. The
+resolver only resolves; a command derives the values it assigns from the
+tuples itself (commands._deriver).
+
+Each candidate domain is pruned by attribute presence and type
+compatibility, and the same scan reads each attribute a where-term takes of
+the variable into a column: name to (type, value). Conjuncts compile once
+per resolve (compile_typed) against the columns. A term then costs two dict
+reads under a binding, and a column of one type over the domain has its
+type rule applied at compile time. A conjunct that fails to typecheck or
+evaluate is false.
 
 Conjuncts of one variable filter its domain before the search. The search
 binds the rest smallest domain first, deciding each conjunct at the depth
@@ -35,7 +38,6 @@ from .expressions import (
     attr_reader,
     compile_typed,
     referenced_usages,
-    variables_in,
 )
 from .model import FeatureModel
 from .record import Record
@@ -47,31 +49,6 @@ class ResolutionSet(Record):
     def __init__(self, variables: tuple, tuples: list):
         # tuples: equal-length name tuples, declaration-order lexicographic
         self.variables, self.tuples = variables, tuples
-
-    def bindings(self):
-        for t in self.tuples:
-            yield dict(zip(self.variables, t))
-
-    def project(self, var: str) -> list:
-        """Distinct values for one variable, preserving enumeration order."""
-        i = self.variables.index(var)
-        seen, out = set(), []
-        for t in self.tuples:
-            if t[i] not in seen:
-                seen.add(t[i])
-                out.append(t[i])
-        return out
-
-
-class Ambiguous(Record):
-    __slots__ = ("values",)
-
-
-class NoResolution:
-    pass
-
-
-NO_RESOLUTION = NoResolution()
 
 
 def candidate_domain(model: FeatureModel, usages: list, columns=None) -> list:
@@ -124,7 +101,9 @@ def resolve(model: FeatureModel, variables, where=None,
     variables = tuple(variables)
     if len(set(variables)) != len(variables):
         raise ValueError(f"repeated variable in {variables}")
-    terms = referenced_usages(where) if where is not None else {}
+    conjuncts = _conjuncts(where) if where is not None else []
+    uses = [referenced_usages(c) for c in conjuncts]  # each conjunct's, by variable
+    terms = merge_usages(*uses)
     usages = terms if usages is None else merge_usages(usages, terms)
     features, binding = model.features, {}
     columns = {v: {attr: {} for attr, _ in terms.get(v, ())} for v in variables}
@@ -142,13 +121,13 @@ def resolve(model: FeatureModel, variables, where=None,
         return column[names[0]][0], lambda features, binding: values[binding[var]]
 
     single = {v: [] for v in variables}  # conjuncts of one variable, by variable
-    joint, constant = [], []  # conjuncts of several variables, of none
-    for c in _conjuncts(where) if where is not None else []:
-        vs = variables_in(c) & columns.keys()
+    joint, constant = [], []  # (conjunct, its variables) of several, conjuncts of none
+    for c, used in zip(conjuncts, uses):
+        vs = [v for v in used if v in columns]
         if len(vs) > 1:
-            joint.append(c)
+            joint.append((c, vs))
         elif vs:
-            single[vs.pop()].append(c)
+            single[vs[0]].append(c)
         else:
             constant.append(c)
     if constant and not _all_hold(constant, leaf)(features, binding):
@@ -161,8 +140,8 @@ def resolve(model: FeatureModel, variables, where=None,
     order = sorted(variables, key=lambda v: len(domains[v]))
     depth_of = {v: d for d, v in enumerate(order)}
     scheduled: list = [[] for _ in order]  # conjuncts decided once order[d] is bound
-    for c in joint:
-        scheduled[max(depth_of[v] for v in variables_in(c) & depth_of.keys())].append(c)
+    for c, vs in joint:
+        scheduled[max(map(depth_of.__getitem__, vs))].append(c)
     probes: list = [None] * len(order)  # per depth: (hash index, U, U's keys) or None
     for d, cs in enumerate(scheduled):
         for c in cs:
@@ -265,23 +244,3 @@ def _join_key(t: str, value):
         return t, value
     return None if value != value else ("numeric", value)
 
-
-def derive_unambiguous(resolutions: ResolutionSet, evaluate_slot):
-    """Evaluate a slot under every resolution tuple.
-
-    Returns the common value when all tuples agree, Ambiguous(values) when
-    they differ, NO_RESOLUTION on an empty set. Type tags matter: an integer
-    and a real of equal magnitude count as different derived values.
-    """
-    if not resolutions.tuples:
-        return NO_RESOLUTION
-    values, keys = [], set()
-    for binding in resolutions.bindings():
-        v = evaluate_slot(binding)
-        key = (type(v).__name__, v)
-        if key not in keys:
-            keys.add(key)
-            values.append(v)
-    if len(values) == 1:
-        return values[0]
-    return Ambiguous(values)

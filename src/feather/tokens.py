@@ -120,6 +120,35 @@ class Tokens:
         return self.line(i), self.starts[i] - self.source.rfind("\n", 0, self.starts[i])
 
 
+class Cursor:
+    """Walks the kinds and values of a token stream. `pos` never passes EOF,
+    the last token; a method that skips a token has seen its kind. A
+    subclass reports an error in `fail(message)`."""
+
+    def __init__(self, tokens: Tokens):
+        self.tokens, self.kinds, self.values = tokens, tokens.kinds, tokens.values
+        self.pos = 0
+
+    def at(self, *kinds: str) -> bool:
+        return self.kinds[self.pos] in kinds
+
+    def skip(self, kind: str) -> bool:  # steps over the next token if it is of `kind`
+        found = self.kinds[self.pos] == kind
+        self.pos += found
+        return found
+
+    def text(self) -> str:  # the next token's source text, "" at EOF
+        return self.tokens.text(self.pos)
+
+    def expect(self, kind: str, what: str | None = None):
+        """The value of the next token, which must be of `kind`."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            self.fail(f"expected {what or repr(kind)}, found {self.text() or 'end of input'!r}")
+        self.pos = pos + 1
+        return self.values[pos]
+
+
 def lex(text: str, lexicon: Lexicon) -> Tokens:
     """The tokens of `text`, ending with EOF; raises LexError."""
     kinds, values, starts = [], [], []

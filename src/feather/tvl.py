@@ -14,7 +14,7 @@ import re
 from .model import Constraint, DecompKind, Feature, FeatureModel
 from .record import Record
 from .serializer import format_real
-from .tokens import LexError, Lexicon, lex
+from .tokens import Cursor, LexError, Lexicon, lex
 
 KEYWORDS = {
     "enum", "string", "in", "root", "group", "allof", "oneof", "someof",
@@ -53,41 +53,28 @@ class _Block(Record):
         self.line = line
 
 
-class _TvlParser:
-    """Walks the kinds and values of the token stream; `pos` never passes
-    EOF, except that a successful `expect("EOF")` ends the parse."""
+class _TvlParser(Cursor):
+    """The parser of a TVL text, lexed on construction. The parse ends with
+    `expect("EOF")`, the one step that passes EOF."""
 
     def __init__(self, text: str):
         try:
-            self.tokens = lex(text, LEXICON)
+            super().__init__(lex(text, LEXICON))
         except LexError as e:
             raise TvlError(f"line {e.line}: {e.message}") from None
-        self.kinds, self.values = self.tokens.kinds, self.tokens.values
-        self.pos = 0
 
     def fail(self, message: str):
         raise TvlError(f"line {self.tokens.line(self.pos)}: {message}")
 
-    def expect(self, kind: str):
-        """The value of the next token, which must be of `kind`."""
-        pos = self.pos
-        if self.kinds[pos] != kind:
-            found = "end of input" if self.kinds[pos] == "EOF" else self.tokens.text(pos)
-            self.fail(f"expected {kind!r}, found {found!r}")
-        self.pos = pos + 1
-        return self.values[pos]
-
     def parse(self):
         kinds = self.kinds
         header = None
-        if kinds[0] == "enum":
-            self.pos = 1
+        if self.skip("enum"):
             self.expect("string")
             self.expect("in")
             self.expect("{")
             header = [self.expect("STRING")]
-            while kinds[self.pos] == ",":
-                self.pos += 1
+            while self.skip(","):
                 header.append(self.expect("STRING"))
             self.expect("}")
             self.expect(";")
@@ -120,13 +107,10 @@ class _TvlParser:
             self.expect("{")
             members = []
             while True:
-                opt = card == "allof" and kinds[self.pos] == "opt"
-                if opt:
-                    self.pos += 1
+                opt = card == "allof" and self.skip("opt")
                 members.append((opt, self.expect("ID")))
-                if kinds[self.pos] != ",":
+                if not self.skip(","):
                     break
-                self.pos += 1
             self.expect("}")
             block.groups.append((card, members))
         while kinds[self.pos] == "ID":
@@ -156,8 +140,7 @@ class _TvlParser:
         if tag == "bool" and kind in ("true", "false"):
             self.pos += 1
             return kind == "true"
-        shown = "end of input" if kind == "EOF" else self.tokens.text(self.pos)
-        self.fail(f"value {shown!r} does not match type {tag}")
+        self.fail(f"value {self.text() or 'end of input'!r} does not match type {tag}")
 
 
 def import_tvl(text: str) -> FeatureModel:

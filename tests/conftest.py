@@ -266,7 +266,8 @@ def reference_candidate_constraints(cmd, res) -> list:
         return binding[desc.name] if isinstance(desc, VarRef) else desc.name
 
     out: dict = {}
-    for t, binding in zip(res.tuples, res.bindings()):
+    for t in res.tuples:
+        binding = dict(zip(res.variables, t))
         c = Constraint(name(cmd.left, binding), cmd.kind, name(cmd.right, binding))
         entry = out.setdefault(c.effect_key(), (c, []))
         entry[1].append(t)
@@ -297,7 +298,7 @@ def random_model(rng: random.Random, max_features: int = 30,
         kind = rng.choice(list(DecompKind))
         join = None
         if kind.is_group and rng.random() < 0.5:
-            siblings = [model.features[c] for c in model.children(parent)]
+            siblings = model.child_features().get(parent, [])
             matching = [s.group_id for s in siblings
                         if s.decomp is kind and s.group_id > 0]
             if matching:

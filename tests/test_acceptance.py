@@ -174,8 +174,8 @@ def test_criterion_4_single_multi_equivalence():
         else:
             cmd = RemoveAllFeatures(
                 var="V", where=random_where(rng, ["V"], model, depth=1))
-        targets = resolve(model, ["V"], cmd.where,
-                          usages=command_usages(cmd)).project("V")
+        targets = [name for (name,) in resolve(
+            model, ["V"], cmd.where, usages=command_usages(cmd)).tuples]
 
         multi, _ = execute(model, cmd)
 

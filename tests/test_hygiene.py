@@ -1,5 +1,6 @@
-"""Source hygiene: each module of `feather` uses every name it imports, the
-package exports what `__all__` lists, and a run imports only what it needs."""
+"""Source hygiene: each module of `feather` uses every name it imports, every
+function of the package is read somewhere in it, the package exports what
+`__all__` lists, and a run imports only what it needs."""
 
 import ast
 import os
@@ -30,10 +31,39 @@ def unused_imports(source: str) -> list:
             imported.update(a.asname or a.name for a in node.names)
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
+        used.update(exported(node))
     return sorted(imported - used)
+
+
+def exported(node) -> list:
+    """The names an `__all__ = [...]` assignment lists; none for another node."""
+    if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+        return ast.literal_eval(node.value)
+    return []
+
+
+def unused_functions(sources) -> list:
+    """The functions and methods the sources define and never read, sorted.
+
+    A function counts as read where its name is read as a name or as an
+    attribute, or listed in `__all__`; a method (defined in a class body)
+    only where its name is read as an attribute. Dunders are exempt.
+    """
+    functions, methods, names, attributes = set(), set(), set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                methods.update(d.name for d in node.body if isinstance(d, ast.FunctionDef))
+            elif isinstance(node, ast.FunctionDef):
+                functions.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+            names.update(exported(node))
+    unread = (functions - methods - names - attributes) | (methods - attributes)
+    return sorted(n for n in unread if not (n.startswith("__") and n.endswith("__")))
 
 
 def test_unused_imports_are_found():
@@ -54,6 +84,24 @@ def test_names_in_all_count_as_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_unused_functions_are_found():
+    defines = ("def f():\n    def inner():\n        pass\n    return g\n"
+               "def g():\n    pass\n"
+               "def h():\n    pass\n"
+               "class C:\n    def m(self):\n        return self.n\n"
+               "    def n(self):\n        pass\n"
+               "    def called_by_name(self):\n        pass\n"
+               "    def __eq__(self, other):\n        pass\n"
+               "__all__ = ['h']\n")
+    reads = "from . import a\na.f()\na.C().m()\ncalled_by_name = 1\nprint(called_by_name)\n"
+    assert unused_functions([defines, reads]) == ["called_by_name", "inner"]
+    assert unused_functions([defines]) == ["called_by_name", "f", "inner", "m"]
+
+
+def test_every_function_is_read():
+    assert unused_functions(path.read_text() for path in MODULES) == []
 
 
 def test_every_exported_name_resolves():

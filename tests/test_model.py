@@ -19,7 +19,7 @@ def small():
 
 def test_attach_and_groups():
     m = small()
-    assert m.children("A") == ["C", "D"]
+    assert [f.name for f in m.child_features()["A"]] == ["C", "D"]
     assert m.features["C"].group_id == m.features["D"].group_id > 0
     assert m.features["A"].group_id == 0
     assert m.validate() == []

@@ -27,7 +27,7 @@ from feather.parser import (
     UpdateConstraint,
     UpdateFeature,
 )
-from feather.resolver import Ambiguous, ResolutionSet
+from feather.resolver import ResolutionSet
 from feather.tvl import _Block
 
 FROZEN = (Constraint, FeatureRef, VarRef, Lit, AttrRef, Unary, Binary)
@@ -83,7 +83,6 @@ SPECS = {
     ScriptAst: (("root", "features", "constraints", "commands"),
                 {"root": None, "features": [], "constraints": [], "commands": []}),
     ResolutionSet: (("variables", "tuples"), {}),
-    Ambiguous: (("values",), {}),
     Diagnostic: (("index", "code", "severity", "message"), {}),
     _Block: (("name", "attributes", "groups", "constraints", "line"),
              {"attributes": {}, "groups": [], "constraints": [], "line": 0}),
@@ -102,8 +101,8 @@ def fields_of(record, fields) -> list:
     return [getattr(record, f) for f in fields]
 
 
-def test_thirty_one_record_classes():
-    assert len(CLASSES) == 31
+def test_thirty_record_classes():
+    assert len(CLASSES) == 30
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)

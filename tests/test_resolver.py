@@ -15,17 +15,10 @@ from feather.expressions import (
     VarRef,
     compile_expr,
     referenced_usages,
-    variables_in,
 )
 from feather.model import Constraint, DecompKind
 from feather.parser import parse_commands
-from feather.resolver import (
-    NO_RESOLUTION,
-    Ambiguous,
-    candidate_domain,
-    derive_unambiguous,
-    resolve,
-)
+from feather.resolver import candidate_domain, resolve
 
 from conftest import (
     ATTR_POOL,
@@ -90,28 +83,6 @@ def test_join_variables_across_conjuncts():
     assert rs.tuples == [("C", "A"), ("D", "A")]
 
 
-def test_no_resolution_and_ambiguity_derivation():
-    m = model()
-    empty = resolve(m, ["V"], parse_expr("V.n > 100"))
-    assert derive_unambiguous(empty, lambda b: b["V"]) is NO_RESOLUTION
-
-    two = resolve(m, ["V"], parse_expr("V.n = 7"))
-    derived = derive_unambiguous(two, lambda b: b["V"])
-    assert isinstance(derived, Ambiguous)
-    assert derived.values == ["B", "C"]
-
-    same = derive_unambiguous(two, lambda b: m.features[b["V"]].attributes["n"])
-    assert same == 7
-
-
-def test_derivation_distinguishes_int_from_real():
-    m = model()
-    rs = resolve(m, ["V"], parse_expr('V._name = "A" or V._name = "B"'))
-    derived = derive_unambiguous(
-        rs, lambda b: 5 if b["V"] == "A" else 5.0)
-    assert isinstance(derived, Ambiguous)
-
-
 def test_failing_binding_is_excluded_not_fatal():
     # V.s only exists on some features; bindings without it simply drop out
     m = model()
@@ -142,7 +113,7 @@ def test_resolve_without_where_uses_command_usages():
 
 def test_variables_in_helper():
     w = parse_expr('V.n = 1 and "A".n = W.n')
-    assert variables_in(w) == {"V", "W"}
+    assert referenced_usages(w).keys() == {"V", "W"}
 
 
 def test_equality_joins_equal_the_oracle():

@@ -2,7 +2,8 @@
 
 `execute` resolves each command's feature variables jointly against the
 current model, once; without resolutions the command ends in a warning.
-Otherwise it hands one working copy of the model to the command's executor.
+Otherwise it hands one working copy of the model, which shares the model's
+features (see `feather.model`), to the command's executor.
 The executor derives every value it assigns from the resolution tuples, each
 slot compiled once (`_deriver`: the slot's values under the tuples must
 agree, or the command is ambiguous). It checks the ambiguity and integrity
@@ -75,11 +76,7 @@ class _Skip(Exception):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, Constraint):
-        return str(value)
-    if isinstance(value, DecompKind):
+    if isinstance(value, (str, Constraint, DecompKind)):
         return str(value)
     return format_value(value)
 
@@ -311,7 +308,7 @@ def _write_feature_update(model, fname, update):
             model.move_feature(fname, parent, kind, join_group=gid)
         except ModelError as e:
             raise _Skip(str(e)) from None
-    model.features[fname].attributes.update(updates)
+    model.update_attributes(fname, updates)
 
 
 def _single_target(model, cmd, res, verb):
@@ -522,7 +519,8 @@ _EXECUTORS = {
 
 
 def execute(model: FeatureModel, cmd: Command):
-    """Run one command; returns (model', [(severity, message), ...])."""
+    """Run one command; returns (model', [(severity, message), ...]). Never
+    changes `model`: model' is `model` or a copy sharing its unedited features."""
     run = _EXECUTORS.get(type(cmd))
     if run is None:
         raise TypeError(f"unknown command {cmd!r}")

@@ -90,11 +90,11 @@ def dump_intermediate(ast) -> str:
                 f"{_dump_fdesc(cmd.right)}")
         if isinstance(cmd, UpdateConstraint):
             if cmd.new_left is not None:
-                lines.append(f"  leftfeature {_dump_fdesc(cmd.new_left)}")
+                lines.append(f"  leftfeature {postfix_text(cmd.new_left)}")
             if cmd.new_kind is not None:
                 lines.append(f"  constrainttype {cmd.new_kind}")
             if cmd.new_right is not None:
-                lines.append(f"  rightfeature {_dump_fdesc(cmd.new_right)}")
+                lines.append(f"  rightfeature {postfix_text(cmd.new_right)}")
         if cmd.where is not None:
             lines.append(f"  where {postfix_text(cmd.where)}")
     return "\n".join(lines) + "\n"

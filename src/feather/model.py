@@ -3,6 +3,9 @@
 A model is a tree of named features plus a set of cross-tree constraints.
 Decomposition information (parent, kind, group id) is stored inline on each
 feature; the root carries neither a parent nor a decomposition.
+
+A feature stored in a model is a value: an edit stores a new feature in its
+place, so a copy shares every feature with the model it was taken from.
 """
 
 from __future__ import annotations
@@ -89,17 +92,9 @@ class FeatureModel(Record):
         return m
 
     def copy(self) -> "FeatureModel":
-        m = FeatureModel(
-            root=self.root,
-            next_group_id=self.next_group_id,
-            tvl_string_enum=list(self.tvl_string_enum) if self.tvl_string_enum else None,
-        )
-        m.features = {
-            n: Feature(f.name, f.parent, f.decomp, f.group_id, dict(f.attributes))
-            for n, f in self.features.items()
-        }
-        m._constraints = dict(self._constraints)
-        return m
+        """A model that edits apart from this one and shares its features."""
+        return FeatureModel(dict(self.features), self.root, self.next_group_id,
+                            self.tvl_string_enum, dict(self._constraints))
 
     # -- queries -----------------------------------------------------------
 
@@ -157,27 +152,28 @@ class FeatureModel(Record):
         decomp: DecompKind,
         join_group: int | None = None,
     ) -> None:
-        """Insert a new feature under an existing parent.
+        """Store a feature with the name and attributes of `feature` under a parent.
 
         join_group must be the id of an existing group under that parent with
         the same kind; without it, group kinds open a fresh group.
         """
-        if feature.name in self.features:
-            raise ModelError(f"feature name {feature.name!r} is in use")
+        name = feature.name
+        if name in self.features:
+            raise ModelError(f"feature name {name!r} is in use")
         self.feature(parent)
-        feature.parent = parent
-        feature.decomp = decomp
-        feature.group_id = self._assign_group(parent, decomp, join_group)
-        self.features[feature.name] = feature
+        gid = self._assign_group(name, parent, decomp, join_group)
+        self.features[name] = Feature(name, parent, decomp, gid, feature.attributes)
 
-    def _assign_group(self, parent: str, decomp: DecompKind, join_group: int | None) -> int:
+    def _assign_group(self, name: str, parent: str, decomp: DecompKind,
+                      join_group: int | None) -> int:
+        """The group id of `name` under `parent`; `name` alone is no group to join."""
         if not decomp.is_group:
             if join_group is not None:
                 raise ModelError("solitary relations cannot join a group")
             return 0
         if join_group is None:
             return self.fresh_group_id()
-        members = self.group_members(join_group)
+        members = [m for m in self.group_members(join_group) if m != name]
         if not members:
             raise ModelError(f"no group with id {join_group}")
         rep = self.features[members[0]]
@@ -207,28 +203,23 @@ class FeatureModel(Record):
                     f"moving {name!r} under {new_parent!r} would create a cycle"
                 )
             n = self.features[n].parent
-        # detach first so a group joined by this feature alone cannot be matched
-        old = (f.parent, f.decomp, f.group_id)
-        f.parent, f.decomp, f.group_id = None, None, 0
-        try:
-            gid = self._assign_group(new_parent, decomp, join_group)
-        except ModelError:
-            f.parent, f.decomp, f.group_id = old
-            raise
-        f.parent, f.decomp, f.group_id = new_parent, decomp, gid
+        gid = self._assign_group(name, new_parent, decomp, join_group)
+        self.features[name] = Feature(name, new_parent, decomp, gid, f.attributes)
 
     def rename_feature(self, name: str, new_name: str) -> None:
-        f = self.feature(name)
+        self.feature(name)
         if new_name == name:
             return
         if new_name in self.features:
             raise ModelError(f"feature name {new_name!r} is in use")
-        order = list(self.features.values())
-        f.name = new_name
-        self.features = {g.name: g for g in order}
+        features = {}
         for g in self.features.values():
-            if g.parent == name:
-                g.parent = new_name
+            if g.name == name:
+                g = Feature(new_name, g.parent, g.decomp, g.group_id, g.attributes)
+            elif g.parent == name:
+                g = Feature(g.name, new_name, g.decomp, g.group_id, g.attributes)
+            features[g.name] = g
+        self.features = features
         if self.root == name:
             self.root = new_name
         # a fresh name maps distinct effects to distinct effects
@@ -241,6 +232,12 @@ class FeatureModel(Record):
             for c in self._constraints.values()
         )
         self._constraints = {c.effect_key(): c for c in renamed}
+
+    def update_attributes(self, name: str, values: dict) -> None:
+        """Set attributes of a feature, keeping the others."""
+        f = self.feature(name)
+        self.features[name] = Feature(name, f.parent, f.decomp, f.group_id,
+                                      {**f.attributes, **values})
 
     def remove_subtree(self, name: str) -> set:
         """Remove a feature with all descendants and their constraints."""

@@ -174,7 +174,7 @@ def import_tvl(text: str) -> FeatureModel:
                                       else DecompKind.MANDATORY)
                 model.features[child] = Feature(
                     child, parent=b.name, decomp=child_kind, group_id=gid,
-                    attributes=dict(by_name[child].attributes))
+                    attributes=by_name[child].attributes)
     missing = [b.name for b in blocks if b.name not in placed]
     if missing:
         raise TvlError(f'feature "{missing[0]}" is not attached to any group')

@@ -141,6 +141,13 @@ def isomorphic(a: FeatureModel, b: FeatureModel) -> bool:
             == {c.effect_key() for c in b.constraints})
 
 
+def model_state(model: FeatureModel) -> tuple:
+    """Everything a model holds, as values: equal states mean no edit."""
+    features = [(n, f.name, f.parent, f.decomp, f.group_id, dict(f.attributes))
+                for n, f in model.features.items()]
+    return features, model.constraints, model.root, model.next_group_id
+
+
 # -- tree-walking reference for the compiled expressions --------------------
 #
 # typecheck and evaluate walk the tree once per binding. The program compiles

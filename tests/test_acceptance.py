@@ -10,6 +10,7 @@ import random
 import statistics
 import time
 
+from feather import commands
 from feather.build import build_model
 from feather.commands import RunMode, execute, run_script
 from feather.model import DecompKind, Feature, FeatureModel
@@ -23,6 +24,7 @@ from conftest import (
     brute_force_resolve,
     build,
     isomorphic,
+    model_state,
     random_command,
     random_model,
     random_where,
@@ -477,3 +479,28 @@ def test_criterion_9_diagnostic_transcript():
     assert halted is None
     assert [d.render() for d in diags] == EXPECTED_DIAGNOSTICS
     _ok(9, "all 11 diagnostic categories render the exact transcript lines")
+
+
+# -- execute never changes the model it is given -----------------------------
+
+
+def test_execute_never_changes_the_model_it_is_given(monkeypatch):
+    # a result shares its unchanged features with the input model, so an
+    # edit made in place would show in the input; rerun criteria 1, 3, 5 and
+    # 6 with every command checked against a snapshot of its input
+    checked, original = [], commands.execute
+
+    def checked_execute(model, cmd):
+        before = model_state(model)
+        result = original(model, cmd)
+        assert model_state(model) == before, cmd
+        checked.append(cmd)
+        return result
+
+    monkeypatch.setattr(commands, "execute", checked_execute)  # run_script's
+    monkeypatch.setitem(globals(), "execute", checked_execute)  # criterion 3's
+    test_criterion_1_services_scenarios()
+    test_criterion_3_integrity_fuzz()
+    test_criterion_5_branch_a_replay()
+    test_criterion_6_branch_b_replay()
+    assert len(checked) == 5 + 10_000 + 53 + 15

@@ -6,6 +6,8 @@ from feather.build import BuildError, build_model
 from feather.model import Constraint, DecompKind, Feature, FeatureModel, ModelError
 from feather.parser import FeatureDecl, RootDecl, ScriptAst
 
+from conftest import model_state
+
 
 def small():
     m = FeatureModel.with_root("Root", {"price": 10})
@@ -190,11 +192,29 @@ def test_tree_check_messages():
         "tree: cycle through 'F3'", "tree: cycle through 'G'"]
 
 
-def test_copy_is_deep_enough():
+def test_edits_to_a_copy_never_reach_the_original():
+    # the copy shares the original's features; a write into a shared
+    # attribute dict would reach both, so edits go through the primitives
     m = small()
+    m.add_constraint(Constraint("C", "requires", "A"))
+    m.add_constraint(Constraint("D", "excludes", "B"))
+    before = model_state(m)
     c = m.copy()
-    c.features["A"].attributes["x"] = 1
-    c.remove_subtree("B")
-    assert "x" not in m.features["A"].attributes
-    assert "B" in m.features
-    assert c.validate() == []
+    edits = [
+        ("attach_feature", Feature("E", attributes={"y": 2}), "B", DecompKind.OR),
+        ("move_feature", "C", "Root", DecompKind.OPTIONAL),
+        ("rename_feature", "A", "A2"),  # D's parent and a constraint follow
+        ("update_attributes", "Root", {"price": 11, "x": 1}),
+        ("remove_subtree", "B"),  # E and "D excludes B" go with it
+        ("add_constraint", Constraint("C", "excludes", "D")),
+        ("remove_constraint", Constraint("C", "requires", "A2")),
+        ("fresh_group_id",),
+    ]
+    for method, *args in edits:
+        getattr(c, method)(*args)
+        assert model_state(m) == before, method
+    assert c.features["D"].parent == "A2"
+    assert c.features["Root"].attributes == {"price": 11, "x": 1}
+    assert c.constraints == [Constraint("C", "excludes", "D")]
+    assert set(c.features) == {"Root", "A2", "C", "D"}
+    assert m.validate() == [] and c.validate() == []

@@ -207,8 +207,9 @@ def _decomp_slot(model, spec):
 def _check_group_fit(model, kind, gid, parent_name):
     """A group to join must be a group of `kind` under `parent_name`."""
     if gid is not None:
-        members = model.group_members(gid) if gid > 0 else []
-        rep = model.features[members[0]] if members else None
+        # any member stands for the group: members share parent and kind
+        members = model.group_members(gid)
+        rep = model.features[next(iter(members))] if members else None
         if (rep is None or not kind.is_group or rep.decomp != kind
                 or rep.parent != parent_name):
             raise CommandError(
@@ -308,7 +309,8 @@ def _write_feature_update(model, fname, update):
             model.move_feature(fname, parent, kind, join_group=gid)
         except ModelError as e:
             raise _Skip(str(e)) from None
-    model.update_attributes(fname, updates)
+    if updates:
+        model.update_attributes(fname, updates)
 
 
 def _single_target(model, cmd, res, verb):
@@ -381,14 +383,13 @@ def exec_remove_feature(model: FeatureModel, cmd: RemoveFeature, res: Resolution
 
 def exec_remove_all_features(model: FeatureModel, cmd: RemoveAllFeatures,
                              res: ResolutionSet):
+    targets = list(_group_by(res, cmd.var))
     diags = []
-    for fname in _group_by(res, cmd.var):
-        if fname == model.root:
-            diags.append(("warning", "Command had a partial effect: the root "
-                                     "feature cannot be removed"))
-            continue
-        if fname in model.features:  # may already be gone as a descendant
-            model.remove_subtree(fname)
+    if model.root in targets:
+        targets.remove(model.root)
+        diags.append(("warning", "Command had a partial effect: the root "
+                                 "feature cannot be removed"))
+    model.remove_subtree(*targets)
     return diags
 
 

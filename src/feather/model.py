@@ -6,6 +6,16 @@ feature; the root carries neither a parent nor a decomposition.
 
 A feature stored in a model is a value: an edit stores a new feature in its
 place, so a copy shares every feature with the model it was taken from.
+
+Two indices derived from the features spare the edits a scan of the model:
+children (parent name -> child names) and groups (group id -> member
+names). Both are built from `features` in one pass when an edit first needs
+one, and from then on the edits keep them current. The writers never read
+them, so output follows the order of `features`. A copy shares the index
+entries as it shares the features: the first write to an entry, in either
+model, stores a private copy that later writes change in place. So an entry
+two models may reach is never changed in place, and a bulk edit copies each
+entry it touches once.
 """
 
 from __future__ import annotations
@@ -72,15 +82,57 @@ class Feature(Record):
         return self.parent is None
 
 
+class _Index:
+    """Key -> ordered set of names (a dict of name -> None), whose entries
+    the model holding it may share with its copies.
+
+    `owned` holds the keys of the entries no other model reaches; only
+    those are changed in place. A write to any other entry first stores a
+    private copy of it.
+    """
+
+    __slots__ = ("entries", "owned")
+
+    def __init__(self, entries: dict, owned: set):
+        self.entries, self.owned = entries, owned
+
+    def copy(self) -> "_Index":
+        self.owned = set()  # from now on every entry is shared with the copy
+        return _Index(dict(self.entries), set())
+
+    def add(self, key, name: str) -> None:
+        self._own(key)[name] = None
+
+    def discard(self, key, name: str) -> None:
+        entry = self._own(key)
+        del entry[name]
+        if not entry:
+            self.drop(key)
+
+    def drop(self, key) -> None:
+        self.entries.pop(key, None)
+        self.owned.discard(key)
+
+    def _own(self, key) -> dict:
+        if key not in self.owned:
+            self.entries[key] = dict(self.entries.get(key, {}))
+            self.owned.add(key)
+        return self.entries[key]
+
+
 class FeatureModel(Record):
     # features: name -> Feature, insertion-ordered.
     # tvl_string_enum: an optional "enum string in {...}" header carried over
     # from a TVL input; purely decorative, never enforced.
     # _constraints: effect_key() -> Constraint, insertion-ordered; holds at
     # most one constraint per effect, so lookups, additions and removals are O(1)
-    __slots__ = ("features", "root", "next_group_id", "tvl_string_enum", "_constraints")
+    # _children, _groups: the derived indices (see the module docstring),
+    # both None until first needed; they are not fields
+    __slots__ = ("features", "root", "next_group_id", "tvl_string_enum", "_constraints",
+                 "_children", "_groups")
     _defaults = {"features": {}, "root": "", "next_group_id": 1,
                  "tvl_string_enum": None, "_constraints": {}}
+    _derived = ("_children", "_groups")
 
     # -- construction ------------------------------------------------------
 
@@ -92,9 +144,27 @@ class FeatureModel(Record):
         return m
 
     def copy(self) -> "FeatureModel":
-        """A model that edits apart from this one and shares its features."""
-        return FeatureModel(dict(self.features), self.root, self.next_group_id,
-                            self.tvl_string_enum, dict(self._constraints))
+        """A model that edits apart from this one and shares its features
+        and index entries."""
+        m = FeatureModel(dict(self.features), self.root, self.next_group_id,
+                         self.tvl_string_enum, dict(self._constraints))
+        if self._children is not None:
+            m._children, m._groups = self._children.copy(), self._groups.copy()
+        return m
+
+    def _indices(self) -> tuple:
+        """The children and groups indices, both built in one scan on first use."""
+        if self._children is None:
+            children: dict = {}
+            groups: dict = {}
+            for f in self.features.values():
+                if f.parent is not None:
+                    children.setdefault(f.parent, {})[f.name] = None
+                if f.group_id:
+                    groups.setdefault(f.group_id, {})[f.name] = None
+            self._children = _Index(children, set(children))
+            self._groups = _Index(groups, set(groups))
+        return self._children, self._groups
 
     # -- queries -----------------------------------------------------------
 
@@ -113,7 +183,8 @@ class FeatureModel(Record):
             raise ModelError(f"unknown feature {name!r}") from None
 
     def child_features(self) -> dict:
-        """Each parent's name -> its child features, in insertion order."""
+        """Each parent's name -> its child features, in the order of
+        `features`; the writers' listing, built in one scan."""
         kids: dict = {}
         for f in self.features.values():
             if f.parent is not None:
@@ -122,17 +193,19 @@ class FeatureModel(Record):
 
     def subtree(self, name: str) -> set:
         """The feature plus all its transitive descendants."""
-        kids = self.child_features()
+        self.feature(name)
+        kids = self._indices()[0].entries
         result = set()
-        stack = [self.feature(name)]
+        stack = [name]
         while stack:
-            f = stack.pop()
-            result.add(f.name)
-            stack.extend(kids.get(f.name, ()))
+            n = stack.pop()
+            result.add(n)
+            stack.extend(kids.get(n, ()))
         return result
 
-    def group_members(self, group_id: int) -> list:
-        return [f.name for f in self.features.values() if f.group_id == group_id]
+    def group_members(self, group_id: int):
+        """The names in a group, in no fixed order: a view to read at once."""
+        return self._indices()[1].entries.get(group_id, {}).keys()
 
     def stored_constraint(self, c: Constraint) -> Constraint | None:
         """The stored constraint with the same effect as c, if any."""
@@ -162,7 +235,22 @@ class FeatureModel(Record):
             raise ModelError(f"feature name {name!r} is in use")
         self.feature(parent)
         gid = self._assign_group(name, parent, decomp, join_group)
-        self.features[name] = Feature(name, parent, decomp, gid, feature.attributes)
+        self._store(Feature(name, parent, decomp, gid, feature.attributes))
+
+    def _store(self, f: Feature) -> None:
+        """Store f, a non-root feature, in place of the one of its name, if
+        any, and move its name to its parent's and group's index entries."""
+        name, old = f.name, self.features.get(f.name)
+        self.features[name] = f
+        if self._children is None:
+            return
+        for index, was, now in ((self._children, old and old.parent, f.parent),
+                                (self._groups, old and old.group_id, f.group_id)):
+            if was != now:
+                if was:
+                    index.discard(was, name)
+                if now:
+                    index.add(now, name)
 
     def _assign_group(self, name: str, parent: str, decomp: DecompKind,
                       join_group: int | None) -> int:
@@ -173,10 +261,11 @@ class FeatureModel(Record):
             return 0
         if join_group is None:
             return self.fresh_group_id()
-        members = [m for m in self.group_members(join_group) if m != name]
-        if not members:
+        # any other member stands for the group: members share parent and kind
+        rep = next((m for m in self.group_members(join_group) if m != name), None)
+        if rep is None:
             raise ModelError(f"no group with id {join_group}")
-        rep = self.features[members[0]]
+        rep = self.features[rep]
         if rep.parent != parent or rep.decomp != decomp:
             raise ModelError(
                 f"group {join_group} is a {rep.decomp} group under {rep.parent!r}, "
@@ -204,7 +293,7 @@ class FeatureModel(Record):
                 )
             n = self.features[n].parent
         gid = self._assign_group(name, new_parent, decomp, join_group)
-        self.features[name] = Feature(name, new_parent, decomp, gid, f.attributes)
+        self._store(Feature(name, new_parent, decomp, gid, f.attributes))
 
     def rename_feature(self, name: str, new_name: str) -> None:
         self.feature(name)
@@ -220,6 +309,7 @@ class FeatureModel(Record):
                 g = Feature(g.name, new_name, g.decomp, g.group_id, g.attributes)
             features[g.name] = g
         self.features = features
+        self._children = self._groups = None  # rebuilt when next needed
         if self.root == name:
             self.root = new_name
         # a fresh name maps distinct effects to distinct effects
@@ -239,18 +329,37 @@ class FeatureModel(Record):
         self.features[name] = Feature(name, f.parent, f.decomp, f.group_id,
                                       {**f.attributes, **values})
 
-    def remove_subtree(self, name: str) -> set:
-        """Remove a feature with all descendants and their constraints."""
-        f = self.feature(name)
-        if f.is_root:
-            raise ModelError("the root feature cannot be removed")
-        doomed = self.subtree(name)
-        for n in doomed:
-            del self.features[n]
-        self._constraints = {
-            k: c for k, c in self._constraints.items()
-            if c.left not in doomed and c.right not in doomed
-        }
+    def remove_subtree(self, *names: str) -> set:
+        """Remove features with all their descendants, and every constraint
+        naming one of them; returns the removed names.
+
+        A name already removed as a descendant of an earlier one is skipped.
+        Each subtree is walked in the children index, and the constraints
+        are filtered once, after all removals.
+        """
+        for name in names:
+            if self.feature(name).is_root:
+                raise ModelError("the root feature cannot be removed")
+        doomed: set = set()
+        for name in names:
+            if name in doomed:
+                continue
+            gone = self.subtree(name)  # builds the indices
+            f = self.features[name]
+            self._children.discard(f.parent, name)
+            if f.group_id:
+                self._groups.discard(f.group_id, name)
+            for n in gone:
+                f = self.features.pop(n)
+                if n != name:  # its parent and all its siblings go too
+                    self._children.drop(f.parent)
+                    self._groups.drop(f.group_id)
+            doomed |= gone
+        if any(c.left in doomed or c.right in doomed for c in self._constraints.values()):
+            self._constraints = {
+                k: c for k, c in self._constraints.items()
+                if c.left not in doomed and c.right not in doomed
+            }
         return doomed
 
     def add_constraint(self, c: Constraint) -> bool:

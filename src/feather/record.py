@@ -4,7 +4,8 @@ A record's fields are the `__slots__` of its classes, base class first (one
 base per class). Two records are equal when they are of the same class with
 equal fields, and a record shows as `Cls(field=value, ...)`. A record is
 mutable and unhashable; a frozen one refuses assignment and deletion and
-hashes by its fields.
+hashes by its fields. Slots a class names in `_derived` are not fields:
+they start as None and take no part in equality or the repr.
 """
 
 
@@ -17,11 +18,15 @@ class Record:
     __slots__ = ()
     _fields: tuple = ()
     _defaults: dict = {}
+    _derived: tuple = ()
 
     def __init_subclass__(cls):
         base = cls.__mro__[1]
-        cls._fields = base._fields + tuple(cls.__dict__.get("__slots__", ()))
+        derived = cls.__dict__.get("_derived", ())
+        cls._fields = base._fields + tuple(
+            s for s in cls.__dict__.get("__slots__", ()) if s not in derived)
         cls._defaults = {**base._defaults, **cls.__dict__.get("_defaults", {})}
+        cls._derived = base._derived + derived
 
     def __init__(self, *args, **kwargs):
         cls, fields = type(self), self._fields
@@ -40,6 +45,8 @@ class Record:
             else:
                 raise TypeError(f"{cls.__name__}() is missing the field {name!r}")
             object.__setattr__(self, name, value)
+        for name in cls._derived:
+            object.__setattr__(self, name, None)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)

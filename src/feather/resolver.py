@@ -93,10 +93,11 @@ def resolve(model: FeatureModel, variables, where=None,
             usages: dict | None = None) -> ResolutionSet:
     """All tuples over the candidate domains satisfying the where-clause.
 
-    `usages` widens the domain restriction beyond the where-clause (a command
-    passes the usages of every expression it contains). A binding under
-    which the where-clause fails to typecheck, or raises a dynamic error,
-    does not satisfy the clause. A variable may be declared once only.
+    `usages` restricts the candidate domains: a command passes the usages
+    of every expression it contains, its where-clause included; without
+    it, the where-clause's own usages do. A binding under which the
+    where-clause fails to typecheck, or raises a dynamic error, does not
+    satisfy the clause. A variable may be declared once only.
     """
     variables = tuple(variables)
     if len(set(variables)) != len(variables):
@@ -104,7 +105,8 @@ def resolve(model: FeatureModel, variables, where=None,
     conjuncts = _conjuncts(where) if where is not None else []
     uses = [referenced_usages(c) for c in conjuncts]  # each conjunct's, by variable
     terms = merge_usages(*uses)
-    usages = terms if usages is None else merge_usages(usages, terms)
+    if usages is None:
+        usages = terms
     features, binding = model.features, {}
     columns = {v: {attr: {} for attr, _ in terms.get(v, ())} for v in variables}
     domains = {v: candidate_domain(model, usages.get(v, []), columns[v])
@@ -171,6 +173,7 @@ def resolve(model: FeatureModel, variables, where=None,
 
     if order:
         search(0)
+    del search  # it calls itself through its own cell: a reference cycle
     if tuple(order) != variables:
         index = {name: i for i, name in enumerate(features)}
         results = sorted(map(itemgetter(*map(order.index, variables)), results),

@@ -16,7 +16,7 @@ from collections import namedtuple
 import pytest
 
 from feather.build import build_model
-from feather.commands import RunMode, run_script
+from feather.commands import NO_RESOLUTIONS_MSG, RunMode, run_script
 from feather.expressions import (
     _BINARY_OPS,
     _UNARY_OPS,
@@ -118,11 +118,7 @@ def services() -> FeatureModel:
 
 def group_partition(model: FeatureModel) -> set:
     """Sibling groups as frozensets of names; group ids do not matter."""
-    groups: dict = {}
-    for f in model.features.values():
-        if f.group_id > 0:
-            groups.setdefault(f.group_id, set()).add(f.name)
-    return {frozenset(g) for g in groups.values()}
+    return {frozenset(g) for g in scan_groups(model).values()}
 
 
 def isomorphic(a: FeatureModel, b: FeatureModel) -> bool:
@@ -146,6 +142,105 @@ def model_state(model: FeatureModel) -> tuple:
     features = [(n, f.name, f.parent, f.decomp, f.group_id, dict(f.attributes))
                 for n, f in model.features.items()]
     return features, model.constraints, model.root, model.next_group_id
+
+
+# -- the variables of a command ----------------------------------------------
+
+
+def _variable_names(expr) -> set:
+    if isinstance(expr, VarRef):
+        return {expr.name}
+    if isinstance(expr, AttrRef):
+        return _variable_names(expr.subject)
+    if isinstance(expr, Unary):
+        return _variable_names(expr.operand)
+    if isinstance(expr, Binary):
+        return _variable_names(expr.left) | _variable_names(expr.right)
+    return set()
+
+
+def reference_variables(cmd: Command) -> list:
+    """A command's feature variables in the order `execute` declares them:
+    by first occurrence over the command's fields, the where-clause last,
+    the variables of one expression sorted among themselves."""
+    found: dict = {}
+    if isinstance(cmd, (UpdateAllFeatures, RemoveAllFeatures)):
+        found[cmd.var] = None
+
+    def visit(node):
+        if isinstance(node, (Lit, AttrRef, Unary, Binary, VarRef, FeatureRef)):
+            found.update(dict.fromkeys(sorted(_variable_names(node))))
+        elif isinstance(node, (DecompSpec, AttrAssign)):
+            for field in node._fields:
+                visit(getattr(node, field))
+        elif isinstance(node, list):
+            for item in node:
+                visit(item)
+
+    for field in cmd._fields:
+        if field != "where":
+            visit(getattr(cmd, field))
+    visit(cmd.where)
+    return list(found)
+
+
+# -- scanning reference for the model's indices ------------------------------
+
+
+def scan_subtrees(model: FeatureModel) -> dict:
+    """Each feature's name -> the names of its subtree, by walks up the tree."""
+    subtrees = {name: {name} for name in model.features}
+    for name, f in model.features.items():
+        n = f.parent
+        while n is not None:
+            subtrees[n].add(name)
+            n = model.features[n].parent
+    return subtrees
+
+
+def scan_groups(model: FeatureModel) -> dict:
+    """Each group id in use -> the names of its members."""
+    groups: dict = {}
+    for f in model.features.values():
+        if f.group_id > 0:
+            groups.setdefault(f.group_id, set()).add(f.name)
+    return groups
+
+
+def index_answers(model: FeatureModel) -> tuple:
+    """What `subtree` answers for every feature and `group_members` for
+    every group id in use, in the form of (scan_subtrees, scan_groups)."""
+    groups = {g: set(model.group_members(g)) for g in range(1, model.next_group_id + 1)}
+    return ({name: model.subtree(name) for name in model.features},
+            {g: members for g, members in groups.items() if members})
+
+
+def reference_remove_all(model: FeatureModel, targets) -> tuple:
+    """`removeall feature` over the resolved target names, one target at a
+    time as the program once did it: each subtree found by walks up the
+    tree, the constraints filtered after each removal. Returns (model',
+    diagnostics), as `execute` does."""
+    if not targets:
+        return model, [("warning", NO_RESOLUTIONS_MSG)]
+    features, constraints, diagnostics = dict(model.features), model.constraints, []
+    for name in targets:
+        if name == model.root:
+            diagnostics = [("warning", "Command had a partial effect: the root "
+                                       "feature cannot be removed")]
+            continue
+        doomed = set()
+        for n in features:
+            up = n
+            while up is not None and up != name:
+                up = features[up].parent
+            if up == name:
+                doomed.add(n)
+        for n in doomed:
+            del features[n]
+        constraints = [c for c in constraints
+                       if c.left not in doomed and c.right not in doomed]
+    return FeatureModel(features, model.root, model.next_group_id, model.tvl_string_enum,
+                        {c.effect_key(): c for c in constraints}), diagnostics
 
 
 # -- tree-walking reference for the compiled expressions --------------------

@@ -23,12 +23,15 @@ from conftest import (
     SERVICES,
     brute_force_resolve,
     build,
+    index_answers,
     isomorphic,
     model_state,
     random_command,
     random_model,
     random_where,
     run,
+    scan_groups,
+    scan_subtrees,
 )
 
 
@@ -504,3 +507,19 @@ def test_execute_never_changes_the_model_it_is_given(monkeypatch):
     test_criterion_5_branch_a_replay()
     test_criterion_6_branch_b_replay()
     assert len(checked) == 5 + 10_000 + 53 + 15
+
+
+def test_indices_answer_as_a_scan_after_every_command(monkeypatch):
+    # rerun criterion 3's stream; after every command the subtree of each
+    # feature and the members of each group must be what a scan finds
+    checked, original = [], commands.execute
+
+    def checked_execute(model, cmd):
+        after, results = original(model, cmd)
+        assert index_answers(after) == (scan_subtrees(after), scan_groups(after)), cmd
+        checked.append(cmd)
+        return after, results
+
+    monkeypatch.setitem(globals(), "execute", checked_execute)
+    test_criterion_3_integrity_fuzz()
+    assert len(checked) == 10_000

@@ -1,17 +1,32 @@
+import gc
 import itertools
 import random
+import time
 
 import pytest
 
 from feather import commands
 from feather.commands import RunMode
 from feather.expressions import FeatureRef, VarRef
-from feather.model import Constraint, DecompKind, FeatureModel
-from feather.parser import AddConstraint
+from feather.model import Constraint, DecompKind, FeatureModel, ModelError
+from feather.parser import AddConstraint, RemoveAllFeatures, parse_commands
 from feather.resolver import ResolutionSet
 from feather.serializer import serialize_declarations
 
-from conftest import build, isomorphic, reference_candidate_constraints, run
+from conftest import (
+    brute_force_resolve,
+    build,
+    index_answers,
+    isomorphic,
+    parse_expr,
+    random_model,
+    random_where,
+    reference_candidate_constraints,
+    reference_remove_all,
+    run,
+    scan_groups,
+    scan_subtrees,
+)
 
 BRIDGE_PRO = """\
 add feature "Bridge Pro"
@@ -416,6 +431,108 @@ def test_removeall_partial_effect_on_root(services):
     assert [d.severity for d in diags] == ["warning"]
     assert "Bull Market" not in m.features
     assert m.root == "Web Services"
+
+
+def test_removeall_matches_removals_one_target_at_a_time():
+    # one batched removal per command against the reference, which removes
+    # target by target with scans; moves put some descendants before their
+    # ancestors in declaration order, and half the models have built indices
+    rng = random.Random(4242)
+    for case in range(400):
+        m = random_model(rng, max_features=30, max_attrs=4)
+        names = list(m.features)
+        for _ in range(rng.randint(0, 6)):
+            try:
+                m.move_feature(rng.choice(names), rng.choice(names),
+                               rng.choice([DecompKind.MANDATORY, DecompKind.OPTIONAL]))
+            except ModelError:
+                pass
+        for _ in range(rng.randint(0, 3 * len(names))):
+            m.add_constraint(Constraint(rng.choice(names), rng.choice(["requires", "excludes"]),
+                                        rng.choice(names)))
+        if case % 2:
+            index_answers(m)
+        if case % 4:  # a random set of targets, often nested, sometimes the root
+            picked = set(rng.sample(names, rng.randint(1, len(names))))
+            where = parse_expr(" or ".join(f'V._name = "{n}"' for n in picked))
+        else:
+            where = random_where(rng, ["V"], m, depth=1)
+            picked = {n for (n,) in brute_force_resolve(m, ["V"], where)}
+        cmd = RemoveAllFeatures(var="V", where=where)
+        targets = [n for n in m.features if n in picked]
+        want, want_diags = reference_remove_all(m, targets)
+        got, got_diags = commands.execute(m, cmd)
+        assert got_diags == want_diags, case
+        assert serialize_declarations(got) == serialize_declarations(want), case
+        assert got.validate() == [], case
+        assert index_answers(got) == (scan_subtrees(got), scan_groups(got)), case
+
+
+def test_a_pure_move_stores_one_feature_per_target(services, monkeypatch):
+    updated = []
+    real = FeatureModel.update_attributes
+    monkeypatch.setattr(FeatureModel, "update_attributes",
+                        lambda self, *args: updated.append(args) or real(self, *args))
+    m, diags = run(services, 'updateall feature F set _parent = "Infrastructure", '
+                             '_decomp = optional where F.stype = "utility";')
+    assert diags == [] and updated == []
+    assert m.features["Stock Wizard"].parent == "Infrastructure"
+
+
+# -- growth with model size ------------------------------------------------
+
+
+def removal_model(parts: int) -> FeatureModel:
+    """Parts in or-groups of ten, one group per parent under the root; an
+    attribute w of 0-9 on every feature and 1.6 constraints per feature."""
+    rng = random.Random(parts)
+    lines, names = ['root "R";'], []
+    for g in range(parts // 10):
+        lines.append(f'feature "G{g}" "R" optional attribute w {rng.randint(0, 9)};')
+        names.append(f"G{g}")
+        for j in range(10):
+            lines.append(f'feature "P{g}_{j}" "G{g}" or to "P{g}_0" '
+                         f'attribute w {rng.randint(0, 9)};')
+            names.append(f"P{g}_{j}")
+    for _ in range(len(names) * 8 // 5):
+        a, b = rng.sample(names, 2)
+        lines.append(f'constraint "{a}" {rng.choice(["requires", "excludes"])} "{b}";')
+    return build("\n".join(lines) + "\n")
+
+
+def move_model(n: int) -> FeatureModel:
+    """n features with w = 1 under the root, next to H, which holds S in an or-group."""
+    return build('root "R";\nfeature "H" "R" optional;\nfeature "S" "H" or to "S";\n'
+                 + "".join(f'feature "X{i}" "R" optional attribute w 1;\n'
+                           for i in range(n)))
+
+
+def best_time(model, command: str) -> float:
+    """The best of five runs of one command on the model, in seconds."""
+    [cmd] = parse_commands(command)[0].commands
+    times = []
+    gc.collect()
+    gc.disable()  # a collection's cost depends on the whole test run's heap
+    try:
+        for _ in range(5):
+            started = time.perf_counter()
+            _, diags = commands.execute(model, cmd)
+            times.append(time.perf_counter() - started)
+    finally:
+        gc.enable()
+    assert diags == []
+    return min(times)
+
+
+@pytest.mark.parametrize("make, command", [
+    (removal_model, "removeall feature X where X.w > 4;"),
+    (move_model, 'updateall feature X set _parent = "H", _decomp = or to "S" where X.w > 0;'),
+], ids=["removeall", "bulk-group-move"])
+def test_bulk_feature_edits_grow_linearly(make, command):
+    # four times the features take about four times as long; per-target
+    # scans of the model took 10-29 times as long
+    small, large = make(1000), make(4000)
+    assert best_time(large, command) <= 8 * best_time(small, command)
 
 
 def test_add_constraint_simple(services):

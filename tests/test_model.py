@@ -6,7 +6,7 @@ from feather.build import BuildError, build_model
 from feather.model import Constraint, DecompKind, Feature, FeatureModel, ModelError
 from feather.parser import FeatureDecl, RootDecl, ScriptAst
 
-from conftest import model_state
+from conftest import index_answers, model_state, scan_groups, scan_subtrees
 
 
 def small():
@@ -192,29 +192,65 @@ def test_tree_check_messages():
         "tree: cycle through 'F3'", "tree: cycle through 'G'"]
 
 
-def test_edits_to_a_copy_never_reach_the_original():
-    # the copy shares the original's features; a write into a shared
-    # attribute dict would reach both, so edits go through the primitives
+# one call of each edit primitive, in an order in which each applies
+EDITS = [
+    ("attach_feature", Feature("E", attributes={"y": 2}), "B", DecompKind.OR),
+    ("move_feature", "C", "Root", DecompKind.OPTIONAL),
+    ("rename_feature", "A", "A2"),  # D's parent and a constraint follow
+    ("update_attributes", "Root", {"price": 11, "x": 1}),
+    ("remove_subtree", "B"),  # E and "D excludes B" go with it
+    ("add_constraint", Constraint("C", "excludes", "D")),
+    ("remove_constraint", Constraint("C", "requires", "A2")),
+    ("fresh_group_id",),
+]
+
+
+def edited_pair():
+    """A model with both indices built, and a copy of it."""
     m = small()
     m.add_constraint(Constraint("C", "requires", "A"))
     m.add_constraint(Constraint("D", "excludes", "B"))
-    before = model_state(m)
-    c = m.copy()
-    edits = [
-        ("attach_feature", Feature("E", attributes={"y": 2}), "B", DecompKind.OR),
-        ("move_feature", "C", "Root", DecompKind.OPTIONAL),
-        ("rename_feature", "A", "A2"),  # D's parent and a constraint follow
-        ("update_attributes", "Root", {"price": 11, "x": 1}),
-        ("remove_subtree", "B"),  # E and "D excludes B" go with it
-        ("add_constraint", Constraint("C", "excludes", "D")),
-        ("remove_constraint", Constraint("C", "requires", "A2")),
-        ("fresh_group_id",),
-    ]
-    for method, *args in edits:
+    assert index_answers(m) == (scan_subtrees(m), scan_groups(m))
+    return m, m.copy()
+
+
+def test_edits_to_a_copy_never_reach_the_original():
+    # the copy shares the original's features and index entries; a write
+    # into a shared attribute dict would reach both, so edits go through
+    # the primitives
+    m, c = edited_pair()
+    before = model_state(m), index_answers(m)
+    for method, *args in EDITS:
         getattr(c, method)(*args)
-        assert model_state(m) == before, method
+        assert (model_state(m), index_answers(m)) == before, method
+        assert index_answers(c) == (scan_subtrees(c), scan_groups(c)), method
     assert c.features["D"].parent == "A2"
     assert c.features["Root"].attributes == {"price": 11, "x": 1}
     assert c.constraints == [Constraint("C", "excludes", "D")]
     assert set(c.features) == {"Root", "A2", "C", "D"}
     assert m.validate() == [] and c.validate() == []
+
+
+def test_edits_to_the_original_never_reach_a_copy():
+    # the original built its index entries, and so could write them in
+    # place; after copy() it must copy each before its first write
+    m, c = edited_pair()
+    before = model_state(c), index_answers(c)
+    for method, *args in EDITS:
+        getattr(m, method)(*args)
+        assert (model_state(c), index_answers(c)) == before, method
+        assert index_answers(m) == (scan_subtrees(m), scan_groups(m)), method
+    assert m.validate() == [] and c.validate() == []
+
+
+def test_remove_subtree_takes_several_roots():
+    m = small()
+    m.add_constraint(Constraint("C", "requires", "B"))
+    m.add_constraint(Constraint("D", "excludes", "Root"))
+    # C goes first, then A's walk no longer meets it; D goes with A
+    assert m.remove_subtree("C", "A", "D") == {"A", "C", "D"}
+    assert set(m.features) == {"Root", "B"} and m.constraints == []
+    assert index_answers(m) == (scan_subtrees(m), scan_groups(m))
+    with pytest.raises(ModelError):
+        m.remove_subtree("B", "Root")
+    assert set(m.features) == {"Root", "B"}  # nothing removed

@@ -6,11 +6,11 @@ Otherwise it hands one working copy of the model, which shares the model's
 features (see `feather.model`), to the command's executor.
 The executor derives every value it assigns from the resolution tuples, each
 slot compiled once (`_deriver`: the slot's values under the tuples must
-agree, or the command is ambiguous). It checks the ambiguity and integrity
-rules, then edits the copy and returns the command's diagnostics. `execute`
-is the one atomicity point: an error discards the copy, even after a write,
-so a failing command leaves no edit behind (multi-target commands may
-commit a defined partial effect).
+agree, or the command is ambiguous; a slot naming no variable is evaluated
+once). It checks the ambiguity and integrity rules, then edits the copy and
+returns the command's diagnostics. `execute` is the one atomicity point: an
+error discards the copy, even after a write, so a failing command leaves no
+edit behind (multi-target commands may commit a defined partial effect).
 """
 
 from __future__ import annotations
@@ -169,10 +169,24 @@ def _desc_name(desc, binding) -> str:
     return desc.name
 
 
-def _deriver(slot, ambiguity_message, list_values=True):
+def _varies(*parts) -> bool:
+    """Whether any of the expressions or feature descriptors names a variable."""
+    return any(isinstance(p, VarRef) or referenced_usages(p) for p in parts)
+
+
+def _deriver(slot, ambiguity_message, list_values=True, constant=False):
     """A function from a non-empty resolution set to the value of `slot`
     under all of its tuples, which must agree. Values of different types
-    differ: 5 and 5.0, or true and 1, are two values."""
+    differ: 5 and 5.0, or true and 1, are two values.
+
+    A constant slot, one that names no variable, has one value per command:
+    it is evaluated at its first use, under no binding, and that value is
+    returned from then on. Every slot is derived before the command's first
+    write, so the value cannot go stale."""
+    if constant:
+        once = functools.cache(lambda: slot({}))
+        return lambda _resolutions: once()
+
     def derive(resolutions):
         values: dict = {}  # (type, value) -> the value, in first-seen order
         for t in resolutions.tuples:
@@ -228,30 +242,37 @@ def _attr_slot(model, assign):
     return slot
 
 
-def _feature_slots(model, cmd) -> dict:
-    """The slots of a feature command, compiled once per command.
+def _feature_slots(model, cmd) -> tuple:
+    """The slots of a feature command, compiled once per command, and
+    whether any of them names a variable.
 
     Keyed "_parent", "_decomp" and by attribute position; each maps a
     resolution set to the slot's derived value.
     """
     slots: dict = {}
+    varying: list = []
+
+    def add(key, slot, message, *parts, list_values=True):
+        varying.append(_varies(*parts))
+        slots[key] = _deriver(slot, message, list_values, constant=not varying[-1])
+
     if cmd.parent is not None:
-        slots["_parent"] = _deriver(_slot(cmd.parent, model), PARENT_AMBIGUITY)
+        add("_parent", _slot(cmd.parent, model), PARENT_AMBIGUITY, cmd.parent)
     if cmd.decomp is not None:
-        slots["_decomp"] = _deriver(_decomp_slot(model, cmd.decomp),
-                                    DECOMP_AMBIGUITY, list_values=False)
+        add("_decomp", _decomp_slot(model, cmd.decomp), DECOMP_AMBIGUITY,
+            cmd.decomp.kind, cmd.decomp.sibling, list_values=False)
     for i, a in enumerate(cmd.attrs):
-        slots[i] = _deriver(
-            _attr_slot(model, a),
-            f'Command is ambiguous on what the value of attribute "{a.name}" will be')
-    return slots
+        add(i, _attr_slot(model, a),
+            f'Command is ambiguous on what the value of attribute "{a.name}" will be',
+            a.value)
+    return slots, any(varying)
 
 
 # -- feature commands ------------------------------------------------------
 
 
 def exec_add_feature(model: FeatureModel, cmd: AddFeature, res: ResolutionSet):
-    slots = _feature_slots(model, cmd)
+    slots, _varying = _feature_slots(model, cmd)
     parent = slots["_parent"](res)
     if parent not in model.features:
         raise CommandError(f'The specified parent (i.e., "{parent}") does not exist')
@@ -330,7 +351,7 @@ def _single_target(model, cmd, res, verb):
 
 def exec_update_feature(model: FeatureModel, cmd: UpdateFeature, res: ResolutionSet):
     fname, sub = _single_target(model, cmd, res, "updated")
-    slots = _feature_slots(model, cmd)
+    slots, _varying = _feature_slots(model, cmd)
     # slots are derived as the check reaches them
     update = _check_feature_update(model, fname, cmd, lambda key: slots[key](sub))
     _write_feature_update(model, fname, update)
@@ -357,9 +378,14 @@ def exec_update_all_features(model: FeatureModel, cmd: UpdateAllFeatures,
     # ambiguity or a failed check leaves the model untouched, each target is
     # checked against the model as the command found it, and only a move the
     # edited model refuses skips a target
-    slots = _feature_slots(model, cmd)
-    derived = {t: {key: derive(sub) for key, derive in slots.items()}
-               for t, sub in _group_by(res, cmd.var).items()}
+    slots, varying = _feature_slots(model, cmd)
+    if varying:
+        derived = {t: {key: derive(sub) for key, derive in slots.items()}
+                   for t, sub in _group_by(res, cmd.var).items()}
+    else:  # one set of values serves every target
+        i = res.variables.index(cmd.var)
+        derived = dict.fromkeys((t[i] for t in res.tuples),
+                                {key: derive(res) for key, derive in slots.items()})
     updates = {t: _check_feature_update(model, t, cmd, values.__getitem__)
                for t, values in derived.items()}
     skipped = []
@@ -447,7 +473,8 @@ def _end_slot(model, expr, side):
     if expr is None:
         return None
     derive = _deriver(_slot(expr, model),
-                      f"Command is ambiguous on what the new {side}-feature will be")
+                      f"Command is ambiguous on what the new {side}-feature will be",
+                      constant=not _varies(expr))
 
     def end(resolutions):
         name = derive(resolutions)

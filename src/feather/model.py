@@ -375,71 +375,3 @@ class FeatureModel(Record):
     def remove_constraint(self, c: Constraint) -> bool:
         """Remove the stored constraint with the same effect as c, if any."""
         return self._constraints.pop(c.effect_key(), None) is not None
-
-    # -- integrity ---------------------------------------------------------
-
-    def validate(self) -> list:
-        """Check every model invariant; returns a list of violation strings."""
-        problems = []
-        roots = [f for f in self.features.values() if f.parent is None]
-        if self.root not in self.features:
-            problems.append(f"root: root name {self.root!r} is not a feature")
-        if len(roots) != 1:
-            problems.append(f"root: expected exactly one root, found {len(roots)}")
-        elif roots[0].name != self.root:
-            problems.append(
-                f"root: parentless feature {roots[0].name!r} is not the declared root"
-            )
-        if roots and (roots[0].decomp is not None or roots[0].group_id != 0):
-            problems.append("root: root carries decomposition information")
-
-        for name, f in self.features.items():
-            if f.name != name:
-                problems.append(f"naming: key {name!r} maps to feature {f.name!r}")
-            if f.parent is None:
-                continue
-            if f.parent not in self.features:
-                problems.append(f"tree: parent of {name!r} ({f.parent!r}) does not exist")
-            if f.decomp is None:
-                problems.append(f"decomp: non-root {name!r} has no decomposition kind")
-            elif f.decomp.is_group != (f.group_id > 0):
-                problems.append(
-                    f"group: {name!r} has kind {f.decomp} but group id {f.group_id}"
-                )
-            for attr in f.attributes:
-                if attr in STRUCTURAL_ATTRS or not attr[:1].islower():
-                    problems.append(f"attribute: {name!r} has bad identifier {attr!r}")
-
-        # parent graph must be a tree rooted at the root; a walk stops at the
-        # first feature already known to lead into a cycle or not
-        cyclic: dict = {}
-        for name in self.features:
-            path = set()
-            n = name
-            while n in self.features and n not in cyclic and n not in path:
-                path.add(n)
-                n = self.features[n].parent
-            verdict = cyclic.get(n, n in path)
-            cyclic.update(dict.fromkeys(path, verdict))
-        problems += [f"tree: cycle through {name!r}"
-                     for name in self.features if cyclic[name]]
-
-        groups: dict = {}
-        for f in self.features.values():
-            if f.group_id > 0:
-                groups.setdefault(f.group_id, []).append(f)
-        for gid, members in groups.items():
-            if len({m.parent for m in members}) > 1:
-                problems.append(f"group: members of group {gid} have different parents")
-            if len({m.decomp for m in members}) > 1:
-                problems.append(f"group: members of group {gid} have different kinds")
-            if gid >= self.next_group_id:
-                problems.append(f"group: id {gid} not below next_group_id counter")
-
-        for key, c in self._constraints.items():
-            for end in (c.left, c.right):
-                if end not in self.features:
-                    problems.append(f"constraint: {c} names unknown feature {end!r}")
-            if key != c.effect_key():
-                problems.append(f"constraint: {c} is stored under key {key!r}")
-        return problems

@@ -13,14 +13,16 @@ reads under a binding, and a column of one type over the domain has its
 type rule applied at compile time. A conjunct that fails to typecheck or
 evaluate is false.
 
-Conjuncts of one variable filter its domain before the search. The search
-binds the rest smallest domain first, deciding each conjunct at the depth
-where its last variable is bound. A conjunct `V.a = U.b` is a hash join:
-`V`'s domain is indexed once by the key of its `a` column, and the search
-visits only the names whose key equals that of `U.b`. Keys follow `=`
-exactly (`1 = 1.0`; a boolean never equals a number), so the join needs no
-check of its own. Each depth walks its names in domain order, so only a
-search order other than the declaration order needs a sort.
+Conjuncts of one variable filter its domain before the search; one of the
+form `V.a = lit` keeps the names whose key (see below) equals the literal's.
+The search binds the variables smallest domain first, deciding each
+conjunct at the depth where its last variable is bound. A conjunct
+`V.a = U.b` is a hash join: `V`'s domain is indexed once by the key of its
+`a` column, and the search visits only the names whose key equals that of
+`U.b`. Keys follow `=` exactly (`1 = 1.0`; a boolean never equals a
+number), so neither the join nor the literal filter needs a check of its
+own. Each depth walks its names in domain order, so only a search order
+other than the declaration order needs a sort.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .expressions import (
     AttrRef,
     Binary,
     EvalError,
+    Lit,
     NUMERIC,
     TypeCheckError,
     VarRef,
@@ -38,6 +41,7 @@ from .expressions import (
     attr_reader,
     compile_typed,
     referenced_usages,
+    type_of,
 )
 from .model import FeatureModel
 from .record import Record
@@ -135,8 +139,17 @@ def resolve(model: FeatureModel, variables, where=None,
     if constant and not _all_hold(constant, leaf)(features, binding):
         return ResolutionSet(variables, [])
     for v, cs in single.items():
-        if cs:
-            holds = _all_hold(cs, leaf)
+        rest = []
+        for c in cs:
+            match = _literal_key(c)
+            if match is None:
+                rest.append(c)
+            else:
+                column, key = columns[v][match[0]], match[1]
+                domains[v] = [] if key is None else [
+                    n for n in domains[v] if _join_key(*column[n]) == key]
+        if rest:
+            holds = _all_hold(rest, leaf)
             domains[v] = [n for n in domains[v] if holds(features, {v: n})]
 
     order = sorted(variables, key=lambda v: len(domains[v]))
@@ -208,6 +221,16 @@ def _var_term(expr):
     """The variable of a `V.attr` term, else None."""
     if isinstance(expr, AttrRef) and isinstance(expr.subject, VarRef):
         return expr.subject.name
+    return None
+
+
+def _literal_key(conjunct):
+    """(a, the key of lit) for a conjunct `V.a = lit` or `lit = V.a`, else None."""
+    if isinstance(conjunct, Binary) and conjunct.op == "=":
+        for term, lit in ((conjunct.left, conjunct.right),
+                          (conjunct.right, conjunct.left)):
+            if _var_term(term) is not None and isinstance(lit, Lit):
+                return term.attr, _join_key(type_of(lit.value), lit.value)
     return None
 
 

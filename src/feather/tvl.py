@@ -40,6 +40,11 @@ def _word(word: str) -> str:
 
 LEXICON = Lexicon(KEYWORDS, "{},;", _word, signed_numbers=True)
 
+# the token kind of a value of each attribute type but bool
+_VALUE_KINDS = {"int": "INT", "real": "REAL", "string": "STRING"}
+# the kind of the members of each group cardinality but allof
+_GROUP_KINDS = {"oneof": DecompKind.ALTERNATIVE, "someof": DecompKind.OR}
+
 
 class _Block(Record):
     __slots__ = ("name", "attributes", "groups", "constraints", "line")
@@ -134,7 +139,7 @@ class _TvlParser(Cursor):
 
     def parse_value(self, tag: str):
         kind = self.kinds[self.pos]
-        if kind == {"int": "INT", "real": "REAL", "string": "STRING"}.get(tag):
+        if kind == _VALUE_KINDS.get(tag):
             self.pos += 1
             return self.values[self.pos - 1]
         if tag == "bool" and kind in ("true", "false"):
@@ -154,28 +159,23 @@ def import_tvl(text: str) -> FeatureModel:
     model = FeatureModel.with_root(blocks[0].name, blocks[0].attributes)
     model.tvl_string_enum = header
 
-    placed = {blocks[0].name}
-    order = [blocks[0].name]
+    features = model.features  # the features placed so far, the root first
     # walk blocks in declaration order; a group can only mention declared ids
     for b in blocks:
         for card, members in b.groups:
-            gid = model.fresh_group_id() if card in ("oneof", "someof") else 0
-            kind = {"oneof": DecompKind.ALTERNATIVE,
-                    "someof": DecompKind.OR}.get(card)
+            kind = _GROUP_KINDS.get(card)
+            gid = model.fresh_group_id() if kind else 0
             for opt, child in members:
                 if child not in by_name:
                     raise TvlError(
                         f'group under "{b.name}" names unknown feature "{child}"')
-                if child in placed:
+                if child in features:
                     raise TvlError(f'feature "{child}" appears in two groups')
-                placed.add(child)
-                order.append(child)
                 child_kind = kind or (DecompKind.OPTIONAL if opt
                                       else DecompKind.MANDATORY)
-                model.features[child] = Feature(
-                    child, parent=b.name, decomp=child_kind, group_id=gid,
-                    attributes=by_name[child].attributes)
-    missing = [b.name for b in blocks if b.name not in placed]
+                features[child] = Feature(child, b.name, child_kind, gid,
+                                          by_name[child].attributes)
+    missing = [b.name for b in blocks if b.name not in features]
     if missing:
         raise TvlError(f'feature "{missing[0]}" is not attached to any group')
 
@@ -186,9 +186,16 @@ def import_tvl(text: str) -> FeatureModel:
                     raise TvlError(f'constraint {c} names unknown feature "{end}"')
             model.add_constraint(c)
 
-    problems = model.validate()
-    if problems:
-        raise TvlError("; ".join(problems))
+    # every block is placed once, so a block the root does not reach lies on
+    # a cycle of groups or hangs off one
+    reached = [blocks[0].name]
+    for name in reached:  # the list grows as the walk reaches blocks
+        for _card, members in by_name[name].groups:
+            reached += [child for _opt, child in members]
+    if len(reached) < len(blocks):
+        reached = set(reached)
+        raise TvlError("; ".join(f"tree: cycle through {name!r}"
+                                 for name in features if name not in reached))
     return model
 
 

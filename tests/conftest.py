@@ -16,7 +16,8 @@ from collections import namedtuple
 import pytest
 
 from feather.build import build_model
-from feather.commands import NO_RESOLUTIONS_MSG, RunMode, run_script
+from feather import commands
+from feather.commands import NO_RESOLUTIONS_MSG, CommandError, RunMode, _listing, run_script
 from feather.expressions import (
     _BINARY_OPS,
     _UNARY_OPS,
@@ -35,7 +36,7 @@ from feather.expressions import (
     _unary_type,
     type_of,
 )
-from feather.model import Constraint, DecompKind, Feature, FeatureModel
+from feather.model import STRUCTURAL_ATTRS, Constraint, DecompKind, Feature, FeatureModel
 from feather.parser import (
     BINARY_PRECEDENCE,
     DECOMP_KEYWORDS,
@@ -62,7 +63,13 @@ from feather.parser import (
     parse_script,
 )
 from feather.tokens import KEYWORDS, STRING_PUNCT, STRUCTURALS, SYMBOLS, LexError, Token, lex
-from feather.tvl import KEYWORDS as TVL_KEYWORDS, LEXICON as TVL_LEXICON, TvlError, _Block
+from feather.tvl import (
+    KEYWORDS as TVL_KEYWORDS,
+    LEXICON as TVL_LEXICON,
+    TvlError,
+    _Block,
+    _TvlParser,
+)
 
 SERVICES = """\
 root "Web Services";
@@ -144,6 +151,79 @@ def model_state(model: FeatureModel) -> tuple:
     return features, model.constraints, model.root, model.next_group_id
 
 
+# -- the model invariants ------------------------------------------------------
+#
+# The program checks each invariant where an edit or a front end could break
+# it; this checks all of them on a whole model, as the oracle the tests call.
+
+
+def validate(model: FeatureModel) -> list:
+    """Check every model invariant; returns a list of violation strings."""
+    problems = []
+    roots = [f for f in model.features.values() if f.parent is None]
+    if model.root not in model.features:
+        problems.append(f"root: root name {model.root!r} is not a feature")
+    if len(roots) != 1:
+        problems.append(f"root: expected exactly one root, found {len(roots)}")
+    elif roots[0].name != model.root:
+        problems.append(
+            f"root: parentless feature {roots[0].name!r} is not the declared root"
+        )
+    if roots and (roots[0].decomp is not None or roots[0].group_id != 0):
+        problems.append("root: root carries decomposition information")
+
+    for name, f in model.features.items():
+        if f.name != name:
+            problems.append(f"naming: key {name!r} maps to feature {f.name!r}")
+        if f.parent is None:
+            continue
+        if f.parent not in model.features:
+            problems.append(f"tree: parent of {name!r} ({f.parent!r}) does not exist")
+        if f.decomp is None:
+            problems.append(f"decomp: non-root {name!r} has no decomposition kind")
+        elif f.decomp.is_group != (f.group_id > 0):
+            problems.append(
+                f"group: {name!r} has kind {f.decomp} but group id {f.group_id}"
+            )
+        for attr in f.attributes:
+            if attr in STRUCTURAL_ATTRS or not attr[:1].islower():
+                problems.append(f"attribute: {name!r} has bad identifier {attr!r}")
+
+    # parent graph must be a tree rooted at the root; a walk stops at the
+    # first feature already known to lead into a cycle or not
+    cyclic: dict = {}
+    for name in model.features:
+        path = set()
+        n = name
+        while n in model.features and n not in cyclic and n not in path:
+            path.add(n)
+            n = model.features[n].parent
+        verdict = cyclic.get(n, n in path)
+        cyclic.update(dict.fromkeys(path, verdict))
+    problems += [f"tree: cycle through {name!r}"
+                 for name in model.features if cyclic[name]]
+
+    groups: dict = {}
+    for f in model.features.values():
+        if f.group_id > 0:
+            groups.setdefault(f.group_id, []).append(f)
+    for gid, members in groups.items():
+        if len({m.parent for m in members}) > 1:
+            problems.append(f"group: members of group {gid} have different parents")
+        if len({m.decomp for m in members}) > 1:
+            problems.append(f"group: members of group {gid} have different kinds")
+        if gid >= model.next_group_id:
+            problems.append(f"group: id {gid} not below next_group_id counter")
+
+    for key, c in model._constraints.items():
+        for end in (c.left, c.right):
+            if end not in model.features:
+                problems.append(f"constraint: {c} names unknown feature {end!r}")
+        if key != c.effect_key():
+            problems.append(f"constraint: {c} is stored under key {key!r}")
+    return problems
+
+
 # -- the variables of a command ----------------------------------------------
 
 
@@ -213,6 +293,30 @@ def index_answers(model: FeatureModel) -> tuple:
     groups = {g: set(model.group_members(g)) for g in range(1, model.next_group_id + 1)}
     return ({name: model.subtree(name) for name in model.features},
             {g: members for g, members in groups.items() if members})
+
+
+def reference_deriver(slot, ambiguity_message, list_values=True, constant=False):
+    """commands._deriver with every slot evaluated under every tuple, as it
+    was before a slot naming no variable was evaluated once per command."""
+    def derive(resolutions):
+        values: dict = {}
+        for t in resolutions.tuples:
+            v = slot(dict(zip(resolutions.variables, t)))
+            values.setdefault((type(v), v), v)
+        if len(values) > 1:
+            if list_values:
+                raise CommandError(f"{ambiguity_message} {_listing(values.values())}")
+            raise CommandError(ambiguity_message)
+        [value] = values.values()
+        return value
+    return derive
+
+
+def per_tuple_slots(monkeypatch) -> None:
+    """Make `feather.commands` derive every slot per tuple and group an
+    `updateall feature` by target, as it did before constant slots."""
+    monkeypatch.setattr(commands, "_deriver", reference_deriver)
+    monkeypatch.setattr(commands, "_varies", lambda *parts: True)
 
 
 def reference_remove_all(model: FeatureModel, targets) -> tuple:
@@ -1334,3 +1438,51 @@ class ReferenceTvlParser:
         if tag == "string" and t.kind == "STRING":
             return self.next().value
         raise TvlError(f"line {t.line}: value {self.found()} does not match type {tag}")
+
+
+def reference_import_tvl(text: str) -> FeatureModel:
+    """TVL import as it once was: the importer's own checks, then the whole
+    of `validate`, whose problems make the error message."""
+    header, blocks = _TvlParser(text).parse()
+    by_name: dict = {}
+    for b in blocks:
+        if b.name in by_name:
+            raise TvlError(f'duplicate feature "{b.name}"')
+        by_name[b.name] = b
+
+    model = FeatureModel.with_root(blocks[0].name, blocks[0].attributes)
+    model.tvl_string_enum = header
+
+    placed = {blocks[0].name}
+    for b in blocks:
+        for card, members in b.groups:
+            gid = model.fresh_group_id() if card in ("oneof", "someof") else 0
+            kind = {"oneof": DecompKind.ALTERNATIVE,
+                    "someof": DecompKind.OR}.get(card)
+            for opt, child in members:
+                if child not in by_name:
+                    raise TvlError(
+                        f'group under "{b.name}" names unknown feature "{child}"')
+                if child in placed:
+                    raise TvlError(f'feature "{child}" appears in two groups')
+                placed.add(child)
+                child_kind = kind or (DecompKind.OPTIONAL if opt
+                                      else DecompKind.MANDATORY)
+                model.features[child] = Feature(
+                    child, parent=b.name, decomp=child_kind, group_id=gid,
+                    attributes=by_name[child].attributes)
+    missing = [b.name for b in blocks if b.name not in placed]
+    if missing:
+        raise TvlError(f'feature "{missing[0]}" is not attached to any group')
+
+    for b in blocks:
+        for c in b.constraints:
+            for end in (c.left, c.right):
+                if end not in by_name:
+                    raise TvlError(f'constraint {c} names unknown feature "{end}"')
+            model.add_constraint(c)
+
+    problems = validate(model)
+    if problems:
+        raise TvlError("; ".join(problems))
+    return model

@@ -32,6 +32,7 @@ from conftest import (
     run,
     scan_groups,
     scan_subtrees,
+    validate,
 )
 
 
@@ -127,7 +128,7 @@ def test_criterion_3_integrity_fuzz():
             cmd = random_command(rng, model)
             before = serialize_declarations(model)
             after, results = execute(model, cmd)
-            violations = after.validate()
+            violations = validate(after)
             assert violations == [], (cmd, violations)
             if any(severity == "error" for severity, _ in results):
                 assert serialize_declarations(after) == before, cmd
@@ -269,7 +270,7 @@ def test_criterion_5_branch_a_replay():
     for k, members in categories.items():
         target = f"Pricing - {PRICING[k - 1]}"
         assert all(after.features[n].parent == target for n in members)
-    assert after.validate() == []
+    assert validate(after) == []
 
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
@@ -328,7 +329,7 @@ def test_criterion_6_branch_b_replay():
     assert diags == [] and halted is None
     assert len(after.features) - len(model.features) == 13
     assert len(after.constraints) - len(model.constraints) == 7016
-    assert after.validate() == []
+    assert validate(after) == []
 
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0

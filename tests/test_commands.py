@@ -7,18 +7,32 @@ import pytest
 
 from feather import commands
 from feather.commands import RunMode
-from feather.expressions import FeatureRef, VarRef
+from feather.expressions import AttrRef, Binary, FeatureRef, Lit, VarRef
 from feather.model import Constraint, DecompKind, FeatureModel, ModelError
-from feather.parser import AddConstraint, RemoveAllFeatures, parse_commands
+from feather.parser import (
+    AddConstraint,
+    AddFeature,
+    AttrAssign,
+    DecompSpec,
+    RemoveAllFeatures,
+    UpdateAllConstraints,
+    UpdateAllFeatures,
+    UpdateConstraint,
+    UpdateFeature,
+    parse_commands,
+)
 from feather.resolver import ResolutionSet
 from feather.serializer import serialize_declarations
 
 from conftest import (
+    ATTR_POOL,
     brute_force_resolve,
     build,
     index_answers,
     isomorphic,
+    model_state,
     parse_expr,
+    per_tuple_slots,
     random_model,
     random_where,
     reference_candidate_constraints,
@@ -26,6 +40,7 @@ from conftest import (
     run,
     scan_groups,
     scan_subtrees,
+    validate,
 )
 
 BRIDGE_PRO = """\
@@ -50,7 +65,7 @@ def test_add_feature_joins_or_group(services):
     assert f.decomp is DecompKind.OR
     assert f.group_id == m.features["3D Racing"].group_id
     assert f.attributes == {"stype": "fun", "extracost": 8}
-    assert m.validate() == []
+    assert validate(m) == []
 
 
 def test_add_feature_ambiguous_parent_no_effect(services):
@@ -107,7 +122,7 @@ def test_update_feature_move_with_attrs(services):
     assert f.group_id == 0
     # Video Chat stays behind in what is now a singleton group
     assert m.features["Video Chat"].group_id > 0
-    assert m.validate() == []
+    assert validate(m) == []
 
 
 def test_update_feature_ambiguous_target_no_effect(services):
@@ -278,7 +293,7 @@ def test_updateall_move_into_shared_group(services):
         assert f.parent == "Package 3"
         assert f.decomp is DecompKind.OR
         assert f.group_id == gid
-    assert m.validate() == []
+    assert validate(m) == []
 
 
 def test_updateall_partial_effect_skips_root(services):
@@ -293,7 +308,7 @@ def test_updateall_partial_effect_skips_root(services):
     assert "partial effect" in diags[0].message
     assert m.features["Bull Market"].parent == "Infrastructure"
     assert m.root == "Web Services"
-    assert m.validate() == []
+    assert validate(m) == []
 
 
 def test_updateall_skipped_middle_target_leaves_it_unchanged(services):
@@ -312,7 +327,7 @@ def test_updateall_skipped_middle_target_leaves_it_unchanged(services):
     for name in ("Package 1", "Infrastructure"):
         assert m.features[name].parent == "Dating Club"
         assert m.features[name].decomp is DecompKind.OR
-    assert m.validate() == []
+    assert validate(m) == []
 
     single = services
     for name in ("Package 1", "Package 3", "Infrastructure"):
@@ -338,7 +353,7 @@ def test_updateall_checks_every_target_against_the_model_it_found():
     assert after.features["A"].group_id == m.features["C"].group_id
     b, old = after.features["B"], m.features["B"]
     assert (b.parent, b.decomp, b.group_id) == (old.parent, old.decomp, old.group_id)
-    assert after.validate() == []
+    assert validate(after) == []
 
 
 ATOMIC_MODEL = ('root "R";\nfeature "A" "R" optional attribute n 1;\n'
@@ -392,7 +407,7 @@ def test_remove_feature_subtree_and_constraints(services):
     assert diags == []
     assert len(services.features) - len(m.features) == 6
     assert all("Video Chat" not in (c.left, c.right) for c in m.constraints)
-    assert m.validate() == []
+    assert validate(m) == []
 
 
 def test_remove_feature_root_rejected(services):
@@ -464,7 +479,7 @@ def test_removeall_matches_removals_one_target_at_a_time():
         got, got_diags = commands.execute(m, cmd)
         assert got_diags == want_diags, case
         assert serialize_declarations(got) == serialize_declarations(want), case
-        assert got.validate() == [], case
+        assert validate(got) == [], case
         assert index_answers(got) == (scan_subtrees(got), scan_groups(got)), case
 
 
@@ -758,3 +773,99 @@ def test_updateall_equals_single_updates(services):
     update feature "Dating Club" set extracost = numeric: 5;
     """)
     assert isomorphic(multi, single)
+
+
+def random_slot_command(rng, m):
+    """An add, update or updateall feature command, or an update constraint
+    command with new ends, whose slots mix constants with terms that name a
+    variable; a slot may divide by zero, mistype, or read a feature that
+    does not exist."""
+    variables = ("V", "W")[:rng.randint(1, 2)]
+    names = list(m.features)
+
+    def desc():
+        if rng.random() < 0.5:
+            return VarRef(rng.choice(variables))
+        return FeatureRef(rng.choice(names + ["Ghost"]))
+
+    def number():
+        term = rng.choice([Lit(rng.randint(0, 3)), AttrRef(desc(), rng.choice(ATTR_POOL[:3]))])
+        if rng.random() < 0.4:
+            term = Binary(rng.choice("/%"), term, Lit(rng.choice([0, 2])))
+        return term
+
+    def name():
+        if rng.random() < 0.3:
+            return AttrRef(desc(), "_name")
+        return Lit(rng.choice(names + ["Ghost"]))
+
+    kind = rng.choice([Lit(rng.choice(list(DecompKind)))] * 2 + [AttrRef(desc(), "_decomp")])
+    decomp = DecompSpec(kind, rng.choice([None, desc()]))
+    attrs = [AttrAssign(a, "numeric", number())
+             for a in rng.sample(ATTR_POOL[:3], rng.randint(0, 2))]
+    where = rng.choice([
+        None,
+        Binary("<>", AttrRef(VarRef(variables[0]), "_name"), Lit(names[0])),
+        Binary("=", AttrRef(VarRef(variables[-1]), "_parent"), Lit(rng.choice(names)))])
+    parent = rng.choice([None, name()])
+    shape = rng.randrange(5)
+    if shape == 0:
+        return AddFeature(name=rng.choice(["N", names[-1]]), parent=name(), decomp=decomp,
+                          attrs=attrs, where=where)
+    if shape == 1:
+        return UpdateFeature(target=desc(), new_name=None, parent=parent,
+                             decomp=rng.choice([None, decomp]), attrs=attrs, where=where)
+    if shape == 2:
+        return UpdateAllFeatures(var=variables[0], parent=parent,
+                                 decomp=rng.choice([None, decomp]), attrs=attrs, where=where)
+    new_left, new_right = rng.choice([(name(), None), (None, name()), (name(), name())])
+    cls = UpdateConstraint if shape == 3 else UpdateAllConstraints
+    return cls(left=desc(), kind=rng.choice(["requires", "excludes"]), right=desc(),
+               where=where, new_left=new_left, new_right=new_right,
+               updates=["leftfeature"] * bool(new_left) + ["rightfeature"] * bool(new_right))
+
+
+def test_constant_slots_equal_per_tuple_derivation(monkeypatch):
+    # a slot naming no variable is evaluated once per command; the reference
+    # evaluates every slot under every tuple and groups every updateall
+    rng = random.Random(20261021)
+    seen = dict.fromkeys(("edit", "ambiguous", "zero", "type", "unknown"), 0)
+    words = {"ambiguous": ("ambiguous on what",), "zero": ("by zero",),
+             "type": ("applied to", "expected a", "integers only", "no attribute named"),
+             "unknown": ("no feature with",)}
+    for case in range(2000):
+        m = random_model(rng, max_features=14)
+        for a, b in itertools.combinations(list(m.features)[:4], 2):
+            m.add_constraint(Constraint(a, "requires", b))
+        cmd = random_slot_command(rng, m)
+        got, got_diags = commands.execute(m, cmd)
+        with monkeypatch.context() as reference:
+            per_tuple_slots(reference)
+            want, want_diags = commands.execute(m, cmd)
+        assert (model_state(got), got_diags) == (model_state(want), want_diags), f"case {case}"
+        seen["edit"] += got is not m
+        for key, found in words.items():
+            seen[key] += any(w in message for _, message in got_diags for w in found)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_a_constant_parent_is_evaluated_once_per_command(monkeypatch):
+    evaluated = []
+    compile_slot = commands._slot
+
+    def counted_slot(expr, model, expected=None):
+        value = compile_slot(expr, model, expected)
+
+        def counted(binding):
+            evaluated.append(expr)
+            return value(binding)
+        return counted
+
+    monkeypatch.setattr(commands, "_slot", counted_slot)
+    parts = "".join(f'feature "P{i}" "A" optional attribute n {i};\n' for i in range(40))
+    m = build('root "R";\nfeature "A" "R" optional;\nfeature "B" "R" optional;\n' + parts)
+    after, diags = run(m, 'updateall feature F set _parent = "B" where F.n >= 0;')
+    assert diags == []
+    assert [n for n, f in after.features.items() if f.parent == "B"] == [
+        f"P{i}" for i in range(40)]
+    assert evaluated == [Lit("B")]

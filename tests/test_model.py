@@ -6,7 +6,7 @@ from feather.build import BuildError, build_model
 from feather.model import Constraint, DecompKind, Feature, FeatureModel, ModelError
 from feather.parser import FeatureDecl, RootDecl, ScriptAst
 
-from conftest import index_answers, model_state, scan_groups, scan_subtrees
+from conftest import index_answers, model_state, scan_groups, scan_subtrees, validate
 
 
 def small():
@@ -24,7 +24,7 @@ def test_attach_and_groups():
     assert [f.name for f in m.child_features()["A"]] == ["C", "D"]
     assert m.features["C"].group_id == m.features["D"].group_id > 0
     assert m.features["A"].group_id == 0
-    assert m.validate() == []
+    assert validate(m) == []
 
 
 def test_attach_duplicate_name():
@@ -47,7 +47,7 @@ def test_move_subtree_follows():
     m.move_feature("A", "B", DecompKind.OPTIONAL)
     assert m.features["A"].parent == "B"
     assert m.features["C"].parent == "A"
-    assert m.validate() == []
+    assert validate(m) == []
 
 
 def test_move_rejects_cycle_and_root():
@@ -56,7 +56,7 @@ def test_move_rejects_cycle_and_root():
         m.move_feature("A", "C", DecompKind.OPTIONAL)
     with pytest.raises(ModelError):
         m.move_feature("Root", "A", DecompKind.OPTIONAL)
-    assert m.validate() == []
+    assert validate(m) == []
 
 
 def test_move_cannot_join_own_singleton_group():
@@ -68,7 +68,7 @@ def test_move_cannot_join_own_singleton_group():
     # the failed move must not corrupt the feature
     assert m.features["A"].parent == "R"
     assert m.features["A"].group_id == gid
-    assert m.validate() == []
+    assert validate(m) == []
 
 
 def test_rename_updates_links_and_order():
@@ -81,7 +81,7 @@ def test_rename_updates_links_and_order():
     assert m.constraints[0] == Constraint("C", "requires", "B")
     m.rename_feature("C", "CC")
     assert m.constraints[0] == Constraint("CC", "requires", "B")
-    assert m.validate() == []
+    assert validate(m) == []
 
 
 def test_rename_collision():
@@ -97,7 +97,7 @@ def test_remove_subtree_drops_constraints():
     doomed = m.remove_subtree("A")
     assert doomed == {"A", "C", "D"}
     assert m.constraints == [Constraint("B", "excludes", "Root")]
-    assert m.validate() == []
+    assert validate(m) == []
 
 
 def test_remove_root_forbidden():
@@ -134,7 +134,7 @@ def test_constraints_keep_insertion_order_and_are_read_only():
     assert m.constraints == [second, first]
     m.constraints.clear()
     assert m.constraints == [second, first]
-    assert m.validate() == []
+    assert validate(m) == []
 
 
 def test_move_cycle_check_on_deep_chain():
@@ -147,7 +147,7 @@ def test_move_cycle_check_on_deep_chain():
         m.move_feature("F0", "F2999", DecompKind.OPTIONAL)
     assert m.features["F0"].parent == "R"
     m.move_feature("F2999", "R", DecompKind.OPTIONAL)
-    assert m.validate() == []
+    assert validate(m) == []
 
 
 def chain(depth: int) -> ScriptAst:
@@ -171,8 +171,7 @@ def test_tree_checks_grow_linearly_with_depth():
     shallow, deep = chain(1000), chain(4000)
     assert best_time(build_model, deep) < 8 * best_time(build_model, shallow)
     shallow, deep = build_model(shallow), build_model(deep)
-    assert best_time(FeatureModel.validate, deep) < 8 * best_time(
-        FeatureModel.validate, shallow)
+    assert best_time(validate, deep) < 8 * best_time(validate, shallow)
 
 
 def test_tree_check_messages():
@@ -186,7 +185,7 @@ def test_tree_check_messages():
     m.features["F1"].parent = "F3"  # F1 -> F3 -> F2 -> F1
     m.features["G"] = Feature("G", "F2", DecompKind.OPTIONAL)
     m.features["H"] = Feature("H", "Nowhere", DecompKind.OPTIONAL)
-    assert [p for p in m.validate() if p.startswith("tree:")] == [
+    assert [p for p in validate(m) if p.startswith("tree:")] == [
         "tree: parent of 'H' ('Nowhere') does not exist",
         "tree: cycle through 'F1'", "tree: cycle through 'F2'",
         "tree: cycle through 'F3'", "tree: cycle through 'G'"]
@@ -228,7 +227,7 @@ def test_edits_to_a_copy_never_reach_the_original():
     assert c.features["Root"].attributes == {"price": 11, "x": 1}
     assert c.constraints == [Constraint("C", "excludes", "D")]
     assert set(c.features) == {"Root", "A2", "C", "D"}
-    assert m.validate() == [] and c.validate() == []
+    assert validate(m) == [] and validate(c) == []
 
 
 def test_edits_to_the_original_never_reach_a_copy():
@@ -240,7 +239,7 @@ def test_edits_to_the_original_never_reach_a_copy():
         getattr(m, method)(*args)
         assert (model_state(c), index_answers(c)) == before, method
         assert index_answers(m) == (scan_subtrees(m), scan_groups(m)), method
-    assert m.validate() == [] and c.validate() == []
+    assert validate(m) == [] and validate(c) == []
 
 
 def test_remove_subtree_takes_several_roots():

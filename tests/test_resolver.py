@@ -389,3 +389,49 @@ def test_column_path_equals_the_oracle():
         assert resolve(m, variables, where).tuples == want, f"case {case}"
         satisfiable += bool(want)
     assert satisfiable >= 100
+
+
+# attribute values of every type, several `=` to 5 or to 1, and literals
+# that `=` compares across integer, real, boolean and string
+KEY_VALUES = (5, 5.0, 1, 1.0, 0, 2.5, True, False, "5", "1", "red", 10**400)
+KEY_LITERALS = (5, 5.0, True, "5", 1, 1.0, False, "1", "F1", DecompKind.OR)
+
+
+def _literal_conjunct(rng, v):
+    """`v.a = lit` or `lit = v.a`, the shape the resolver decides by key;
+    the literal is often one of the attribute's values."""
+    attr = rng.choice(ATTR_POOL[:2] + ("_name", "_decomp"))
+    term = AttrRef(VarRef(v), attr)
+    pool = KEY_VALUES if attr in ATTR_POOL else ("F0", "F1", DecompKind.OPTIONAL)
+    lit = Lit(rng.choice(rng.choice([KEY_LITERALS, pool])))
+    return Binary("=", term, lit) if rng.random() < 0.5 else Binary("=", lit, term)
+
+
+def test_literal_key_filter_equals_the_oracle():
+    rng = random.Random(20261020)
+    satisfiable = 0
+    for case in range(800):
+        m = random_model(rng, max_features=8)
+        for f in m.features.values():  # a column mixes types and misses values
+            f.attributes = {a: rng.choice(KEY_VALUES) for a in ATTR_POOL[:2]
+                            if rng.random() < 0.75}
+        variables = ("V", "W")[:rng.randint(1, 2)]
+        where = _literal_conjunct(rng, rng.choice(variables))
+        if rng.random() < 0.6:
+            other = rng.choice([
+                _literal_conjunct(rng, rng.choice(variables)),
+                random_where(rng, variables, m, depth=rng.randint(0, 1)),
+                Binary("=", AttrRef(VarRef(variables[0]), rng.choice(ATTR_POOL[:2])),
+                       AttrRef(VarRef(variables[-1]), rng.choice(ATTR_POOL[:2])))])
+            where = Binary("and", *rng.sample([where, other], 2))
+        index = {name: i for i, name in enumerate(m.features)}
+        want = sorted(brute_force_resolve(m, variables, where),
+                      key=lambda t: [index[n] for n in t])
+        assert resolve(m, variables, where).tuples == want, f"case {case}"
+        # domains that admit every type, so that the key alone must tell
+        # true from 1 and "5" from 5
+        wide = {v: [(a, "any") for a, _ in us]
+                for v, us in referenced_usages(where).items()}
+        assert resolve(m, variables, where, usages=wide).tuples == want, f"case {case}"
+        satisfiable += bool(want)
+    assert satisfiable >= 100

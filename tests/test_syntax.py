@@ -13,7 +13,7 @@ from feather.parser import (
 from feather.serializer import serialize_declarations
 from feather.tokens import LexError, tokenize
 
-from conftest import SERVICES, build, isomorphic, parse_expr
+from conftest import SERVICES, build, isomorphic, parse_expr, validate
 
 
 # -- lexer ------------------------------------------------------------------
@@ -150,7 +150,7 @@ def test_static_double_slot_update():
 def test_build_services(services):
     assert services.root == "Web Services"
     assert len(services.features) == 18
-    assert services.validate() == []
+    assert validate(services) == []
     racing = services.features["3D Racing"]
     chess = services.features["Ultimate Chess"]
     assert racing.decomp is DecompKind.OR

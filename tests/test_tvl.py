@@ -5,7 +5,14 @@ import pytest
 from feather.model import DecompKind
 from feather.tvl import TvlError, TvlExportError, export_tvl, import_tvl
 
-from conftest import build, isomorphic, random_model
+from conftest import (
+    build,
+    isomorphic,
+    model_state,
+    random_model,
+    reference_import_tvl,
+    validate,
+)
 
 SAMPLE = """\
 enum string in { "low", "high" };
@@ -32,7 +39,7 @@ def test_import_group_mapping():
     assert m.features["Fast"].group_id == m.features["Slow"].group_id > 0
     assert m.features["GPU"].attributes == {"weight": 0.5}
     assert len(m.constraints) == 1
-    assert m.validate() == []
+    assert validate(m) == []
 
 
 def test_import_someof_is_or_group():
@@ -158,3 +165,96 @@ def test_random_models_round_trip():
         again = import_tvl(export_tvl(m))
         assert isomorphic(m, again)
         assert export_tvl(again) == export_tvl(m)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("root R { group allof { A } }\nA { }\nB { group allof { C } }\n"
+     "C { group allof { B } }\n",
+     "tree: cycle through 'C'; tree: cycle through 'B'"),
+    # a tree hanging off the cycle goes with it, in the order of placement
+    ("root R { }\nA { group allof { A, D } }\nD { group oneof { E } }\nE { }\n",
+     "tree: cycle through 'A'; tree: cycle through 'D'; tree: cycle through 'E'"),
+], ids=["cycle", "tree off a cycle"])
+def test_blocks_the_root_never_reaches_lie_on_a_cycle(text, message):
+    with pytest.raises(TvlError) as e:
+        import_tvl(text)
+    assert str(e.value) == message
+
+
+def _tvl_value(rng):
+    return rng.choice([f"int n is {rng.randint(-3, 9)};", "real r is 2.5;",
+                       f"bool b is {rng.choice(['true', 'false'])};",
+                       'string s is "red";'])
+
+
+def random_tvl(rng) -> str:
+    """A TVL text over a random tree of blocks; often broken: blocks on a
+    cycle of groups with trees hanging off them, a duplicate or orphan
+    block, a group member that is unknown or placed twice, a constraint
+    with an unknown end."""
+    names = [f"B{i}" for i in range(rng.randint(1, 8))]
+    groups = {n: [] for n in names}  # block -> [(cardinality, [member])]
+
+    def place(child, parent):
+        open_groups = groups[parent]
+        if open_groups and rng.random() < 0.5:
+            rng.choice(open_groups)[1].append(child)
+        else:
+            open_groups.append((rng.choice(["allof", "oneof", "someof"]), [child]))
+
+    for i, n in enumerate(names[1:], 1):
+        place(n, rng.choice(names[:i]))
+    if rng.random() < 0.4:  # a cycle of one to three blocks, trees off it
+        cycle = [f"C{i}" for i in range(rng.randint(1, 3))]
+        groups.update((c, []) for c in cycle)
+        for c, d in zip(cycle, cycle[1:] + cycle[:1]):
+            place(d, c)
+        for i in range(rng.randint(0, 3)):
+            groups[f"H{i}"] = []
+            place(f"H{i}", rng.choice(cycle + [f"H{j}" for j in range(i)]))
+    defect = rng.random()
+    every = list(groups)
+    if defect < 0.05:
+        groups["Orphan"] = []
+    elif defect < 0.1:
+        place(rng.choice(["Ghost", names[0]]), rng.choice(every))
+    elif defect < 0.15 and len(every) > 1:
+        place(rng.choice(every[1:]), rng.choice(every))
+    constraints = [(rng.choice(every), rng.choice(["requires", "excludes"]),
+                    rng.choice(every + ["Ghost"] * (defect < 0.2)))
+                   for _ in range(rng.randint(0, 3))]
+    order = every[:1] + rng.sample(every[1:], len(every) - 1)
+    if defect > 0.95:
+        order.append(rng.choice(order))
+    lines = ['enum string in { "red" };'] if rng.random() < 0.2 else []
+    for i, n in enumerate(order):
+        lines.append(("root " if i == 0 else "") + n + " {")
+        lines += ["  " + _tvl_value(rng) for _ in range(rng.randint(0, 2))]
+        for card, members in groups[n] if n not in order[:i] else ():
+            opt = "opt " if card == "allof" and rng.random() < 0.5 else ""
+            lines.append(f"  group {card} {{ {', '.join(opt + m for m in members)} }}")
+        lines += [f"  {a} {k} {b};" for a, k, b in constraints if i == 0]
+        lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def import_outcome(importer, text):
+    try:
+        m = importer(text)
+    except TvlError as e:
+        return str(e)
+    return model_state(m), m.tvl_string_enum
+
+
+def test_import_equals_the_reference_with_validate():
+    # the importer walks the groups from the root where the reference
+    # validated the whole model; both give one model or one message
+    rng = random.Random(20261019)
+    kinds = {"model": 0, "cycle": 0, "other": 0}
+    for case in range(600):
+        text = random_tvl(rng)
+        got = import_outcome(import_tvl, text)
+        assert got == import_outcome(reference_import_tvl, text), f"case {case}:\n{text}"
+        kinds["model" if isinstance(got, tuple)
+              else "cycle" if got.startswith("tree: cycle") else "other"] += 1
+    assert min(kinds.values()) >= 60, kinds

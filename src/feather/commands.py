@@ -29,7 +29,7 @@ from .expressions import (
     compile_type,
     referenced_usages,
 )
-from .model import Constraint, DecompKind, Feature, FeatureModel, ModelError
+from .model import Constraint, DecompKind, Feature, FeatureModel, ModelError, effect_key
 from .parser import (
     AddConstraint,
     AddFeature,
@@ -449,8 +449,19 @@ def _candidate_constraints(cmd, res):
 
 def exec_add_constraint(model: FeatureModel, cmd: AddConstraint, res: ResolutionSet):
     _check_literal_ends(model, cmd)
-    existing = [c for c, _tuples in _candidate_constraints(cmd, res)
-                if not model.add_constraint(c)]
+    left = _end_reader(cmd.left, res.variables)
+    right = _end_reader(cmd.right, res.variables)
+    # `seen` holds the keys of the command's earlier tuples, so that only a
+    # constraint the model held before the command is reported as existing
+    kind, seen, existing = cmd.kind, set(), []
+    for t in res.tuples:
+        a, b = left(t), right(t)
+        key = effect_key(a, kind, b)
+        if key not in seen:
+            seen.add(key)
+            c = Constraint(a, kind, b)
+            if not model.add_constraint(c, key):
+                existing.append(c)
     if existing:
         listed = ", ".join(str(c) for c in existing)
         return [("warning", f"Following Cross-tree Constraint(s) already exist: {listed}")]

@@ -18,7 +18,7 @@ import operator
 import sys
 
 from .model import DecompKind
-from .record import FrozenRecord
+from .record import FrozenRecord, slot_setters
 
 # value types, as reported by the type pass
 INTEGER = "integer"
@@ -51,7 +51,7 @@ class FeatureRef(FrozenRecord):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
+        _set_feature_name(self, name)
 
 
 class VarRef(FrozenRecord):
@@ -60,39 +60,47 @@ class VarRef(FrozenRecord):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
+        _set_var_name(self, name)
 
 
 class Lit(FrozenRecord):
     __slots__ = ("value",)  # int | float | bool | str | DecompKind
 
     def __init__(self, value):
-        object.__setattr__(self, "value", value)
+        _set_lit_value(self, value)
 
 
 class AttrRef(FrozenRecord):
     __slots__ = ("subject", "attr")  # subject: FeatureRef | VarRef
 
     def __init__(self, subject, attr: str):
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "attr", attr)
+        _set_attr_subject(self, subject)
+        _set_attr_attr(self, attr)
 
 
 class Unary(FrozenRecord):
     __slots__ = ("op", "operand")  # op: "-" | "not"
 
     def __init__(self, op: str, operand):
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "operand", operand)
+        _set_unary_op(self, op)
+        _set_unary_operand(self, operand)
 
 
 class Binary(FrozenRecord):
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left, right):
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        _set_binary_op(self, op)
+        _set_binary_left(self, left)
+        _set_binary_right(self, right)
+
+
+[_set_feature_name] = slot_setters(FeatureRef)
+[_set_var_name] = slot_setters(VarRef)
+[_set_lit_value] = slot_setters(Lit)
+_set_attr_subject, _set_attr_attr = slot_setters(AttrRef)
+_set_unary_op, _set_unary_operand = slot_setters(Unary)
+_set_binary_op, _set_binary_left, _set_binary_right = slot_setters(Binary)
 
 
 _TYPE_OF = {bool: BOOLEAN, int: INTEGER, float: REAL, str: STRING, DecompKind: DECOMP}

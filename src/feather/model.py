@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 
-from .record import FrozenRecord, Record
+from .record import FrozenRecord, Record, slot_setters
 
 
 class DecompKind(enum.Enum):
@@ -47,24 +47,32 @@ class ModelError(Exception):
     """Raised when a primitive edit would break model integrity."""
 
 
+def effect_key(left: str, kind: str, right: str) -> tuple:
+    """The key of the effect of the constraint `left kind right`."""
+    # excludes is symmetric: (X exc Y) and (Y exc X) have the same effect
+    if kind == "excludes":
+        return ("excludes", left, right) if left <= right else ("excludes", right, left)
+    return ("requires", left, right)
+
+
 class Constraint(FrozenRecord):
     """Cross-tree constraint: left requires/excludes right."""
 
     __slots__ = ("left", "kind", "right")  # kind: "requires" | "excludes"
 
     def __init__(self, left: str, kind: str, right: str):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "right", right)
+        _set_left(self, left)
+        _set_kind(self, kind)
+        _set_right(self, right)
 
     def effect_key(self) -> tuple:
-        # excludes is symmetric: (X exc Y) and (Y exc X) have the same effect
-        if self.kind == "excludes":
-            return ("excludes",) + tuple(sorted((self.left, self.right)))
-        return ("requires", self.left, self.right)
+        return effect_key(self.left, self.kind, self.right)
 
     def __str__(self) -> str:
         return f"({self.left} {self.kind} {self.right})"
+
+
+_set_left, _set_kind, _set_right = slot_setters(Constraint)
 
 
 class Feature(Record):
@@ -362,11 +370,17 @@ class FeatureModel(Record):
             }
         return doomed
 
-    def add_constraint(self, c: Constraint) -> bool:
-        """Add a constraint unless a same-effect one is already stored."""
-        self.feature(c.left)
-        self.feature(c.right)
-        key = c.effect_key()
+    def add_constraint(self, c: Constraint, key: tuple | None = None) -> bool:
+        """Add a constraint unless a same-effect one is already stored.
+
+        `key`, when given, is c.effect_key(), computed by the caller.
+        """
+        features = self.features
+        if c.left not in features or c.right not in features:
+            end = c.right if c.left in features else c.left
+            raise ModelError(f"unknown feature {end!r}")
+        if key is None:
+            key = c.effect_key()
         if key in self._constraints:
             return False
         self._constraints[key] = c

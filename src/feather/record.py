@@ -4,7 +4,8 @@ A record's fields are the `__slots__` of its classes, base class first (one
 base per class). Two records are equal when they are of the same class with
 equal fields, and a record shows as `Cls(field=value, ...)`. A record is
 mutable and unhashable; a frozen one refuses assignment and deletion and
-hashes by its fields. Slots a class names in `_derived` are not fields:
+hashes by its fields, and its constructor stores them through the slot
+setters of `slot_setters`. Slots a class names in `_derived` are not fields:
 they start as None and take no part in equality or the repr.
 """
 
@@ -72,3 +73,10 @@ class FrozenRecord(Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def slot_setters(cls) -> tuple:
+    """The `__set__` of each slot `cls` names, in order, each a function
+    (record, value) that stores a field without `__setattr__`: a frozen
+    record's constructor stores its fields through them."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)

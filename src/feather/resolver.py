@@ -21,8 +21,12 @@ conjunct at the depth where its last variable is bound. A conjunct
 `a` column, and the search visits only the names whose key equals that of
 `U.b`. Keys follow `=` exactly (`1 = 1.0`; a boolean never equals a
 number), so neither the join nor the literal filter needs a check of its
-own. Each depth walks its names in domain order, so only a search order
-other than the declaration order needs a sort.
+own. A comparison `V.a op U.b` between bound variables, both columns of one
+type that the rule of `op` admits, filters the depth's names in one pass:
+`U.b` is read once per binding of the earlier depths and compared with each
+name's value by the operator itself, which never raises on such values.
+Each depth walks its names in domain order, so only a search order other
+than the declaration order needs a sort.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ from .expressions import (
     NUMERIC,
     TypeCheckError,
     VarRef,
+    _BINARY_OPS,
+    _binary_type,
     admitted_types,
     attr_reader,
     compile_typed,
@@ -120,11 +126,12 @@ def resolve(model: FeatureModel, variables, where=None,
         var = _var_term(term)
         if var not in columns:
             return None
-        column, names = columns[var][term.attr], domains[var]
-        if len({column[n][0] for n in names}) != 1:
+        column = columns[var][term.attr]
+        static = _static_column(column, domains[var])
+        if static is None:
             return None, lambda features, binding: column[binding[var]]
-        values = {n: column[n][1] for n in names}
-        return column[names[0]][0], lambda features, binding: values[binding[var]]
+        t, values = static
+        return t, lambda features, binding: values[binding[var]]
 
     single = {v: [] for v in variables}  # conjuncts of one variable, by variable
     joint, constant = [], []  # (conjunct, its variables) of several, conjuncts of none
@@ -158,12 +165,18 @@ def resolve(model: FeatureModel, variables, where=None,
     for c, vs in joint:
         scheduled[max(map(depth_of.__getitem__, vs))].append(c)
     probes: list = [None] * len(order)  # per depth: (hash index, U, U's keys) or None
+    filters: list = [[] for _ in order]  # per depth: (op, values, U, U's values)
     for d, cs in enumerate(scheduled):
         for c in cs:
             probes[d] = _equijoin_probe(c, order[d], domains, columns)
             if probes[d] is not None:
                 cs.remove(c)  # the index lookup decides it
                 break
+        for c in list(cs):
+            found = _comparison_filter(c, order[d], domains, columns)
+            if found is not None:
+                filters[d].append(found)
+                cs.remove(c)  # the filter decides it
     checks = [_all_hold(cs, leaf) if cs else None for cs in scheduled]
     results = [] if order else [()]
     last = len(order) - 1
@@ -175,6 +188,13 @@ def resolve(model: FeatureModel, variables, where=None,
         else:
             table, other, keys = probe
             names = table.get(keys[binding[other]], ())
+        for op, values, u, u_values in filters[depth]:
+            x = u_values[binding[u]]
+            names = [n for n in names if op(values[n], x)]
+        if check is None and depth == last:  # the binding holds order[:last]
+            prefix = tuple(binding.values())
+            results.extend([prefix + (name,) for name in names])
+            return
         for name in names:
             binding[var] = name
             if check is None or check(features, binding):
@@ -256,6 +276,50 @@ def _equijoin_probe(conjunct, var, domains, columns):
             column = columns[u][other.attr]
             return index, u, {name: _join_key(*column[name]) for name in domains[u]}
     return None
+
+
+# each comparison with its operands swapped: `a op b` is `b _SWAPPED[op] a`
+# on any two values that the type rule of op admits
+_SWAPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
+
+
+def _comparison_filter(conjunct, var, domains, columns):
+    """A filter deciding `var.a op U.b` or `U.b op var.a` for another variable U.
+
+    The conjunct is decided at `var`'s depth, so U is bound before `var`.
+    Returns (op, values, U, U's values): the conjunct holds for a name n of
+    `var` and U's value x when op(values[n], x) does, op being the conjunct's
+    operator with its operands swapped when `var` is on the right. None
+    unless both columns hold one type over their domains that the operator's
+    rule admits: only then does the operator alone decide, and never raise.
+    """
+    if not (isinstance(conjunct, Binary) and conjunct.op in _SWAPPED):
+        return None
+    op, mine, other = conjunct.op, conjunct.left, conjunct.right
+    if _var_term(mine) != var:
+        op, mine, other = _SWAPPED[op], other, mine
+    u = _var_term(other)
+    if _var_term(mine) != var or u not in domains.keys() - {var}:
+        return None
+    static = _static_column(columns[var][mine.attr], domains[var])
+    u_static = _static_column(columns[u][other.attr], domains[u])
+    if static is None or u_static is None:
+        return None
+    (t, values), (u_type, u_values) = static, u_static
+    try:
+        _binary_type(op, t, u_type)
+    except TypeCheckError:
+        return None
+    return _BINARY_OPS[op], values, u, u_values
+
+
+def _static_column(column, names):
+    """(type, name -> value) of a column holding one type over the names,
+    else None."""
+    types = {column[n][0] for n in names}
+    if len(types) != 1:
+        return None
+    return types.pop(), {n: column[n][1] for n in names}
 
 
 def _join_key(t: str, value):

@@ -480,6 +480,19 @@ def reference_candidate_constraints(cmd, res) -> list:
     return list(out.values())
 
 
+def reference_add_constraint(model: FeatureModel, cmd, res) -> list:
+    """commands.exec_add_constraint as it ran before its one pass: the
+    distinct candidates of reference_candidate_constraints, each handed to
+    add_constraint; the same diagnostics, or the same CommandError."""
+    commands._check_literal_ends(model, cmd)
+    existing = [c for c, _tuples in reference_candidate_constraints(cmd, res)
+                if not model.add_constraint(c)]
+    if existing:
+        listed = ", ".join(str(c) for c in existing)
+        return [("warning", f"Following Cross-tree Constraint(s) already exist: {listed}")]
+    return []
+
+
 # -- random model generation ------------------------------------------------
 
 ATTR_POOL = ("size", "cost", "rank", "flag", "label", "ratio")

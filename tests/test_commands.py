@@ -35,6 +35,7 @@ from conftest import (
     per_tuple_slots,
     random_model,
     random_where,
+    reference_add_constraint,
     reference_candidate_constraints,
     reference_remove_all,
     run,
@@ -609,6 +610,51 @@ def test_candidate_constraints_match_the_reference():
         swapped += any(len({(end(left, t), end(right, t)) for t in tuples}) > 1
                        for _c, tuples in got)
     assert swapped > 20
+
+
+def _end(desc, variables, t) -> str:
+    return t[variables.index(desc.name)] if isinstance(desc, VarRef) else desc.name
+
+
+def _outcome(execute, model, cmd, res) -> tuple:
+    """What an add-constraint executor does to a copy of the model: its
+    diagnostics or error, the constraints in order, and the model."""
+    work = model.copy()
+    try:
+        diags = execute(work, cmd, res)
+    except commands.CommandError as e:
+        diags = ("error", str(e))
+    return diags, work.constraints, work
+
+
+def test_one_pass_add_constraint_equals_the_reference():
+    rng = random.Random(17)
+    outcomes = {"warned": 0, "added": 0, "error": 0, "swapped": 0}
+    for case in range(600):
+        m = random_model(rng, max_features=6, max_attrs=0)
+        names = list(m.features)
+        for _ in range(rng.randint(0, 6)):  # constraints that already exist
+            m.add_constraint(Constraint(rng.choice(names), rng.choice(("requires", "excludes")),
+                                        rng.choice(names)))
+        variables = ("X", "Y", "Z")[:rng.randint(1, 3)]
+        every = list(itertools.product(names, repeat=len(variables)))
+        tuples = rng.sample(every, rng.randint(1, min(12, len(every))))
+        tuples += rng.choices(tuples, k=rng.randint(0, 2))  # duplicate tuples
+        res = ResolutionSet(variables, tuples)
+        left, right = (VarRef(rng.choice(variables)) if rng.random() < 0.7
+                       else FeatureRef(rng.choice(names + ["Ghost"])) for _ in range(2))
+        cmd = AddConstraint(left=left, kind=rng.choice(("requires", "excludes")), right=right)
+        got = _outcome(commands.exec_add_constraint, m, cmd, res)
+        want = _outcome(reference_add_constraint, m, cmd, res)
+        assert got == want, f"case {case}"
+        diags = got[0]
+        outcomes["error" if diags and diags[0] == "error" else
+                 "warned" if diags else "added"] += 1
+        # an excludes whose tuples name its ends in both orders
+        pairs = {(_end(left, variables, t), _end(right, variables, t)) for t in tuples}
+        outcomes["swapped"] += cmd.kind == "excludes" and any(
+            a != b and (b, a) in pairs for a, b in pairs)
+    assert min(outcomes.values()) >= 15, outcomes
 
 
 def test_update_constraint_rightfeature(services):

@@ -4,7 +4,7 @@ from operator import itemgetter
 
 import pytest
 
-from feather import commands, expressions, resolver
+from feather import commands, resolver
 from feather.expressions import (
     AttrRef,
     Binary,
@@ -167,21 +167,26 @@ def test_equal_join_keys_are_exactly_equality():
     assert equal_pairs > len(JOIN_VALUES)  # 1 = 1.0 and 2 = 2.0 among them
 
 
+def count_filter_pairs(monkeypatch) -> list:
+    """Wrap the operators of the resolver's depth filters: each call appends
+    its operator's name to the list returned."""
+    tested = []
+
+    def counting(name, op):
+        def run(a, b):
+            tested.append(name)
+            return op(a, b)
+        return run
+
+    monkeypatch.setattr(resolver, "_BINARY_OPS",
+                        {name: counting(name, op) for name, op in resolver._BINARY_OPS.items()})
+    return tested
+
+
 def test_sibling_join_work_grows_linearly(monkeypatch):
-    """Compiled-condition calls for a sibling join double, not quadruple, with the groups."""
-    calls = 0
-    original = expressions.compile_typed
-
-    def counting(expr, leaf=None):
-        t, compiled = original(expr, leaf)
-
-        def run(*args):
-            nonlocal calls
-            calls += 1
-            return compiled(*args)
-        return t, run
-
-    monkeypatch.setattr(resolver, "compile_typed", counting)
+    """Pairs the depth filter tests for a sibling join double, not quadruple,
+    with the groups."""
+    tested = count_filter_pairs(monkeypatch)
     where = parse_expr("X._parent = Y._parent and X.w > Y.w")
     counts = {}
     for groups in (5, 10):
@@ -191,9 +196,9 @@ def test_sibling_join_work_grows_linearly(monkeypatch):
             lines += [f'feature "P{g}C{i}" "P{g}" optional attribute w {i};'
                       for i in range(20)]
         m = build("\n".join(lines) + "\n")
-        calls = 0
+        tested.clear()
         assert len(resolve(m, ["X", "Y"], where).tuples) == groups * 190
-        counts[groups] = calls
+        counts[groups] = len(tested)
     assert counts[5] >= 5 * 20 * 20  # X.w > Y.w, once per pair of siblings
     assert counts[10] <= 2 * counts[5] + 100
 
@@ -435,3 +440,114 @@ def test_literal_key_filter_equals_the_oracle():
         assert resolve(m, variables, where, usages=wide).tuples == want, f"case {case}"
         satisfiable += bool(want)
     assert satisfiable >= 100
+
+
+# -- comparison filters against the oracle -------------------------------------
+
+# Pools of one type each, whose columns a comparison between two variables
+# may filter by, and one that mixes integers with reals: its columns stay on
+# the compiled check.
+FILTER_POOLS = {
+    "integer": (0, 1, 2, -3, 2**53, 2**53 + 1, 10**400),
+    "real": (0.0, 1.0, 2.5, -3.0, float("inf"), float("-inf"), float("nan")),
+    "string": ("F1", "red", "1", ""),
+    "boolean": (True, False),
+    "mixed": (0, 1, 1.0, 2.5, 10**400, float("inf"), float("nan")),
+}
+FILTER_ATTRS = ATTR_POOL[:3] + ("_name", "_decomp", "_decompID")
+COMPARISONS = ("<", "<=", ">", ">=", "=", "<>")
+
+
+def random_filter_model(rng):
+    """A random model whose attributes each draw from one of FILTER_POOLS."""
+    m = random_model(rng, max_features=7, max_attrs=0)
+    pools = [FILTER_POOLS[rng.choice(list(FILTER_POOLS))] for _ in ATTR_POOL[:3]]
+    for f in m.features.values():
+        f.attributes = {a: rng.choice(pool) for a, pool in zip(ATTR_POOL, pools)
+                        if rng.random() < 0.85}
+    return m
+
+
+def _comparison(rng, v, u):
+    """`v.a op u.b` or `u.b op v.a`, often over one attribute."""
+    a = rng.choice(FILTER_ATTRS)
+    b = a if rng.random() < 0.7 else rng.choice(FILTER_ATTRS)
+    sides = [AttrRef(VarRef(v), a), AttrRef(VarRef(u), b)]
+    rng.shuffle(sides)
+    return Binary(rng.choice(COMPARISONS), *sides)
+
+
+def _filter_where(rng, variables, m):
+    """A comparison between two variables: alone, beside a hash join of the
+    same variables, with a second comparison, or with a conjunct that stays
+    compiled (arithmetic, or any where-clause)."""
+    v, u = rng.sample(variables, 2)
+    conjuncts = [_comparison(rng, v, u)]
+    shape = rng.randrange(4)
+    if shape == 1:
+        a = rng.choice(FILTER_ATTRS)
+        conjuncts.append(Binary("=", AttrRef(VarRef(v), a), AttrRef(VarRef(u), a)))
+    elif shape == 2:
+        conjuncts.append(_comparison(rng, *rng.sample(variables, 2)))
+    elif shape == 3:
+        shifted = Binary("+", AttrRef(VarRef(u), rng.choice(ATTR_POOL[:3])), Lit(1))
+        conjuncts.append(rng.choice([
+            Binary(rng.choice(COMPARISONS), AttrRef(VarRef(v), rng.choice(ATTR_POOL[:3])),
+                   shifted),
+            random_where(rng, variables, m, depth=1)]))
+    if len(variables) > 2 and rng.random() < 0.7:  # bind the third one too
+        conjuncts.append(_comparison(rng, *rng.sample(variables, 2)))
+    rng.shuffle(conjuncts)
+    where = conjuncts[0]
+    for c in conjuncts[1:]:
+        where = Binary("and", where, c)
+    return where
+
+
+def test_comparison_filters_equal_the_oracle(monkeypatch):
+    rng = random.Random(20261019)
+    decided, types = set(), set()  # (operator, side of the filtered variable)
+    filters = 0
+    original = resolver._comparison_filter
+
+    def tally(conjunct, var, domains, columns):
+        nonlocal filters
+        found = original(conjunct, var, domains, columns)
+        if found is not None:
+            filters += 1
+            side = "left" if resolver._var_term(conjunct.left) == var else "right"
+            decided.add((conjunct.op, side))
+            mine = conjunct.left if side == "left" else conjunct.right
+            types.add(columns[var][mine.attr][domains[var][0]][0])
+            # a column mixing integers with reals is never filtered
+            assert len({type(x) for x in found[1].values()}) == 1
+            assert len({type(x) for x in found[3].values()}) == 1
+        return found
+
+    monkeypatch.setattr(resolver, "_comparison_filter", tally)
+    satisfiable = 0
+    for case in range(1000):
+        m = random_filter_model(rng)
+        variables = ("V", "W", "X")[:rng.choice([2, 2, 3])]
+        where = _filter_where(rng, variables, m)
+        index = {name: i for i, name in enumerate(m.features)}
+        want = sorted(brute_force_resolve(m, variables, where),
+                      key=lambda t: [index[n] for n in t])
+        assert resolve(m, variables, where).tuples == want, f"case {case}"
+        satisfiable += bool(want)
+    assert satisfiable >= 140 and filters >= 250
+    assert decided == {(op, side) for op in COMPARISONS for side in ("left", "right")}
+    assert types == {"integer", "real", "string", "boolean", "decomp", "decomp_id"}
+
+
+def test_a_column_of_two_types_stays_on_the_compiled_check(monkeypatch):
+    tested = count_filter_pairs(monkeypatch)
+    where = parse_expr("X.w < Y.w")
+    mixed = build('root "R";\nfeature "A" "R" optional attribute w 1;\n'
+                  'feature "B" "R" optional attribute w 2.5;\n')
+    assert resolve(mixed, ["X", "Y"], where).tuples == [("A", "B")]
+    assert tested == []
+    one_type = build('root "R";\nfeature "A" "R" optional attribute w 1.5;\n'
+                     'feature "B" "R" optional attribute w 2.5;\n')
+    assert resolve(one_type, ["X", "Y"], where).tuples == [("A", "B")]
+    assert tested == [">"] * 4  # Y, bound second, is the right operand

@@ -460,7 +460,7 @@ def exec_add_constraint(model: FeatureModel, cmd: AddConstraint, res: Resolution
         if key not in seen:
             seen.add(key)
             c = Constraint(a, kind, b)
-            if not model.add_constraint(c, key):
+            if not model.add_constraint(c):
                 existing.append(c)
     if existing:
         listed = ", ".join(str(c) for c in existing)

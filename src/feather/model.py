@@ -370,17 +370,13 @@ class FeatureModel(Record):
             }
         return doomed
 
-    def add_constraint(self, c: Constraint, key: tuple | None = None) -> bool:
-        """Add a constraint unless a same-effect one is already stored.
-
-        `key`, when given, is c.effect_key(), computed by the caller.
-        """
+    def add_constraint(self, c: Constraint) -> bool:
+        """Add a constraint unless a same-effect one is already stored."""
         features = self.features
         if c.left not in features or c.right not in features:
             end = c.right if c.left in features else c.left
             raise ModelError(f"unknown feature {end!r}")
-        if key is None:
-            key = c.effect_key()
+        key = effect_key(c.left, c.kind, c.right)
         if key in self._constraints:
             return False
         self._constraints[key] = c

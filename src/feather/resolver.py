@@ -191,17 +191,15 @@ def resolve(model: FeatureModel, variables, where=None,
         for op, values, u, u_values in filters[depth]:
             x = u_values[binding[u]]
             names = [n for n in names if op(values[n], x)]
-        if check is None and depth == last:  # the binding holds order[:last]
+        if depth == last:  # the binding holds order[:last], in order
             prefix = tuple(binding.values())
-            results.extend([prefix + (name,) for name in names])
-            return
         for name in names:
             binding[var] = name
             if check is None or check(features, binding):
                 if depth < last:
                     search(depth + 1)
-                else:  # the binding holds order's variables in order
-                    results.append(tuple(binding.values()))
+                else:
+                    results.append(prefix + (name,))
         binding.pop(var, None)
 
     if order:

@@ -1,13 +1,13 @@
-"""Constructing a FeatureModel from parsed declarations.
+"""Constructing a FeatureModel: one builder, `assemble`, for both front ends.
 
-Declaration order does not matter: a child can be declared before its
-parent, and group membership ("alternative to X" / "or to X") is resolved
-after all declarations are read by unioning the sibling references.
+`build_model` hands it a row per declared feature. Declaration order does
+not matter, and group membership ("alternative to X" / "or to X") is the
+union of the sibling references. `tvl.import_tvl` hands it TVL blocks.
 """
 
 from __future__ import annotations
 
-from .model import Feature, FeatureModel, Constraint
+from .model import Constraint, Feature, FeatureModel, effect_key
 from .parser import ScriptAst
 
 
@@ -15,78 +15,83 @@ class BuildError(Exception):
     """Declarations do not form a valid feature model."""
 
 
+def assemble(root: str, root_attributes: dict, rows: list, constraints) -> FeatureModel:
+    """The model of a root, rows of (name, parent, kind, group key,
+    attributes) in feature order and constraints (`left`, `kind`, `right`),
+    checked in linear time. Rows that share a group key (not None) form one
+    group; groups are numbered in order of first appearance. Of constraints
+    with one effect the first is stored."""
+    model = FeatureModel.with_root(root, root_attributes)
+    features = model.features
+    children: dict = {}  # parent -> child names, in row order
+    groups: dict = {}  # group key -> (kind, parent, id) of its first row
+    for name, parent, kind, key, attributes in rows:
+        if name in features:
+            raise BuildError(f'feature "{name}" is declared twice')
+        gid = 0
+        if key is not None:
+            group = groups.setdefault(key, (kind, parent, len(groups) + 1))
+            if group[0] is not kind or group[1] != parent:
+                mixed = "decomposition kinds" if group[0] is not kind else "parents"
+                members = [row[0] for row in rows if row[3] == key]
+                raise BuildError(f"group of {members} mixes {mixed}")
+            gid = group[2]
+        features[name] = Feature(name, parent, kind, gid, attributes)
+        children.setdefault(parent, []).append(name)
+    model.next_group_id = len(groups) + 1
+
+    # children holds parents in row order, so the first row naming an undeclared
+    # parent is the one reported
+    for parent, kids in children.items():
+        if parent not in features:
+            raise BuildError(f'feature "{kids[0]}" names undeclared parent "{parent}"')
+
+    stored = model._constraints
+    for c in constraints:
+        left, kind, right = c.left, c.kind, c.right
+        if left not in features or right not in features:
+            end = right if left in features else left
+            raise BuildError(
+                f'constraint ({left} {kind} {right}) names unknown feature "{end}"')
+        key = effect_key(left, kind, right)
+        if key not in stored:
+            stored[key] = Constraint(left, kind, right)
+
+    # every parent is declared, so the parents of a feature the root does
+    # not reach lead round a cycle, through features it does not reach
+    reached = [root]
+    for name in reached:  # the list grows as the walk reaches features
+        reached += children.get(name, ())
+    if len(reached) < len(features):
+        seen = set(reached)
+        name = next(n for n in features if n not in seen)
+        while name not in seen:
+            seen.add(name)
+            name = features[name].parent
+        raise BuildError(f'parent declarations form a cycle through "{name}"')
+    return model
+
+
 def build_model(ast: ScriptAst) -> FeatureModel:
     if ast.root is None:
         raise BuildError("missing root feature declaration")
-    declared = {ast.root.name} | {fd.name for fd in ast.features}
-
-    by_name = {fd.name: fd for fd in ast.features}
+    # group membership: union sibling references; a sibling must join a group
+    joined = {fd.name for fd in ast.features if fd.sibling is not None}
+    parent_of: dict = {}
     for fd in ast.features:
-        if fd.parent not in declared:
-            raise BuildError(
-                f'feature "{fd.name}" names undeclared parent "{fd.parent}"')
-        if fd.name == ast.root.name:
-            raise BuildError(f'the root feature "{fd.name}" is declared twice')
-
-    # the parent graph must be a tree rooted at the root feature; a walk
-    # stops at the first feature known to reach the root
-    reaches_root = {ast.root.name}
-    for fd in ast.features:
-        seen = set()
-        n = fd.name
-        while n not in reaches_root:
-            if n in seen:
-                raise BuildError(f'parent declarations form a cycle through "{n}"')
-            seen.add(n)
-            n = by_name[n].parent
-        reaches_root |= seen
-
-    # group membership: union sibling references, then check consistency
-    parent_of = {}
-    for fd in ast.features:
-        if fd.sibling is not None:
-            if fd.sibling not in declared:
+        if fd.sibling in joined:
+            _union(parent_of, fd.name, fd.sibling)
+        elif fd.sibling is not None:
+            if all(d.name != fd.sibling for d in [ast.root, *ast.features]):
                 raise BuildError(
                     f'feature "{fd.name}" names undeclared sibling "{fd.sibling}"')
-            _union(parent_of, fd.name, fd.sibling)
+            raise BuildError(f'"{fd.sibling}" is referenced as a group sibling '
+                             f'but does not join a group')
 
-    groups = {}
-    for fd in ast.features:
-        if fd.sibling is not None:
-            groups.setdefault(_find(parent_of, fd.name), []).append(fd.name)
-    for members in groups.values():
-        decls = [by_name.get(m) for m in members]
-        if any(d is None or d.sibling is None for d in decls):
-            bad = next(m for m, d in zip(members, decls)
-                       if d is None or d.sibling is None)
-            raise BuildError(
-                f'"{bad}" is referenced as a group sibling but does not join a group')
-        if len({d.decomp for d in decls}) > 1:
-            raise BuildError(
-                f"group of {members} mixes decomposition kinds")
-        if len({d.parent for d in decls}) > 1:
-            raise BuildError(
-                f"group of {members} mixes parents")
-
-    model = FeatureModel.with_root(ast.root.name, dict(ast.root.attributes))
-    group_ids = {}
-    for fd in ast.features:  # declaration order fixes the enumeration order
-        gid = 0
-        if fd.sibling is not None:
-            rep = _find(parent_of, fd.name)
-            if rep not in group_ids:
-                group_ids[rep] = model.fresh_group_id()
-            gid = group_ids[rep]
-        model.features[fd.name] = Feature(
-            fd.name, parent=fd.parent, decomp=fd.decomp, group_id=gid,
-            attributes=dict(fd.attributes))
-
-    for cd in ast.constraints:
-        for end in (cd.left, cd.right):
-            if end not in model.features:
-                raise BuildError(f'constraint names undeclared feature "{end}"')
-        model.add_constraint(Constraint(cd.left, cd.kind, cd.right))
-    return model
+    rows = [(fd.name, fd.parent, fd.decomp,
+             None if fd.sibling is None else _find(parent_of, fd.name),
+             dict(fd.attributes)) for fd in ast.features]
+    return assemble(ast.root.name, dict(ast.root.attributes), rows, ast.constraints)
 
 
 def _find(parent_of: dict, x: str) -> str:

@@ -5,13 +5,19 @@ mapping: an `allof` child is mandatory, or optional when flagged `opt`;
 `oneof` becomes one alternative group, `someof` one or group. Constraints
 may appear in any block and are collected into the single model-level set;
 export emits them inside the root block.
+
+Import checks what only blocks can get wrong (a duplicate block, an unknown
+group member, a block in no group) and hands one row per group member to
+`build.assemble`, which checks the tree; its `BuildError` becomes a
+`TvlError` with the same text.
 """
 
 from __future__ import annotations
 
 import re
 
-from .model import Constraint, DecompKind, Feature, FeatureModel
+from .build import BuildError, assemble
+from .model import Constraint, DecompKind, FeatureModel
 from .record import Record
 from .serializer import format_real
 from .tokens import Cursor, LexError, Lexicon, lex
@@ -44,6 +50,8 @@ LEXICON = Lexicon(KEYWORDS, "{},;", _word, signed_numbers=True)
 _VALUE_KINDS = {"int": "INT", "real": "REAL", "string": "STRING"}
 # the kind of the members of each group cardinality but allof
 _GROUP_KINDS = {"oneof": DecompKind.ALTERNATIVE, "someof": DecompKind.OR}
+# the kind of an allof member, by its opt flag
+_SOLITARY = (DecompKind.MANDATORY, DecompKind.OPTIONAL)
 
 
 class _Block(Record):
@@ -156,46 +164,29 @@ def import_tvl(text: str) -> FeatureModel:
             raise TvlError(f'duplicate feature "{b.name}"')
         by_name[b.name] = b
 
-    model = FeatureModel.with_root(blocks[0].name, blocks[0].attributes)
-    model.tvl_string_enum = header
-
-    features = model.features  # the features placed so far, the root first
-    # walk blocks in declaration order; a group can only mention declared ids
+    # a row per group member, in block order; a oneof or someof group is
+    # keyed by the index of its first row
+    rows = []
     for b in blocks:
         for card, members in b.groups:
             kind = _GROUP_KINDS.get(card)
-            gid = model.fresh_group_id() if kind else 0
+            kinds, key = ((kind, kind), len(rows)) if kind else (_SOLITARY, None)
             for opt, child in members:
-                if child not in by_name:
+                block = by_name.get(child)
+                if block is None:
                     raise TvlError(
                         f'group under "{b.name}" names unknown feature "{child}"')
-                if child in features:
-                    raise TvlError(f'feature "{child}" appears in two groups')
-                child_kind = kind or (DecompKind.OPTIONAL if opt
-                                      else DecompKind.MANDATORY)
-                features[child] = Feature(child, b.name, child_kind, gid,
-                                          by_name[child].attributes)
-    missing = [b.name for b in blocks if b.name not in features]
-    if missing:
-        raise TvlError(f'feature "{missing[0]}" is not attached to any group')
-
-    for b in blocks:
-        for c in b.constraints:
-            for end in (c.left, c.right):
-                if end not in by_name:
-                    raise TvlError(f'constraint {c} names unknown feature "{end}"')
-            model.add_constraint(c)
-
-    # every block is placed once, so a block the root does not reach lies on
-    # a cycle of groups or hangs off one
-    reached = [blocks[0].name]
-    for name in reached:  # the list grows as the walk reaches blocks
-        for _card, members in by_name[name].groups:
-            reached += [child for _opt, child in members]
-    if len(reached) < len(blocks):
-        reached = set(reached)
-        raise TvlError("; ".join(f"tree: cycle through {name!r}"
-                                 for name in features if name not in reached))
+                rows.append((child, b.name, kinds[opt], key, block.attributes))
+    if len(rows) < len(blocks) - 1:  # a block is in no group
+        placed = {row[0] for row in rows}
+        missing = next(b.name for b in blocks[1:] if b.name not in placed)
+        raise TvlError(f'feature "{missing}" is not attached to any group')
+    try:
+        model = assemble(blocks[0].name, blocks[0].attributes, rows,
+                         [c for b in blocks for c in b.constraints])
+    except BuildError as e:
+        raise TvlError(str(e)) from None
+    model.tvl_string_enum = header
     return model
 
 

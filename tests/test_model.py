@@ -5,6 +5,7 @@ import pytest
 from feather.build import BuildError, build_model
 from feather.model import Constraint, DecompKind, Feature, FeatureModel, ModelError
 from feather.parser import FeatureDecl, RootDecl, ScriptAst
+from feather.tvl import TvlError, import_tvl
 
 from conftest import index_answers, model_state, scan_groups, scan_subtrees, validate
 
@@ -157,9 +158,36 @@ def chain(depth: int) -> ScriptAst:
         for i in range(depth)])
 
 
+def closed_chain(depth: int) -> ScriptAst:
+    """The chain of `depth` features with its second half closed into a
+    cycle: the middle feature hangs under the last one."""
+    ast = chain(depth)
+    ast.features[depth // 2].parent = f"F{depth - 1}"
+    return ast
+
+
+def closed_chain_tvl(depth: int) -> str:
+    """The same features as TVL blocks, each placing its children."""
+    kids = {}
+    for fd in closed_chain(depth).features:
+        kids.setdefault(fd.parent, []).append(fd.name)
+    return "root " + "".join(
+        f"{name} {{ group allof {{ {', '.join(kids[name])} }} }}\n" if name in kids
+        else f"{name} {{ }}\n" for name in ["R"] + [f"F{i}" for i in range(depth)])
+
+
+def rejects_the_cycle(build):
+    def check(arg):
+        with pytest.raises((BuildError, TvlError), match="parent declarations form a cycle"):
+            build(arg)
+    return check
+
+
 def test_tree_checks_grow_linearly_with_depth():
     # a walk to the root from every feature takes 16 times as long at four
-    # times the depth; walks that stop at features already checked take 4
+    # times the depth; walks that stop at features already checked take 4.
+    # So does a search for a cycle past a long chain if it rebuilds what the
+    # root reaches once per feature of the chain
     def best_time(check, arg):
         times = []
         for _ in range(5):
@@ -172,6 +200,10 @@ def test_tree_checks_grow_linearly_with_depth():
     assert best_time(build_model, deep) < 8 * best_time(build_model, shallow)
     shallow, deep = build_model(shallow), build_model(deep)
     assert best_time(validate, deep) < 8 * best_time(validate, shallow)
+    for check, shallow, deep in [
+            (rejects_the_cycle(build_model), closed_chain(1000), closed_chain(4000)),
+            (rejects_the_cycle(import_tvl), closed_chain_tvl(1000), closed_chain_tvl(4000))]:
+        assert best_time(check, deep) < 8 * best_time(check, shallow)
 
 
 def test_tree_check_messages():

@@ -4,11 +4,19 @@ Orchestrates the whole pipeline: read the input files, parse, build the
 starting model, execute the commands under the selected running mode, print
 the transcript, and save the transformed model to the requested outputs.
 Exit codes: 0 on full success, 1 when execution halted or produced an error
-diagnostic, 2 on a usage, file, parse or export failure.
+diagnostic, 2 on a usage, file, parse or export failure, or when standard
+output is closed before the run ends.
+
+`main(argv)` is the entry for library callers and leaves the interpreter's
+state alone; `entry()` is the process entry (`python -m feather` and the
+`feather` script), which also keeps the cyclic collector off the heap that
+lives until the process exits.
 """
 
 from __future__ import annotations
 
+import gc
+import os
 import sys
 
 from .build import BuildError, build_model
@@ -227,5 +235,52 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry() -> int:
+    """Run `main` as the whole process and return its exit status.
+
+    Nothing imported or built before the run ends becomes garbage before the
+    process exits, so the heap is frozen twice: once the imports are done,
+    so that no collection during the run walks the import-time objects
+    again, and after the run, so that the collections at shutdown walk
+    nothing. Cyclic garbage the run itself makes is still collected during
+    the run. A frozen object's finalizer never runs, so no output may rely
+    on one: every file is closed by `with`, and standard output is flushed
+    here, before the second freeze.
+    """
+    gc.freeze()
+    try:
+        status = main()
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        status = _closed_stdout()
+    gc.freeze()
+    return status
+
+
+def _closed_stdout() -> int:
+    """Report that standard output was closed, once and without a traceback;
+    silent when standard error is closed too."""
+    _discard(sys.stdout)
+    if sys.stderr is not None:
+        try:
+            print("error: cannot write standard output: Broken pipe", file=sys.stderr)
+        except OSError:
+            _discard(sys.stderr)
+    return 2
+
+
+def _discard(stream) -> None:
+    """Point the descriptor under `stream` at the null device, so that the
+    interpreter's flush at exit writes what is still buffered nowhere."""
+    if stream is None:
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, stream.fileno())
+    finally:
+        os.close(null)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -105,9 +105,13 @@ class _TvlParser(Cursor):
         block = _Block(self.expect("ID"), line=line)
         self.expect("{")
         while kinds[self.pos] in ("int", "real", "bool", "string"):
-            tag = kinds[self.pos]
+            start = self.pos
+            tag = kinds[start]
             self.pos += 1
             name = self.parse_attr_id()
+            if name in block.attributes:
+                raise TvlError(f'line {self.tokens.line(start)}: duplicate attribute '
+                               f'"{name}" in feature "{block.name}"')
             self.expect("is")
             block.attributes[name] = self.parse_value(tag)
             self.expect(";")

@@ -1,17 +1,22 @@
 import contextlib
+import gc
 import io
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import feather
+from feather import cli
+from feather.build import build_model
 from feather.cli import USAGE, main
+from feather.commands import RunMode, run_script
 from feather.dump import dump_intermediate, postfix_text
 from feather.parser import MAX_EXPR_DEPTH, parse_commands, parse_script
 from feather.tvl import import_tvl
@@ -216,6 +221,132 @@ def test_output_determinism(tmp_path, capsys):
     assert t1.replace("a.fm", "b.fm") == t2
 
 
+# -- the process entry ------------------------------------------------------
+
+PACKAGE_ROOT = str(Path(feather.__file__).parents[1])
+
+# 1,500 warnings, then an error that halts the run under -e: a transcript
+# of more than 64 KiB
+LONG_HALT = ('remove constraint "Bull Market" requires "Video Chat";\n' * 1500
+             + 'remove feature "Ghost";\nupdate feature "Dating Club" set extracost = numeric: 5;\n')
+
+# name -> (files, arguments, exit status)
+ENTRY_CASES = {
+    "success": ({"in.feaf": CLEAN_SCRIPT}, ["-f", "in.feaf", "-o", "out.fd", "-x", "in.eil"], 0),
+    "halted": ({"m.fd": SERVICES, "c.feaf": LONG_HALT}, ["-d", "m.fd", "-c", "c.feaf", "-o", "out.fd"], 1),
+    "parse failure": ({"in.feaf": SERVICES + "remove feature;\n"}, ["-f", "in.feaf", "-o", "out.fd"], 2),
+    "wrong flags": ({}, ["-f", "in.feaf", "-q"], 2),
+}
+
+
+def feather_process(args, cwd, stdout=subprocess.PIPE, env=None):
+    """`python -m feather args` run in a child process in `cwd`."""
+    env = dict(os.environ if env is None else env, PYTHONPATH=PACKAGE_ROOT)
+    return subprocess.run([sys.executable, "-m", "feather", *args], cwd=cwd, env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
+
+
+def files_in(directory: Path) -> dict:
+    return {p.name: p.read_text() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("case", ENTRY_CASES)
+def test_the_process_entry_gives_what_main_gives(tmp_path, monkeypatch, capsys, case):
+    files, args, status = ENTRY_CASES[case]
+    for where in ("child", "library"):
+        (tmp_path / where).mkdir()
+        for name, text in files.items():
+            (tmp_path / where / name).write_text(text)
+    proc = feather_process(args, tmp_path / "child")
+    monkeypatch.chdir(tmp_path / "library")
+    code = main(args)
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    assert code == status
+    assert files_in(tmp_path / "child") == files_in(tmp_path / "library")
+    if case == "halted":  # standard output arrives whole through a pipe
+        assert len(proc.stdout) > 64 * 1024
+        assert proc.stdout.endswith("cmd #1501 (rmf) : The specified feature (i.e., "
+                                    '"Ghost") does not exist\n-----\n'
+                                    "Saving the transformed model... DONE!\n")
+
+
+@pytest.mark.parametrize("args, unbuffered", [
+    (["-i", "-d", "m.fd", "-c", "c.feaf", "-o", "out.fd"], True),
+    (["-i", "-d", "m.fd", "-c", "c.feaf", "-o", "out.fd"], False),
+    (["-h"], False),
+], ids=["unbuffered run", "buffered run", "help"])
+def test_a_closed_standard_output_is_one_error_line(tmp_path, args, unbuffered):
+    # unbuffered, the run's first line fails; buffered, a flush in the run
+    # fails, or for -h the flush after it
+    (tmp_path / "m.fd").write_text(SERVICES)
+    (tmp_path / "c.feaf").write_text(LONG_HALT)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child writes anything
+    try:
+        proc = feather_process(args, tmp_path, stdout=write_end, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write standard output: Broken pipe\n"
+
+
+def test_the_process_entry_freezes_the_heap_before_and_after_the_run():
+    code = textwrap.dedent("""\
+        import gc, sys
+        from feather import cli
+        run = cli.main
+        def main(argv=None):
+            global frozen_in_run, kept
+            frozen_in_run = gc.get_freeze_count()
+            kept = [[] for _ in range(100)]
+            return run(argv)
+        cli.main = main
+        sys.argv[1:] = ["-h"]
+        status = cli.entry()
+        print(status, frozen_in_run, gc.get_freeze_count() - frozen_in_run, gc.isenabled())
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    status, frozen_in_run, frozen_after, enabled = proc.stdout.splitlines()[-1].split()
+    assert status == "0" and enabled == "True"
+    assert int(frozen_in_run) > 1000  # the import-time heap
+    assert int(frozen_after) >= 100   # what the run made and kept
+
+
+@pytest.mark.parametrize("case", ["success", "halted", "parse failure"])
+def test_main_leaves_the_collector_alone_and_closes_every_file(tmp_path, monkeypatch,
+                                                                capsys, case):
+    files, args, status = ENTRY_CASES[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    opened = []
+
+    def tracked_open(*a, **kw):
+        opened.append(open(*a, **kw))
+        return opened[-1]
+    monkeypatch.setattr(cli, "open", tracked_open, raising=False)
+    monkeypatch.chdir(tmp_path)
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main(args) == status
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+    # the heap may be frozen after main: no output can wait for a finalizer
+    assert opened and all(fh.closed for fh in opened)
+    capsys.readouterr()
+
+
+def test_run_script_leaves_the_collector_alone():
+    ast, errors = parse_script(NOISY_SCRIPT)
+    assert errors == []
+    before = gc.isenabled(), gc.get_freeze_count()
+    run_script(build_model(ast), ast.commands, RunMode.IGNORE_ALL)
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
 # -- postfix dump -----------------------------------------------------------
 
 
@@ -267,11 +398,8 @@ def feather_cli(tmp_path, decls: str, cmds: str, model_flag: str = "-d", extra=(
     """
     (tmp_path / "m.fd").write_text(decls)
     (tmp_path / "c.feaf").write_text(cmds)
-    env = dict(os.environ, PYTHONPATH=str(Path(feather.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "feather", model_flag, "m.fd", "-c", "c.feaf", "-o", "out.fd",
-         *extra],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    proc = feather_process([model_flag, "m.fd", "-c", "c.feaf", "-o", "out.fd", *extra],
+                           tmp_path)
     assert "Traceback" not in proc.stderr
     out = tmp_path / "out.fd"
     return proc.returncode, proc.stdout, proc.stderr, out.read_text() if out.exists() else None

@@ -1,9 +1,11 @@
 """Source hygiene: each module of `feather` uses every name it imports, every
 function of the package is read somewhere in it, the package exports what
-`__all__` lists, and a run imports only what it needs."""
+`__all__` lists, a run imports only what it needs, and only the process
+entry touches the collector."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -142,3 +144,28 @@ def test_a_feather_run_loads_neither_tvl_nor_the_dumper(tmp_path):
         return f"from feather.cli import main\nassert main({args + extra!r}) == 0"
     assert loaded_after(run([])) == []
     assert loaded_after(run(["-x", str(tmp_path / "c.eil")])) == ["feather.dump"]
+
+
+def test_the_feather_script_is_the_entry_that_python_m_feather_calls():
+    # pyproject.toml is read as text: Python 3.10 has no tomllib
+    pyproject = (SRC.parents[1] / "pyproject.toml").read_text()
+    script = re.search(r'^\[project\.scripts\]\nfeather = "feather\.cli:(\w+)"$',
+                       pyproject, re.M)
+    tree = ast.parse((SRC / "__main__.py").read_text())
+    called = [n.func.id for n in ast.walk(tree)
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+    imported = [(n.module, a.name) for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom) for a in n.names]
+    assert script and called == [script[1]]
+    assert ("cli", script[1]) in imported
+
+
+def test_only_the_process_entry_touches_the_collector():
+    # each use of `gc.`, by module and top-level definition
+    users = set()
+    for path in MODULES:
+        for top in ast.parse(path.read_text()).body:
+            users.update((path.name, getattr(top, "name", None)) for n in ast.walk(top)
+                         if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                         and n.value.id == "gc")
+    assert users == {("cli.py", "entry")}

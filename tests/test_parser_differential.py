@@ -4,8 +4,10 @@ Both parsers read random texts built from token pieces, and texts made from
 valid inputs by changing one token. For Feather the ASTs and the errors, as
 (message, line, column) and after resynchronizing, must be equal; for TVL the
 parse results or the error texts, apart from the quoted numbers of a value
-that does not match its type. The token streams must also keep the contract
-the benchmark's trace relies on.
+that does not match its type, and apart from a block that declares one
+attribute twice, which the reference accepted (keeping the last value) and
+the parser rejects. The token streams must also keep the contract the
+benchmark's trace relies on.
 """
 
 import random
@@ -154,6 +156,66 @@ def tvl_outcome(parser_class, text):
         return unquote_number(str(e))
 
 
+DUPLICATE_ATTRIBUTE = re.compile(r'line (\d+): duplicate attribute "(\w+)" in feature "(\w+)"')
+
+
+def repeats_attribute(text: str, message: str) -> bool:
+    """Whether `message` is a duplicate-attribute error that holds for
+    `text`: one block named as the message says declares the attribute
+    twice, the second time on the message's line. Read from the reference's
+    tokens of a text that the reference parses."""
+    m = DUPLICATE_ATTRIBUTE.fullmatch(message)
+    if m is None:
+        return False
+    toks = reference_tvl_tokenize(text)
+    depth, block, lines = 0, None, []
+    for i, t in enumerate(toks):
+        if depth == 0 and t.kind == "ID" and toks[i + 1].kind == "{":
+            block, lines = t.value, []
+        elif t.kind in "{}":
+            depth += 1 if t.kind == "{" else -1
+        elif (depth == 1 and block == m[3] and t.kind in ("int", "real", "bool", "string")
+              and toks[i + 1].value == m[2] and toks[i + 2].kind == "is"):
+            lines.append(t.line)
+            if len(lines) == 2:
+                return t.line == int(m[1])
+    return False
+
+
+def assert_same_tvl_outcome(got, want, text: str) -> None:
+    """The parser's outcome is the reference's, but where the reference
+    accepted a block that declares an attribute twice: the parser's error
+    must then name that block, that attribute and the second declaration's
+    line."""
+    if isinstance(got, str) and not isinstance(want, str):
+        assert repeats_attribute(text, got), (got, text)
+    else:
+        assert got == want, text
+
+
+@pytest.mark.parametrize("text, line", [
+    ("root A { int v is 1; real v is 2.5; }", 1),
+    (TVL_MODEL.replace("real r is", "real n is"), 4),
+    (TVL_MODEL.replace("bool f is false;", "bool f is false;\n string f is \"a\";"), 15),
+], ids=["one line", "root block", "later line"])
+def test_a_repeated_attribute_is_the_one_change_from_the_reference(text, line):
+    got = tvl_outcome(tvl._TvlParser, text)
+    assert isinstance(tvl_outcome(ReferenceTvlParser, text), tuple)
+    assert got.startswith(f"line {line}: duplicate attribute ")
+    assert_same_tvl_outcome(got, tvl_outcome(ReferenceTvlParser, text), text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("root A { int v is 1; real v is 2.5; }", 'line 1: duplicate attribute "v" in feature "B"'),
+    ("root A { int v is 1; real v is 2.5; }", 'line 2: duplicate attribute "v" in feature "A"'),
+    ("root A { int v is 1; group allof { B } }\nB { real v is 2.5; }",
+     'line 2: duplicate attribute "v" in feature "B"'),
+    ("root A { int v is 1; }", "line 1: expected 'ID', found '}'"),
+], ids=["other block", "other line", "two blocks", "other error"])
+def test_a_message_the_text_does_not_bear_out_is_no_repeat(text, message):
+    assert not repeats_attribute(text, message)
+
+
 def test_tvl_parser_equals_the_reference():
     rng = random.Random(2020)
     def tvl_lex(text):
@@ -168,7 +230,7 @@ def test_tvl_parser_equals_the_reference():
         else:
             text = "root R {" + random_text(rng, TVL_PIECES, TVL_BAD)
         got = tvl_outcome(tvl._TvlParser, text)
-        assert got == tvl_outcome(ReferenceTvlParser, text), (case, text)
+        assert_same_tvl_outcome(got, tvl_outcome(ReferenceTvlParser, text), text)
         failed += isinstance(got, str)
         parsed += not isinstance(got, str)
     assert failed >= 1_500 and parsed >= 40

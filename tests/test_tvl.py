@@ -132,6 +132,17 @@ def test_import_error_names_the_end_of_input(text, message):
     assert str(e.value) == message
 
 
+@pytest.mark.parametrize("text, line", [
+    ("root A { int v is 1; real v is 2.5; }\n", 1),
+    ("root R { group allof { A } }\nA {\n  int v is 1;\n  int w is 2;\n  real v is 2.5;\n}\n", 5),
+])
+def test_import_rejects_an_attribute_declared_twice(text, line):
+    # as Feather declarations do; the second declaration's line is named
+    with pytest.raises(TvlError) as e:
+        import_tvl(text)
+    assert str(e.value) == f'line {line}: duplicate attribute "v" in feature "A"'
+
+
 @pytest.mark.parametrize("number", ["1.5", "-3"])
 def test_unexpected_number_is_quoted_as_written(number):
     with pytest.raises(TvlError) as e:
@@ -182,17 +193,21 @@ def test_blocks_the_root_never_reaches_lie_on_a_cycle(text, message):
     assert str(e.value) == message
 
 
-def _tvl_value(rng):
-    return rng.choice([f"int n is {rng.randint(-3, 9)};", "real r is 2.5;",
-                       f"bool b is {rng.choice(['true', 'false'])};",
-                       'string s is "red";'])
+def _tvl_values(rng, count: int, again: bool) -> list:
+    """`count` declarations of distinct attributes; with `again`, one more
+    that declares the first of them again, as a string."""
+    values = {"n": f"int n is {rng.randint(-3, 9)};", "r": "real r is 2.5;",
+              "b": f"bool b is {rng.choice(['true', 'false'])};", "s": 'string s is "red";'}
+    names = rng.sample(sorted(values), count)
+    repeated = names[:1] if again else []
+    return [values[n] for n in names] + [f'string {n} is "red";' for n in repeated]
 
 
 def random_tvl(rng) -> str:
     """A TVL text over a random tree of blocks; often broken: blocks on a
     cycle of groups with trees hanging off them, a duplicate or orphan
     block, a group member that is unknown or placed twice, a constraint
-    with an unknown end."""
+    with an unknown end, an attribute declared twice in the root block."""
     names = [f"B{i}" for i in range(rng.randint(1, 8))]
     groups = {n: [] for n in names}  # block -> [(cardinality, [member])]
 
@@ -230,8 +245,9 @@ def random_tvl(rng) -> str:
         order.append(rng.choice(order))
     lines = ['enum string in { "red" };'] if rng.random() < 0.2 else []
     for i, n in enumerate(order):
+        again = i == 0 and 0.9 < defect <= 0.95
         lines.append(("root " if i == 0 else "") + n + " {")
-        lines += ["  " + _tvl_value(rng) for _ in range(rng.randint(0, 2))]
+        lines += ["  " + v for v in _tvl_values(rng, rng.randint(again, 2), again)]
         for card, members in groups[n] if n not in order[:i] else ():
             opt = "opt " if card == "allof" and rng.random() < 0.5 else ""
             lines.append(f"  group {card} {{ {', '.join(opt + m for m in members)} }}")

@@ -15,26 +15,37 @@ class BuildError(Exception):
     """Declarations do not form a valid feature model."""
 
 
+def _error(line: int, message: str) -> BuildError:
+    """The error of the declaration at `line`; one built by hand (line 0) names none."""
+    return BuildError(f"line {line}: {message}" if line else message)
+
+
+def unknown_feature(referrer: str, name: str) -> str:
+    """The message for `referrer` naming `name`, which nothing declares."""
+    return f'{referrer} names unknown feature "{name}"'
+
+
 def assemble(root: str, root_attributes: dict, rows: list, constraints) -> FeatureModel:
     """The model of a root, rows of (name, parent, kind, group key,
-    attributes) in feature order and constraints (`left`, `kind`, `right`),
-    checked in linear time. Rows that share a group key (not None) form one
-    group; groups are numbered in order of first appearance. Of constraints
-    with one effect the first is stored."""
+    attributes, line) in feature order and constraints (`left`, `kind`,
+    `right`, `line`), checked in linear time; each error names the line of
+    the row or constraint at fault. Rows that share a group key (not None)
+    form one group; groups are numbered in order of first appearance. Of
+    constraints with one effect the first is stored."""
     model = FeatureModel.with_root(root, root_attributes)
     features = model.features
     children: dict = {}  # parent -> child names, in row order
     groups: dict = {}  # group key -> (kind, parent, id) of its first row
-    for name, parent, kind, key, attributes in rows:
+    for name, parent, kind, key, attributes, line in rows:
         if name in features:
-            raise BuildError(f'feature "{name}" is declared twice')
+            raise _error(line, f'feature "{name}" is declared twice')
         gid = 0
         if key is not None:
             group = groups.setdefault(key, (kind, parent, len(groups) + 1))
             if group[0] is not kind or group[1] != parent:
                 mixed = "decomposition kinds" if group[0] is not kind else "parents"
                 members = [row[0] for row in rows if row[3] == key]
-                raise BuildError(f"group of {members} mixes {mixed}")
+                raise _error(line, f"group of {members} mixes {mixed}")
             gid = group[2]
         features[name] = Feature(name, parent, kind, gid, attributes)
         children.setdefault(parent, []).append(name)
@@ -42,17 +53,17 @@ def assemble(root: str, root_attributes: dict, rows: list, constraints) -> Featu
 
     # children holds parents in row order, so the first row naming an undeclared
     # parent is the one reported
-    for parent, kids in children.items():
+    for parent in children:
         if parent not in features:
-            raise BuildError(f'feature "{kids[0]}" names undeclared parent "{parent}"')
+            row = next(row for row in rows if row[1] == parent)
+            raise _error(row[5], f'feature "{row[0]}" names undeclared parent "{parent}"')
 
     stored = model._constraints
     for c in constraints:
         left, kind, right = c.left, c.kind, c.right
         if left not in features or right not in features:
             end = right if left in features else left
-            raise BuildError(
-                f'constraint ({left} {kind} {right}) names unknown feature "{end}"')
+            raise _error(c.line, unknown_feature(f"constraint ({left} {kind} {right})", end))
         key = effect_key(left, kind, right)
         if key not in stored:
             stored[key] = Constraint(left, kind, right)
@@ -68,7 +79,8 @@ def assemble(root: str, root_attributes: dict, rows: list, constraints) -> Featu
         while name not in seen:
             seen.add(name)
             name = features[name].parent
-        raise BuildError(f'parent declarations form a cycle through "{name}"')
+        line = next(row[5] for row in rows if row[0] == name)
+        raise _error(line, f'parent declarations form a cycle through "{name}"')
     return model
 
 
@@ -83,14 +95,14 @@ def build_model(ast: ScriptAst) -> FeatureModel:
             _union(parent_of, fd.name, fd.sibling)
         elif fd.sibling is not None:
             if all(d.name != fd.sibling for d in [ast.root, *ast.features]):
-                raise BuildError(
-                    f'feature "{fd.name}" names undeclared sibling "{fd.sibling}"')
-            raise BuildError(f'"{fd.sibling}" is referenced as a group sibling '
-                             f'but does not join a group')
+                raise _error(fd.line,
+                             f'feature "{fd.name}" names undeclared sibling "{fd.sibling}"')
+            raise _error(fd.line, f'"{fd.sibling}" is referenced as a group sibling '
+                                  f'but does not join a group')
 
     rows = [(fd.name, fd.parent, fd.decomp,
              None if fd.sibling is None else _find(parent_of, fd.name),
-             dict(fd.attributes)) for fd in ast.features]
+             dict(fd.attributes), fd.line) for fd in ast.features]
     return assemble(ast.root.name, dict(ast.root.attributes), rows, ast.constraints)
 
 

@@ -4,8 +4,8 @@ Orchestrates the whole pipeline: read the input files, parse, build the
 starting model, execute the commands under the selected running mode, print
 the transcript, and save the transformed model to the requested outputs.
 Exit codes: 0 on full success, 1 when execution halted or produced an error
-diagnostic, 2 on a usage, file, parse or export failure, or when standard
-output is closed before the run ends.
+diagnostic, 2 on a usage, file, parse or export failure, when standard
+output is closed before the run ends, or when the run runs out of memory.
 
 `main(argv)` is the entry for library callers and leaves the interpreter's
 state alone; `entry()` is the process entry (`python -m feather` and the
@@ -18,6 +18,7 @@ from __future__ import annotations
 import gc
 import os
 import sys
+from types import SimpleNamespace
 
 from .build import BuildError, build_model
 from .commands import RunMode, run_script
@@ -46,40 +47,29 @@ class FileError(Exception):
     """An input or output that fails: reported alone."""
 
 
-class CliConfig:
-    def __init__(self):
-        self.mode = RunMode.STOP_ON_ERROR
-        self.script = None       # -f
-        self.declarations = None  # -d
-        self.tvl_in = None       # -t
-        self.commands = None     # -c
-        self.out = None          # -o
-        self.tvl_out = None      # -ot
-        self.dump = None         # -x
-        self.help = False
+# the flags that name a file, each with the setting it fills
+FILE_FLAGS = {"-f": "script", "-d": "declarations", "-t": "tvl_in", "-c": "commands",
+              "-o": "out", "-ot": "tvl_out", "-x": "dump"}
+MODE_FLAGS = {"-i": RunMode.IGNORE_ALL, "-e": RunMode.STOP_ON_ERROR,
+              "-w": RunMode.STOP_ON_WARNING}
 
 
-def parse_args(args: list) -> CliConfig:
-    cfg = CliConfig()
-    takes_value = {
-        "-f": "script", "-d": "declarations", "-t": "tvl_in",
-        "-c": "commands", "-o": "out", "-ot": "tvl_out", "-x": "dump",
-    }
-    modes = {"-i": RunMode.IGNORE_ALL, "-e": RunMode.STOP_ON_ERROR,
-             "-w": RunMode.STOP_ON_WARNING}
+def parse_args(args: list) -> SimpleNamespace:
+    cfg = SimpleNamespace(mode=RunMode.STOP_ON_ERROR, help=False,
+                          **dict.fromkeys(FILE_FLAGS.values()))
     i = 0
     while i < len(args):
         flag = args[i]
         if flag == "-h":
             cfg.help = True
-        elif flag in modes:
-            cfg.mode = modes[flag]
-        elif flag in takes_value:
+        elif flag in MODE_FLAGS:
+            cfg.mode = MODE_FLAGS[flag]
+        elif flag in FILE_FLAGS:
             if i + 1 >= len(args):
                 raise UsageError(f"flag {flag} needs a file argument")
-            if getattr(cfg, takes_value[flag]) is not None:
+            if getattr(cfg, FILE_FLAGS[flag]) is not None:
                 raise UsageError(f"flag {flag} given twice")
-            setattr(cfg, takes_value[flag], args[i + 1])
+            setattr(cfg, FILE_FLAGS[flag], args[i + 1])
             i += 1
         else:
             raise UsageError(f"unknown flag {flag!r}")
@@ -116,43 +106,32 @@ def _write(path: str, text: str) -> None:
         raise FileError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _parse_phase(cfg: CliConfig, out):
+def _parse_phase(cfg: SimpleNamespace, out):
     """Parse all inputs; returns (model, commands) or None on failure."""
-    errors = []
-    ast = ScriptAst()
     primary = cfg.script or cfg.declarations or cfg.tvl_in
-    model = None
-
-    if cfg.script:
-        text = _read(cfg.script)
-        ast, errs = parse_script(text)
-        errors.extend(errs)
-    elif cfg.declarations:
-        text = _read(cfg.declarations)
-        ast, errs = parse_declarations(text)
-        errors.extend(errs)
+    model, ast, errors = None, ScriptAst(), []
+    if cfg.script or cfg.declarations:
+        parse = parse_script if cfg.script else parse_declarations
+        ast, errors = parse(_read(primary))
     else:
         from .tvl import TvlError, import_tvl
-        text = _read(cfg.tvl_in)
         try:
-            model = import_tvl(text)
+            model = import_tvl(_read(cfg.tvl_in))
         except TvlError as exc:
             errors.append(exc)
 
-    cmd_ast = None
     if cfg.commands:
-        cmd_text = _read(cfg.commands)
-        cmd_ast, errs = parse_commands(cmd_text)
+        cmd_ast, errs = parse_commands(_read(cfg.commands))
         errors.extend(errs)
         ast.commands = cmd_ast.commands
 
     if not errors:
+        if model is None:
+            try:
+                model = build_model(ast)
+            except BuildError as exc:
+                errors.append(exc)
         errors.extend(validate_static(ast))
-    if not errors and model is None:
-        try:
-            model = build_model(ast)
-        except BuildError as exc:
-            errors.append(exc)
 
     names = [p for p in (primary, cfg.commands) if p]
     status = "OK" if not errors else "FAILED"
@@ -254,6 +233,11 @@ def entry() -> int:
             sys.stdout.flush()
     except BrokenPipeError:
         status = _closed_stdout()
+    except MemoryError:
+        status = None  # reported below, once the frames the error holds are freed
+    if status is None:
+        print("error: out of memory", file=sys.stderr)
+        status = 2
     gc.freeze()
     return status
 

@@ -436,45 +436,41 @@ def _end_reader(desc, variables):
     return lambda t: desc.name
 
 
-def _candidate_constraints(cmd, res):
-    """Distinct (constraint, supporting tuples) in enumeration order."""
+def _candidate_constraints(cmd, res) -> dict:
+    """Effect key -> the first constraint with that effect the tuples give,
+    in enumeration order: one Constraint per key, none per tuple."""
     left = _end_reader(cmd.left, res.variables)
     right = _end_reader(cmd.right, res.variables)
-    out: dict = {}  # effect key -> (first constraint with it, tuples)
+    kind, out = cmd.kind, {}
     for t in res.tuples:
-        c = Constraint(left(t), cmd.kind, right(t))
-        out.setdefault(c.effect_key(), (c, []))[1].append(t)
-    return list(out.values())
+        a, b = left(t), right(t)
+        key = effect_key(a, kind, b)
+        if key not in out:
+            out[key] = Constraint(a, kind, b)
+    return out
 
 
 def exec_add_constraint(model: FeatureModel, cmd: AddConstraint, res: ResolutionSet):
     _check_literal_ends(model, cmd)
-    left = _end_reader(cmd.left, res.variables)
-    right = _end_reader(cmd.right, res.variables)
-    # `seen` holds the keys of the command's earlier tuples, so that only a
-    # constraint the model held before the command is reported as existing
-    kind, seen, existing = cmd.kind, set(), []
-    for t in res.tuples:
-        a, b = left(t), right(t)
-        key = effect_key(a, kind, b)
-        if key not in seen:
-            seen.add(key)
-            c = Constraint(a, kind, b)
-            if not model.add_constraint(c):
-                existing.append(c)
+    # the candidates have distinct effects, so only a constraint the model
+    # held before the command is reported as existing
+    existing = [c for c in _candidate_constraints(cmd, res).values()
+                if not model.add_constraint(c)]
     if existing:
         listed = ", ".join(str(c) for c in existing)
         return [("warning", f"Following Cross-tree Constraint(s) already exist: {listed}")]
     return []
 
 
-def _matched_constraints(model, cmd, res):
-    """Stored constraints matched by the description, with their tuples."""
-    matched = []
-    for c, tuples in _candidate_constraints(cmd, res):
-        rep = model.stored_constraint(c)
-        if rep is not None:
-            matched.append((rep, tuples))
+def _matched_constraints(model, cmd, res, multi: bool, verb: str) -> dict:
+    """Effect key -> the stored constraint the description matches; a
+    single-target command may match at most one."""
+    _check_literal_ends(model, cmd)
+    matched = {key: rep for key, c in _candidate_constraints(cmd, res).items()
+               if (rep := model.stored_constraint(c)) is not None}
+    if not multi and len(matched) > 1:
+        raise CommandError("Command is ambiguous on which constraint will "
+                           f"be {verb} {_listing(matched.values())}")
     return matched
 
 
@@ -497,44 +493,38 @@ def _end_slot(model, expr, side):
 
 def exec_update_constraint(model: FeatureModel, cmd: UpdateConstraint,
                            res: ResolutionSet, multi: bool):
-    _check_literal_ends(model, cmd)
-    matched = _matched_constraints(model, cmd, res)
-    if not multi:
-        if not matched:
-            raise CommandError("No constraints match the update command")
-        if len(matched) > 1:
-            raise CommandError("Command is ambiguous on which constraint will "
-                               f"be updated {_listing([c for c, _ in matched])}")
+    matched = _matched_constraints(model, cmd, res, multi, "updated")
+    if not matched:
+        if multi:
+            return [("warning", "No constraints match the update all command")]
+        raise CommandError("No constraints match the update command")
     new_left = _end_slot(model, cmd.new_left, "left")
     new_right = _end_slot(model, cmd.new_right, "right")
-    replacements = []
-    for rep, tuples in matched:
-        sub = ResolutionSet(res.variables, tuples)
-        left = rep.left if new_left is None else new_left(sub)
-        right = rep.right if new_right is None else new_right(sub)
-        kind = cmd.new_kind if cmd.new_kind is not None else rep.kind
-        replacements.append((rep, Constraint(left, kind, right)))
-    for rep, _new in replacements:
+    # the tuples of each matched constraint, read only to derive new ends
+    subs = {key: ResolutionSet(res.variables, []) for key in matched}
+    left, right = _end_reader(cmd.left, res.variables), _end_reader(cmd.right, res.variables)
+    for t in res.tuples if new_left or new_right else ():
+        sub = subs.get(effect_key(left(t), cmd.kind, right(t)))
+        if sub is not None:
+            sub.tuples.append(t)
+    new = []
+    for key, rep in matched.items():
+        a = rep.left if new_left is None else new_left(subs[key])
+        b = rep.right if new_right is None else new_right(subs[key])
+        new.append(Constraint(a, cmd.new_kind or rep.kind, b))
+    for rep in matched.values():
         model.remove_constraint(rep)
-    for _rep, new in replacements:
-        model.add_constraint(new)
-    if multi and not matched:
-        return [("warning", "No constraints match the update all command")]
+    for c in new:
+        model.add_constraint(c)
     return []
 
 
 def exec_remove_constraint(model: FeatureModel, cmd, res: ResolutionSet, multi: bool):
-    _check_literal_ends(model, cmd)
-    matched = _matched_constraints(model, cmd, res)
-    if not multi:
-        if not matched:
-            return [("warning", "No constraints match the remove command")]
-        if len(matched) > 1:
-            raise CommandError("Command is ambiguous on which constraint will "
-                               f"be removed {_listing([c for c, _ in matched])}")
-    if multi and not matched:
-        return [("warning", "No constraints match the remove all command")]
-    for rep, _tuples in matched:
+    matched = _matched_constraints(model, cmd, res, multi, "removed")
+    if not matched:
+        verb = "remove all" if multi else "remove"
+        return [("warning", f"No constraints match the {verb} command")]
+    for rep in matched.values():
         model.remove_constraint(rep)
     return []
 

@@ -170,16 +170,18 @@ class _Parser(Cursor):
         line = self.tokens.line(self.pos)
         self.expect("root", "the root feature declaration")
         name = self.expect("STRING", "the root feature name")
-        attrs = self.parse_attr_decls()
+        attrs = self.parse_attr_decls(name)
         self.expect(";")
         return RootDecl(name, attrs, line=line)
 
-    def parse_attr_decls(self) -> list:
-        attrs = []
+    def parse_attr_decls(self, owner: str) -> list:
+        attrs = {}
         while self.skip("attribute"):
+            at = self.pos - 1
             ident = self.expect("IDENT", "an attribute identifier")
-            attrs.append((ident, self.parse_literal()))
-        return attrs
+            self.check_new_attribute(ident, attrs, owner, at)
+            attrs[ident] = self.parse_literal()
+        return list(attrs.items())
 
     def parse_literal(self):
         sign, kind = 1, self.kinds[self.pos]
@@ -213,7 +215,7 @@ class _Parser(Cursor):
         if kind.is_group:
             self.expect("to")
             sibling = self.expect("STRING", "a sibling feature name")
-        attrs = self.parse_attr_decls()
+        attrs = self.parse_attr_decls(name)
         self.expect(";")
         return FeatureDecl(name, parent, kind, sibling, attrs, line=line)
 
@@ -559,25 +561,13 @@ def _parse(text: str, declarations: bool, commands: bool) -> tuple:
 
 
 def validate_static(ast: ScriptAst) -> list:
-    """Script-level checks that need no model: duplicates, forward arity.
+    """Checks of the commands that need no model: an attribute assigned
+    twice, a constraint slot updated twice, too many updates in one
+    `updateall constraint`. The builder (`build`) checks the declarations.
 
     Returns a list of diagnostic strings; empty means clean.
     """
     problems = []
-    declared = set()
-    if ast.root is not None:
-        declared.add(ast.root.name)
-        _check_attr_dups(ast.root.name, ast.root.attributes, problems)
-    for fd in ast.features:
-        if fd.name in declared:
-            problems.append(f'line {fd.line}: duplicate declaration of feature "{fd.name}"')
-        declared.add(fd.name)
-        _check_attr_dups(fd.name, fd.attributes, problems)
-    for cd in ast.constraints:
-        for end in (cd.left, cd.right):
-            if end not in declared:
-                problems.append(
-                    f'line {cd.line}: constraint names undeclared feature "{end}"')
     for i, cmd in enumerate(ast.commands, 1):
         if isinstance(cmd, (AddFeature, UpdateFeature, UpdateAllFeatures)):
             seen = set()
@@ -587,18 +577,10 @@ def validate_static(ast: ScriptAst) -> list:
                         f'cmd #{i}: attribute "{a.name}" is assigned twice')
                 seen.add(a.name)
         if isinstance(cmd, UpdateConstraint):  # covers updateall too
-            for slot in set(cmd.updates):
+            for slot in dict.fromkeys(cmd.updates):  # in script order
                 if cmd.updates.count(slot) > 1:
                     problems.append(f"cmd #{i}: {slot} is updated twice")
             if cmd.code == "upmc" and len(cmd.updates) > 2:
                 problems.append(
                     f"cmd #{i}: updateall constraint allows at most two updates")
     return problems
-
-
-def _check_attr_dups(owner: str, attrs: list, problems: list) -> None:
-    seen = set()
-    for ident, _ in attrs:
-        if ident in seen:
-            problems.append(f'duplicate attribute "{ident}" in feature "{owner}"')
-        seen.add(ident)

@@ -123,7 +123,7 @@ class Tokens:
 class Cursor:
     """Walks the kinds and values of a token stream. `pos` never passes EOF,
     the last token; a method that skips a token has seen its kind. A
-    subclass reports an error in `fail(message)`."""
+    subclass reports an error at token `pos`, or the next, in `fail`."""
 
     def __init__(self, tokens: Tokens):
         self.tokens, self.kinds, self.values = tokens, tokens.kinds, tokens.values
@@ -147,6 +147,12 @@ class Cursor:
             self.fail(f"expected {what or repr(kind)}, found {self.text() or 'end of input'!r}")
         self.pos = pos + 1
         return self.values[pos]
+
+    def check_new_attribute(self, name: str, declared, owner: str, at: int) -> None:
+        """Fail at token `at`, where a declaration of attribute `name` of
+        feature `owner` starts, if `declared` holds the name already."""
+        if name in declared:
+            self.fail(f'duplicate attribute "{name}" in feature "{owner}"', at)
 
 
 def lex(text: str, lexicon: Lexicon) -> Tokens:

@@ -9,15 +9,17 @@ export emits them inside the root block.
 Import checks what only blocks can get wrong (a duplicate block, an unknown
 group member, a block in no group) and hands one row per group member to
 `build.assemble`, which checks the tree; its `BuildError` becomes a
-`TvlError` with the same text.
+`TvlError` with the same text. A row, and each constraint, carries the line
+of the block that lists it.
 """
 
 from __future__ import annotations
 
 import re
 
-from .build import BuildError, assemble
+from .build import BuildError, assemble, unknown_feature
 from .model import Constraint, DecompKind, FeatureModel
+from .parser import ConstraintDecl
 from .record import Record
 from .serializer import format_real
 from .tokens import Cursor, LexError, Lexicon, lex
@@ -76,8 +78,8 @@ class _TvlParser(Cursor):
         except LexError as e:
             raise TvlError(f"line {e.line}: {e.message}") from None
 
-    def fail(self, message: str):
-        raise TvlError(f"line {self.tokens.line(self.pos)}: {message}")
+    def fail(self, message: str, pos: int | None = None):
+        raise TvlError(f"line {self.tokens.line(self.pos if pos is None else pos)}: {message}")
 
     def parse(self):
         kinds = self.kinds
@@ -109,9 +111,7 @@ class _TvlParser(Cursor):
             tag = kinds[start]
             self.pos += 1
             name = self.parse_attr_id()
-            if name in block.attributes:
-                raise TvlError(f'line {self.tokens.line(start)}: duplicate attribute '
-                               f'"{name}" in feature "{block.name}"')
+            self.check_new_attribute(name, block.attributes, block.name, start)
             self.expect("is")
             block.attributes[name] = self.parse_value(tag)
             self.expect(";")
@@ -178,16 +178,16 @@ def import_tvl(text: str) -> FeatureModel:
             for opt, child in members:
                 block = by_name.get(child)
                 if block is None:
-                    raise TvlError(
-                        f'group under "{b.name}" names unknown feature "{child}"')
-                rows.append((child, b.name, kinds[opt], key, block.attributes))
+                    raise TvlError(unknown_feature(f'group under "{b.name}"', child))
+                rows.append((child, b.name, kinds[opt], key, block.attributes, b.line))
     if len(rows) < len(blocks) - 1:  # a block is in no group
         placed = {row[0] for row in rows}
         missing = next(b.name for b in blocks[1:] if b.name not in placed)
         raise TvlError(f'feature "{missing}" is not attached to any group')
     try:
         model = assemble(blocks[0].name, blocks[0].attributes, rows,
-                         [c for b in blocks for c in b.constraints])
+                         [ConstraintDecl(c.left, c.kind, c.right, b.line)
+                          for b in blocks for c in b.constraints])
     except BuildError as e:
         raise TvlError(str(e)) from None
     model.tvl_string_enum = header

@@ -62,6 +62,7 @@ from feather.parser import (
     parse_commands,
     parse_script,
 )
+from feather.resolver import ResolutionSet
 from feather.tokens import KEYWORDS, STRING_PUNCT, STRUCTURALS, SYMBOLS, LexError, Token, lex
 from feather.tvl import (
     KEYWORDS as TVL_KEYWORDS,
@@ -490,6 +491,37 @@ def reference_add_constraint(model: FeatureModel, cmd, res) -> list:
     if existing:
         listed = ", ".join(str(c) for c in existing)
         return [("warning", f"Following Cross-tree Constraint(s) already exist: {listed}")]
+    return []
+
+
+def reference_update_constraint(model: FeatureModel, cmd, res, multi: bool) -> list:
+    """commands.exec_update_constraint as it ran before its keyed pass: the
+    stored constraints the candidates of reference_candidate_constraints
+    match, each derived under the tuples that gave its candidate."""
+    commands._check_literal_ends(model, cmd)
+    matched = [(rep, tuples) for c, tuples in reference_candidate_constraints(cmd, res)
+               if (rep := model.stored_constraint(c)) is not None]
+    if not multi:
+        if not matched:
+            raise CommandError("No constraints match the update command")
+        if len(matched) > 1:
+            raise CommandError("Command is ambiguous on which constraint will "
+                               f"be updated {_listing([c for c, _ in matched])}")
+    new_left = commands._end_slot(model, cmd.new_left, "left")
+    new_right = commands._end_slot(model, cmd.new_right, "right")
+    replacements = []
+    for rep, tuples in matched:
+        sub = ResolutionSet(res.variables, tuples)
+        left = rep.left if new_left is None else new_left(sub)
+        right = rep.right if new_right is None else new_right(sub)
+        kind = cmd.new_kind if cmd.new_kind is not None else rep.kind
+        replacements.append((rep, Constraint(left, kind, right)))
+    for rep, _new in replacements:
+        model.remove_constraint(rep)
+    for _rep, new in replacements:
+        model.add_constraint(new)
+    if multi and not matched:
+        return [("warning", "No constraints match the update all command")]
     return []
 
 

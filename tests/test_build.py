@@ -1,15 +1,18 @@
 """The one model builder: `build_model` against the builder it replaced, on
 valid and broken declarations, and the declarations that builder accepted
-by mistake."""
+by mistake; the command line reports each defect as the library does."""
 
 import random
+import re
 
 import pytest
 
 from feather.build import BuildError, build_model
+from feather.cli import main
 from feather.model import DecompKind
-from feather.parser import ConstraintDecl, FeatureDecl, parse_script
-from feather.serializer import serialize_declarations
+from feather.parser import ConstraintDecl, FeatureDecl, parse_declarations, parse_script
+from feather.serializer import format_value, serialize_declarations
+from feather.tvl import TvlError, import_tvl
 
 from conftest import model_state, random_model, reference_build_model
 
@@ -27,7 +30,7 @@ def test_a_sibling_must_join_a_group(sibling):
     with pytest.raises(BuildError) as e:
         build_model(ast)
     assert str(e.value) == (
-        f'"{sibling}" is referenced as a group sibling but does not join a group')
+        f'line 3: "{sibling}" is referenced as a group sibling but does not join a group')
 
 
 def test_build_model_rejects_a_duplicate_declaration():
@@ -36,7 +39,7 @@ def test_build_model_rejects_a_duplicate_declaration():
                        'feature "A" "R" mandatory;\n')
     with pytest.raises(BuildError) as e:
         build_model(ast)
-    assert str(e.value) == 'feature "A" is declared twice'
+    assert str(e.value) == 'line 3: feature "A" is declared twice'
 
 
 GROUP_KINDS = (DecompKind.ALTERNATIVE, DecompKind.OR)
@@ -122,3 +125,70 @@ def test_build_model_equals_the_reference():
             assert isinstance(got, BuildError), context
             assert ("does not join a group" if defect == "sibling outside a group"
                     else "is declared twice") in str(got), context
+
+
+def declarations_text(ast) -> str:
+    """The declarations of `ast` as Feather text, one a line."""
+    def attributes(pairs):
+        return "".join(f" attribute {name} {format_value(v)}" for name, v in pairs)
+    lines = [f'root "{ast.root.name}"{attributes(ast.root.attributes)};']
+    for fd in ast.features:
+        to = "" if fd.sibling is None else f' to "{fd.sibling}"'
+        lines.append(f'feature "{fd.name}" "{fd.parent}" {fd.decomp}{to}'
+                     f'{attributes(fd.attributes)};')
+    lines += [f'constraint "{cd.left}" {cd.kind} "{cd.right}";' for cd in ast.constraints]
+    return "\n".join(lines) + "\n"
+
+
+def cli_error(tmp_path, capsys, flag: str, text: str) -> str:
+    """What the command line prints on standard error for one input file,
+    which it must refuse."""
+    path = tmp_path / "in"
+    path.write_text(text)
+    assert main([flag, str(path)]) == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("defect", SAME_CLASS + FLIPS)
+def test_the_command_line_reports_what_the_library_reports(tmp_path, capsys, defect):
+    # the builder's text, with the line of a declaration at fault: one that
+    # names what the message names
+    rng = random.Random(defect)
+    for case in range(10):
+        while True:
+            model = random_model(rng, max_features=12, max_attrs=2)
+            ast = declarations(serialize_declarations(model))
+            if break_declarations(rng, ast, model, defect):
+                break
+        rng.shuffle(ast.features)
+        text = declarations_text(ast)
+        with pytest.raises(BuildError) as e:
+            build_model(declarations(text))
+        assert cli_error(tmp_path, capsys, "-d", text) == f"error: {e.value}\n"
+        m = re.fullmatch(r"line (\d+): (.*)", str(e.value))
+        assert m, (case, text)
+        names = re.findall(r"[\"']([^\"']+)[\"']", m[2])
+        line = text.splitlines()[int(m[1]) - 1]
+        assert any(f'"{name}"' in line for name in names), (case, str(e.value), text)
+
+
+def feather_error(text: str):
+    [error] = parse_declarations(text)[1]
+    return error
+
+
+def tvl_error(text: str):
+    with pytest.raises(TvlError) as e:
+        import_tvl(text)
+    return e.value
+
+
+@pytest.mark.parametrize("flag, text, library_error", [
+    ("-d", 'root "R" attribute v 1 attribute v 2;\n', feather_error),
+    ("-t", "root R { int v is 1; real v is 2.5; }\n", tvl_error),
+], ids=["feather", "tvl"])
+def test_a_repeated_attribute_is_reported_as_the_library_reports_it(tmp_path, capsys, flag,
+                                                                     text, library_error):
+    error = library_error(text)
+    assert str(error).endswith(': duplicate attribute "v" in feature "R"')
+    assert cli_error(tmp_path, capsys, flag, text) == f"error: {error}\n"

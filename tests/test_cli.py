@@ -294,6 +294,25 @@ def test_a_closed_standard_output_is_one_error_line(tmp_path, args, unbuffered):
     assert proc.stderr == "error: cannot write standard output: Broken pipe\n"
 
 
+def test_running_out_of_memory_is_one_error_line(tmp_path):
+    # three variables over 200 features: 8 M resolution tuples, far more
+    # than the child's 100 MB of address space holds (the interpreter with
+    # feather imported takes about 20 MB); the limit is set in the child only
+    lines = ['root "R";'] + [f'feature "F{i}" "R" optional attribute w {i};' for i in range(200)]
+    (tmp_path / "in.feaf").write_text("\n".join(lines) + "\n"
+                                      "removeall feature X where X.w + Y.w + Z.w > -1;\n")
+    code = ("import resource, runpy\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20))\n"
+            "runpy.run_module('feather', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", code, "-f", "in.feaf", "-o", "out.fd"],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: out of memory\n"
+    assert proc.stdout.endswith("Executing the commands... ")
+    assert not (tmp_path / "out.fd").exists()
+
+
 def test_the_process_entry_freezes_the_heap_before_and_after_the_run():
     code = textwrap.dedent("""\
         import gc, sys

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import random
@@ -37,6 +38,7 @@ from conftest import (
     random_where,
     reference_add_constraint,
     reference_candidate_constraints,
+    reference_update_constraint,
     reference_remove_all,
     run,
     scan_groups,
@@ -602,13 +604,14 @@ def test_candidate_constraints_match_the_reference():
         cmd = AddConstraint(left=left, kind=rng.choice(("requires", "excludes")),
                             right=right)
         got = commands._candidate_constraints(cmd, res)
-        assert got == reference_candidate_constraints(cmd, res)
+        want = reference_candidate_constraints(cmd, res)
+        assert list(got.items()) == [(c.effect_key(), c) for c, _tuples in want]
 
         def end(desc, t):
             return t[variables.index(desc.name)] if isinstance(desc, VarRef) else desc.name
         # an excludes whose tuples name its ends in both orders
         swapped += any(len({(end(left, t), end(right, t)) for t in tuples}) > 1
-                       for _c, tuples in got)
+                       for _c, tuples in want)
     assert swapped > 20
 
 
@@ -654,6 +657,50 @@ def test_one_pass_add_constraint_equals_the_reference():
         pairs = {(_end(left, variables, t), _end(right, variables, t)) for t in tuples}
         outcomes["swapped"] += cmd.kind == "excludes" and any(
             a != b and (b, a) in pairs for a, b in pairs)
+    assert min(outcomes.values()) >= 15, outcomes
+
+
+def test_keyed_update_constraint_equals_the_reference():
+    # the tuples of each matched constraint derive its new ends, which vary
+    # with them; the keyed pass groups them as the reference did
+    rng = random.Random(23)
+    kinds = ("requires", "excludes")
+    outcomes = {"updated": 0, "warned": 0, "error": 0, "regrouped": 0}
+    for case in range(800):
+        m = random_model(rng, max_features=5, max_attrs=0)
+        names = list(m.features)
+        for _ in range(rng.randint(1, 8)):
+            m.add_constraint(Constraint(rng.choice(names), rng.choice(kinds), rng.choice(names)))
+        variables = ("X", "Y", "Z")[:rng.randint(1, 3)]
+        every = list(itertools.product(names, repeat=len(variables)))
+        tuples = rng.sample(every, rng.randint(1, min(12, len(every))))
+        res = ResolutionSet(variables, tuples)
+
+        def end():
+            return (VarRef(rng.choice(variables)) if rng.random() < 0.7
+                    else FeatureRef(rng.choice(names + ["Ghost"] * (rng.random() < 0.1))))
+
+        def new_end():
+            return rng.choice([None, Lit(rng.choice(names + ["Ghost"])),
+                               AttrRef(VarRef(rng.choice(variables)), "_name"),
+                               AttrRef(VarRef(rng.choice(variables)), "_name")])
+        multi = rng.random() < 0.7
+        cmd = (UpdateAllConstraints if multi else UpdateConstraint)(
+            left=end(), kind=rng.choice(kinds), right=end(), new_left=new_end(),
+            new_right=new_end(), new_kind=rng.choice([None, *kinds]))
+        got = _outcome(functools.partial(commands.exec_update_constraint, multi=multi),
+                       m, cmd, res)
+        want = _outcome(functools.partial(reference_update_constraint, multi=multi),
+                        m, cmd, res)
+        assert got == want, f"case {case}"
+        diags = got[0]
+        outcomes["error" if diags and diags[0] == "error" else
+                 "warned" if diags else "updated"] += 1
+        # two matched constraints, each given new ends by its own tuples
+        matched = [c for c, _tuples in reference_candidate_constraints(cmd, res)
+                   if m.stored_constraint(c) is not None]
+        outcomes["regrouped"] += (not diags and len(matched) > 1 and any(
+            isinstance(e, AttrRef) for e in (cmd.new_left, cmd.new_right)))
     assert min(outcomes.values()) >= 15, outcomes
 
 

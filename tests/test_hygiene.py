@@ -1,7 +1,8 @@
 """Source hygiene: each module of `feather` uses every name it imports, every
 function of the package is read somewhere in it, the package exports what
-`__all__` lists, a run imports only what it needs, and only the process
-entry touches the collector."""
+`__all__` lists, a run imports only what it needs, only the process entry
+touches the collector, and each declaration invariant is worded in one
+module."""
 
 import ast
 import os
@@ -169,3 +170,19 @@ def test_only_the_process_entry_touches_the_collector():
                          if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
                          and n.value.id == "gc")
     assert users == {("cli.py", "entry")}
+
+
+@pytest.mark.parametrize("text", ["is declared twice", "names undeclared parent",
+                                  "names unknown feature", "form a cycle",
+                                  "duplicate attribute"])
+def test_each_declaration_invariant_is_worded_in_one_module(text):
+    assert [p.name for p in MODULES if text in p.read_text()] == [
+        "tokens.py" if text == "duplicate attribute" else "build.py"]
+
+
+def test_validate_static_leaves_the_declarations_to_the_builder():
+    ast, errors = feather.parse_script('root "R";\nfeature "A" "R" optional;\n'
+                                       'feature "A" "Ghost" optional;\n'
+                                       'constraint "A" requires "Ghost";\n')
+    assert errors == []
+    assert feather.validate_static(ast) == []

@@ -117,16 +117,22 @@ def test_updateall_feature_rejects_name():
 
 
 def test_static_duplicate_feature():
+    # the builder checks the declarations, validate_static only the commands
     ast, errors = parse_script('root "R";\nfeature "A" "R" optional;\n'
                                'feature "A" "R" optional;\n')
     assert errors == []
-    assert any("duplicate" in p for p in validate_static(ast))
+    with pytest.raises(BuildError) as e:
+        build_model(ast)
+    assert str(e.value) == 'line 3: feature "A" is declared twice'
 
 
 def test_static_undeclared_constraint_endpoint():
     ast, errors = parse_script('root "R";\nconstraint "R" requires "Ghost";\n')
     assert errors == []
-    assert any("undeclared" in p for p in validate_static(ast))
+    with pytest.raises(BuildError) as e:
+        build_model(ast)
+    assert str(e.value) == (
+        'line 2: constraint (R requires Ghost) names unknown feature "Ghost"')
 
 
 def test_static_double_attribute_assignment():

@@ -182,10 +182,10 @@ def test_random_models_round_trip():
 @pytest.mark.parametrize("text, message", [
     ("root R { group allof { A } }\nA { }\nB { group allof { C } }\n"
      "C { group allof { B } }\n",
-     'parent declarations form a cycle through "C"'),
+     'line 3: parent declarations form a cycle through "C"'),
     # the walk of parents from the first row the root does not reach
     ("root R { }\nA { group allof { A, D } }\nD { group oneof { E } }\nE { }\n",
-     'parent declarations form a cycle through "A"'),
+     'line 2: parent declarations form a cycle through "A"'),
 ], ids=["cycle", "tree off a cycle"])
 def test_blocks_the_root_never_reaches_lie_on_a_cycle(text, message):
     with pytest.raises(TvlError) as e:
@@ -264,11 +264,43 @@ def import_outcome(importer, text):
     return model_state(m), m.tvl_string_enum
 
 
+def listing_lines(text: str) -> dict:
+    """Each block of a `random_tvl` text to the lines of the blocks whose
+    groups list it, in text order; the root under "root" too, with the line
+    of its own block."""
+    lines, block = {}, 0
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.endswith("{"):  # a block opens
+            block = number
+            if line.startswith("root "):
+                lines["root"] = [number]
+                lines[line.split()[1]] = [number]  # the root's own declaration
+        elif line.startswith("  group "):
+            for member in re.findall(r"\w+", line.split("{")[1]):
+                if member != "opt":
+                    lines.setdefault(member, []).append(block)
+    return lines
+
+
+def with_line(message: str, text: str) -> str:
+    """The reference's message with the line the builder names: the block
+    that lists a feature the second time, or that holds a constraint (the
+    root block in `random_tvl`), or that lists a feature on a cycle."""
+    m = re.fullmatch(r'feature "(\w+)" is declared twice|constraint .*'
+                     r'|parent declarations form a cycle through "(\w+)"', message)
+    if m is None:
+        return message
+    lines = listing_lines(text)
+    line = (lines[m[1]][1] if m[1] else lines[m[2]][0] if m[2] else lines["root"][0])
+    return f"line {line}: {message}"
+
+
 def test_import_equals_the_reference_with_validate():
     # the importer hands rows to the one model builder where the reference
-    # validated the whole model; both give one model or one message. Two
-    # texts changed on purpose: a block placed twice is "declared twice",
-    # and a cycle is named by one of the blocks the reference listed
+    # validated the whole model; both give one model or one message. Three
+    # texts changed on purpose: a block placed twice is "declared twice", a
+    # cycle is named by one of the blocks the reference listed, and an error
+    # of the builder names the line of the block at fault
     rng = random.Random(20261019)
     kinds = {"model": 0, "cycle": 0, "other": 0}
     for case in range(600):
@@ -277,12 +309,12 @@ def test_import_equals_the_reference_with_validate():
         want = import_outcome(reference_import_tvl, text)
         if isinstance(want, str) and want.startswith("tree: cycle"):
             listed = re.findall(r"tree: cycle through '(\w+)'", want)
-            assert got in [f'parent declarations form a cycle through "{name}"'
+            assert got in [with_line(f'parent declarations form a cycle through "{name}"', text)
                            for name in listed], f"case {case}:\n{text}"
             kinds["cycle"] += 1
             continue
         if isinstance(want, str):
-            want = want.replace("appears in two groups", "is declared twice")
+            want = with_line(want.replace("appears in two groups", "is declared twice"), text)
         assert got == want, f"case {case}:\n{text}"
         kinds["model" if isinstance(got, tuple) else "other"] += 1
     assert min(kinds.values()) >= 60, kinds

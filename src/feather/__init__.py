@@ -13,9 +13,6 @@ from .parser import ParseError, parse_commands, parse_declarations, parse_script
 from .resolver import ResolutionSet, resolve
 from .serializer import serialize_declarations
 
-# TVL support loads on first use, through __getattr__ (PEP 562)
-_TVL_NAMES = ("TvlError", "TvlExportError", "export_tvl", "import_tvl")
-
 __all__ = [
     "BuildError",
     "Constraint",
@@ -46,7 +43,12 @@ __version__ = "1.0.0"
 
 
 def __getattr__(name: str):
-    if name in _TVL_NAMES:
-        from . import tvl
-        return getattr(tvl, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """TVL support, loaded on first use (PEP 562): the reader and the writer
+    each from its own module."""
+    if name in ("TvlError", "import_tvl"):
+        from . import tvl as module
+    elif name in ("TvlExportError", "export_tvl"):
+        from . import tvl_export as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)

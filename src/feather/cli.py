@@ -197,7 +197,7 @@ def main(argv=None) -> int:
             if cfg.out:
                 outputs.append((cfg.out, serialize_declarations(model)))
             if cfg.tvl_out:
-                from .tvl import TvlExportError, export_tvl
+                from .tvl_export import TvlExportError, export_tvl
                 try:
                     outputs.append((cfg.tvl_out, export_tvl(model)))
                 except TvlExportError as exc:

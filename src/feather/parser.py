@@ -11,7 +11,7 @@ from __future__ import annotations
 from .expressions import AttrRef, Binary, FeatureRef, Lit, Unary, VarRef
 from .model import DecompKind
 from .record import Record
-from .tokens import STRUCTURALS, Cursor, LexError, tokenize
+from .tokens import DECLARATIONS, LEXICON, STRUCTURALS, Cursor, LexError, tokenize
 
 DECOMP_KEYWORDS = {
     "mandatory": DecompKind.MANDATORY,
@@ -204,13 +204,17 @@ class _Parser(Cursor):
 
     def parse_feature_decl(self) -> FeatureDecl:
         line = self.tokens.line(self.pos)
-        self.pos += 1  # feature
-        name = self.expect("STRING", "a feature name")
-        parent = self.expect("STRING", "a parent name")
-        kind = DECOMP_KEYWORDS.get(self.kinds[self.pos])
-        if kind is None:
-            self.fail(f"expected a decomposition kind, found {self.text()!r}")
-        self.pos += 1
+        self.pos += 1  # feature, or the whole head
+        if self.kinds[self.pos - 1] == "FEATURE":
+            name, parent, kind = self.values[self.pos - 1]
+            kind = DECOMP_KEYWORDS[kind]
+        else:
+            name = self.expect("STRING", "a feature name")
+            parent = self.expect("STRING", "a parent name")
+            kind = DECOMP_KEYWORDS.get(self.kinds[self.pos])
+            if kind is None:
+                self.fail(f"expected a decomposition kind, found {self.text()!r}")
+            self.pos += 1
         sibling = None
         if kind.is_group:
             self.expect("to")
@@ -505,12 +509,17 @@ class _Parser(Cursor):
             except ParseError as e:
                 errors.append(e)
                 self._resync()
-            while self.kinds[self.pos] in ("feature", "constraint"):
+            kinds, values = self.kinds, self.values
+            while kinds[self.pos] in ("feature", "FEATURE", "constraint", "CONSTRAINT"):
                 try:
-                    if self.kinds[self.pos] == "feature":
-                        ast.features.append(self.parse_feature_decl())
-                    else:
+                    if kinds[self.pos] == "CONSTRAINT":  # a whole constraint
+                        ast.constraints.append(
+                            ConstraintDecl(*values[self.pos], self.tokens.line(self.pos)))
+                        self.pos += 1
+                    elif kinds[self.pos] == "constraint":
                         ast.constraints.append(self.parse_constraint_decl())
+                    else:
+                        ast.features.append(self.parse_feature_decl())
                 except ParseError as e:
                     errors.append(e)
                     self._resync()
@@ -528,27 +537,28 @@ class _Parser(Cursor):
         return ast, errors
 
     def _resync(self) -> None:
-        while not self.at(";", "EOF"):
+        """Step past the next ';', or past a constraint phrase, which holds one."""
+        while not self.at(";", "CONSTRAINT", "EOF"):
             self.pos += 1
-        self.skip(";")
+        self.pos += not self.at("EOF")
 
 
 def parse_script(text: str) -> tuple:
     """Parse a combined declarations + commands script."""
-    return _parse(text, declarations=True, commands=True)
+    return _parse(text, LEXICON, declarations=True, commands=True)
 
 
 def parse_declarations(text: str) -> tuple:
-    return _parse(text, declarations=True, commands=False)
+    return _parse(text, DECLARATIONS, declarations=True, commands=False)
 
 
 def parse_commands(text: str) -> tuple:
-    return _parse(text, declarations=False, commands=True)
+    return _parse(text, LEXICON, declarations=False, commands=True)
 
 
-def _parse(text: str, declarations: bool, commands: bool) -> tuple:
+def _parse(text: str, lexicon, declarations: bool, commands: bool) -> tuple:
     try:
-        tokens = tokenize(text)
+        tokens = tokenize(text, lexicon)
     except LexError as e:
         return ScriptAst(), [ParseError(e.message, e.line, e.col)]
     try:

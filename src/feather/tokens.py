@@ -5,10 +5,12 @@ String literals admit letters, digits, spaces, and a fixed punctuation set,
 so an embedded double quote is impossible. Digits are ASCII only.
 
 A language is a `Lexicon`: its keywords, symbols, whether numbers carry a
-sign, and a classifier for the other words. The lexicon is compiled into one
-master regex, and `lex` makes one match per token, the blanks before a token
-folding into its match. The result is a `Tokens` stream of parallel columns;
-line and column are worked out from a token's offset only when asked for.
+sign, a classifier for the other words, and phrases, runs of tokens read as
+one token (a declarations file has two: a whole constraint, a feature's
+head). The lexicon is compiled into one master regex when `lex` first uses
+it, and `lex` makes one match per token, the blanks before a token folding
+into its match. The result is a `Tokens` stream of parallel columns; line
+and column are worked out from a token's offset only when asked for.
 """
 
 from __future__ import annotations
@@ -46,12 +48,10 @@ class LexError(Exception):
 
 
 _STRING_CHAR = "[0-9A-Za-z" + "".join(map(re.escape, sorted(STRING_PUNCT))) + "]"
-_STRING_BODY = re.compile(_STRING_CHAR + "*")
-_NUMBER = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+)?")
-
-# group numbers of a master regex, in the order its alternatives are tried;
-# at the end of the text no group takes part
-_WORD, _STRING, _REAL, _INT, _OTHER = range(1, 6)
+_BLANKS = r"[ \t\r\n]*"
+# the paths that report an error or show a token compile their regexes when
+# first taken, through the re module's cache
+_NUMBER = r"[+-]?[0-9]+(?:\.[0-9]+)?"
 
 
 class Lexicon:
@@ -61,20 +61,35 @@ class Lexicon:
     `str.isalnum()` holds, and `_`, that does not start with an ASCII digit
     (a number does). A keyword's kind is the keyword itself, and so is a
     symbol's; `classify(word)` gives the kind of any other word, or raises
-    ValueError with the message of the LexError to report.
+    ValueError with the message of the LexError to report. `phrases` lists
+    (kind, regex, number of groups), each a run of tokens read as one token
+    of that kind, tried before a word; its regex must match only text that
+    lexes the same token by token, and its groups become the token's value.
     """
 
-    def __init__(self, keywords, symbols, classify, signed_numbers: bool = False):
+    def __init__(self, keywords, symbols, classify, signed_numbers: bool = False,
+                 phrases=()):
         number = "[+-]?[0-9]+" if signed_numbers else "[0-9]+"
         symbol = "|".join(map(re.escape, sorted(symbols, key=len, reverse=True)))
         self.kinds = {word: word for word in (*keywords, *symbols)}
         self.classify = classify
-        self.pattern = re.compile(
-            rf"[ \t\r\n]*(?:([^\W0-9]\w*|{symbol})"
-            f'|"({_STRING_CHAR}+)"'
-            rf"|({number}\.[0-9]+)"
-            f"|({number})"
-            r"|([^ \t\r\n])|\Z)")
+        self.phrases, group = {}, 1  # a phrase's group to its kind and value groups
+        for kind, _, groups in phrases:
+            self.phrases[group] = kind, tuple(range(group + 1, group + 1 + groups))
+            group += 1 + groups
+        self.word = group  # the group of a word; string, real, integer and other follow
+        self.source = (_BLANKS + "(?:" + "".join(f"({regex})|" for _, regex, _ in phrases)
+                       + rf"([^\W0-9]\w*|{symbol})"
+                       f'|"({_STRING_CHAR}+)"'
+                       rf"|({number}\.[0-9]+)"
+                       f"|({number})"
+                       r"|([^ \t\r\n])|\Z)")
+        self.pattern = None
+
+    def compiled(self):
+        """The master regex, compiled on first use."""
+        self.pattern = self.pattern or re.compile(self.source)
+        return self.pattern
 
 
 class Tokens:
@@ -100,10 +115,12 @@ class Tokens:
     def text(self, i: int) -> str:
         """The source text of token `i`: a string without its quotes, and
         the empty text for EOF."""
-        kind = self.kinds[i]
+        kind, value = self.kinds[i], self.values[i]
         if kind == "INT" or kind == "REAL":
-            return _NUMBER.match(self.source, self.starts[i])[0]
-        return "" if kind == "EOF" else self.values[i]
+            return re.compile(_NUMBER).match(self.source, self.starts[i])[0]
+        if type(value) is tuple:  # a phrase, which reads as its leading keyword
+            return re.compile(r"\w+").match(self.source, self.starts[i])[0]
+        return "" if kind == "EOF" else value
 
     def line(self, i: int) -> int:
         """The line of token `i`, from 1, counted on from the offset last
@@ -160,39 +177,46 @@ def lex(text: str, lexicon: Lexicon) -> Tokens:
     kinds, values, starts = [], [], []
     add_kind, add_value, add_start = kinds.append, values.append, starts.append
     known = lexicon.kinds.copy()  # grows by the other words of this text
-    for m in lexicon.pattern.finditer(text):
+    phrases, word = lexicon.phrases, lexicon.word
+    string, real, integer, other = range(word + 1, word + 5)
+    for m in lexicon.compiled().finditer(text):
         k = m.lastindex
-        if k == _WORD:
-            value = m[1]
+        if k == word:
+            value = m[k]
             kind = known.get(value)
             if kind is None:
                 try:
                     kind = known[value] = lexicon.classify(value)
                 except ValueError as e:
-                    _raise(str(e), text, m.start(1))
+                    _raise(str(e), text, m.start(k))
             add_kind(kind)
             add_value(value)
-            add_start(m.start(1))
-        elif k == _STRING:
+            add_start(m.start(k))
+        elif k in phrases:
+            kind, groups = phrases[k]
+            add_kind(kind)
+            add_value(m.group(*groups))
+            add_start(m.start(k))
+        elif k == string:
             add_kind("STRING")
-            add_value(m[2])
-            add_start(m.start(2) - 1)
-        elif k == _INT:
+            add_value(m[k])
+            add_start(m.start(k) - 1)
+        elif k == integer:
             try:
-                add_value(int(m[4]))
+                add_value(int(m[k]))
             except ValueError:  # more digits than sys.get_int_max_str_digits()
-                _raise("integer literal out of range", text, m.start(4))
+                _raise("integer literal out of range", text, m.start(k))
             add_kind("INT")
-            add_start(m.start(4))
-        elif k == _REAL:
-            number = float(m[3])
+            add_start(m.start(k))
+        elif k == real:
+            number = float(m[k])
             if not math.isfinite(number):
-                _raise("real literal out of range", text, m.start(3))
+                _raise("real literal out of range", text, m.start(k))
             add_kind("REAL")
             add_value(number)
-            add_start(m.start(3))
-        elif k == _OTHER:
-            _fail(text, m.start(5))
+            add_start(m.start(k))
+        elif k == other:
+            _fail(text, m.start(k))
         else:  # the end of the text
             break
     add_kind("EOF")
@@ -211,7 +235,7 @@ def _fail(text: str, start: int):
     ch = text[start]
     if ch != '"':
         _raise(f"unexpected character {ch!r}", text, start)
-    end = _STRING_BODY.match(text, start + 1).end()
+    end = re.compile(_STRING_CHAR + "*").match(text, start + 1).end()
     stop = text[end:end + 1]
     if stop == '"':
         _raise("empty string literal", text, start)
@@ -230,6 +254,18 @@ def _feather_word(word: str) -> str:
 
 LEXICON = Lexicon(KEYWORDS | STRUCTURALS, SYMBOLS, _feather_word)
 
+_QUOTED = f'{_BLANKS}"({_STRING_CHAR}+)"'
 
-def tokenize(text: str) -> Tokens:
-    return lex(text, LEXICON)
+# A declarations file's lexicon: a constraint, "constraint" L kind R ";", is
+# one CONSTRAINT token, value (L, kind, R), and a feature's head, "feature"
+# name parent kind, one FEATURE token, value (name, parent, kind); a group's
+# "to" and sibling follow as tokens. The kind ends in (?!\w), so that
+# "alternativeto" stays one word; blanks and a quote follow each other keyword.
+DECLARATIONS = Lexicon(KEYWORDS | STRUCTURALS, SYMBOLS, _feather_word, phrases=(
+    ("CONSTRAINT", f"constraint{_QUOTED}{_BLANKS}(requires|excludes){_QUOTED}{_BLANKS};", 3),
+    ("FEATURE", rf"feature{_QUOTED}{_QUOTED}{_BLANKS}(mandatory|optional|alternative|or)(?!\w)",
+     3)))
+
+
+def tokenize(text: str, lexicon: Lexicon = LEXICON) -> Tokens:
+    return lex(text, lexicon)

@@ -1,27 +1,23 @@
-"""Import/export for the accepted TVL subset.
+"""Import of the accepted TVL subset; `tvl_export` writes it.
 
 A TVL model is a list of feature blocks; the first one is the root. Group
 mapping: an `allof` child is mandatory, or optional when flagged `opt`;
 `oneof` becomes one alternative group, `someof` one or group. Constraints
-may appear in any block and are collected into the single model-level set;
-export emits them inside the root block.
+may appear in any block and are collected into the single model-level set.
 
 Import checks what only blocks can get wrong (a duplicate block, an unknown
-group member, a block in no group) and hands one row per group member to
-`build.assemble`, which checks the tree; its `BuildError` becomes a
-`TvlError` with the same text. A row, and each constraint, carries the line
-of the block that lists it.
+group member, a block in no group), each error naming the line of the block
+at fault, and hands one row per group member to `build.assemble`, which
+checks the tree; its `BuildError` becomes a `TvlError` with the same text.
+A row, and each constraint, carries the line of the block that lists it.
 """
 
 from __future__ import annotations
-
-import re
 
 from .build import BuildError, assemble, unknown_feature
 from .model import Constraint, DecompKind, FeatureModel
 from .parser import ConstraintDecl
 from .record import Record
-from .serializer import format_real
 from .tokens import Cursor, LexError, Lexicon, lex
 
 KEYWORDS = {
@@ -29,15 +25,9 @@ KEYWORDS = {
     "opt", "int", "real", "bool", "is", "requires", "excludes", "true", "false",
 }
 
-_ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
-
 
 class TvlError(Exception):
     """Input is not a valid model in the accepted TVL subset."""
-
-
-class TvlExportError(Exception):
-    """The model cannot be represented in the TVL subset."""
 
 
 def _word(word: str) -> str:
@@ -165,7 +155,7 @@ def import_tvl(text: str) -> FeatureModel:
     by_name: dict = {}
     for b in blocks:
         if b.name in by_name:
-            raise TvlError(f'duplicate feature "{b.name}"')
+            raise TvlError(f'line {b.line}: duplicate feature "{b.name}"')
         by_name[b.name] = b
 
     # a row per group member, in block order; a oneof or someof group is
@@ -178,12 +168,14 @@ def import_tvl(text: str) -> FeatureModel:
             for opt, child in members:
                 block = by_name.get(child)
                 if block is None:
-                    raise TvlError(unknown_feature(f'group under "{b.name}"', child))
+                    raise TvlError(f"line {b.line}: "
+                                   + unknown_feature(f'group under "{b.name}"', child))
                 rows.append((child, b.name, kinds[opt], key, block.attributes, b.line))
     if len(rows) < len(blocks) - 1:  # a block is in no group
         placed = {row[0] for row in rows}
-        missing = next(b.name for b in blocks[1:] if b.name not in placed)
-        raise TvlError(f'feature "{missing}" is not attached to any group')
+        missing = next(b for b in blocks[1:] if b.name not in placed)
+        raise TvlError(f'line {missing.line}: feature "{missing.name}" '
+                       "is not attached to any group")
     try:
         model = assemble(blocks[0].name, blocks[0].attributes, rows,
                          [ConstraintDecl(c.left, c.kind, c.right, b.line)
@@ -192,64 +184,3 @@ def import_tvl(text: str) -> FeatureModel:
         raise TvlError(str(e)) from None
     model.tvl_string_enum = header
     return model
-
-
-def _check_exportable(model: FeatureModel) -> None:
-    for name in model.features:
-        if not _ID_RE.match(name):
-            raise TvlExportError(
-                f'feature name "{name}" is not a valid TVL identifier')
-
-
-def _attr_line(name: str, value) -> str:
-    if isinstance(value, bool):
-        return f"  bool {name} is {'true' if value else 'false'};"
-    if isinstance(value, int):
-        return f"  int {name} is {value};"
-    if isinstance(value, float):
-        return f"  real {name} is {format_real(value)};"
-    return f'  string {name} is "{value}";'
-
-
-def export_tvl(model: FeatureModel) -> str:
-    _check_exportable(model)
-    children = model.child_features()
-    lines = []
-    if model.tvl_string_enum:
-        listed = ", ".join(f'"{s}"' for s in model.tvl_string_enum)
-        lines.append(f"enum string in {{ {listed} }};")
-
-    # preorder with an explicit stack: a deep chain must not exhaust the
-    # interpreter's recursion limit
-    stack = [model.root]
-    while stack:
-        name = stack.pop()
-        f = model.features[name]
-        is_root = name == model.root
-        lines.append(("root " if is_root else "") + name + " {")
-        for attr, value in f.attributes.items():
-            lines.append(_attr_line(attr, value))
-        kids = children.get(name, [])
-        solitary = [k for k in kids if not k.decomp.is_group]
-        if solitary:
-            listed = ", ".join(
-                ("opt " if k.decomp is DecompKind.OPTIONAL else "") + k.name
-                for k in solitary)
-            lines.append(f"  group allof {{ {listed} }}")
-        listing_order = list(solitary)
-        emitted = set()
-        for k in kids:
-            if k.group_id > 0 and k.group_id not in emitted:
-                emitted.add(k.group_id)
-                members = [m for m in kids if m.group_id == k.group_id]
-                card = "oneof" if k.decomp is DecompKind.ALTERNATIVE else "someof"
-                listed = ", ".join(m.name for m in members)
-                lines.append(f"  group {card} {{ {listed} }}")
-                listing_order.extend(members)
-        if is_root:
-            for c in model.constraints:
-                lines.append(f"  {c.left} {c.kind} {c.right};")
-        lines.append("}")
-        # children in listing order, so that export(import(text)) is stable
-        stack.extend(k.name for k in reversed(listing_order))
-    return "\n".join(lines) + "\n"

@@ -17,7 +17,8 @@ from feather.model import DecompKind, Feature, FeatureModel
 from feather.parser import parse_commands, parse_script
 from feather.resolver import resolve
 from feather.serializer import serialize_declarations
-from feather.tvl import export_tvl, import_tvl
+from feather.tvl import import_tvl
+from feather.tvl_export import export_tvl
 
 from conftest import (
     SERVICES,

@@ -1,6 +1,6 @@
 """Source hygiene: each module of `feather` uses every name it imports, every
 function of the package is read somewhere in it, the package exports what
-`__all__` lists, a run imports only what it needs, only the process entry
+`__all__` lists, a run imports and compiles only what it needs, only the process entry
 touches the collector, and each declaration invariant is worded in one
 module."""
 
@@ -19,7 +19,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "feather"
 MODULES = sorted(SRC.glob("*.py"))
 
 # modules a run loads only when it needs them (typing: never)
-ON_DEMAND = ("dataclasses", "inspect", "typing", "decimal", "feather.tvl", "feather.dump")
+ON_DEMAND = ("dataclasses", "inspect", "typing", "decimal", "feather.tvl", "feather.tvl_export",
+             "feather.dump")
 
 
 def unused_imports(source: str) -> list:
@@ -111,15 +112,16 @@ def test_every_exported_name_resolves():
     for name in feather.__all__:
         assert getattr(feather, name) is not None, name
     assert feather.import_tvl is feather.tvl.import_tvl
+    assert feather.export_tvl is feather.tvl_export.export_tvl
     with pytest.raises(AttributeError):
         feather.no_such_name  # noqa: B018
     assert not hasattr(feather, "tvl_lexicon")
 
 
-def loaded_after(code: str) -> list:
-    """The modules of ON_DEMAND loaded after `code` runs in a fresh
+def after(code: str, result: str):
+    """The value of the expression `result` after `code` runs in a fresh
     interpreter without site packages."""
-    code += f"\nimport sys\nprint([m for m in {ON_DEMAND!r} if m in sys.modules])\n"
+    code += f"\nimport sys\nprint(repr({result}))\n"
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
                           capture_output=True, text=True, timeout=60)
@@ -127,12 +129,31 @@ def loaded_after(code: str) -> list:
     return ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
+def loaded_after(code: str) -> list:
+    """The modules of ON_DEMAND loaded after `code` runs."""
+    return after(code, f"[m for m in {ON_DEMAND!r} if m in sys.modules]")
+
+
+def compiled_after(code: str) -> list:
+    """The lexicons that `feather.tokens` and `feather.tvl` define, as
+    module.name, whose master regex is compiled after `code` runs, sorted."""
+    return after(code, "sorted(f'{m}.{n}' for m in ('feather.tokens', 'feather.tvl')"
+                       " if m in sys.modules for n, v in vars(sys.modules[m]).items()"
+                       " if type(v).__name__ == 'Lexicon' and v.pattern is not None)")
+
+
 def test_import_loads_nothing_on_demand():
     assert loaded_after("import feather") == []
 
 
+def test_import_and_help_compile_no_lexicon():
+    assert compiled_after("import feather") == []
+    assert compiled_after("from feather.cli import main\nassert main(['-h']) == 0") == []
+
+
 def test_lazy_exports_load_tvl():
-    assert loaded_after("import feather\nfeather.export_tvl") == ["feather.tvl"]
+    assert loaded_after("import feather\nfeather.export_tvl") == ["feather.tvl_export"]
+    assert loaded_after("import feather\nfeather.import_tvl") == ["feather.tvl"]
 
 
 def test_a_feather_run_loads_neither_tvl_nor_the_dumper(tmp_path):
@@ -145,6 +166,10 @@ def test_a_feather_run_loads_neither_tvl_nor_the_dumper(tmp_path):
         return f"from feather.cli import main\nassert main({args + extra!r}) == 0"
     assert loaded_after(run([])) == []
     assert loaded_after(run(["-x", str(tmp_path / "c.eil")])) == ["feather.dump"]
+    assert loaded_after(run(["-ot", str(tmp_path / "out.tvl")])) == ["feather.tvl_export"]
+    # the declarations lexicon reads m.fd, the plain one c.feaf
+    assert compiled_after(run(["-ot", str(tmp_path / "out.tvl")])) == [
+        "feather.tokens.DECLARATIONS", "feather.tokens.LEXICON"]
 
 
 def test_the_feather_script_is_the_entry_that_python_m_feather_calls():

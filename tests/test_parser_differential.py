@@ -6,7 +6,9 @@ valid inputs by changing one token. For Feather the ASTs and the errors, as
 parse results or the error texts, apart from the quoted numbers of a value
 that does not match its type. In both languages a declaration that declares
 one attribute twice, which the reference accepted, is the parser's error. The token streams must also keep the contract the
-benchmark's trace relies on.
+benchmark's trace relies on. A declarations file is lexed with phrases, a
+whole constraint or feature head as one token, which the reference never
+reads; they must change no outcome.
 """
 
 import random
@@ -17,7 +19,7 @@ import pytest
 
 from feather import parser, tokens, tvl
 from feather.parser import parse_commands, parse_declarations, parse_script
-from feather.tokens import KEYWORDS, STRUCTURALS, SYMBOLS, lex, tokenize
+from feather.tokens import DECLARATIONS, KEYWORDS, STRUCTURALS, SYMBOLS, lex, tokenize
 
 from conftest import (
     SERVICES,
@@ -116,7 +118,18 @@ def test_the_valid_inputs_parse():
     assert tvl.import_tvl(TVL_MODEL).tvl_string_enum == ["a", "b c"]
 
 
-def test_feather_parser_equals_the_reference():
+PHRASES = {"FEATURE", "CONSTRAINT"}
+
+
+def test_feather_parser_equals_the_reference(monkeypatch):
+    phrased = []  # per declarations text lexed, whether it held a phrase
+
+    def lexing(text, lexicon):
+        stream = tokenize(text, lexicon)
+        if lexicon is DECLARATIONS:
+            phrased.append(not PHRASES.isdisjoint(stream.kinds))
+        return stream
+    monkeypatch.setattr(parser, "tokenize", lexing)
     rng = random.Random(2019)
     valid = [SERVICES, COMMANDS, SERVICES + COMMANDS,
              one_token_per_line(SERVICES + COMMANDS, tokenize)]
@@ -131,10 +144,113 @@ def test_feather_parser_equals_the_reference():
         parse, declarations, commands = rng.choice(MODES)
         got = feather_outcome(*parse(text))
         assert_same_feather_outcome(got, text, declarations, commands)
+        if parse is parse_script:  # the text as a declarations file too, lexed with phrases
+            assert_same_feather_outcome(feather_outcome(*parse_declarations(text)), text,
+                                        True, False)
         failed += bool(got[1])
         resynced += len(got[1]) > 1
         clean += case % 2 and not got[1]
     assert failed >= 1_500 and resynced >= 150 and clean >= 15
+    assert sum(phrased) >= 500
+
+
+# (parse mode, text, phrase tokens in the text): texts on which a phrase
+# could differ from the tokens it replaces
+PHRASE_TEXTS = {
+    "no blanks": (parse_declarations, 'root "R";feature"A""R"mandatory;constraint"A"requires"A";'
+                  'feature"B""R"or to"B"attribute x 1;', 3),
+    "over lines": (parse_declarations, 'root "R";\nfeature\n"A"\r\n\t"R"  alternative\n to\n'
+                   '"A"\nattribute x 1;\nconstraint\n "A"\n excludes "A"\n;\nfeature "B"\n'
+                   '"A" or to "B";', 3),
+    "alternativeto": (parse_declarations, 'root "R";\nfeature "A" "R" alternativeto "A";', 0),
+    "orto": (parse_declarations, 'root "R";\nfeature "A" "R" orto "A";', 0),
+    "mandatoryx": (parse_declarations, 'root "R";\nfeature "A" "R" mandatoryx;', 0),
+    "requiresx": (parse_declarations, 'root "R";\nconstraint "R" requiresx "R";', 0),
+    "mandatory to": (parse_declarations, 'root "R";\nfeature "A" "R" mandatory to "A";', 1),
+    "alternative without to": (parse_declarations, 'root "R";\nfeature "A" "R" alternative;', 1),
+    "no root": (parse_declarations, 'constraint "A" requires "B";\nfeature "A" "R" optional;', 2),
+    "error before a constraint": (parse_declarations, 'root "R";\nfeature "A" "R" optional '
+                                  'attribute x\nconstraint "A" requires "B";\n'
+                                  'feature "B" "R" or;', 3),
+    "error before a feature": (parse_declarations, 'root "R" attribute\nfeature "A" "R" optional;'
+                               '\nconstraint "A" requires "B" attribute;', 1),
+    "phrase then end": (parse_declarations, 'root "R";\nfeature "A" "R" optional', 1),
+    "constraint without ;": (parse_declarations, 'root "R";\nconstraint "A" requires "B"', 0),
+    "after a command": (parse_declarations, 'root "R";\nadd constraint "A" requires "B";', 1),
+    "command": (parse_commands, 'add constraint "A" requires "B";\n'
+                'remove feature "A" "B" mandatory;', 0),
+    "script": (parse_script, 'root "R";\nfeature "A" "R" optional;\nconstraint "A" requires "R";\n'
+               'add constraint "A" requires "R";', 0),
+}
+
+
+@pytest.mark.parametrize("parse, text, phrases", PHRASE_TEXTS.values(), ids=PHRASE_TEXTS)
+def test_phrases_change_no_outcome(parse, text, phrases):
+    lexicon = DECLARATIONS if parse is parse_declarations else tokens.LEXICON
+    assert sum(kind in PHRASES for kind in tokenize(text, lexicon).kinds) == phrases
+    declarations, commands = next(mode[1:] for mode in MODES if mode[0] is parse)
+    assert feather_outcome(*parse(text)) == feather_outcome(
+        *reference_parse(text, declarations, commands))
+
+
+def random_declarations(rng) -> str:
+    """Declarations on which a phrase may or may not match: random blanks
+    between their tokens, strings the lexer refuses, near-keywords, a
+    missing or doubled ';'."""
+    def joined(words):
+        return "".join(word + rng.choice(["", " ", "\n", "\t", "\r\n", "\r"]) for word in words)
+
+    def name():
+        return rng.choice(['"A"', '"B c"', '"x;y"', "A"] * 6 + ['""', '"é"'])
+    pieces = [rng.choice(['root "R";', ""])]
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.5:
+            words = ["feature", name(), name(),
+                     rng.choice(["mandatory", "or", "alternativeto", "mandatoryx", "to"])]
+            words += ["to", name()] if rng.random() < 0.4 else []
+            words += ["attribute", "x", rng.choice(["1", "-2", '"s"'])] if rng.random() < 0.3 else []
+        else:
+            words = ["constraint", name(), rng.choice(["requires", "excludes", "requiresx"]), name()]
+        pieces.append(joined(words + [rng.choice([";", "", ";;"])]))
+    return joined(pieces)
+
+
+def test_random_declarations_equal_the_reference():
+    rng = random.Random(2023)
+    phrased = 0
+    for _ in range(2_000):
+        text = random_declarations(rng)
+        assert_same_feather_outcome(feather_outcome(*parse_declarations(text)), text, True, False)
+        try:
+            phrased += not PHRASES.isdisjoint(tokenize(text, DECLARATIONS).kinds)
+        except tokens.LexError:
+            pass
+    assert phrased >= 500
+
+
+def repeat_one(rng, text: str, declaration: str) -> str:
+    """`text` with one match of `declaration`, an attribute declaration
+    whose groups are the text before the name, the name and the rest, right
+    after it declaring its name again as the next match declares its own."""
+    found = list(re.finditer(declaration, text))
+    k = rng.randrange(len(found))
+    m, other = found[k], found[(k + 1) % len(found)]
+    return f"{text[:m.end()]} {other[1]}{m[2]}{other[3]}{text[m.end():]}"
+
+
+def test_a_repeated_feather_attribute_reaches_the_repeat_mapping():
+    rng = random.Random(2021)
+    valid = [SERVICES, SERVICES + COMMANDS, one_token_per_line(SERVICES, tokenize)]
+    repeated = 0
+    for _ in range(200):
+        text = repeat_one(rng, rng.choice(valid), r'(attribute\s+)(\w+)(\s+(?:"[^"]*"|[\d.]+))')
+        if rng.random() < 0.5:
+            text = mutate(rng, text, spans(tokenize(text)), FEATHER_PIECES)
+        parse, declarations, commands = rng.choice(MODES[:2])
+        got = feather_outcome(*parse(text))
+        assert_same_feather_outcome(got, text, declarations, commands)
+        repeated += any(FEATHER_REPEAT.fullmatch(message) for message, _, _ in got[1])
+    assert repeated >= 50
 
 
 FEATHER_REPEAT = re.compile(r'duplicate attribute "(\w+)" in feature "([^"]*)"')
@@ -284,6 +400,19 @@ def test_a_message_the_text_does_not_bear_out_is_no_repeat(text, message):
     assert not repeats_attribute(text, message)
 
 
+def test_a_repeated_tvl_attribute_reaches_the_repeat_mapping():
+    rng = random.Random(2022)
+    valid = [TVL_MODEL, one_token_per_line(TVL_MODEL, lambda text: lex(text, tvl.LEXICON))]
+    repeated = 0
+    for _ in range(200):  # no other change: the mapping holds for texts the reference parses
+        text = repeat_one(rng, rng.choice(valid),
+                          r"((?:int|real|bool|string)\s+)(\w+)(\s+is\s+[^;]*;)")
+        got, want = tvl_outcome(tvl._TvlParser, text), tvl_outcome(ReferenceTvlParser, text)
+        assert_same_tvl_outcome(got, want, text)
+        repeated += isinstance(got, str) and not isinstance(want, str)
+    assert repeated >= 50
+
+
 def test_tvl_parser_equals_the_reference():
     rng = random.Random(2020)
     def tvl_lex(text):
@@ -354,9 +483,9 @@ def test_a_parse_tokenizes_once_through_the_module_global(monkeypatch):
     """perfbench/traced.py counts tokens by wrapping parser.tokenize."""
     calls = []
 
-    def counting(text):
+    def counting(text, lexicon):
         calls.append(text)
-        return tokenize(text)
+        return tokenize(text, lexicon)
     monkeypatch.setattr(parser, "tokenize", counting)
     parse_declarations(SERVICES)
     parse_commands(COMMANDS)

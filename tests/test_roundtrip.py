@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from feather.parser import parse_script
 from feather.build import build_model
 from feather.serializer import format_real, serialize_declarations
-from feather.tvl import TvlError, export_tvl, import_tvl
+from feather.tvl import TvlError, import_tvl
+from feather.tvl_export import export_tvl
 
 from conftest import build, isomorphic, random_model, run
 

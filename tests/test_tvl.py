@@ -4,7 +4,8 @@ import re
 import pytest
 
 from feather.model import DecompKind
-from feather.tvl import TvlError, TvlExportError, export_tvl, import_tvl
+from feather.tvl import TvlError, import_tvl
+from feather.tvl_export import TvlExportError, export_tvl
 
 from conftest import (
     build,
@@ -94,13 +95,18 @@ def test_import_export_import_isomorphic():
 
 
 def test_import_rejects_unattached_block():
-    with pytest.raises(TvlError):
+    with pytest.raises(TvlError, match='^line 2: feature "Orphan" is not attached to any group$'):
         import_tvl("root R { }\nOrphan { }\n")
 
 
 def test_import_rejects_unknown_group_member():
-    with pytest.raises(TvlError):
-        import_tvl("root R { group allof { Ghost } }\n")
+    with pytest.raises(TvlError, match='^line 2: group under "A" names unknown feature "Ghost"$'):
+        import_tvl("root R { group allof { A } }\nA { group allof { Ghost } }\n")
+
+
+def test_import_rejects_a_duplicate_block():
+    with pytest.raises(TvlError, match='^line 3: duplicate feature "A"$'):
+        import_tvl("root R { group allof { A } }\nA { }\nA { }\n")
 
 
 def test_import_rejects_duplicate_placement():
@@ -282,16 +288,30 @@ def listing_lines(text: str) -> dict:
     return lines
 
 
+def block_lines(text: str) -> dict:
+    """Each block name of a `random_tvl` text to the lines its blocks open on."""
+    lines = {}
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.endswith("{"):
+            lines.setdefault(line.split()[-2], []).append(number)
+    return lines
+
+
 def with_line(message: str, text: str) -> str:
-    """The reference's message with the line the builder names: the block
+    """The reference's message with the line the importer names: the block
     that lists a feature the second time, or that holds a constraint (the
-    root block in `random_tvl`), or that lists a feature on a cycle."""
+    root block in `random_tvl`), or that lists a feature on a cycle; the
+    second block of a duplicate, the block whose group lists an unknown
+    feature, or a block in no group."""
     m = re.fullmatch(r'feature "(\w+)" is declared twice|constraint .*'
-                     r'|parent declarations form a cycle through "(\w+)"', message)
+                     r'|parent declarations form a cycle through "(\w+)"'
+                     r'|duplicate feature "(\w+)"|group under "(\w+)" names unknown feature .*'
+                     r'|feature "(\w+)" is not attached to any group', message)
     if m is None:
         return message
-    lines = listing_lines(text)
-    line = (lines[m[1]][1] if m[1] else lines[m[2]][0] if m[2] else lines["root"][0])
+    lines, blocks = listing_lines(text), block_lines(text)
+    line = (lines[m[1]][1] if m[1] else lines[m[2]][0] if m[2] else blocks[m[3]][1] if m[3]
+            else blocks[m[4] or m[5]][0] if m[4] or m[5] else lines["root"][0])
     return f"line {line}: {message}"
 
 
@@ -300,7 +320,7 @@ def test_import_equals_the_reference_with_validate():
     # validated the whole model; both give one model or one message. Three
     # texts changed on purpose: a block placed twice is "declared twice", a
     # cycle is named by one of the blocks the reference listed, and an error
-    # of the builder names the line of the block at fault
+    # of the builder or of the importer names the line of the block at fault
     rng = random.Random(20261019)
     kinds = {"model": 0, "cycle": 0, "other": 0}
     for case in range(600):

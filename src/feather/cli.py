@@ -23,7 +23,7 @@ from types import SimpleNamespace
 from .build import BuildError, build_model
 from .commands import RunMode, run_script
 from .parser import ScriptAst, parse_commands, parse_declarations, parse_script, validate_static
-from .serializer import serialize_declarations
+from .serializer import ExportError, serialize_declarations
 
 USAGE = """\
 -i : Running Mode - Ignore all errors & warnings
@@ -192,19 +192,16 @@ def main(argv=None) -> int:
 
     if cfg.out or cfg.tvl_out:
         try:
-            # render both texts first: a model TVL cannot express writes neither
+            # render both texts first: a model one of them cannot express writes neither
             outputs = []
             if cfg.out:
                 outputs.append((cfg.out, serialize_declarations(model)))
             if cfg.tvl_out:
-                from .tvl_export import TvlExportError, export_tvl
-                try:
-                    outputs.append((cfg.tvl_out, export_tvl(model)))
-                except TvlExportError as exc:
-                    raise FileError(str(exc)) from None
+                from .tvl_export import export_tvl
+                outputs.append((cfg.tvl_out, export_tvl(model)))
             for path, text in outputs:
                 _write(path, text)
-        except FileError as exc:
+        except (ExportError, FileError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print("Saving the transformed model... DONE!", file=out)

@@ -26,7 +26,6 @@ from .expressions import (
     TypeCheckError,
     VarRef,
     compile_expr,
-    compile_type,
     referenced_usages,
 )
 from .model import Constraint, DecompKind, Feature, FeatureModel, ModelError, effect_key
@@ -143,24 +142,24 @@ def command_usages(cmd: Command) -> dict:
 def _slot(expr, model, expected=None):
     """A slot expression compiled once: a function from a binding to its value.
 
-    Under a binding it runs the type pass, the expected-type check and the
-    value pass, in that order, so that a type error anywhere in the
-    expression or a value of the wrong type wins over an evaluation error.
+    Under a binding it checks the type, then the expected type, then
+    evaluates, so that a type error anywhere in the expression or a value of
+    the wrong type wins over an evaluation error.
     """
-    type_pass, value_pass = compile_type(expr), compile_expr(expr)
+    t, value = compile_expr(expr)
     features = model.features
 
-    def value(binding):
+    def run(binding):
         try:
-            t = type_pass(features, binding)
-            if expected == "numeric" and t not in NUMERIC:
-                raise TypeCheckError(f"expected a numeric value, found {t}")
-            if expected == BOOLEAN and t != BOOLEAN:
-                raise TypeCheckError(f"expected a boolean value, found {t}")
-            return value_pass(features, binding)[1]
+            found = t(features, binding) if callable(t) else t
+            if expected == "numeric" and found not in NUMERIC:
+                raise TypeCheckError(f"expected a numeric value, found {found}")
+            if expected == BOOLEAN and found != BOOLEAN:
+                raise TypeCheckError(f"expected a boolean value, found {found}")
+            return value(features, binding)
         except (TypeCheckError, EvalError) as e:
             raise CommandError(str(e)) from None
-    return value
+    return run
 
 
 def _desc_name(desc, binding) -> str:

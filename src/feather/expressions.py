@@ -3,12 +3,11 @@
 Expressions are evaluated against a model plus a binding from feature
 variables to concrete feature names. Type checking is dynamic: it consults
 the current model state, so the same expression can be well formed before a
-command and ill formed after it. A command compiles its expressions once
-and runs them under every binding. compile_typed's closure type-checks and
-evaluates at once, applying when compiling the rules over static types;
-compile_expr's wraps it to give (type, value); compile_type's type-checks
-only. A where-conjunct runs the first; a slot runs the last and then the
-second, so that every type error in it is reported before an evaluation error.
+command and ill formed after it. A command compiles its expressions once,
+with compile_expr, into a type and a value: the type is static where the
+rules decide it without a model, else a type pass to run under a binding;
+the value is evaluated under a binding only after the type has been
+checked, so a type error always wins over an evaluation error.
 """
 
 from __future__ import annotations
@@ -127,7 +126,7 @@ def _unary_type(op: str, t: str) -> str:
 
 
 def _binary_type(op: str, lt: str, rt: str) -> str:
-    """The type of `lt op rt`; the rule compile_type and compile_expr share."""
+    """The type of `lt op rt`."""
     if op in ARITH_OPS:
         if lt not in NUMERIC or rt not in NUMERIC:
             raise TypeCheckError(f"{op} applied to {lt} and {rt} operands")
@@ -216,88 +215,46 @@ _BINARY_OPS = {
 # -- compilation -----------------------------------------------------------
 
 
-def compile_expr(expr):
-    """Compile an expression into a closure `(features, binding) -> (type, value)`.
+def compile_expr(expr, leaf=None):
+    """Compile an expression into (type, value), each node's parts chosen here.
 
-    `features` is a model's feature dict. The closure raises TypeCheckError
-    for an ill-formed term and EvalError for a division or modulo by zero or
-    a number out of range. It is eager, left to right, so an evaluation error
-    in one operand is raised before a type error in a later operand; run
-    compile_type's closure first to report every type error first. Each
-    node's attribute access, operator and type rule are chosen here, once,
-    rather than under every binding. It wraps compile_typed's closure.
-    """
-    return _tagged(*compile_typed(expr))
-
-
-def compile_typed(expr, leaf=None):
-    """Compile an expression into (static type or None, closure).
-
-    A static type is one every binding gives: a binary node's rule is applied
-    here, once, and the closure returns the value alone. Otherwise, as for a
-    unary node or a rule failing on static types (raised after both operands
-    ran), the closure returns (type, value). `leaf(term)` may compile an
-    attribute term in place of the model read, to such a pair, or give None.
+    `type` is the static type, a string, where the operand types are static
+    and the rule holds, else a closure `(features, binding) -> type` raising
+    the first TypeCheckError, left to right; no rule short-circuits. `value`,
+    a closure `(features, binding) -> value`, runs only once the type has
+    been checked under the binding, and raises only EvalError. `features` is
+    a model's feature dict; `leaf(term)` may compile an attribute term to
+    such a pair in place of the model read, or give None.
     """
     if isinstance(expr, Lit):
         value = expr.value
         return type_of(value), lambda features, binding: value
     if isinstance(expr, AttrRef):
-        return (leaf and leaf(expr)) or (None, _compile_attr(expr.subject, expr.attr))
+        return (leaf and leaf(expr)) or _compile_attr(expr.subject, expr.attr)
     if isinstance(expr, Unary):
         op, apply = expr.op, _UNARY_OPS[expr.op]
-        operand = _tagged(*compile_typed(expr.operand, leaf))
-
-        def unary(features, binding):
-            t, v = operand(features, binding)
-            return _unary_type(op, t), apply(v)
-        return None, unary
+        t, operand = compile_expr(expr.operand, leaf)
+        return (_node_type(_unary_type, op, t),
+                lambda features, binding: apply(operand(features, binding)))
     if isinstance(expr, Binary):
         op, apply = expr.op, _BINARY_OPS[expr.op]
-        lt, left = compile_typed(expr.left, leaf)
-        rt, right = compile_typed(expr.right, leaf)
+        lt, left = compile_expr(expr.left, leaf)
+        rt, right = compile_expr(expr.right, leaf)
+        return (_node_type(_binary_type, op, lt, rt), lambda features, binding: apply(
+            left(features, binding), right(features, binding)))
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _node_type(rule, op: str, *types):
+    """The type of an operator node, from its operands' types by `rule`:
+    static where they all are and the rule holds, else a closure."""
+    if all(type(t) is str for t in types):
         try:
-            if lt is not None and rt is not None:
-                return _binary_type(op, lt, rt), lambda features, binding: apply(
-                    left(features, binding), right(features, binding))
+            return rule(op, *types)
         except TypeCheckError:
             pass
-        left, right = _tagged(lt, left), _tagged(rt, right)
-
-        def binary(features, binding):
-            lt, a = left(features, binding)
-            rt, b = right(features, binding)
-            return _binary_type(op, lt, rt), apply(a, b)
-        return None, binary
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def _tagged(t, run):
-    """The (type, value) closure of a compiled node of static type t."""
-    return run if t is None else lambda features, binding: (t, run(features, binding))
-
-
-def compile_type(expr):
-    """Compile an expression into a closure `(features, binding) -> type`.
-
-    The type pass alone: it raises the TypeCheckError of the first ill-formed
-    term, left to right, and no type rule short-circuits. It evaluates no
-    operator, so it never raises EvalError.
-    """
-    if isinstance(expr, Lit):
-        t = type_of(expr.value)
-        return lambda features, binding: t
-    if isinstance(expr, AttrRef):
-        read = _compile_attr(expr.subject, expr.attr)
-        return lambda features, binding: read(features, binding)[0]
-    if isinstance(expr, Unary):
-        op, operand = expr.op, compile_type(expr.operand)
-        return lambda features, binding: _unary_type(op, operand(features, binding))
-    if isinstance(expr, Binary):
-        op, left, right = expr.op, compile_type(expr.left), compile_type(expr.right)
-        return lambda features, binding: _binary_type(
-            op, left(features, binding), right(features, binding))
-    raise TypeError(f"not an expression node: {expr!r}")
+    passes = [t if callable(t) else lambda features, binding, t=t: t for t in types]
+    return lambda features, binding: rule(op, *[p(features, binding) for p in passes])
 
 
 def attr_reader(attr: str):
@@ -313,12 +270,13 @@ def attr_reader(attr: str):
 
 
 def _compile_attr(subject, attr: str):
+    """The (type, value) closures of the term `subject.attr`."""
     read, var = attr_reader(attr), subject.name
     named = isinstance(subject, FeatureRef)
     lacks = ('the root feature "{}" has no decomposition relation' if attr in STRUCTURAL
              else f'feature "{{}}" has no attribute named {attr}')
 
-    def term(features, binding):
+    def term_type(features, binding):
         name = var if named else binding.get(var)
         if name is None:
             raise TypeCheckError(f"unbound feature variable {var}")
@@ -328,8 +286,9 @@ def _compile_attr(subject, attr: str):
         pair = read(f)
         if pair is None:
             raise TypeCheckError(lacks.format(name))
-        return pair
-    return term
+        return pair[0]
+    return term_type, lambda features, binding: read(
+        features[var if named else binding[var]])[1]
 
 
 # The attributes every feature has (model.STRUCTURAL_ATTRS), each with its

@@ -524,8 +524,10 @@ class _Parser(Cursor):
                     errors.append(e)
                     self._resync()
         while self.kinds[self.pos] in CONSTRAINT_COMMANDS:
-            if not commands:
-                self.fail("commands are not allowed in a declarations file")
+            if not commands:  # the last error, after those before it, and no tree
+                errors.append(ParseError("commands are not allowed in a declarations file",
+                                         *self.tokens.position(self.pos)))
+                return ScriptAst(), errors
             try:
                 ast.commands.append(self.parse_command())
             except ParseError as e:
@@ -561,10 +563,7 @@ def _parse(text: str, lexicon, declarations: bool, commands: bool) -> tuple:
         tokens = tokenize(text, lexicon)
     except LexError as e:
         return ScriptAst(), [ParseError(e.message, e.line, e.col)]
-    try:
-        return _Parser(tokens).parse_script(declarations, commands)
-    except ParseError as e:
-        return ScriptAst(), [e]
+    return _Parser(tokens).parse_script(declarations, commands)
 
 
 # -- static validation -----------------------------------------------------

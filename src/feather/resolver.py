@@ -8,10 +8,10 @@ tuples itself (commands._deriver).
 Each candidate domain is pruned by attribute presence and type
 compatibility, and the same scan reads each attribute a where-term takes of
 the variable into a column: name to (type, value). Conjuncts compile once
-per resolve (compile_typed) against the columns. A term then costs two dict
-reads under a binding, and a column of one type over the domain has its
-type rule applied at compile time. A conjunct that fails to typecheck or
-evaluate is false.
+per resolve (compile_expr) against the columns. A term then costs two dict
+reads under a binding, and a column of one type over the domain gives a
+static type, so that the type rules over it are applied at compile time. A
+conjunct that fails to typecheck or evaluate is false.
 
 Conjuncts of one variable filter its domain before the search; one of the
 form `V.a = lit` keeps the names whose key (see below) equals the literal's.
@@ -45,7 +45,7 @@ from .expressions import (
     _binary_type,
     admitted_types,
     attr_reader,
-    compile_typed,
+    compile_expr,
     referenced_usages,
     type_of,
 )
@@ -129,7 +129,8 @@ def resolve(model: FeatureModel, variables, where=None,
         column = columns[var][term.attr]
         static = _static_column(column, domains[var])
         if static is None:
-            return None, lambda features, binding: column[binding[var]]
+            return (lambda features, binding: column[binding[var]][0],
+                    lambda features, binding: column[binding[var]][1])
         t, values = static
         return t, lambda features, binding: values[binding[var]]
 
@@ -215,24 +216,25 @@ def resolve(model: FeatureModel, variables, where=None,
 def _all_hold(conjuncts, leaf):
     """One compiled check of the conjuncts under a binding.
 
-    False as soon as one of them is not true, or fails to typecheck or
-    evaluate, as the whole where-clause would.
+    False as soon as one of them fails to typecheck, or is not true or fails
+    to evaluate, as the whole where-clause would. Every conjunct's type is
+    checked before the first is evaluated.
     """
-    compiled = [_value_of(*compile_typed(c, leaf)) for c in conjuncts]
+    compiled = [compile_expr(c, leaf) for c in conjuncts]
+    types = [t for t, _ in compiled if callable(t)]
+    values = [value for _, value in compiled]
 
     def holds(features, binding) -> bool:
         try:
-            for c in compiled:
-                if c(features, binding) is not True:
+            for t in types:
+                t(features, binding)
+            for value in values:
+                if value(features, binding) is not True:
                     return False
         except (TypeCheckError, EvalError):
             return False
         return True
     return holds
-
-
-def _value_of(t, run):
-    return run if t else lambda features, binding: run(features, binding)[1]
 
 
 def _var_term(expr):

@@ -8,7 +8,14 @@ reference that first member.
 
 from __future__ import annotations
 
+import re
+
 from .model import FeatureModel
+from .tokens import STRING_CHAR
+
+
+class ExportError(Exception):
+    """The model cannot be written in the output's language."""
 
 
 def format_value(v) -> str:
@@ -39,6 +46,11 @@ def _attr_text(attributes: dict) -> str:
 
 
 def serialize_declarations(model: FeatureModel) -> str:
+    """The model as declarations; ExportError if a string cannot hold a name."""
+    names = model.features
+    if "" in names or not re.fullmatch(f"{STRING_CHAR}*", "".join(names)):
+        bad = next(n for n in names if not re.fullmatch(f"{STRING_CHAR}+", n))
+        raise ExportError(f'feature name "{bad}" is not a valid Feather string')
     lines = []
     root = model.features[model.root]
     lines.append(f'root "{root.name}"{_attr_text(root.attributes)};')

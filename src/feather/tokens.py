@@ -32,6 +32,12 @@ KEYWORDS = {
 
 STRUCTURALS = set(STRUCTURAL_ATTRS)
 
+# TVL's, here so that the TVL writer can refuse them without loading the reader
+TVL_KEYWORDS = {
+    "enum", "string", "in", "root", "group", "allof", "oneof", "someof",
+    "opt", "int", "real", "bool", "is", "requires", "excludes", "true", "false",
+}
+
 SYMBOLS = ("<=", ">=", "<>", ";", ",", "(", ")", ".", "=", ":",
            "+", "-", "*", "/", "%", "<", ">")
 
@@ -47,7 +53,7 @@ class LexError(Exception):
         self.message, self.line, self.col = message, line, col
 
 
-_STRING_CHAR = "[0-9A-Za-z" + "".join(map(re.escape, sorted(STRING_PUNCT))) + "]"
+STRING_CHAR = "[0-9A-Za-z" + "".join(map(re.escape, sorted(STRING_PUNCT))) + "]"
 _BLANKS = r"[ \t\r\n]*"
 # the paths that report an error or show a token compile their regexes when
 # first taken, through the re module's cache
@@ -80,7 +86,7 @@ class Lexicon:
         self.word = group  # the group of a word; string, real, integer and other follow
         self.source = (_BLANKS + "(?:" + "".join(f"({regex})|" for _, regex, _ in phrases)
                        + rf"([^\W0-9]\w*|{symbol})"
-                       f'|"({_STRING_CHAR}+)"'
+                       f'|"({STRING_CHAR}+)"'
                        rf"|({number}\.[0-9]+)"
                        f"|({number})"
                        r"|([^ \t\r\n])|\Z)")
@@ -235,7 +241,7 @@ def _fail(text: str, start: int):
     ch = text[start]
     if ch != '"':
         _raise(f"unexpected character {ch!r}", text, start)
-    end = re.compile(_STRING_CHAR + "*").match(text, start + 1).end()
+    end = re.compile(STRING_CHAR + "*").match(text, start + 1).end()
     stop = text[end:end + 1]
     if stop == '"':
         _raise("empty string literal", text, start)
@@ -254,7 +260,7 @@ def _feather_word(word: str) -> str:
 
 LEXICON = Lexicon(KEYWORDS | STRUCTURALS, SYMBOLS, _feather_word)
 
-_QUOTED = f'{_BLANKS}"({_STRING_CHAR}+)"'
+_QUOTED = f'{_BLANKS}"({STRING_CHAR}+)"'
 
 # A declarations file's lexicon: a constraint, "constraint" L kind R ";", is
 # one CONSTRAINT token, value (L, kind, R), and a feature's head, "feature"

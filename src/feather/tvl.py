@@ -18,12 +18,7 @@ from .build import BuildError, assemble, unknown_feature
 from .model import Constraint, DecompKind, FeatureModel
 from .parser import ConstraintDecl
 from .record import Record
-from .tokens import Cursor, LexError, Lexicon, lex
-
-KEYWORDS = {
-    "enum", "string", "in", "root", "group", "allof", "oneof", "someof",
-    "opt", "int", "real", "bool", "is", "requires", "excludes", "true", "false",
-}
+from .tokens import TVL_KEYWORDS, Cursor, LexError, Lexicon, lex
 
 
 class TvlError(Exception):
@@ -36,7 +31,7 @@ def _word(word: str) -> str:
     return "ID"
 
 
-LEXICON = Lexicon(KEYWORDS, "{},;", _word, signed_numbers=True)
+LEXICON = Lexicon(TVL_KEYWORDS, "{},;", _word, signed_numbers=True)
 
 # the token kind of a value of each attribute type but bool
 _VALUE_KINDS = {"int": "INT", "real": "REAL", "string": "STRING"}

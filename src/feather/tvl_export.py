@@ -9,20 +9,24 @@ from __future__ import annotations
 import re
 
 from .model import DecompKind, FeatureModel
-from .serializer import format_real
+from .serializer import ExportError, format_real
+from .tokens import TVL_KEYWORDS
 
 _ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 
 
-class TvlExportError(Exception):
+class TvlExportError(ExportError):
     """The model cannot be represented in the TVL subset."""
 
 
 def _check_exportable(model: FeatureModel) -> None:
-    for name in model.features:
-        if not _ID_RE.match(name):
-            raise TvlExportError(
-                f'feature name "{name}" is not a valid TVL identifier')
+    for name, f in model.features.items():
+        if not _ID_RE.match(name) or name in TVL_KEYWORDS:
+            raise TvlExportError(f'feature name "{name}" is not a valid TVL identifier')
+        for attr in f.attributes:
+            if not attr[:1].islower() or attr in TVL_KEYWORDS:
+                raise TvlExportError(f'attribute name "{attr}" of feature "{name}" '
+                                     "is not a valid TVL attribute id")
 
 
 def _attr_line(name: str, value) -> str:

@@ -63,9 +63,9 @@ from feather.parser import (
     parse_script,
 )
 from feather.resolver import ResolutionSet
-from feather.tokens import KEYWORDS, STRING_PUNCT, STRUCTURALS, SYMBOLS, LexError, Token, lex
+from feather.tokens import (KEYWORDS, STRING_PUNCT, STRUCTURALS, SYMBOLS, TVL_KEYWORDS, LexError,
+                            Token, lex)
 from feather.tvl import (
-    KEYWORDS as TVL_KEYWORDS,
     LEXICON as TVL_LEXICON,
     TvlError,
     _Block,
@@ -351,8 +351,8 @@ def reference_remove_all(model: FeatureModel, targets) -> tuple:
 # -- tree-walking reference for the compiled expressions --------------------
 #
 # typecheck and evaluate walk the tree once per binding. The program compiles
-# each expression into closures instead (expressions.compile_type and
-# compile_expr); these are the reference those closures are tested against.
+# each expression into a type and a value closure instead
+# (expressions.compile_expr); these are the reference they are tested against.
 
 
 def _attr_type(model: FeatureModel, fname: str, attr: str) -> str:

@@ -153,6 +153,32 @@ def test_tvl_export_error_writes_neither_output(tmp_path, capsys):
     assert not out.exists() and not tvl.exists()
 
 
+@pytest.mark.parametrize("flag, text, input_name, message", [
+    ("-d", 'root "R" attribute is 1;\nfeature "group" "R" optional attribute opt true;\n',
+     "m.fd", 'attribute name "is" of feature "R" is not a valid TVL attribute id'),
+    ("-d", 'root "R" attribute 中 1;\n', "m.fd",
+     'attribute name "中" of feature "R" is not a valid TVL attribute id'),
+    ("-t", "root Café { group allof { B } }\nB { }\n", "m.tvl",
+     'feature name "Café" is not a valid Feather string'),
+], ids=["tvl keyword", "tvl attribute without a lowercase letter", "non-ascii feature name"])
+def test_an_output_its_reader_refuses_is_an_error_and_writes_neither(
+        tmp_path, capsys, flag, text, input_name, message):
+    (tmp_path / input_name).write_text(text)
+    out, tvl = tmp_path / "o.fd", tmp_path / "o.tvl"
+    code = main([flag, str(tmp_path / input_name), "-o", str(out), "-ot", str(tvl)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not tvl.exists()
+
+
+def test_a_declarations_file_reports_the_errors_before_a_command(tmp_path, capsys):
+    (tmp_path / "m.fd").write_text('root "R";\nfeature "A" "R" bogus;\nremove feature "A";\n')
+    assert main(["-d", str(tmp_path / "m.fd")]) == 2
+    assert capsys.readouterr().err == (
+        "error: 2:17: expected a decomposition kind, found 'bogus'\n"
+        "error: 3:1: commands are not allowed in a declarations file\n")
+
+
 def test_parse_failure_exit_2(tmp_path, capsys):
     src = tmp_path / "bad.feaf"
     src.write_text('root "R" feature ;\n')

@@ -243,9 +243,9 @@ def test_slots_compile_once_per_command(monkeypatch):
     # counts compiles, not time: a slot compiled per target or per matched
     # constraint would make the count grow with the model
     compiled = []
-    compile_type = commands.compile_type
-    monkeypatch.setattr(commands, "compile_type",
-                        lambda expr: compiled.append(expr) or compile_type(expr))
+    compile_expr = commands.compile_expr
+    monkeypatch.setattr(commands, "compile_expr",
+                        lambda expr: compiled.append(expr) or compile_expr(expr))
 
     def compiles(n, command):
         m = build('root "R";\nfeature "T" "R" optional;\nfeature "U" "R" optional;\n'

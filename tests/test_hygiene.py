@@ -1,8 +1,9 @@
 """Source hygiene: each module of `feather` uses every name it imports, every
 function of the package is read somewhere in it, the package exports what
 `__all__` lists, a run imports and compiles only what it needs, only the process entry
-touches the collector, and each declaration invariant is worded in one
-module."""
+touches the collector, each declaration invariant is worded in one
+module, and every module parses as the oldest Python that pyproject.toml
+admits."""
 
 import ast
 import os
@@ -211,3 +212,26 @@ def test_validate_static_leaves_the_declarations_to_the_builder():
                                        'constraint "A" requires "Ghost";\n')
     assert errors == []
     assert feather.validate_static(ast) == []
+
+
+def oldest_python() -> tuple:
+    """The oldest (major, minor) that pyproject.toml's requires-python admits."""
+    pyproject = (SRC.parents[1] / "pyproject.toml").read_text()
+    found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M)
+    return int(found[1]), int(found[2])
+
+
+@pytest.mark.parametrize("source", [
+    "try:\n    pass\nexcept* ValueError:\n    pass\n",
+    "type Names = list\n",
+    "def first[T](items: list[T]) -> T:\n    return items[0]\n",
+], ids=["except*", "type alias", "type parameters"])
+def test_newer_syntax_is_refused(source):
+    assert oldest_python() == (3, 10)
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=oldest_python())
+
+
+def test_every_module_parses_as_the_oldest_python_admitted():
+    for path in MODULES:
+        ast.parse(path.read_text(), filename=path.name, feature_version=oldest_python())

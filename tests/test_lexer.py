@@ -5,7 +5,8 @@ import random
 import pytest
 
 from feather import tvl
-from feather.tokens import KEYWORDS, STRING_PUNCT, STRUCTURALS, LexError, lex, tokenize
+from feather.tokens import (KEYWORDS, STRING_PUNCT, STRUCTURALS, TVL_KEYWORDS, LexError, lex,
+                            tokenize)
 from feather.tvl import TvlError, import_tvl
 
 from conftest import reference_tokenize, reference_tvl_tokenize
@@ -20,10 +21,10 @@ ALPHABET = (sorted(STRING_PUNCT)
             + ['"', "\t", "\r", "\n", "\0", "_name", "_bogus", "<=", "<>", "1.5", "12.",
                "é", "É", "²", "٣", "½", "a", "Z", "7", "{", "}", "<", ">", "=", "-3",
                "+2.5", '"ab 1"']
-            + sorted(KEYWORDS | STRUCTURALS | tvl.KEYWORDS))
+            + sorted(KEYWORDS | STRUCTURALS | TVL_KEYWORDS))
 # pieces that lex in each language, so that longer token streams occur too
 FEATHER_PIECES = sorted(KEYWORDS | STRUCTURALS) + [" ", "\n", ";", "(", ".", "V", "x", "3"]
-TVL_PIECES = sorted(tvl.KEYWORDS) + [" ", "\n", "{", "}", ",", ";", "x", "-3", "2.5"]
+TVL_PIECES = sorted(TVL_KEYWORDS) + [" ", "\n", "{", "}", ",", ";", "x", "-3", "2.5"]
 
 
 def feather_outcome(lexer, text):

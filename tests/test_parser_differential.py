@@ -19,7 +19,8 @@ import pytest
 
 from feather import parser, tokens, tvl
 from feather.parser import parse_commands, parse_declarations, parse_script
-from feather.tokens import DECLARATIONS, KEYWORDS, STRUCTURALS, SYMBOLS, lex, tokenize
+from feather.tokens import (DECLARATIONS, KEYWORDS, STRUCTURALS, SYMBOLS, TVL_KEYWORDS, lex,
+                            tokenize)
 
 from conftest import (
     SERVICES,
@@ -76,7 +77,7 @@ FEATHER_PIECES = (sorted(KEYWORDS | STRUCTURALS) + list(SYMBOLS)
                   + ['"A"', '"Package 1"', '"x y"', "1", "2.5", "007", "V", "W",
                      "price", "stype", " ", " ", "\n", "\t"])
 FEATHER_BAD = ['"', '""', "_bogus", "#", "1.", "é"]
-TVL_PIECES = (sorted(tvl.KEYWORDS) + ["{", "}", ",", ";", "R", "A", "B", "x", "n",
+TVL_PIECES = (sorted(TVL_KEYWORDS) + ["{", "}", ",", ";", "R", "A", "B", "x", "n",
                                       "-3", "+2", "2.5", "1.50", '"s"', " ", " ", "\n"])
 TVL_BAD = ['"', "_", "#", "<", "é"]
 
@@ -253,6 +254,7 @@ def test_a_repeated_feather_attribute_reaches_the_repeat_mapping():
     assert repeated >= 50
 
 
+COMMAND_IN_DECLARATIONS = "commands are not allowed in a declarations file"
 FEATHER_REPEAT = re.compile(r'duplicate attribute "(\w+)" in feature "([^"]*)"')
 
 
@@ -286,7 +288,9 @@ def assert_same_feather_outcome(got, text: str, declarations: bool, commands: bo
     accepted a declaration that declares an attribute twice: the parser's
     error must hold for the text, and the rest of its outcome is the
     reference's where the second declaration's `attribute` is a `)`, a
-    parse error at the same place."""
+    parse error at the same place. Where the reference reports a command in
+    a declarations file alone, the parser reports it after the reference's
+    errors on the text cut before the command."""
     repeats = {(line, col): message for message, line, col in got[1]
                if FEATHER_REPEAT.fullmatch(message)}
     for (line, col), message in repeats.items():
@@ -294,6 +298,10 @@ def assert_same_feather_outcome(got, text: str, declarations: bool, commands: bo
         at = offset(text, line, col)
         text = text[:at] + ")" + " " * (len("attribute") - 1) + text[at + len("attribute"):]
     ast, errors = feather_outcome(*reference_parse(text, declarations, commands))
+    if [message for message, _, _ in errors] == [COMMAND_IN_DECLARATIONS]:
+        cut = text[:offset(text, *errors[0][1:])]
+        earlier = feather_outcome(*reference_parse(cut, declarations, commands))[1]
+        errors = earlier + errors
     assert got == (ast, [(repeats.get((line, col), message), line, col)
                          for message, line, col in errors]), text
 

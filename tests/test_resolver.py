@@ -152,13 +152,17 @@ def test_equal_join_keys_are_exactly_equality():
     """The hash index alone decides a join conjunct, so two values must share
     a key exactly when `=` on them type-checks and is true."""
     def key(value):
-        return resolver._join_key(*compile_expr(Lit(value))({}, {}))
+        t, run = compile_expr(Lit(value))
+        return resolver._join_key(t, run({}, {}))
 
     equal_pairs = 0
     for a in JOIN_VALUES:
         for b in JOIN_VALUES:
+            t, run = compile_expr(Binary("=", Lit(a), Lit(b)))
             try:
-                holds = compile_expr(Binary("=", Lit(a), Lit(b)))({}, {})[1] is True
+                if callable(t):
+                    t({}, {})  # the type pass
+                holds = run({}, {}) is True
             except (TypeCheckError, EvalError):
                 holds = False
             same_key = key(a) is not None and key(a) == key(b)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from feather.parser import parse_script
 from feather.build import build_model
-from feather.serializer import format_real, serialize_declarations
+from feather.serializer import ExportError, format_real, serialize_declarations
 from feather.tvl import TvlError, import_tvl
 from feather.tvl_export import export_tvl
 
@@ -74,6 +74,25 @@ def test_feather_to_tvl_to_feather(seed):
     model = random_model(random.Random(seed), max_features=15)
     via_tvl = import_tvl(export_tvl(model))
     assert isomorphic(model, build(serialize_declarations(via_tvl)))
+
+
+@given(st.lists(st.sampled_from(["A", "B", "Café", "Ωmega", "x_1", "Über", "ǅx", "n2"]),
+                min_size=1, max_size=5, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_declarations_from_tvl_are_read_back_or_refused(names):
+    """A TVL name may hold any letter, a Feather string only ASCII ones: the
+    writer refuses a name that `parse_declarations` would refuse."""
+    group = f"group allof {{ {', '.join(names[1:])} }}" if names[1:] else ""
+    model = import_tvl(f"root {names[0]} {{ {group} }}\n"
+                       + "".join(f"{n} {{ }}\n" for n in names[1:]))
+    try:
+        text = serialize_declarations(model)
+    except ExportError as e:
+        bad = next(n for n in names if not n.isascii())
+        assert str(e) == f'feature name "{bad}" is not a valid Feather string'
+        return
+    assert all(n.isascii() for n in names)
+    assert isomorphic(model, build(text))
 
 
 def test_reals_stay_finite_through_a_round_trip():

@@ -167,6 +167,49 @@ def test_export_rejects_unrepresentable_names():
         export_tvl(m)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('root "R";\nfeature "group" "R" optional;',
+     'feature name "group" is not a valid TVL identifier'),
+    ('root "R" attribute is 1;', 'attribute name "is" of feature "R" is not a valid TVL attribute id'),
+    ('root "R";\nfeature "A" "R" optional attribute opt true;',
+     'attribute name "opt" of feature "A" is not a valid TVL attribute id'),
+    ('root "R" attribute 中 1;', 'attribute name "中" of feature "R" is not a valid TVL attribute id'),
+], ids=["keyword feature", "keyword attribute", "keyword attribute of a child",
+        "attribute without a lowercase letter"])
+def test_export_refuses_names_the_import_refuses(text, message):
+    with pytest.raises(TvlExportError) as e:
+        export_tvl(build(text))
+    assert str(e.value) == message
+
+
+def test_export_writes_what_import_reads_or_refuses():
+    rng = random.Random(23)
+    # (valid names, names TVL refuses), feature names first, then attributes
+    pools = ((["A", "B", "Cx", "x1", "D_2"], ["group", "opt", "root", "is", "Has Space"]),
+             (["w", "n", "x_1", "flag"], ["is", "int", "opt", "someof", "中", "ǅx"]))
+
+    def pick(pool, k):
+        return rng.sample(pool[rng.random() < 0.06], k)
+    exported = refused = 0
+    for _ in range(300):
+        features = list(dict.fromkeys(pick(pools[0], 1)[0] for _ in range(rng.randint(1, 4))))
+        lines = []
+        for i, name in enumerate(features):
+            head = (f'feature "{name}" "{rng.choice(features[:i])}" optional' if i
+                    else f'root "{name}"')
+            lines.append(head + "".join(f" attribute {a} {rng.randint(0, 9)}"
+                                        for a in pick(pools[1], rng.randint(0, 2))) + ";")
+        m = build("\n".join(lines))
+        try:
+            text = export_tvl(m)
+        except TvlExportError:
+            refused += 1
+            continue
+        assert isomorphic(m, import_tvl(text)), text
+        exported += 1
+    assert exported >= 30 and refused >= 30, (exported, refused)
+
+
 def test_feather_model_exports_and_reimports():
     m = build('root "Computer" attribute price 100;\n'
               'feature "CPU" "Computer" mandatory;\n'

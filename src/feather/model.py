@@ -9,13 +9,12 @@ place, so a copy shares every feature with the model it was taken from.
 
 Two indices derived from the features spare the edits a scan of the model:
 children (parent name -> child names) and groups (group id -> member
-names). Both are built from `features` in one pass when an edit first needs
-one, and from then on the edits keep them current. The writers never read
-them, so output follows the order of `features`. A copy shares the index
-entries as it shares the features: the first write to an entry, in either
-model, stores a private copy that later writes change in place. So an entry
-two models may reach is never changed in place, and a bulk edit copies each
-entry it touches once.
+names), each a dict of key -> ordered set of names (a dict of name -> None).
+Both are built from `features` in one pass when an edit first needs one,
+and from then on the edits change them in place. The writers never read
+them, so output follows the order of `features`. An index belongs to one
+model: `copy()` hands both to the copy, and the model copied builds them
+again when it next needs one.
 """
 
 from __future__ import annotations
@@ -90,44 +89,6 @@ class Feature(Record):
         return self.parent is None
 
 
-class _Index:
-    """Key -> ordered set of names (a dict of name -> None), whose entries
-    the model holding it may share with its copies.
-
-    `owned` holds the keys of the entries no other model reaches; only
-    those are changed in place. A write to any other entry first stores a
-    private copy of it.
-    """
-
-    __slots__ = ("entries", "owned")
-
-    def __init__(self, entries: dict, owned: set):
-        self.entries, self.owned = entries, owned
-
-    def copy(self) -> "_Index":
-        self.owned = set()  # from now on every entry is shared with the copy
-        return _Index(dict(self.entries), set())
-
-    def add(self, key, name: str) -> None:
-        self._own(key)[name] = None
-
-    def discard(self, key, name: str) -> None:
-        entry = self._own(key)
-        del entry[name]
-        if not entry:
-            self.drop(key)
-
-    def drop(self, key) -> None:
-        self.entries.pop(key, None)
-        self.owned.discard(key)
-
-    def _own(self, key) -> dict:
-        if key not in self.owned:
-            self.entries[key] = dict(self.entries.get(key, {}))
-            self.owned.add(key)
-        return self.entries[key]
-
-
 class FeatureModel(Record):
     # features: name -> Feature, insertion-ordered.
     # tvl_string_enum: an optional "enum string in {...}" header carried over
@@ -135,7 +96,7 @@ class FeatureModel(Record):
     # _constraints: effect_key() -> Constraint, insertion-ordered; holds at
     # most one constraint per effect, so lookups, additions and removals are O(1)
     # _children, _groups: the derived indices (see the module docstring),
-    # both None until first needed; they are not fields
+    # both None until first needed and after copy(); they are not fields
     __slots__ = ("features", "root", "next_group_id", "tvl_string_enum", "_constraints",
                  "_children", "_groups")
     _defaults = {"features": {}, "root": "", "next_group_id": 1,
@@ -152,12 +113,13 @@ class FeatureModel(Record):
         return m
 
     def copy(self) -> "FeatureModel":
-        """A model that edits apart from this one and shares its features
-        and index entries."""
+        """A model that edits apart from this one and shares its features.
+        The copy takes this model's indices: `execute` edits only the copy,
+        and this model builds them again if it needs them."""
         m = FeatureModel(dict(self.features), self.root, self.next_group_id,
                          self.tvl_string_enum, dict(self._constraints))
-        if self._children is not None:
-            m._children, m._groups = self._children.copy(), self._groups.copy()
+        m._children, m._groups = self._children, self._groups
+        self._children = self._groups = None
         return m
 
     def _indices(self) -> tuple:
@@ -170,8 +132,7 @@ class FeatureModel(Record):
                     children.setdefault(f.parent, {})[f.name] = None
                 if f.group_id:
                     groups.setdefault(f.group_id, {})[f.name] = None
-            self._children = _Index(children, set(children))
-            self._groups = _Index(groups, set(groups))
+            self._children, self._groups = children, groups
         return self._children, self._groups
 
     # -- queries -----------------------------------------------------------
@@ -202,7 +163,7 @@ class FeatureModel(Record):
     def subtree(self, name: str) -> set:
         """The feature plus all its transitive descendants."""
         self.feature(name)
-        kids = self._indices()[0].entries
+        kids = self._indices()[0]
         result = set()
         stack = [name]
         while stack:
@@ -213,7 +174,7 @@ class FeatureModel(Record):
 
     def group_members(self, group_id: int):
         """The names in a group, in no fixed order: a view to read at once."""
-        return self._indices()[1].entries.get(group_id, {}).keys()
+        return self._indices()[1].get(group_id, {}).keys()
 
     def stored_constraint(self, c: Constraint) -> Constraint | None:
         """The stored constraint with the same effect as c, if any."""
@@ -256,9 +217,9 @@ class FeatureModel(Record):
                                 (self._groups, old and old.group_id, f.group_id)):
             if was != now:
                 if was:
-                    index.discard(was, name)
+                    _discard(index, was, name)
                 if now:
-                    index.add(now, name)
+                    index.setdefault(now, {})[name] = None
 
     def _assign_group(self, name: str, parent: str, decomp: DecompKind,
                       join_group: int | None) -> int:
@@ -349,19 +310,20 @@ class FeatureModel(Record):
             if self.feature(name).is_root:
                 raise ModelError("the root feature cannot be removed")
         doomed: set = set()
+        children, groups = self._indices()
         for name in names:
             if name in doomed:
                 continue
-            gone = self.subtree(name)  # builds the indices
+            gone = self.subtree(name)
             f = self.features[name]
-            self._children.discard(f.parent, name)
+            _discard(children, f.parent, name)
             if f.group_id:
-                self._groups.discard(f.group_id, name)
+                _discard(groups, f.group_id, name)
             for n in gone:
                 f = self.features.pop(n)
                 if n != name:  # its parent and all its siblings go too
-                    self._children.drop(f.parent)
-                    self._groups.drop(f.group_id)
+                    children.pop(f.parent, None)
+                    groups.pop(f.group_id, None)
             doomed |= gone
         if any(c.left in doomed or c.right in doomed for c in self._constraints.values()):
             self._constraints = {
@@ -385,3 +347,11 @@ class FeatureModel(Record):
     def remove_constraint(self, c: Constraint) -> bool:
         """Remove the stored constraint with the same effect as c, if any."""
         return self._constraints.pop(c.effect_key(), None) is not None
+
+
+def _discard(index: dict, key, name: str) -> None:
+    """Take `name` out of the entry `key`, and the entry out if it empties."""
+    entry = index[key]
+    del entry[name]
+    if not entry:
+        del index[key]

@@ -35,10 +35,8 @@ BINARY_PRECEDENCE = {
 MAX_EXPR_DEPTH = 400
 
 
-class ParseError(Exception):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.message, self.line, self.col = message, line, col
+class ParseError(LexError):
+    """A syntax error, or a lexical one found while parsing."""
 
 
 # -- AST -------------------------------------------------------------------

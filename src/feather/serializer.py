@@ -9,9 +9,10 @@ reference that first member.
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 from .model import FeatureModel
-from .tokens import STRING_CHAR
+from .tokens import STRING_CHAR, is_ident
 
 
 class ExportError(Exception):
@@ -46,11 +47,17 @@ def _attr_text(attributes: dict) -> str:
 
 
 def serialize_declarations(model: FeatureModel) -> str:
-    """The model as declarations; ExportError if a string cannot hold a name."""
+    """The model as declarations; ExportError if a string cannot hold a
+    feature name or an attribute name is not an identifier."""
     names = model.features
     if "" in names or not re.fullmatch(f"{STRING_CHAR}*", "".join(names)):
         bad = next(n for n in names if not re.fullmatch(f"{STRING_CHAR}+", n))
         raise ExportError(f'feature name "{bad}" is not a valid Feather string')
+    for attr in dict.fromkeys(chain.from_iterable(f.attributes for f in names.values())):
+        if not is_ident(attr):
+            owner = next(f.name for f in names.values() if attr in f.attributes)
+            raise ExportError(f'attribute name "{attr}" of feature "{owner}" '
+                              "is not a valid Feather identifier")
     lines = []
     root = model.features[model.root]
     lines.append(f'root "{root.name}"{_attr_text(root.attributes)};')

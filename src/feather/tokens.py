@@ -48,13 +48,16 @@ Token = namedtuple("Token", "kind text value line col")
 
 
 class LexError(Exception):
+    """An error at a position of a text, shown as `line L, column C: message`."""
+
     def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
+        super().__init__(f"line {line}, column {col}: {message}")
         self.message, self.line, self.col = message, line, col
 
 
 STRING_CHAR = "[0-9A-Za-z" + "".join(map(re.escape, sorted(STRING_PUNCT))) + "]"
 _BLANKS = r"[ \t\r\n]*"
+_WORD = r"[^\W0-9]\w*"
 # the paths that report an error or show a token compile their regexes when
 # first taken, through the re module's cache
 _NUMBER = r"[+-]?[0-9]+(?:\.[0-9]+)?"
@@ -85,7 +88,7 @@ class Lexicon:
             group += 1 + groups
         self.word = group  # the group of a word; string, real, integer and other follow
         self.source = (_BLANKS + "(?:" + "".join(f"({regex})|" for _, regex, _ in phrases)
-                       + rf"([^\W0-9]\w*|{symbol})"
+                       + rf"({_WORD}|{symbol})"
                        f'|"({STRING_CHAR}+)"'
                        rf"|({number}\.[0-9]+)"
                        f"|({number})"
@@ -259,6 +262,16 @@ def _feather_word(word: str) -> str:
 
 
 LEXICON = Lexicon(KEYWORDS | STRUCTURALS, SYMBOLS, _feather_word)
+
+
+def is_ident(name: str) -> bool:
+    """Whether `name` lexes as one Feather IDENT, as an attribute name must."""
+    if not re.fullmatch(_WORD, name) or name in LEXICON.kinds:
+        return False
+    try:
+        return _feather_word(name) == "IDENT"
+    except ValueError:
+        return False
 
 _QUOTED = f'{_BLANKS}"({STRING_CHAR}+)"'
 

@@ -65,15 +65,15 @@ def export_tvl(model: FeatureModel) -> str:
                 for k in solitary)
             lines.append(f"  group allof {{ {listed} }}")
         listing_order = list(solitary)
-        emitted = set()
+        groups: dict = {}  # group id -> members, both in first-appearance order
         for k in kids:
-            if k.group_id > 0 and k.group_id not in emitted:
-                emitted.add(k.group_id)
-                members = [m for m in kids if m.group_id == k.group_id]
-                card = "oneof" if k.decomp is DecompKind.ALTERNATIVE else "someof"
-                listed = ", ".join(m.name for m in members)
-                lines.append(f"  group {card} {{ {listed} }}")
-                listing_order.extend(members)
+            if k.group_id > 0:
+                groups.setdefault(k.group_id, []).append(k)
+        for members in groups.values():
+            card = "oneof" if members[0].decomp is DecompKind.ALTERNATIVE else "someof"
+            listed = ", ".join(m.name for m in members)
+            lines.append(f"  group {card} {{ {listed} }}")
+            listing_order.extend(members)
         if is_root:
             for c in model.constraints:
                 lines.append(f"  {c.left} {c.kind} {c.right};")

@@ -160,7 +160,10 @@ def test_tvl_export_error_writes_neither_output(tmp_path, capsys):
      'attribute name "中" of feature "R" is not a valid TVL attribute id'),
     ("-t", "root Café { group allof { B } }\nB { }\n", "m.tvl",
      'feature name "Café" is not a valid Feather string'),
-], ids=["tvl keyword", "tvl attribute without a lowercase letter", "non-ascii feature name"])
+    ("-t", "root R { int where is 1; }\n", "m.tvl",
+     'attribute name "where" of feature "R" is not a valid Feather identifier'),
+], ids=["tvl keyword", "tvl attribute without a lowercase letter", "non-ascii feature name",
+        "feather keyword"])
 def test_an_output_its_reader_refuses_is_an_error_and_writes_neither(
         tmp_path, capsys, flag, text, input_name, message):
     (tmp_path / input_name).write_text(text)
@@ -175,8 +178,8 @@ def test_a_declarations_file_reports_the_errors_before_a_command(tmp_path, capsy
     (tmp_path / "m.fd").write_text('root "R";\nfeature "A" "R" bogus;\nremove feature "A";\n')
     assert main(["-d", str(tmp_path / "m.fd")]) == 2
     assert capsys.readouterr().err == (
-        "error: 2:17: expected a decomposition kind, found 'bogus'\n"
-        "error: 3:1: commands are not allowed in a declarations file\n")
+        "error: line 2, column 17: expected a decomposition kind, found 'bogus'\n"
+        "error: line 3, column 1: commands are not allowed in a declarations file\n")
 
 
 def test_parse_failure_exit_2(tmp_path, capsys):
@@ -478,9 +481,10 @@ def test_real_literal_out_of_range_is_a_parse_error(tmp_path, decls, cmds):
 
 
 @pytest.mark.parametrize("flag, model, message", [
-    ("-d", 'root "R" attribute w \u00b2;\n', "1:22: unexpected character '\u00b2'"),
-    ("-d", 'root "R" attribute w \u0663;\n', "1:22: unexpected character '\u0663'"),
-    ("-d", f'root "R" attribute w {"1" * 5000};\n', "1:22: integer literal out of range"),
+    ("-d", 'root "R" attribute w \u00b2;\n', "line 1, column 22: unexpected character '\u00b2'"),
+    ("-d", 'root "R" attribute w \u0663;\n', "line 1, column 22: unexpected character '\u0663'"),
+    ("-d", f'root "R" attribute w {"1" * 5000};\n',
+     "line 1, column 22: integer literal out of range"),
     ("-t", "root R {\n  int w is \u00b2;\n}\n", "line 2: unexpected character '\u00b2'"),
     ("-t", "root R {\n  int w is \u0663;\n}\n", "line 2: unexpected character '\u0663'"),
     ("-t", f"root R {{\n  int w is {'1' * 5000};\n}}\n",
@@ -563,7 +567,7 @@ def and_chain(n: int) -> str:  # n - 1 conjunctions over comparisons
 def test_expression_nested_too_deeply_is_a_parse_error(tmp_path, shape, levels):
     code, stdout, stderr, out = feather_cli(tmp_path, NEST_DECLS, "\n" + shape(levels))
     assert code == 2
-    assert re.search(r"error: 2:\d+: expression nested too deeply", stderr)
+    assert re.search(r"error: line 2, column \d+: expression nested too deeply", stderr)
     assert "Parsing [c.feaf]... FAILED" in stdout
     assert out is None
 

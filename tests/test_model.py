@@ -274,6 +274,22 @@ def test_edits_to_the_original_never_reach_a_copy():
     assert validate(m) == [] and validate(c) == []
 
 
+def test_copy_hands_its_indices_to_the_copy():
+    # no entry is copied: the copy answers from the dicts the original
+    # built, and the original builds new ones from its features
+    m = small()
+    children, groups = m._indices()
+    c = m.copy()
+    assert c._indices()[0] is children and c._indices()[1] is groups
+    c.attach_feature(Feature("E"), "B", DecompKind.OR)  # changes them in place
+    assert list(children["B"]) == ["E"] and list(groups[c.features["E"].group_id]) == ["E"]
+    assert c.subtree("B") == {"B", "E"}
+    assert m._indices()[0] is not children and m._indices()[1] is not groups
+    assert "B" not in m._indices()[0]
+    assert index_answers(m) == (scan_subtrees(m), scan_groups(m))
+    assert index_answers(c) == (scan_subtrees(c), scan_groups(c))
+
+
 def test_remove_subtree_takes_several_roots():
     m = small()
     m.add_constraint(Constraint("C", "requires", "B"))

@@ -4,8 +4,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feather.parser import parse_script
+from feather.parser import parse_declarations, parse_script
 from feather.build import build_model
+from feather.model import FeatureModel
+from feather.tokens import KEYWORDS, STRUCTURALS
 from feather.serializer import ExportError, format_real, serialize_declarations
 from feather.tvl import TvlError, import_tvl
 from feather.tvl_export import export_tvl
@@ -95,6 +97,31 @@ def test_declarations_from_tvl_are_read_back_or_refused(names):
     assert isomorphic(model, build(text))
 
 
+def test_declarations_read_back_each_attribute_name_the_writer_admits():
+    """The writer refuses an attribute name that does not lex as one
+    identifier: written anyway, it would not read back as that name."""
+    rng = random.Random(24)
+    pieces = ["a", "q", "Q", "_", "7", "中", "ǅ", "²", "٣", "-", " ", " 1 attribute b",
+              *sorted(KEYWORDS), *sorted(STRUCTURALS)]
+    written = refused = 0
+    for _ in range(400):
+        name = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 3)))
+        model = FeatureModel.with_root("R", {name: 1})
+        try:
+            text = serialize_declarations(model)
+        except ExportError as e:
+            assert str(e) == (f'attribute name "{name}" of feature "R" '
+                              "is not a valid Feather identifier")
+            ast, errors = parse_declarations(f'root "R" attribute {name} 1;\n')
+            assert errors or build_model(ast).features["R"].attributes != {name: 1}, name
+            refused += 1
+            continue
+        ast, errors = parse_declarations(text)
+        assert errors == [] and isomorphic(model, build_model(ast)), text
+        written += 1
+    assert written >= 30 and refused >= 30, (written, refused)
+
+
 def test_reals_stay_finite_through_a_round_trip():
     largest = sys.float_info.max
     text = (f'root "R";\n'
@@ -111,6 +138,6 @@ def test_reals_stay_finite_through_a_round_trip():
     # so is a literal beyond it, in both languages
     too_large = "1" + "0" * 309 + ".0"
     _, errors = parse_script(f'root "R" attribute w {too_large};\n')
-    assert [str(e) for e in errors] == ["1:22: real literal out of range"]
+    assert [str(e) for e in errors] == ["line 1, column 22: real literal out of range"]
     with pytest.raises(TvlError, match="real literal out of range"):
         import_tvl(f"root R {{ real w is {too_large}; }}\n")

@@ -1,9 +1,10 @@
 import random
 import re
+import time
 
 import pytest
 
-from feather.model import DecompKind
+from feather.model import DecompKind, Feature, FeatureModel
 from feather.tvl import TvlError, import_tvl
 from feather.tvl_export import TvlExportError, export_tvl
 
@@ -217,6 +218,26 @@ def test_feather_model_exports_and_reimports():
               'feature "Slow" "CPU" alternative to "Fast";\n'
               'constraint "Fast" excludes "Slow";\n')
     assert isomorphic(m, import_tvl(export_tvl(m)))
+
+
+def test_export_grows_linearly_in_the_groups_under_one_parent():
+    def or_pairs(n):
+        m = FeatureModel.with_root("R")
+        for i in range(0, n, 2):
+            m.attach_feature(Feature(f"F{i}"), "R", DecompKind.OR)
+            m.attach_feature(Feature(f"F{i + 1}"), "R", DecompKind.OR,
+                             join_group=m.features[f"F{i}"].group_id)
+        return m
+
+    def best_time(model):
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            export_tvl(model)
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    assert best_time(or_pairs(8000)) < 8 * best_time(or_pairs(2000))
 
 
 def test_random_models_round_trip():

@@ -162,10 +162,12 @@ def _slot(expr, model, expected=None):
     return run
 
 
-def _desc_name(desc, binding) -> str:
-    if isinstance(desc, VarRef):
-        return binding[desc.name]
-    return desc.name
+def _existing(model, name: str, role: str = "feature") -> str:
+    """`name`, which must name a feature of the model; `role` is what the
+    command calls that feature in the error."""
+    if name not in model.features:
+        raise CommandError(f'The specified {role} (i.e., "{name}") does not exist')
+    return name
 
 
 def _varies(*parts) -> bool:
@@ -202,31 +204,20 @@ def _deriver(slot, ambiguity_message, list_values=True, constant=False):
 
 def _decomp_slot(model, spec):
     """The slot of a `_decomp =` specification: (kind, group id to join)."""
-    kind_of = _slot(spec.kind, model)
+    kind_of, sibling = _slot(spec.kind, model), spec.sibling
 
     def slot(binding):
-        kind = kind_of(binding)
-        gid = None
-        if spec.sibling is not None:
-            sib = _desc_name(spec.sibling, binding)
-            if sib not in model.features:
-                raise CommandError(
-                    f'The specified sibling (i.e., "{sib}") does not exist')
-            gid = model.features[sib].group_id
-        return (kind, gid)
+        if sibling is None:
+            return kind_of(binding), None
+        name = binding[sibling.name] if isinstance(sibling, VarRef) else sibling.name
+        return kind_of(binding), model.features[_existing(model, name, "sibling")].group_id
     return slot
 
 
-def _check_group_fit(model, kind, gid, parent_name):
-    """A group to join must be a group of `kind` under `parent_name`."""
-    if gid is not None:
-        # any member stands for the group: members share parent and kind
-        members = model.group_members(gid)
-        rep = model.features[next(iter(members))] if members else None
-        if (rep is None or not kind.is_group or rep.decomp != kind
-                or rep.parent != parent_name):
-            raise CommandError(
-                "The described transformation does not fit the model structure")
+def _check_group_fit(model, name, kind, gid, parent):
+    """Feature `name` may join group `gid`, if any, as a `kind` child of `parent`."""
+    if gid is not None and not model.fits_group(name, parent, kind, gid):
+        raise CommandError("The described transformation does not fit the model structure")
 
 
 def _attr_slot(model, assign):
@@ -272,13 +263,11 @@ def _feature_slots(model, cmd) -> tuple:
 
 def exec_add_feature(model: FeatureModel, cmd: AddFeature, res: ResolutionSet):
     slots, _varying = _feature_slots(model, cmd)
-    parent = slots["_parent"](res)
-    if parent not in model.features:
-        raise CommandError(f'The specified parent (i.e., "{parent}") does not exist')
+    parent = _existing(model, slots["_parent"](res), "parent")
     if cmd.name in model.features:
         raise CommandError(f'Feature name "{cmd.name}" is in use')
     kind, gid = slots["_decomp"](res)
-    _check_group_fit(model, kind, gid, parent)
+    _check_group_fit(model, cmd.name, kind, gid, parent)
     attrs = {a.name: slots[i](res) for i, a in enumerate(cmd.attrs)}
     model.attach_feature(Feature(cmd.name, attributes=attrs), parent, kind,
                          join_group=gid)
@@ -297,15 +286,12 @@ def _check_feature_update(model, fname, cmd, derived):
 
     parent = f.parent
     if cmd.parent is not None:
-        parent = derived("_parent")
-        if parent not in model.features:
-            raise CommandError(
-                f'The specified parent (i.e., "{parent}") does not exist')
+        parent = _existing(model, derived("_parent"), "parent")
 
     kind, gid = f.decomp, None
     if cmd.decomp is not None:
         kind, gid = derived("_decomp")
-        _check_group_fit(model, kind, gid, parent)
+        _check_group_fit(model, fname, kind, gid, parent)
 
     updates = {}
     for i, a in enumerate(cmd.attrs):
@@ -342,10 +328,7 @@ def _single_target(model, cmd, res, verb):
                                f"{verb} {_listing(subs)}")
         [(fname, sub)] = subs.items()
         return fname, sub
-    fname = cmd.target.name
-    if fname not in model.features:
-        raise CommandError(f'The specified feature (i.e., "{fname}") does not exist')
-    return fname, res
+    return _existing(model, cmd.target.name), res
 
 
 def exec_update_feature(model: FeatureModel, cmd: UpdateFeature, res: ResolutionSet):
@@ -423,9 +406,8 @@ def exec_remove_all_features(model: FeatureModel, cmd: RemoveAllFeatures,
 
 def _check_literal_ends(model, cmd):
     for desc in (cmd.left, cmd.right):
-        if not isinstance(desc, VarRef) and desc.name not in model.features:
-            raise CommandError(
-                f'The specified feature (i.e., "{desc.name}") does not exist')
+        if not isinstance(desc, VarRef):
+            _existing(model, desc.name)
 
 
 def _end_reader(desc, variables):
@@ -481,13 +463,7 @@ def _end_slot(model, expr, side):
     derive = _deriver(_slot(expr, model),
                       f"Command is ambiguous on what the new {side}-feature will be",
                       constant=not _varies(expr))
-
-    def end(resolutions):
-        name = derive(resolutions)
-        if name not in model.features:
-            raise CommandError(f'The specified feature (i.e., "{name}") does not exist')
-        return name
-    return end
+    return lambda resolutions: _existing(model, derive(resolutions))
 
 
 def exec_update_constraint(model: FeatureModel, cmd: UpdateConstraint,

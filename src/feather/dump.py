@@ -40,14 +40,10 @@ def postfix_text(expr) -> str:
     return " ".join(_postfix(expr))
 
 
-def _dump_fdesc(desc) -> str:
-    return f'"{desc.name}"' if isinstance(desc, FeatureRef) else desc.name
-
-
 def _dump_decomp(spec) -> str:
     text = postfix_text(spec.kind)
     if spec.sibling is not None:
-        text += f" to {_dump_fdesc(spec.sibling)}"
+        text += f" to {postfix_text(spec.sibling)}"
     return text
 
 
@@ -72,7 +68,7 @@ def dump_intermediate(ast) -> str:
         if isinstance(cmd, AddFeature):
             lines.append(f'  name "{cmd.name}"')
         if isinstance(cmd, (UpdateFeature, RemoveFeature)):
-            lines.append(f"  target {_dump_fdesc(cmd.target)}")
+            lines.append(f"  target {postfix_text(cmd.target)}")
         if isinstance(cmd, (UpdateAllFeatures, RemoveAllFeatures)):
             lines.append(f"  target {cmd.var}")
         if isinstance(cmd, UpdateFeature) and cmd.new_name is not None:
@@ -85,9 +81,8 @@ def dump_intermediate(ast) -> str:
             for a in cmd.attrs:
                 lines.append(f"  attr {a.tag} {a.name} {postfix_text(a.value)}")
         if isinstance(cmd, ConstraintCommand):
-            lines.append(
-                f"  constraint {_dump_fdesc(cmd.left)} {cmd.kind} "
-                f"{_dump_fdesc(cmd.right)}")
+            lines.append(f"  constraint {postfix_text(cmd.left)} {cmd.kind} "
+                         f"{postfix_text(cmd.right)}")
         if isinstance(cmd, UpdateConstraint):
             if cmd.new_left is not None:
                 lines.append(f"  leftfeature {postfix_text(cmd.new_left)}")

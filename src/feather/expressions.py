@@ -17,7 +17,7 @@ import operator
 import sys
 
 from .model import DecompKind
-from .record import FrozenRecord, slot_setters
+from .record import FrozenRecord
 
 # value types, as reported by the type pass
 INTEGER = "integer"
@@ -49,57 +49,27 @@ class FeatureRef(FrozenRecord):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        _set_feature_name(self, name)
-
 
 class VarRef(FrozenRecord):
     """A feature variable, resolved at execution time."""
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        _set_var_name(self, name)
-
 
 class Lit(FrozenRecord):
     __slots__ = ("value",)  # int | float | bool | str | DecompKind
-
-    def __init__(self, value):
-        _set_lit_value(self, value)
 
 
 class AttrRef(FrozenRecord):
     __slots__ = ("subject", "attr")  # subject: FeatureRef | VarRef
 
-    def __init__(self, subject, attr: str):
-        _set_attr_subject(self, subject)
-        _set_attr_attr(self, attr)
-
 
 class Unary(FrozenRecord):
     __slots__ = ("op", "operand")  # op: "-" | "not"
 
-    def __init__(self, op: str, operand):
-        _set_unary_op(self, op)
-        _set_unary_operand(self, operand)
-
 
 class Binary(FrozenRecord):
     __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left, right):
-        _set_binary_op(self, op)
-        _set_binary_left(self, left)
-        _set_binary_right(self, right)
-
-
-[_set_feature_name] = slot_setters(FeatureRef)
-[_set_var_name] = slot_setters(VarRef)
-[_set_lit_value] = slot_setters(Lit)
-_set_attr_subject, _set_attr_attr = slot_setters(AttrRef)
-_set_unary_op, _set_unary_operand = slot_setters(Unary)
-_set_binary_op, _set_binary_left, _set_binary_right = slot_setters(Binary)
 
 
 _TYPE_OF = {bool: BOOLEAN, int: INTEGER, float: REAL, str: STRING, DecompKind: DECOMP}

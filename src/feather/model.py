@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 
-from .record import FrozenRecord, Record, slot_setters
+from .record import FrozenRecord, Record
 
 
 class DecompKind(enum.Enum):
@@ -71,7 +71,8 @@ class Constraint(FrozenRecord):
         return f"({self.left} {self.kind} {self.right})"
 
 
-_set_left, _set_kind, _set_right = slot_setters(Constraint)
+# a frozen record stores its fields through the slots' own setters
+_set_left, _set_kind, _set_right = (Constraint.__dict__[s].__set__ for s in Constraint.__slots__)
 
 
 class Feature(Record):
@@ -221,25 +222,22 @@ class FeatureModel(Record):
                 if now:
                     index.setdefault(now, {})[name] = None
 
+    def fits_group(self, name: str, parent: str, kind: DecompKind, gid: int) -> bool:
+        """Whether `name` can join group `gid` as a `kind` child of `parent`:
+        another member stands for the group with the same parent and kind,
+        as the members of a group share both."""
+        rep = next((self.features[m] for m in self.group_members(gid) if m != name), None)
+        return rep is not None and rep.parent == parent and rep.decomp == kind
+
     def _assign_group(self, name: str, parent: str, decomp: DecompKind,
                       join_group: int | None) -> int:
-        """The group id of `name` under `parent`; `name` alone is no group to join."""
-        if not decomp.is_group:
-            if join_group is not None:
-                raise ModelError("solitary relations cannot join a group")
-            return 0
+        """The group id of `name` under `parent`: `join_group` if it fits,
+        else a fresh one for a group kind and 0 for a solitary one."""
         if join_group is None:
-            return self.fresh_group_id()
-        # any other member stands for the group: members share parent and kind
-        rep = next((m for m in self.group_members(join_group) if m != name), None)
-        if rep is None:
-            raise ModelError(f"no group with id {join_group}")
-        rep = self.features[rep]
-        if rep.parent != parent or rep.decomp != decomp:
-            raise ModelError(
-                f"group {join_group} is a {rep.decomp} group under {rep.parent!r}, "
-                f"cannot join as {decomp} under {parent!r}"
-            )
+            return self.fresh_group_id() if decomp.is_group else 0
+        if not self.fits_group(name, parent, decomp, join_group):
+            raise ModelError(f"{name!r} cannot join group {join_group} "
+                             f"as {decomp} under {parent!r}")
         return join_group
 
     def move_feature(

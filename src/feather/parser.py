@@ -344,6 +344,16 @@ class _Parser(Cursor):
             sibling = self.parse_fdesc()
         return DecompSpec(kind, sibling)
 
+    def parse_structural(self, cmd, kind: str) -> None:
+        """`_parent = ...` or `_decomp = ...`, `kind` being the next token,
+        into the field of `cmd` without the underscore, which must be unset."""
+        self.pos += 1
+        self.expect("=")
+        if getattr(cmd, kind[1:]) is not None:
+            self.fail(f"{kind} is set twice")
+        setattr(cmd, kind[1:],
+                self.parse_name_desc() if kind == "_parent" else self.parse_decomp_spec())
+
     def parse_attr_assign(self) -> AttrAssign:
         name = self.expect("IDENT", "an attribute identifier")
         self.expect("=")
@@ -387,17 +397,10 @@ class _Parser(Cursor):
         # the two structural slots come first, in either order
         for _ in range(2):
             kind = self.kinds[self.pos]
-            if kind == "_parent" and cmd.parent is None:
-                self.pos += 1
-                self.expect("=")
-                cmd.parent = self.parse_name_desc()
-            elif kind == "_decomp" and cmd.decomp is None:
-                self.pos += 1
-                self.expect("=")
-                cmd.decomp = self.parse_decomp_spec()
-            else:
+            if kind not in ("_parent", "_decomp") or getattr(cmd, kind[1:]) is not None:
                 self.fail("add feature requires exactly one _parent and one "
                           "_decomp assignment first")
+            self.parse_structural(cmd, kind)
             if not self.skip(",") and self.at(")"):
                 break
         if cmd.parent is None or cmd.decomp is None:
@@ -430,18 +433,8 @@ class _Parser(Cursor):
                 if cmd.new_name is not None:
                     self.fail("_name is set twice")
                 cmd.new_name = new
-            elif kind == "_parent":
-                self.pos += 1
-                self.expect("=")
-                if cmd.parent is not None:
-                    self.fail("_parent is set twice")
-                cmd.parent = self.parse_name_desc()
-            elif kind == "_decomp":
-                self.pos += 1
-                self.expect("=")
-                if cmd.decomp is not None:
-                    self.fail("_decomp is set twice")
-                cmd.decomp = self.parse_decomp_spec()
+            elif kind == "_parent" or kind == "_decomp":
+                self.parse_structural(cmd, kind)
             else:
                 cmd.attrs.append(self.parse_attr_assign())
             if not self.skip(","):

@@ -39,6 +39,22 @@ def format_real(v: float) -> str:
     return s
 
 
+def _readable(strings) -> bool:
+    """Whether the readers take each of `strings` as a string literal: none
+    is empty or holds a character outside `tokens.STRING_CHAR`."""
+    return "" not in strings and bool(re.fullmatch(f"{STRING_CHAR}*", "".join(strings)))
+
+
+def unreadable_value(model: FeatureModel) -> str | None:
+    """The first string attribute value that the readers refuse, as `value
+    "v" of attribute "a" of feature "F"`, or None."""
+    features = model.features.values()
+    if _readable([v for f in features for v in f.attributes.values() if type(v) is str]):
+        return None
+    return next(f'value "{v}" of attribute "{a}" of feature "{f.name}"' for f in features
+                for a, v in f.attributes.items() if type(v) is str and not _readable([v]))
+
+
 def _attr_text(attributes: dict) -> str:
     return "".join(
         f" attribute {ident} {format_value(v)}"
@@ -48,11 +64,14 @@ def _attr_text(attributes: dict) -> str:
 
 def serialize_declarations(model: FeatureModel) -> str:
     """The model as declarations; ExportError if a string cannot hold a
-    feature name or an attribute name is not an identifier."""
+    feature name or a string value, or an attribute name is not an identifier."""
     names = model.features
-    if "" in names or not re.fullmatch(f"{STRING_CHAR}*", "".join(names)):
-        bad = next(n for n in names if not re.fullmatch(f"{STRING_CHAR}+", n))
+    if not _readable(names):
+        bad = next(n for n in names if not _readable([n]))
         raise ExportError(f'feature name "{bad}" is not a valid Feather string')
+    bad = unreadable_value(model)
+    if bad is not None:
+        raise ExportError(f"{bad} is not a valid Feather string")
     for attr in dict.fromkeys(chain.from_iterable(f.attributes for f in names.values())):
         if not is_ident(attr):
             owner = next(f.name for f in names.values() if attr in f.attributes)

@@ -261,6 +261,12 @@ def _feather_word(word: str) -> str:
     return "VAR" if word[0].isupper() else "IDENT"
 
 
+def _tvl_word(word: str) -> str:
+    if not word[0].isalpha():
+        raise ValueError(f"unexpected character {word[0]!r}")
+    return "ID"
+
+
 LEXICON = Lexicon(KEYWORDS | STRUCTURALS, SYMBOLS, _feather_word)
 
 
@@ -272,6 +278,17 @@ def is_ident(name: str) -> bool:
         return _feather_word(name) == "IDENT"
     except ValueError:
         return False
+
+
+def is_tvl_id(name: str) -> bool:
+    """Whether `name` lexes as one TVL ID, as a feature name in TVL must."""
+    if not re.fullmatch(_WORD, name) or name in TVL_KEYWORDS:
+        return False
+    try:
+        return _tvl_word(name) == "ID"
+    except ValueError:
+        return False
+
 
 _QUOTED = f'{_BLANKS}"({STRING_CHAR}+)"'
 

@@ -18,20 +18,14 @@ from .build import BuildError, assemble, unknown_feature
 from .model import Constraint, DecompKind, FeatureModel
 from .parser import ConstraintDecl
 from .record import Record
-from .tokens import TVL_KEYWORDS, Cursor, LexError, Lexicon, lex
+from .tokens import TVL_KEYWORDS, Cursor, LexError, Lexicon, _tvl_word, lex
 
 
 class TvlError(Exception):
     """Input is not a valid model in the accepted TVL subset."""
 
 
-def _word(word: str) -> str:
-    if not word[0].isalpha():
-        raise ValueError(f"unexpected character {word[0]!r}")
-    return "ID"
-
-
-LEXICON = Lexicon(TVL_KEYWORDS, "{},;", _word, signed_numbers=True)
+LEXICON = Lexicon(TVL_KEYWORDS, "{},;", _tvl_word, signed_numbers=True)
 
 # the token kind of a value of each attribute type but bool
 _VALUE_KINDS = {"int": "INT", "real": "REAL", "string": "STRING"}

@@ -6,13 +6,9 @@ neither the TVL reader nor its lexicon.
 
 from __future__ import annotations
 
-import re
-
 from .model import DecompKind, FeatureModel
-from .serializer import ExportError, format_real
-from .tokens import TVL_KEYWORDS
-
-_ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
+from .serializer import ExportError, format_real, unreadable_value
+from .tokens import TVL_KEYWORDS, is_tvl_id
 
 
 class TvlExportError(ExportError):
@@ -21,12 +17,15 @@ class TvlExportError(ExportError):
 
 def _check_exportable(model: FeatureModel) -> None:
     for name, f in model.features.items():
-        if not _ID_RE.match(name) or name in TVL_KEYWORDS:
+        if not is_tvl_id(name):
             raise TvlExportError(f'feature name "{name}" is not a valid TVL identifier')
         for attr in f.attributes:
             if not attr[:1].islower() or attr in TVL_KEYWORDS:
                 raise TvlExportError(f'attribute name "{attr}" of feature "{name}" '
                                      "is not a valid TVL attribute id")
+    bad = unreadable_value(model)
+    if bad is not None:
+        raise TvlExportError(f"{bad} is not a valid TVL string")
 
 
 def _attr_line(name: str, value) -> str:

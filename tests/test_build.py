@@ -10,7 +10,7 @@ import pytest
 from feather.build import BuildError, build_model
 from feather.cli import main
 from feather.model import DecompKind
-from feather.parser import ConstraintDecl, FeatureDecl, parse_declarations, parse_script
+from feather.parser import ConstraintDecl, FeatureDecl, ScriptAst, parse_declarations, parse_script
 from feather.serializer import format_value, serialize_declarations
 from feather.tvl import TvlError, import_tvl
 
@@ -21,6 +21,12 @@ def declarations(text: str):
     ast, errors = parse_script(text)
     assert errors == []
     return ast
+
+
+def test_a_model_needs_a_root():
+    with pytest.raises(BuildError) as e:
+        build_model(ScriptAst())
+    assert str(e.value) == "missing root feature declaration"
 
 
 @pytest.mark.parametrize("sibling", ["B", "R"], ids=["optional", "root"])

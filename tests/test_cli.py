@@ -153,25 +153,60 @@ def test_tvl_export_error_writes_neither_output(tmp_path, capsys):
     assert not out.exists() and not tvl.exists()
 
 
-@pytest.mark.parametrize("flag, text, input_name, message", [
+# the root's _parent is the empty string, which no reader takes
+EMPTY_VALUE = 'root "R" attribute s "x";\nupdate feature "R" set s = inherited: "R"._parent;\n'
+
+
+@pytest.mark.parametrize("flag, text, input_name, writers, message", [
     ("-d", 'root "R" attribute is 1;\nfeature "group" "R" optional attribute opt true;\n',
-     "m.fd", 'attribute name "is" of feature "R" is not a valid TVL attribute id'),
-    ("-d", 'root "R" attribute 中 1;\n', "m.fd",
+     "m.fd", ("-o", "-ot"), 'attribute name "is" of feature "R" is not a valid TVL attribute id'),
+    ("-d", 'root "R" attribute 中 1;\n', "m.fd", ("-o", "-ot"),
      'attribute name "中" of feature "R" is not a valid TVL attribute id'),
-    ("-t", "root Café { group allof { B } }\nB { }\n", "m.tvl",
+    ("-t", "root Café { group allof { B } }\nB { }\n", "m.tvl", ("-o", "-ot"),
      'feature name "Café" is not a valid Feather string'),
-    ("-t", "root R { int where is 1; }\n", "m.tvl",
+    ("-t", "root R { int where is 1; }\n", "m.tvl", ("-o", "-ot"),
      'attribute name "where" of feature "R" is not a valid Feather identifier'),
+    ("-f", EMPTY_VALUE, "m.feaf", ("-o", "-ot"),
+     'value "" of attribute "s" of feature "R" is not a valid Feather string'),
+    ("-f", EMPTY_VALUE, "m.feaf", ("-ot",),
+     'value "" of attribute "s" of feature "R" is not a valid TVL string'),
 ], ids=["tvl keyword", "tvl attribute without a lowercase letter", "non-ascii feature name",
-        "feather keyword"])
+        "feather keyword", "empty feather string value", "empty tvl string value"])
 def test_an_output_its_reader_refuses_is_an_error_and_writes_neither(
-        tmp_path, capsys, flag, text, input_name, message):
+        tmp_path, capsys, flag, text, input_name, writers, message):
     (tmp_path / input_name).write_text(text)
-    out, tvl = tmp_path / "o.fd", tmp_path / "o.tvl"
-    code = main([flag, str(tmp_path / input_name), "-o", str(out), "-ot", str(tvl)])
+    outputs = {"-o": tmp_path / "o.fd", "-ot": tmp_path / "o.tvl"}
+    code = main([flag, str(tmp_path / input_name),
+                 *(arg for w in writers for arg in (w, str(outputs[w])))])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists() and not tvl.exists()
+    assert not any(p.exists() for p in outputs.values())
+
+
+@pytest.mark.parametrize("writer, language", [("-o", "Feather"), ("-ot", "TVL")])
+def test_a_removed_tvl_name_kept_as_a_value_is_refused(tmp_path, capsys, writer, language):
+    (tmp_path / "m.tvl").write_text('root R { group allof { Café, B } }\nCafé { }\n'
+                                    'B { string s is "x"; }\n')
+    (tmp_path / "c.feaf").write_text(
+        'update feature "B" set s = inherited: V._name where V._parent = "R" and V._name <> "B";\n'
+        'remove feature V where V._parent = "R" and V._name <> "B";\n')
+    out = tmp_path / "out"
+    code = main(["-t", str(tmp_path / "m.tvl"), "-c", str(tmp_path / "c.feaf"), writer, str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f'error: value "Café" of attribute "s" of feature "B" is not a valid {language} string\n')
+    assert not out.exists()
+
+
+def test_every_name_the_tvl_reader_takes_is_written_back(tmp_path):
+    names = ["Café", "Ωmega", "Über", "ǅx", "A٣"]
+    text = f"root {names[0]} {{ group allof {{ {', '.join(names[1:])} }} }}\n" + "".join(
+        f"{n} {{ }}\n" for n in names[1:])
+    first, second = tmp_path / "u.tvl", tmp_path / "u2.tvl"
+    first.write_text(text)
+    assert main(["-t", str(first), "-ot", str(second)]) == 0
+    assert isomorphic(import_tvl(second.read_text()), import_tvl(text))
+    assert set(import_tvl(second.read_text()).features) == set(names)
 
 
 def test_a_declarations_file_reports_the_errors_before_a_command(tmp_path, capsys):
@@ -190,6 +225,17 @@ def test_parse_failure_exit_2(tmp_path, capsys):
     assert code == 2
     assert f"Parsing [{src}]... FAILED" in captured.out
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["-d", "m.fd", "-o"], "flag -o needs a file argument"),
+    (["-d", "m.fd", "-d", "n.fd"], "flag -d given twice"),
+    (["-d", "m.fd", "-t", "m.tvl"], "-d and -t are mutually exclusive"),
+    (["-c", "c.feaf", "-o", "o.fd"], "an input file is required (-f, -d, or -t)"),
+])
+def test_flags_that_cannot_run_are_usage_errors(capsys, args, message):
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n{USAGE}\n")
 
 
 def test_usage_errors(tmp_path, capsys):

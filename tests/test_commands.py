@@ -90,6 +90,9 @@ def test_add_feature_multiple_sibling_resolutions_not_ambiguous(services):
     assert "Bridge Pro" in m.features
 
 
+FIT_ERROR = "The described transformation does not fit the model structure"
+
+
 def test_add_feature_structure_mismatch_rejected(services):
     cmd = """\
     add feature "Imposter"
@@ -102,6 +105,56 @@ def test_add_feature_structure_mismatch_rejected(services):
     assert [d.severity for d in diags] == ["error"]
     assert "does not fit the model structure" in diags[0].message
     assert serialize_declarations(m) == before
+
+
+SELF_JOIN_MODEL = 'root "R";\nfeature "A" "R" alternative to "A";\nfeature "B" "R" optional;\n'
+
+
+@pytest.mark.parametrize("cmd", [
+    'update feature "A" set _decomp = alternative to "A";',
+    'updateall feature X set _decomp = alternative to "A" where X._name = "A";',
+], ids=["update", "updateall"])
+def test_the_lone_member_of_a_group_cannot_join_it(cmd):
+    # no other member stands for the group, so it fits no move
+    m = build(SELF_JOIN_MODEL)
+    before = model_state(m)
+    m, diags = run(m, cmd)
+    assert [(d.severity, d.message) for d in diags] == [("error", FIT_ERROR)]
+    assert model_state(m) == before
+
+
+def test_a_group_join_is_refused_alike_by_update_and_updateall():
+    # every move of a non-root feature to a parent outside its subtree, to
+    # join the group of any feature as any kind: the model refuses no join
+    # that the command's own check passed, so both forms end alike
+    rng = random.Random(2525)
+    fits = refused = 0
+    for _ in range(40):
+        m = random_model(rng, max_features=8, max_attrs=0)
+        for name, f in m.features.items():
+            if f.is_root:
+                continue
+            parent = rng.choice([p for p in m.features if p not in m.subtree(name)])
+            for sibling, kind in itertools.product(m.features, DecompKind):
+                decomp = DecompSpec(Lit(kind), FeatureRef(sibling))
+                single = UpdateFeature(target=FeatureRef(name), parent=Lit(parent),
+                                       decomp=decomp)
+                multi = UpdateAllFeatures(
+                    var="X", parent=Lit(parent), decomp=decomp,
+                    where=Binary("=", AttrRef(VarRef("X"), "_name"), Lit(name)))
+                (m1, d1), (m2, d2) = commands.execute(m, single), commands.execute(m, multi)
+                assert d1 == d2 and model_state(m1) == model_state(m2), (name, parent, sibling)
+                fits += d1 == []
+                refused += d1 == [("error", FIT_ERROR)]
+    assert fits >= 50 and refused >= 3000, (fits, refused)
+
+
+def test_a_value_of_the_wrong_tag_type_is_an_error():
+    m = build('root "R";\nfeature "A" "R" optional attribute f true;\n')
+    m, diags = run(m, 'update feature "A" set f = boolean: 1 + 2;')
+    assert [(d.severity, d.message) for d in diags] == [
+        ("error", "expected a boolean value, found integer")]
+    assert m.features["A"].attributes == {"f": True}
 
 
 def test_update_feature_attribute(services):

@@ -28,6 +28,14 @@ def test_dump_shows_new_constraint_ends(tmp_path):
     assert "  rightfeature X._name" in lines
 
 
+def test_dump_lists_the_root_attributes(tmp_path):
+    src, dump = tmp_path / "input.fd", tmp_path / "input.eil"
+    src.write_text('root "R" attribute price 5 attribute ok true;\nfeature "A" "R" optional;\n')
+    assert main(["-d", str(src), "-x", str(dump)]) == 0
+    assert dump.read_text().splitlines()[:4] == [
+        'root "R"', "  attr price 5", "  attr ok true", 'feature "A" "R" optional']
+
+
 def test_dump_takes_every_random_command():
     rng = random.Random(1313)
     commands = []

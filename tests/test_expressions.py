@@ -199,6 +199,15 @@ def test_referenced_usages_contexts():
     assert ("_decomp", "decomp") in u["V"]
 
 
+@pytest.mark.parametrize("text, context", [
+    ("X.a = (Y.b > 1)", "boolean"),
+    ("X.a = not Y.c", "boolean"),
+    ("X.a = Y.b / 2", "numeric"),
+])
+def test_equality_gives_a_term_the_static_type_of_its_partner(text, context):
+    assert referenced_usages(parse_expr(text))["X"] == [("a", context)]
+
+
 def test_conflicting_usages_empty_domain():
     from feather.resolver import candidate_domain
     u = referenced_usages(parse_expr('V.a < 5 and V.a = "x"'))

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from feather import tvl
-from feather.tokens import (KEYWORDS, STRING_PUNCT, STRUCTURALS, TVL_KEYWORDS, LexError, lex,
-                            tokenize)
+from feather.tokens import (KEYWORDS, STRING_PUNCT, STRUCTURALS, TVL_KEYWORDS, LexError,
+                            is_tvl_id, lex, tokenize)
 from feather.tvl import TvlError, import_tvl
 
 from conftest import reference_tokenize, reference_tvl_tokenize
@@ -123,3 +123,17 @@ def test_tvl_lexical_errors(text, message):
     with pytest.raises(TvlError) as e:
         import_tvl(text)
     assert str(e.value) == message
+
+
+def test_a_tvl_id_is_what_the_tvl_lexer_reads_as_one():
+    # each character below U+3000 and a sample above, first and after a
+    # letter, the keywords, and the empty name
+    chars = [chr(cp) for cp in [*range(0x3000), *range(0x3000, 0x30000, 97)]]
+    names = [n for c in chars for n in (c + "x", "x" + c)] + sorted(TVL_KEYWORDS) + [""]
+    for name in names:
+        try:
+            tokens = lex(name, tvl.LEXICON)
+            one_id = tokens.kinds == ["ID", "EOF"] and tokens.values[0] == name
+        except LexError:
+            one_id = False
+        assert is_tvl_id(name) == one_id, name

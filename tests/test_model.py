@@ -43,6 +43,19 @@ def test_join_group_kind_mismatch():
         m.attach_feature(Feature("E"), "B", DecompKind.ALTERNATIVE, join_group=gid)
 
 
+def test_fits_group_asks_another_member():
+    m = small()
+    gid = m.features["C"].group_id
+    assert m.fits_group("E", "A", DecompKind.ALTERNATIVE, gid)
+    assert m.fits_group("C", "A", DecompKind.ALTERNATIVE, gid)  # D stands for it
+    assert not m.fits_group("E", "A", DecompKind.OR, gid)
+    assert not m.fits_group("E", "A", DecompKind.OPTIONAL, gid)
+    assert not m.fits_group("E", "B", DecompKind.ALTERNATIVE, gid)
+    assert not m.fits_group("E", "A", DecompKind.ALTERNATIVE, gid + 1)
+    m.remove_subtree("D")
+    assert not m.fits_group("C", "A", DecompKind.ALTERNATIVE, gid)
+
+
 def test_move_subtree_follows():
     m = small()
     m.move_feature("A", "B", DecompKind.OPTIONAL)
@@ -246,9 +259,9 @@ def edited_pair():
 
 
 def test_edits_to_a_copy_never_reach_the_original():
-    # the copy shares the original's features and index entries; a write
-    # into a shared attribute dict would reach both, so edits go through
-    # the primitives
+    # the copy shares the original's features, so a write into a shared
+    # attribute dict would reach both and edits go through the primitives;
+    # the copy edits the indices the original handed it
     m, c = edited_pair()
     before = model_state(m), index_answers(m)
     for method, *args in EDITS:
@@ -263,8 +276,8 @@ def test_edits_to_a_copy_never_reach_the_original():
 
 
 def test_edits_to_the_original_never_reach_a_copy():
-    # the original built its index entries, and so could write them in
-    # place; after copy() it must copy each before its first write
+    # copy() handed the original's indices to the copy, so the original
+    # builds new ones from its features before its first edit needs them
     m, c = edited_pair()
     before = model_state(c), index_answers(c)
     for method, *args in EDITS:

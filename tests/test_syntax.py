@@ -13,7 +13,7 @@ from feather.parser import (
 from feather.serializer import serialize_declarations
 from feather.tokens import LexError, tokenize
 
-from conftest import SERVICES, build, isomorphic, parse_expr, validate
+from conftest import SERVICES, build, isomorphic, parse_expr, reference_parse, validate
 
 
 # -- lexer ------------------------------------------------------------------
@@ -148,6 +148,33 @@ def test_static_double_slot_update():
         'leftfeature = "D";')
     assert errors == []
     assert any("twice" in p for p in validate_static(ast))
+
+
+@pytest.mark.parametrize("attr, first, second", [
+    ("_name", '"B"', '"C"'),
+    ("_parent", '"R"', "P._name"),
+    ("_decomp", "optional", "alternative to \"S\""),
+])
+def test_a_structural_attribute_set_twice_is_an_error_where_the_reference_puts_it(
+        attr, first, second):
+    text = (f'remove feature "Z";\nupdate feature "A"\n  set {attr} = {first},\n'
+            f"      {attr} = {second};\n")
+    errors = parse_commands(text)[1]
+    expected = reference_parse(text, declarations=False)[1]
+    assert [e.message for e in errors] == [f"{attr} is set twice"]
+    assert [(e.message, e.line, e.col) for e in errors] == [
+        (e.message, e.line, e.col) for e in expected]
+
+
+def test_updateall_constraint_takes_at_most_two_updates():
+    ast, errors = parse_commands(
+        'remove feature "Z";\nupdateall constraint V requires "B" set leftfeature = "C", '
+        'rightfeature = "D", constrainttype = excludes;')
+    assert errors == []
+    assert validate_static(ast) == ["cmd #2: updateall constraint allows at most two updates"]
+    ast = parse_commands('updateall constraint V requires "B" set leftfeature = "C", '
+                         "constrainttype = excludes;")[0]
+    assert validate_static(ast) == []
 
 
 # -- build ------------------------------------------------------------------

@@ -49,6 +49,7 @@ from .serializer import format_value
 NO_RESOLUTIONS_MSG = "No resolutions could be found to satisfy the where clause"
 PARENT_AMBIGUITY = "Command is ambiguous on what the new parent will be"
 DECOMP_AMBIGUITY = "Command is ambiguous on what the new decomposition relation will be"
+FIT_ERROR = "The described transformation does not fit the model structure"
 
 
 class RunMode(enum.Enum):
@@ -67,11 +68,6 @@ class Diagnostic(Record):
 
 class CommandError(Exception):
     """Aborts a command with an error diagnostic; the model keeps its state."""
-
-
-class _Skip(Exception):
-    """Aborts one target of a multi-target command; one that leaves an
-    executor aborts the command as a CommandError does."""
 
 
 def _fmt(value) -> str:
@@ -217,7 +213,7 @@ def _decomp_slot(model, spec):
 def _check_group_fit(model, name, kind, gid, parent):
     """Feature `name` may join group `gid`, if any, as a `kind` child of `parent`."""
     if gid is not None and not model.fits_group(name, parent, kind, gid):
-        raise CommandError("The described transformation does not fit the model structure")
+        raise CommandError(FIT_ERROR)
 
 
 def _attr_slot(model, assign):
@@ -303,20 +299,20 @@ def _check_feature_update(model, fname, cmd, derived):
 
 
 def _write_feature_update(model, fname, update):
-    """Apply a checked update; raises _Skip, before any write, for a root
-    target or a move the model refuses."""
+    """Apply a checked update and return None, or return, before any write,
+    the reason the model refuses it: a root target or a move that does not fit."""
     if update is None:
-        raise _Skip("The root feature cannot figure in a decomposition "
-                    "relation update")
+        return "The root feature cannot figure in a decomposition relation update"
     move, updates = update
     if move is not None:
         parent, kind, gid = move
         try:
             model.move_feature(fname, parent, kind, join_group=gid)
-        except ModelError as e:
-            raise _Skip(str(e)) from None
+        except ModelError:
+            return FIT_ERROR
     if updates:
         model.update_attributes(fname, updates)
+    return None
 
 
 def _single_target(model, cmd, res, verb):
@@ -336,7 +332,8 @@ def exec_update_feature(model: FeatureModel, cmd: UpdateFeature, res: Resolution
     slots, _varying = _feature_slots(model, cmd)
     # slots are derived as the check reaches them
     update = _check_feature_update(model, fname, cmd, lambda key: slots[key](sub))
-    _write_feature_update(model, fname, update)
+    if refused := _write_feature_update(model, fname, update):
+        raise CommandError(refused)
     # a refused move wins over a name in use, so this check follows the move
     if cmd.new_name is not None and cmd.new_name != fname:
         if cmd.new_name in model.features:
@@ -372,9 +369,7 @@ def exec_update_all_features(model: FeatureModel, cmd: UpdateAllFeatures,
                for t, values in derived.items()}
     skipped = []
     for t, update in updates.items():
-        try:
-            _write_feature_update(model, t, update)
-        except _Skip:
+        if _write_feature_update(model, t, update):
             skipped.append(t)
     if skipped:
         return [("warning", f"Command had a partial effect: skipped {_listing(skipped)}")]
@@ -535,7 +530,7 @@ def execute(model: FeatureModel, cmd: Command):
     work = model.copy()
     try:
         return work, run(work, cmd, res)
-    except (CommandError, _Skip) as e:
+    except CommandError as e:
         return model, [("error", str(e))]
 
 

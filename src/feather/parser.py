@@ -13,12 +13,7 @@ from .model import DecompKind
 from .record import Record
 from .tokens import DECLARATIONS, LEXICON, STRUCTURALS, Cursor, LexError, tokenize
 
-DECOMP_KEYWORDS = {
-    "mandatory": DecompKind.MANDATORY,
-    "optional": DecompKind.OPTIONAL,
-    "alternative": DecompKind.ALTERNATIVE,
-    "or": DecompKind.OR,
-}
+DECOMP_KEYWORDS = {kind.value: kind for kind in DecompKind}
 
 # binding strength of the binary operators, all left-associative
 BINARY_PRECEDENCE = {
@@ -182,15 +177,15 @@ class _Parser(Cursor):
         return list(attrs.items())
 
     def parse_literal(self):
-        sign, kind = 1, self.kinds[self.pos]
+        sign, kind = None, self.kinds[self.pos]
         if kind == "+" or kind == "-":
-            sign = -1 if kind == "-" else 1
+            sign = kind
             self.pos += 1
             kind = self.kinds[self.pos]
         if kind == "INT" or kind == "REAL":
             self.pos += 1
-            return sign * self.values[self.pos - 1]
-        if sign == -1:
+            return -self.values[self.pos - 1] if sign == "-" else self.values[self.pos - 1]
+        if sign:
             self.fail("expected a numeric literal after the sign")
         if kind == "true" or kind == "false":
             self.pos += 1

@@ -19,7 +19,7 @@ import math
 import re
 from collections import namedtuple
 
-from .model import STRUCTURAL_ATTRS
+from .model import STRUCTURAL_ATTRS, DecompKind
 
 KEYWORDS = {
     "root", "feature", "attribute", "constraint", "requires", "excludes",
@@ -270,24 +270,22 @@ def _tvl_word(word: str) -> str:
 LEXICON = Lexicon(KEYWORDS | STRUCTURALS, SYMBOLS, _feather_word)
 
 
-def is_ident(name: str) -> bool:
-    """Whether `name` lexes as one Feather IDENT, as an attribute name must."""
-    if not re.fullmatch(_WORD, name) or name in LEXICON.kinds:
-        return False
+def _lexes_as(name: str, kind: str, keywords, classify) -> bool:
+    """Whether `name` lexes as one `kind` word: no keyword, and `classify` gives `kind`."""
     try:
-        return _feather_word(name) == "IDENT"
+        return bool(re.fullmatch(_WORD, name)) and name not in keywords and classify(name) == kind
     except ValueError:
         return False
+
+
+def is_ident(name: str) -> bool:
+    """Whether `name` lexes as one Feather IDENT, as an attribute name must."""
+    return _lexes_as(name, "IDENT", LEXICON.kinds, _feather_word)
 
 
 def is_tvl_id(name: str) -> bool:
     """Whether `name` lexes as one TVL ID, as a feature name in TVL must."""
-    if not re.fullmatch(_WORD, name) or name in TVL_KEYWORDS:
-        return False
-    try:
-        return _tvl_word(name) == "ID"
-    except ValueError:
-        return False
+    return _lexes_as(name, "ID", TVL_KEYWORDS, _tvl_word)
 
 
 _QUOTED = f'{_BLANKS}"({STRING_CHAR}+)"'
@@ -299,8 +297,8 @@ _QUOTED = f'{_BLANKS}"({STRING_CHAR}+)"'
 # "alternativeto" stays one word; blanks and a quote follow each other keyword.
 DECLARATIONS = Lexicon(KEYWORDS | STRUCTURALS, SYMBOLS, _feather_word, phrases=(
     ("CONSTRAINT", f"constraint{_QUOTED}{_BLANKS}(requires|excludes){_QUOTED}{_BLANKS};", 3),
-    ("FEATURE", rf"feature{_QUOTED}{_QUOTED}{_BLANKS}(mandatory|optional|alternative|or)(?!\w)",
-     3)))
+    ("FEATURE", rf"feature{_QUOTED}{_QUOTED}{_BLANKS}"
+                rf"({'|'.join(kind.value for kind in DecompKind)})(?!\w)", 3)))
 
 
 def tokenize(text: str, lexicon: Lexicon = LEXICON) -> Tokens:

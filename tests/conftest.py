@@ -968,14 +968,12 @@ class ReferenceParser:
         return attrs
 
     def parse_literal(self):
-        sign = 1
-        if self.at("+", "-"):
-            sign = -1 if self.next().kind == "-" else 1
+        sign = self.next().kind if self.at("+", "-") else None
         t = self.peek()
         if t.kind in ("INT", "REAL"):
             self.next()
-            return sign * t.value
-        if sign == -1:
+            return -t.value if sign == "-" else t.value
+        if sign:
             self.fail("expected a numeric literal after the sign")
         if t.kind in ("true", "false"):
             self.next()

@@ -204,10 +204,20 @@ def test_update_feature_rename_collision(services):
 
 
 def test_update_feature_cycle_rejected(services):
+    # a move under the feature itself or one of its descendants does not fit
+    # the tree; the model's own text never reaches the diagnostic
     before = serialize_declarations(services)
-    m, diags = run(services, 'update feature "Package 3" set _parent = "Dating Club";')
-    assert [d.severity for d in diags] == ["error"]
-    assert serialize_declarations(m) == before
+    for parent in ("Dating Club", "Package 3"):
+        m, diags = run(services, f'update feature "Package 3" set _parent = "{parent}";')
+        assert [(d.severity, d.message) for d in diags] == [("error", commands.FIT_ERROR)]
+        assert serialize_declarations(m) == before
+    # updateall skips that target, as a run of single updates would
+    m, diags = run(services, 'updateall feature F set _parent = "Package 3" '
+                             'where F._name = "Package 3" or F._name = "Package 1";')
+    assert [(d.severity, d.message) for d in diags] == [
+        ("warning", "Command had a partial effect: skipped (Package 3)")]
+    assert m.features["Package 1"].parent == "Package 3"
+    assert m.features["Package 3"] == services.features["Package 3"]
 
 
 def test_update_feature_unknown_attribute(services):

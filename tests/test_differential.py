@@ -19,6 +19,7 @@ import random
 from pathlib import Path
 
 from feather.commands import execute
+from feather.model import ModelError
 from feather.serializer import serialize_declarations
 
 from conftest import random_command, random_model
@@ -29,20 +30,25 @@ COMMANDS = 40
 SEED = 20190316
 
 
-def corpus_digests() -> list:
-    """Per model, one short sha256 per command of (model text, diagnostics)."""
+def corpus_steps():
+    """(model number, the model after a command, the command's diagnostics)
+    for each command of the corpus, in order."""
     rng = random.Random(SEED)
-    out = []
-    for _ in range(MODELS):
+    for m in range(MODELS):
         model = random_model(rng, max_features=25, max_attrs=4)
-        steps = []
         for _ in range(COMMANDS):
             cmd = random_command(rng, model)
             model, results = execute(model, cmd)
-            text = serialize_declarations(model) + "\0" + "\n".join(
-                f"{severity}: {message}" for severity, message in results)
-            steps.append(hashlib.sha256(text.encode()).hexdigest()[:16])
-        out.append(steps)
+            yield m, model, results
+
+
+def corpus_digests() -> list:
+    """Per model, one short sha256 per command of (model text, diagnostics)."""
+    out = [[] for _ in range(MODELS)]
+    for m, model, results in corpus_steps():
+        text = serialize_declarations(model) + "\0" + "\n".join(
+            f"{severity}: {message}" for severity, message in results)
+        out[m].append(hashlib.sha256(text.encode()).hexdigest()[:16])
     return out
 
 
@@ -53,6 +59,16 @@ def test_frozen_corpus_is_unchanged():
     for m, (want, got) in enumerate(zip(expected, actual)):
         diverged = next((i for i, (a, b) in enumerate(zip(want, got)) if a != b), None)
         assert diverged is None, f"model {m} diverges at command {diverged + 1}"
+
+
+def test_no_model_error_text_reaches_a_diagnostic(monkeypatch):
+    # a ModelError is the model guarding its integrity; a command reports
+    # in its own words, so the model's text never shows
+    sentinel = "<model error text>"
+    monkeypatch.setattr(ModelError, "__str__", lambda self: sentinel)
+    leaks = [(m, message) for m, _model, results in corpus_steps()
+             for _severity, message in results if sentinel in message]
+    assert leaks == []
 
 
 if __name__ == "__main__":

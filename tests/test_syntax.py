@@ -102,6 +102,14 @@ def test_or_keyword_disambiguation():
     assert errors == []
 
 
+@pytest.mark.parametrize("value", ["+ true", '+ "s"', "- true", '- "s"'])
+def test_a_sign_goes_only_before_a_number(value):
+    text = f'root "R" attribute w {value};'
+    for ast, errors in (parse_declarations(text), reference_parse(text)):
+        assert [str(e) for e in errors] == [
+            "line 1, column 24: expected a numeric literal after the sign"]
+
+
 def test_parse_error_recovery_collects_multiple():
     text = ('remove feature ;\n'
             'remove feature "Good";\n'

@@ -73,7 +73,8 @@ class Lexicon:
     ValueError with the message of the LexError to report. `phrases` lists
     (kind, regex, number of groups), each a run of tokens read as one token
     of that kind, tried before a word; its regex must match only text that
-    lexes the same token by token, and its groups become the token's value.
+    lexes the same token by token, and its groups, two or more, become the
+    token's value, a tuple.
     """
 
     def __init__(self, keywords, symbols, classify, signed_numbers: bool = False,
@@ -84,6 +85,8 @@ class Lexicon:
         self.classify = classify
         self.phrases, group = {}, 1  # a phrase's group to its kind and value groups
         for kind, _, groups in phrases:
+            if groups < 2:  # m.group() of one group is no tuple
+                raise ValueError(f"phrase {kind} has {groups} value groups, fewer than two")
             self.phrases[group] = kind, tuple(range(group + 1, group + 1 + groups))
             group += 1 + groups
         self.word = group  # the group of a word; string, real, integer and other follow

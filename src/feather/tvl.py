@@ -18,15 +18,32 @@ from .build import BuildError, assemble, unknown_feature
 from .model import Constraint, DecompKind, FeatureModel
 from .parser import ConstraintDecl
 from .record import Record
-from .tokens import TVL_KEYWORDS, Cursor, LexError, Lexicon, _tvl_word, lex
+from .tokens import _BLANKS, TVL_KEYWORDS, Cursor, LexError, Lexicon, _tvl_word, lex
 
 
 class TvlError(Exception):
     """Input is not a valid model in the accepted TVL subset."""
 
 
-LEXICON = Lexicon(TVL_KEYWORDS, "{},;", _tvl_word, signed_numbers=True)
+# Two phrases. An int attribute declaration, "int" name "is" N ";", is one
+# INT_ATTRIBUTE token, value (name, digits): its name starts with an ASCII
+# lowercase letter and is no keyword, and N has at most 18 digits, so that
+# it fits and a longer one keeps its error. An allof group, "group" "allof"
+# "{" members "}", is one GROUP token, value ("allof", member text): each
+# member starts with an ASCII capital, so that none is a keyword, and may be
+# flagged "opt". A oneof or someof group lexes token by token: a phrase for
+# it would add to every -t run's compile of this lexicon, and the computer
+# model has none. A keyword ends before a blank or a symbol, never before a
+# word character, so "intx" and "is4" stay words.
+_MEMBER = r"(?:opt[ \t\r\n]+)?[A-Z]\w*"
+LEXICON = Lexicon(TVL_KEYWORDS, "{},;", _tvl_word, signed_numbers=True, phrases=(
+    ("INT_ATTRIBUTE", rf"int[ \t\r\n]+((?!(?:{'|'.join(sorted(TVL_KEYWORDS))})(?!\w))[a-z]\w*)"
+                      rf"[ \t\r\n]+is(?!\w){_BLANKS}([+-]?[0-9]{{1,18}}){_BLANKS};", 2),
+    ("GROUP", rf"group[ \t\r\n]+(allof){_BLANKS}\{{{_BLANKS}"
+              rf"({_MEMBER}(?:{_BLANKS},{_BLANKS}{_MEMBER})*){_BLANKS}\}}", 2)))
 
+# the kinds of the tokens that start an attribute declaration
+_ATTRIBUTE_STARTS = ("INT_ATTRIBUTE", "int", "real", "bool", "string")
 # the token kind of a value of each attribute type but bool
 _VALUE_KINDS = {"int": "INT", "real": "REAL", "string": "STRING"}
 # the kind of the members of each group cardinality but allof
@@ -82,34 +99,52 @@ class _TvlParser(Cursor):
 
     def parse_block(self) -> _Block:
         kinds, values = self.kinds, self.values
-        line = self.tokens.line(self.pos)
-        block = _Block(self.expect("ID"), line=line)
-        self.expect("{")
-        while kinds[self.pos] in ("int", "real", "bool", "string"):
-            start = self.pos
-            tag = kinds[start]
-            self.pos += 1
-            name = self.parse_attr_id()
-            self.check_new_attribute(name, block.attributes, block.name, start)
-            self.expect("is")
-            block.attributes[name] = self.parse_value(tag)
-            self.expect(";")
-        while kinds[self.pos] == "group":
-            card = kinds[self.pos + 1]
-            if card not in ("allof", "oneof", "someof"):
-                self.pos += 1
-                self.fail("expected allof, oneof, or someof")
-            self.pos += 2
+        pos = self.pos  # kept equal to self.pos at each loop's test
+        if kinds[pos] != "ID" or kinds[pos + 1] != "{":
+            self.expect("ID")  # fails here or at the next token
             self.expect("{")
-            members = []
-            while True:
-                opt = card == "allof" and self.skip("opt")
-                members.append((opt, self.expect("ID")))
-                if not self.skip(","):
-                    break
-            self.expect("}")
-            block.groups.append((card, members))
-        while kinds[self.pos] == "ID":
+        name, line = values[pos], self.tokens.line(pos)
+        attributes, groups, constraints = {}, [], []
+        pos = self.pos = pos + 2
+        tag = kinds[pos]
+        while tag in _ATTRIBUTE_STARTS:  # phrases or not, in text order
+            self.pos = pos + 1
+            if tag == "INT_ATTRIBUTE":
+                attribute, digits = values[pos]
+                self.check_new_attribute(attribute, attributes, name, pos)
+                attributes[attribute] = int(digits)
+            else:
+                attribute = self.parse_attr_id()
+                self.check_new_attribute(attribute, attributes, name, pos)
+                self.expect("is")
+                attributes[attribute] = self.parse_value(tag)
+                self.expect(";")
+            pos = self.pos
+            tag = kinds[pos]
+        while tag == "GROUP" or tag == "group":
+            if tag == "GROUP":  # the phrase admits blanks, commas and words only
+                card, text = values[pos]
+                members = [(words[0] == "opt", words[-1])
+                           for words in map(str.split, text.split(","))]
+                self.pos = pos + 1
+            else:
+                card = kinds[pos + 1]
+                if card not in ("allof", "oneof", "someof"):
+                    self.pos += 1
+                    self.fail("expected allof, oneof, or someof")
+                self.pos += 2
+                self.expect("{")
+                members = []
+                while True:
+                    opt = card == "allof" and self.skip("opt")
+                    members.append((opt, self.expect("ID")))
+                    if not self.skip(","):
+                        break
+                self.expect("}")
+            groups.append((card, members))
+            pos = self.pos
+            tag = kinds[pos]
+        while tag == "ID":
             left = values[self.pos]
             self.pos += 1
             op = kinds[self.pos]
@@ -118,9 +153,10 @@ class _TvlParser(Cursor):
             self.pos += 1
             right = self.expect("ID")
             self.expect(";")
-            block.constraints.append(Constraint(left, op, right))
+            constraints.append(Constraint(left, op, right))
+            tag = kinds[self.pos]
         self.expect("}")
-        return block
+        return _Block(name, attributes, groups, constraints, line)
 
     def parse_attr_id(self) -> str:
         if self.kinds[self.pos] != "ID" or not self.values[self.pos][0].islower():

@@ -64,13 +64,8 @@ from feather.parser import (
 )
 from feather.resolver import ResolutionSet
 from feather.tokens import (KEYWORDS, STRING_PUNCT, STRUCTURALS, SYMBOLS, TVL_KEYWORDS, LexError,
-                            Token, lex)
-from feather.tvl import (
-    LEXICON as TVL_LEXICON,
-    TvlError,
-    _Block,
-    _TvlParser,
-)
+                            Lexicon, Token, _tvl_word, lex)
+from feather.tvl import TvlError, _Block, _TvlParser
 
 SERVICES = """\
 root "Web Services";
@@ -1374,10 +1369,15 @@ def reference_parse(text: str, declarations: bool = True, commands: bool = True)
         return ScriptAst(), [e]
 
 
+# TVL's lexicon without the phrases of `feather.tvl.LEXICON`: one token per
+# keyword, symbol, name or literal, as the references read it
+PLAIN_TVL_LEXICON = Lexicon(TVL_KEYWORDS, "{},;", _tvl_word, signed_numbers=True)
+
+
 class ReferenceTvlParser:
     def __init__(self, text: str):
         try:
-            self.tokens = list(lex(text, TVL_LEXICON))
+            self.tokens = list(lex(text, PLAIN_TVL_LEXICON))
         except LexError as e:
             raise TvlError(f"line {e.line}: {e.message}") from None
         self.pos = 0

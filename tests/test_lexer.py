@@ -6,10 +6,10 @@ import pytest
 
 from feather import tvl
 from feather.tokens import (KEYWORDS, STRING_PUNCT, STRUCTURALS, TVL_KEYWORDS, LexError,
-                            is_tvl_id, lex, tokenize)
+                            Lexicon, _tvl_word, is_tvl_id, lex, tokenize)
 from feather.tvl import TvlError, import_tvl
 
-from conftest import reference_tokenize, reference_tvl_tokenize
+from conftest import PLAIN_TVL_LEXICON, reference_tokenize, reference_tvl_tokenize
 
 # The reference loops read "²" and "٣" as digits (int() then fails on "²").
 # The lexer reads digits as ASCII only, and treats a non-ASCII digit as it
@@ -46,7 +46,7 @@ def tvl_outcome(lexer, text):
 
 def tvl_lex(text):
     try:
-        return lex(text, tvl.LEXICON)
+        return lex(text, PLAIN_TVL_LEXICON)
     except LexError as e:
         # the loop had one message for both; the lexer names which it is
         message = e.message.replace("unterminated string literal", "bad string literal")
@@ -137,3 +137,11 @@ def test_a_tvl_id_is_what_the_tvl_lexer_reads_as_one():
         except LexError:
             one_id = False
         assert is_tvl_id(name) == one_id, name
+
+
+def test_a_phrase_of_one_group_is_refused():
+    # its value would be the captured text, not a tuple, and the stream, and
+    # an error, would quote that text instead of the leading keyword
+    with pytest.raises(ValueError, match="MEMBERS has 1 value groups"):
+        Lexicon(TVL_KEYWORDS, "{},;", _tvl_word, phrases=(
+            ("MEMBERS", r"group[ \t\r\n]+allof[ \t\r\n]*\{[ \t\r\n]*([A-Z]\w*)[ \t\r\n]*\}", 1),))

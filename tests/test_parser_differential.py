@@ -7,8 +7,10 @@ parse results or the error texts, apart from the quoted numbers of a value
 that does not match its type. In both languages a declaration that declares
 one attribute twice, which the reference accepted, is the parser's error. The token streams must also keep the contract the
 benchmark's trace relies on. A declarations file is lexed with phrases, a
-whole constraint or feature head as one token, which the reference never
-reads; they must change no outcome.
+whole constraint or feature head as one token, and a TVL text too, an int
+attribute declaration or an allof group's member list as one token. The references
+never read phrases; they must change no outcome, and each TVL phrase must
+stand for exactly the plain tokens of its span.
 """
 
 import random
@@ -23,12 +25,14 @@ from feather.tokens import (DECLARATIONS, KEYWORDS, STRUCTURALS, SYMBOLS, TVL_KE
                             tokenize)
 
 from conftest import (
+    PLAIN_TVL_LEXICON,
     SERVICES,
     ReferenceTvlParser,
     reference_parse,
     reference_tokenize,
     reference_tvl_tokenize,
 )
+from test_tvl import random_tvl
 
 COMMANDS = """\
 add feature "New" with attributes (_parent = "Package 1", _decomp = optional,
@@ -389,7 +393,9 @@ def assert_same_tvl_outcome(got, want, text: str) -> None:
     ("root A { int v is 1; real v is 2.5; }", 1),
     (TVL_MODEL.replace("real r is", "real n is"), 4),
     (TVL_MODEL.replace("bool f is false;", "bool f is false;\n string f is \"a\";"), 15),
-], ids=["one line", "root block", "later line"])
+    ("root A {\n real v is 2.5;\n int v is 1;\n}", 3),
+    ("root A {\n int v is 1;\n int w is 2;\n int v is 3; }", 4),
+], ids=["one line", "root block", "later line", "second a phrase", "both phrases"])
 def test_a_repeated_attribute_is_the_one_change_from_the_reference(text, line):
     got = tvl_outcome(tvl._TvlParser, text)
     assert isinstance(tvl_outcome(ReferenceTvlParser, text), tuple)
@@ -410,7 +416,7 @@ def test_a_message_the_text_does_not_bear_out_is_no_repeat(text, message):
 
 def test_a_repeated_tvl_attribute_reaches_the_repeat_mapping():
     rng = random.Random(2022)
-    valid = [TVL_MODEL, one_token_per_line(TVL_MODEL, lambda text: lex(text, tvl.LEXICON))]
+    valid = [TVL_MODEL, one_token_per_line(TVL_MODEL, lambda text: lex(text, PLAIN_TVL_LEXICON))]
     repeated = 0
     for _ in range(200):  # no other change: the mapping holds for texts the reference parses
         text = repeat_one(rng, rng.choice(valid),
@@ -424,10 +430,10 @@ def test_a_repeated_tvl_attribute_reaches_the_repeat_mapping():
 def test_tvl_parser_equals_the_reference():
     rng = random.Random(2020)
     def tvl_lex(text):
-        return lex(text, tvl.LEXICON)
+        return lex(text, PLAIN_TVL_LEXICON)
     valid = [TVL_MODEL, one_token_per_line(TVL_MODEL, tvl_lex)]
     valid_spans = [spans(tvl_lex(text)) for text in valid]
-    failed = parsed = 0
+    failed = parsed = phrased = 0
     for case in range(3_000):
         if case % 2:
             k = rng.randrange(len(valid))
@@ -438,7 +444,135 @@ def test_tvl_parser_equals_the_reference():
         assert_same_tvl_outcome(got, tvl_outcome(ReferenceTvlParser, text), text)
         failed += isinstance(got, str)
         parsed += not isinstance(got, str)
+        phrased += bool(tvl_phrases(text))
     assert failed >= 1_500 and parsed >= 40
+    assert phrased >= 500
+
+
+TVL_PHRASES = {"INT_ATTRIBUTE", "GROUP"}
+
+
+def tvl_phrases(text: str) -> int:
+    """The phrase tokens of `text` as `tvl.LEXICON` lexes it, after checking
+    that they and the other tokens cover exactly the plain tokens of the
+    text: same kinds, values and starts, the digits and the member text as
+    written. A text that fails to lex must fail with either lexicon alike."""
+    try:
+        plain = lex(text, PLAIN_TVL_LEXICON)
+    except tokens.LexError as e:
+        with pytest.raises(tokens.LexError) as phrased:
+            lex(text, tvl.LEXICON)
+        assert str(phrased.value) == str(e), text
+        return 0
+    stream, j = lex(text, tvl.LEXICON), 0
+    for kind, value, start in zip(stream.kinds, stream.values, stream.starts):
+        if kind == "INT_ATTRIBUTE":
+            want = [("int", "int"), ("ID", value[0]), ("is", "is"), ("INT", int(value[1])),
+                    (";", ";")]
+        elif kind == "GROUP":
+            members = lex(value[1], PLAIN_TVL_LEXICON)
+            want = [("group", "group"), (value[0], value[0]), ("{", "{"),
+                    *zip(members.kinds[:-1], members.values[:-1]), ("}", "}")]
+        else:
+            want = [(kind, value)]
+        assert plain.starts[j] == start, text
+        assert list(zip(plain.kinds[j:j + len(want)], plain.values[j:j + len(want)])) == want, text
+        if kind == "INT_ATTRIBUTE":
+            assert plain.text(j + 3) == value[1], text
+        elif kind == "GROUP":  # the member text from its first token on, blanks and all
+            first = plain.starts[j + 3]
+            assert text.startswith(value[1], first), text
+            assert [s - first for s in plain.starts[j + 3:j + len(want) - 1]] == (
+                members.starts[:-1]), text
+        j += len(want)
+    assert j == len(plain)
+    return sum(kind in TVL_PHRASES for kind in stream.kinds)
+
+
+# text: phrase tokens in it, or None where it does not lex; texts on which a
+# TVL phrase could differ from the tokens it replaces
+TVL_PHRASE_TEXTS = {
+    "no blanks": ("root R{int n is-3;int m is+2;group allof{A,opt B}group oneof{C,D}}"
+                  "A{}B{}C{}D{}", 3),
+    "over lines": ("root R\n{\nint\nn\nis\n1\n;\ngroup\nallof\n{\nopt\nA\n,\nB\n}\n}\n"
+                   "A\n{\n}\nB { }\n", 2),
+    "crlf": ("root R {\r\n  int n is 1;\r\n  group allof { A,\r\n B }\r\n}\r\nA { }\r\n"
+             "B { int n is 2 ; int m is 3;\r\n}\r\n", 4),
+    "intx": ("root R { intx is 1; }", 0),
+    "is4": ("root R { int n is4; }", 0),
+    "attribute is": ("root R { int is is 1; }", 0),
+    "attribute opt": ("root R { int opt is 1; }", 0),
+    "capital attribute": ("root R { int X is 1; }", 0),
+    "non-ASCII attribute": ("root R { int é is 1; }", 0),
+    "real value": ("root R { int n is 4.5; }", 0),
+    "plus": ("root R { int n is +4; }", 1),
+    "minus zero": ("root R { int n is -0; }", 1),
+    "18 digits": ("root R { int n is -999999999999999999; }", 1),
+    "19 digits": ("root R { int n is 1234567890123456789; }", 0),
+    "4,301 digits": (f"root R {{\n int n is {'1' * 4_301};\n}}", None),
+    "other types between": ('root R {\n int a is 1;\n real b is 2.5;\n int c is 3;\n'
+                            ' bool d is true;\n string e is "x y";\n int f is 4;\n}', 3),
+    "repeat, the first a phrase": ("root R {\n int v is 1;\n real v is 2.5;\n}", 1),
+    "repeat, the second a phrase": ("root R {\n real v is 2.5;\n int v is 1;\n}", 1),
+    "repeat, both phrases": ("root R {\n int v is 1;\n int w is 2;\n int v is 3; }", 3),
+    "opt in oneof": ("root R { group oneof { opt A } }\nA { }", 0),
+    "opt alone": ("root R { group allof { opt } }", 0),
+    "opt opt": ("root R { group allof { opt opt A } }\nA { }", 0),
+    "trailing comma": ("root R { group allof { A, } }\nA { }", 0),
+    "no comma": ("root R { group allof { A B } }\nA { }\nB { }", 0),
+    "digit-led member": ("root R { group allof { 1A } }", 0),
+    "keyword member": ("root R { group someof { in } }", 0),
+    "lowercase member": ("root R { group allof { a, B } }\na { }\nB { }", 0),
+    "oneof group": ("root R { group oneof { A, B } }\nA { }\nB { }", 0),
+    "empty list": ("root R { group allof { } }", 0),
+    "attribute after a group": ("root R { group allof { A }\n int x is 1; }\nA { }", 2),
+    "group after a constraint": ("root R { R requires R;\n group allof { A } }\nA { }", 1),
+    "phrase at the end": ("root R {\n int x is 1;", 1),
+    "group at the end": ("root R {\n group allof { A }", 1),
+    "enum header": ('enum string in { "a", "b" };\nroot R { int n is 1; string s is "a"; }', 1),
+}
+
+
+@pytest.mark.parametrize("text, phrases", TVL_PHRASE_TEXTS.values(), ids=TVL_PHRASE_TEXTS)
+def test_tvl_phrases_change_no_outcome(text, phrases):
+    if phrases is None:
+        with pytest.raises(tokens.LexError):
+            lex(text, tvl.LEXICON)
+    assert tvl_phrases(text) == (phrases or 0)
+    assert_same_tvl_outcome(tvl_outcome(tvl._TvlParser, text),
+                            tvl_outcome(ReferenceTvlParser, text), text)
+
+
+def test_tvl_phrases_on_random_models_change_no_outcome():
+    rng = random.Random(2027)
+    phrased = 0
+    for _ in range(600):
+        text = random_tvl(rng)
+        phrased += bool(tvl_phrases(text))
+        assert_same_tvl_outcome(tvl_outcome(tvl._TvlParser, text),
+                                tvl_outcome(ReferenceTvlParser, text), text)
+    assert phrased >= 500
+
+
+def test_a_computer_like_model_lexes_in_few_tokens():
+    """1,000 leaf blocks of one or two int attributes under 40 allof groups:
+    with phrases, at most 40 % of the plain tokens, so that a phrase that
+    silently stops matching fails."""
+    rng = random.Random(1227)
+    leaves = [f"Part{i:04d}" for i in range(1_000)]
+    parents = [f"VP{i:02d}" for i in range(40)]
+    lines = ["root Computer {", f"  group allof {{ {', '.join(parents)} }}", "}"]
+    for k, parent in enumerate(parents):
+        lines += [f"{parent} {{", "  group allof { "
+                  + ", ".join(f"opt {leaf}" for leaf in leaves[k::40]) + " }", "}"]
+    for leaf in leaves:
+        lines += [f"{leaf} {{", f"  int priceCat is {rng.randint(1, 5)};"]
+        lines += [f"  int rating is {rng.randrange(20, 200, 40)};"] * (rng.random() < 0.5)
+        lines.append("}")
+    text = "\n".join(lines) + "\n"
+    assert tvl_phrases(text) > 1_000
+    assert len(lex(text, tvl.LEXICON)) <= 0.4 * len(lex(text, PLAIN_TVL_LEXICON))
+    assert tvl_outcome(tvl._TvlParser, text) == tvl_outcome(ReferenceTvlParser, text)
 
 
 @pytest.mark.parametrize("message, reference", [
@@ -473,7 +607,7 @@ def test_length_counts_the_tokens_with_eof(text):
 
 @pytest.mark.parametrize("text", ["", "root R { }", TVL_MODEL])
 def test_tvl_length_counts_the_tokens_with_eof(text):
-    stream = lex(text, tvl.LEXICON)
+    stream = lex(text, PLAIN_TVL_LEXICON)
     assert len(stream) == len(list(stream)) == len(reference_tvl_tokenize(text))
     assert [t.kind for t in stream] == [t.kind for t in reference_tvl_tokenize(text)]
 

@@ -82,6 +82,9 @@ def parse_args(args: list) -> SimpleNamespace:
         raise UsageError("-d and -t are mutually exclusive")
     if not (cfg.script or cfg.declarations or cfg.tvl_in):
         raise UsageError("an input file is required (-f, -d, or -t)")
+    outputs = [os.path.realpath(p) for p in (cfg.out, cfg.tvl_out, cfg.dump) if p]
+    if len(set(outputs)) < len(outputs):
+        raise UsageError("-o, -ot and -x must name different files")
     return cfg
 
 

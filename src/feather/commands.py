@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import operator
 
 from .expressions import (
@@ -28,7 +29,7 @@ from .expressions import (
     compile_expr,
     referenced_usages,
 )
-from .model import Constraint, DecompKind, Feature, FeatureModel, ModelError, effect_key
+from .model import Constraint, DecompKind, Feature, FeatureModel, effect_key
 from .parser import (
     AddConstraint,
     AddFeature,
@@ -277,7 +278,7 @@ def _check_feature_update(model, fname, cmd, derived):
     the slot under `key` (see _feature_slots)."""
     f = model.features[fname]
     structural = cmd.parent is not None or cmd.decomp is not None
-    if structural and f.is_root:
+    if structural and f.parent is None:  # the root
         return None
 
     parent = f.parent
@@ -298,21 +299,22 @@ def _check_feature_update(model, fname, cmd, derived):
     return ((parent, kind, gid) if structural else None), updates
 
 
-def _write_feature_update(model, fname, update):
-    """Apply a checked update and return None, or return, before any write,
-    the reason the model refuses it: a root target or a move that does not fit."""
-    if update is None:
-        return "The root feature cannot figure in a decomposition relation update"
-    move, updates = update
-    if move is not None:
-        parent, kind, gid = move
-        try:
-            model.move_feature(fname, parent, kind, join_group=gid)
-        except ModelError:
-            return FIT_ERROR
-    if updates:
-        model.update_attributes(fname, updates)
-    return None
+def _write_feature_updates(model, updates: dict) -> list:
+    """Apply checked updates, target -> (move, attribute values) or None
+    (see _check_feature_update), in order, moving a run of targets with one
+    move in one call. Returns the targets the model refuses, unwritten and in
+    order: the root in a structural update, and a move that does not fit."""
+    refused = []
+    for move, run in itertools.groupby(updates, lambda t: updates[t] and updates[t][0]):
+        if move:
+            refused += model.move_features(list(run), *move)
+        else:
+            refused += [t for t in run if updates[t] is None]
+    skip = set(refused)
+    for t, update in updates.items():
+        if update and update[1] and t not in skip:
+            model.update_attributes(t, update[1])
+    return refused
 
 
 def _single_target(model, cmd, res, verb):
@@ -332,8 +334,9 @@ def exec_update_feature(model: FeatureModel, cmd: UpdateFeature, res: Resolution
     slots, _varying = _feature_slots(model, cmd)
     # slots are derived as the check reaches them
     update = _check_feature_update(model, fname, cmd, lambda key: slots[key](sub))
-    if refused := _write_feature_update(model, fname, update):
-        raise CommandError(refused)
+    if _write_feature_updates(model, {fname: update}):
+        raise CommandError(FIT_ERROR if update else
+                           "The root feature cannot figure in a decomposition relation update")
     # a refused move wins over a name in use, so this check follows the move
     if cmd.new_name is not None and cmd.new_name != fname:
         if cmd.new_name in model.features:
@@ -367,11 +370,7 @@ def exec_update_all_features(model: FeatureModel, cmd: UpdateAllFeatures,
                                 {key: derive(res) for key, derive in slots.items()})
     updates = {t: _check_feature_update(model, t, cmd, values.__getitem__)
                for t, values in derived.items()}
-    skipped = []
-    for t, update in updates.items():
-        if _write_feature_update(model, t, update):
-            skipped.append(t)
-    if skipped:
+    if skipped := _write_feature_updates(model, updates):
         return [("warning", f"Command had a partial effect: skipped {_listing(skipped)}")]
     return []
 

@@ -15,6 +15,10 @@ and from then on the edits change them in place. The writers never read
 them, so output follows the order of `features`. An index belongs to one
 model: `copy()` hands both to the copy, and the model copied builds them
 again when it next needs one.
+
+Attribute columns (`column`, `buckets`) belong to a model the same way. A
+move drops those of `_parent`, `_decomp` and `_decompID`, and any other
+edit drops each column it changes, a removal all of them.
 """
 
 from __future__ import annotations
@@ -96,13 +100,13 @@ class FeatureModel(Record):
     # from a TVL input; purely decorative, never enforced.
     # _constraints: effect_key() -> Constraint, insertion-ordered; holds at
     # most one constraint per effect, so lookups, additions and removals are O(1)
-    # _children, _groups: the derived indices (see the module docstring),
-    # both None until first needed and after copy(); they are not fields
+    # _children, _groups, _columns (attribute -> [column, buckets]): derived
+    # (see the module docstring), None until first needed and after copy()
     __slots__ = ("features", "root", "next_group_id", "tvl_string_enum", "_constraints",
-                 "_children", "_groups")
+                 "_children", "_groups", "_columns")
     _defaults = {"features": {}, "root": "", "next_group_id": 1,
                  "tvl_string_enum": None, "_constraints": {}}
-    _derived = ("_children", "_groups")
+    _derived = ("_children", "_groups", "_columns")
 
     # -- construction ------------------------------------------------------
 
@@ -115,12 +119,12 @@ class FeatureModel(Record):
 
     def copy(self) -> "FeatureModel":
         """A model that edits apart from this one and shares its features.
-        The copy takes this model's indices: `execute` edits only the copy,
-        and this model builds them again if it needs them."""
+        The copy takes this model's indices and columns: `execute` edits only
+        the copy, and this model builds them again if it needs them."""
         m = FeatureModel(dict(self.features), self.root, self.next_group_id,
                          self.tvl_string_enum, dict(self._constraints))
-        m._children, m._groups = self._children, self._groups
-        self._children = self._groups = None
+        m._children, m._groups, m._columns = self._children, self._groups, self._columns
+        self._children = self._groups = self._columns = None
         return m
 
     def _indices(self) -> tuple:
@@ -135,6 +139,35 @@ class FeatureModel(Record):
                     groups.setdefault(f.group_id, {})[f.name] = None
             self._children, self._groups = children, groups
         return self._children, self._groups
+
+    def column(self, attr: str, read) -> dict:
+        """Each feature that has `attr`, by name in feature order, to read(f),
+        `read` being the same on every call; built on first use. Read-only."""
+        columns = self._columns = self._columns or {}
+        if attr not in columns:
+            columns[attr] = [{f.name: pair for f in self.features.values()
+                              if (pair := read(f)) is not None}, None]
+        return columns[attr][0]
+
+    def buckets(self, attr: str, read, key) -> dict:
+        """The names of `attr`'s column grouped in feature order by key(*entry),
+        the same `key` on every call, None in no group; built on first use."""
+        column, entry = self.column(attr, read), self._columns[attr]
+        if entry[1] is None:
+            by_entry: dict = {}  # key() runs once per distinct entry
+            for name, pair in column.items():
+                by_entry.setdefault(pair, []).append(name)
+            groups = entry[1] = {}
+            for pair, names in by_entry.items():
+                if (k := key(*pair)) is not None:  # 1 and 1.0 share a key: keep feature order
+                    groups[k] = names if k not in groups else [
+                        n for n, p in column.items() if key(*p) == k]
+        return entry[1]
+
+    def _drop_columns(self, attrs) -> None:
+        """Drop the columns of `attrs`, which an edit is about to change."""
+        for attr in attrs if self._columns else ():
+            self._columns.pop(attr, None)
 
     # -- queries -----------------------------------------------------------
 
@@ -204,23 +237,16 @@ class FeatureModel(Record):
         if name in self.features:
             raise ModelError(f"feature name {name!r} is in use")
         self.feature(parent)
-        gid = self._assign_group(name, parent, decomp, join_group)
-        self._store(Feature(name, parent, decomp, gid, feature.attributes))
-
-    def _store(self, f: Feature) -> None:
-        """Store f, a non-root feature, in place of the one of its name, if
-        any, and move its name to its parent's and group's index entries."""
-        name, old = f.name, self.features.get(f.name)
-        self.features[name] = f
-        if self._children is None:
-            return
-        for index, was, now in ((self._children, old and old.parent, f.parent),
-                                (self._groups, old and old.group_id, f.group_id)):
-            if was != now:
-                if was:
-                    _discard(index, was, name)
-                if now:
-                    index.setdefault(now, {})[name] = None
+        if join_group is not None and not self.fits_group(name, parent, decomp, join_group):
+            raise ModelError(f"{name!r} cannot join group {join_group} "
+                             f"as {decomp} under {parent!r}")
+        gid = self.fresh_group_id() if join_group is None and decomp.is_group else join_group or 0
+        self._drop_columns((*STRUCTURAL_ATTRS, *feature.attributes))
+        self.features[name] = Feature(name, parent, decomp, gid, feature.attributes)
+        if self._children is not None:
+            self._children.setdefault(parent, {})[name] = None
+            if gid:
+                self._groups.setdefault(gid, {})[name] = None
 
     def fits_group(self, name: str, parent: str, kind: DecompKind, gid: int) -> bool:
         """Whether `name` can join group `gid` as a `kind` child of `parent`:
@@ -229,38 +255,36 @@ class FeatureModel(Record):
         rep = next((self.features[m] for m in self.group_members(gid) if m != name), None)
         return rep is not None and rep.parent == parent and rep.decomp == kind
 
-    def _assign_group(self, name: str, parent: str, decomp: DecompKind,
-                      join_group: int | None) -> int:
-        """The group id of `name` under `parent`: `join_group` if it fits,
-        else a fresh one for a group kind and 0 for a solitary one."""
-        if join_group is None:
-            return self.fresh_group_id() if decomp.is_group else 0
-        if not self.fits_group(name, parent, decomp, join_group):
-            raise ModelError(f"{name!r} cannot join group {join_group} "
-                             f"as {decomp} under {parent!r}")
-        return join_group
-
-    def move_feature(
-        self,
-        name: str,
-        new_parent: str,
-        decomp: DecompKind,
-        join_group: int | None = None,
-    ) -> None:
-        """Reparent a feature; its subtree follows implicitly."""
-        f = self.feature(name)
-        if f.is_root:
-            raise ModelError("the root feature cannot be moved")
+    def move_features(self, names, new_parent: str, decomp: DecompKind,
+                      join_group: int | None = None) -> list:
+        """Reparent features, in order, under one parent as `decomp`
+        children of one group; each subtree follows implicitly. Returns the
+        names it refuses and leaves as they were: a feature the move would
+        put under itself (the root among them) and one that does not fit
+        join_group. Without join_group a group kind opens a fresh group each."""
         self.feature(new_parent)
-        n = new_parent
-        while n is not None:  # walk up: a cycle needs name among the ancestors
-            if n == name:
-                raise ModelError(
-                    f"moving {name!r} under {new_parent!r} would create a cycle"
-                )
+        above, n = set(), new_parent
+        while n is not None:  # no feature on this walk may move under new_parent
+            above.add(n)
             n = self.features[n].parent
-        gid = self._assign_group(name, new_parent, decomp, join_group)
-        self._store(Feature(name, new_parent, decomp, gid, f.attributes))
+        children, groups = self._indices()
+        self._drop_columns(STRUCTURAL_ATTRS[1:])
+        fresh, refused = join_group is None and decomp.is_group, []
+        for name in names:
+            f = self.feature(name)
+            if name in above or join_group is not None and not self.fits_group(
+                    name, new_parent, decomp, join_group):
+                refused.append(name)
+                continue
+            gid = self.fresh_group_id() if fresh else join_group or 0
+            self.features[name] = Feature(name, new_parent, decomp, gid, f.attributes)
+            _discard(children, f.parent, name)
+            if f.group_id:
+                _discard(groups, f.group_id, name)
+            children.setdefault(new_parent, {})[name] = None
+            if gid:
+                groups.setdefault(gid, {})[name] = None
+        return refused
 
     def rename_feature(self, name: str, new_name: str) -> None:
         self.feature(name)
@@ -276,7 +300,7 @@ class FeatureModel(Record):
                 g = Feature(g.name, new_name, g.decomp, g.group_id, g.attributes)
             features[g.name] = g
         self.features = features
-        self._children = self._groups = None  # rebuilt when next needed
+        self._children = self._groups = self._columns = None  # rebuilt when next needed
         if self.root == name:
             self.root = new_name
         # a fresh name maps distinct effects to distinct effects
@@ -293,6 +317,7 @@ class FeatureModel(Record):
     def update_attributes(self, name: str, values: dict) -> None:
         """Set attributes of a feature, keeping the others."""
         f = self.feature(name)
+        self._drop_columns(values)
         self.features[name] = Feature(name, f.parent, f.decomp, f.group_id,
                                       {**f.attributes, **values})
 
@@ -323,6 +348,7 @@ class FeatureModel(Record):
                     children.pop(f.parent, None)
                     groups.pop(f.group_id, None)
             doomed |= gone
+        self._columns = None  # built again when next read
         if any(c.left in doomed or c.right in doomed for c in self._constraints.values()):
             self._constraints = {
                 k: c for k, c in self._constraints.items()

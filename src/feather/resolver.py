@@ -6,15 +6,18 @@ resolver only resolves; a command derives the values it assigns from the
 tuples itself (commands._deriver).
 
 Each candidate domain is pruned by attribute presence and type
-compatibility, and the same scan reads each attribute a where-term takes of
-the variable into a column: name to (type, value). Conjuncts compile once
-per resolve (compile_expr) against the columns. A term then costs two dict
-reads under a binding, and a column of one type over the domain gives a
-static type, so that the type rules over it are applied at compile time. A
-conjunct that fails to typecheck or evaluate is false.
+compatibility, read from the model's column of each attribute: name to
+(type, value), kept across commands (FeatureModel.column), so that the
+variables and commands that use an attribute read it from the features
+once. Conjuncts compile once per resolve (compile_expr) against the
+columns. A term then costs two dict reads under a binding, and a column of
+one type over the domain gives a static type, so that the type rules over
+it are applied at compile time. A conjunct that fails to typecheck or
+evaluate is false.
 
 Conjuncts of one variable filter its domain before the search; one of the
-form `V.a = lit` keeps the names whose key (see below) equals the literal's.
+form `V.a = lit` keeps the names whose key (see below) equals the literal's,
+the model's bucket of that key (FeatureModel.buckets).
 The search binds the variables smallest domain first, deciding each
 conjunct at the depth where its last variable is bound. A conjunct
 `V.a = U.b` is a hash join: `V`'s domain is indexed once by the key of its
@@ -62,35 +65,26 @@ class ResolutionSet(Record):
 
 
 def candidate_domain(model: FeatureModel, usages: list, columns=None) -> list:
-    """Features admissible for a variable given its (attr, context) usages.
+    """Features admissible for a variable given its (attr, context) usages,
+    by name in feature order.
 
-    `columns` maps used attributes to dicts that the same scan fills, each
-    feature's name to the (type, value) of that attribute.
+    `columns` receives the model's column of each used attribute, which is
+    read-only (FeatureModel.column).
     """
     contexts: dict = {}
     for attr, ctx in usages:
         contexts.setdefault(attr, []).append(ctx)
-    tests = [(attr_reader(attr), admitted_types(cs), (columns or {}).get(attr))
-             for attr, cs in contexts.items()]
-    out = []
-    for f in model.features.values():
-        for read, admitted, column in tests:
-            pair = read(f)
-            if pair is None or pair[0] not in admitted:
-                break
-            if column is not None:
-                column[f.name] = pair
+    columns = {} if columns is None else columns
+    for attr in contexts:
+        columns[attr] = model.column(attr, attr_reader(attr))
+    names = min((columns[attr] for attr in contexts), key=len, default=model.features)
+    for attr, cs in contexts.items():
+        admitted, column = admitted_types(cs), columns[attr]
+        if column is names:  # the smallest column: filter its own entries
+            names = [n for n, p in column.items() if p[0] in admitted]
         else:
-            out.append(f.name)
-    return out
-
-
-def merge_usages(*usage_maps: dict) -> dict:
-    merged: dict = {}
-    for m in usage_maps:
-        for var, pairs in m.items():
-            merged.setdefault(var, []).extend(pairs)
-    return merged
+            names = [n for n in names if (p := column.get(n)) is not None and p[0] in admitted]
+    return list(names)
 
 
 def _conjuncts(expr) -> list:
@@ -114,11 +108,10 @@ def resolve(model: FeatureModel, variables, where=None,
         raise ValueError(f"repeated variable in {variables}")
     conjuncts = _conjuncts(where) if where is not None else []
     uses = [referenced_usages(c) for c in conjuncts]  # each conjunct's, by variable
-    terms = merge_usages(*uses)
     if usages is None:
-        usages = terms
+        usages = referenced_usages(where) if where is not None else {}
     features, binding = model.features, {}
-    columns = {v: {attr: {} for attr, _ in terms.get(v, ())} for v in variables}
+    columns = {v: {} for v in variables}
     domains = {v: candidate_domain(model, usages.get(v, []), columns[v])
                for v in variables}
 
@@ -152,10 +145,13 @@ def resolve(model: FeatureModel, variables, where=None,
             match = _literal_key(c)
             if match is None:
                 rest.append(c)
-            else:
-                column, key = columns[v][match[0]], match[1]
-                domains[v] = [] if key is None else [
-                    n for n in domains[v] if _join_key(*column[n]) == key]
+            else:  # the model's bucket of the key, less what the domain lacks
+                attr, key = match
+                names = model.buckets(attr, attr_reader(attr), _join_key).get(key, [])
+                if len(domains[v]) < len(columns[v][attr]):
+                    kept = set(domains[v])
+                    names = [n for n in names if n in kept]
+                domains[v] = names
         if rest:
             holds = _all_hold(rest, leaf)
             domains[v] = [n for n in domains[v] if holds(features, {v: n})]

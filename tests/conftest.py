@@ -32,8 +32,10 @@ from feather.expressions import (
     TypeCheckError,
     Unary,
     VarRef,
+    NUMERIC,
     _binary_type,
     _unary_type,
+    attr_reader,
     type_of,
 )
 from feather.model import STRUCTURAL_ATTRS, Constraint, DecompKind, Feature, FeatureModel
@@ -289,6 +291,41 @@ def index_answers(model: FeatureModel) -> tuple:
     groups = {g: set(model.group_members(g)) for g in range(1, model.next_group_id + 1)}
     return ({name: model.subtree(name) for name in model.features},
             {g: members for g, members in groups.items() if members})
+
+
+# -- scanning reference for the model's attribute columns --------------------
+
+
+def equality_key(t: str, value):
+    """The class of a typed value under `=`, stated apart from the resolver:
+    a number by its value, so 1 = 1.0, and NaN in none; any other value with
+    its type, so true is not 1."""
+    if t in NUMERIC:
+        return None if value != value else ("numeric", value)
+    return t, value
+
+
+def column_answers(model: FeatureModel) -> dict:
+    """Each attribute the model keeps a column of -> (its entries in order,
+    its buckets or None where none are built)."""
+    return {attr: (list(column.items()),
+                   None if buckets is None else {k: list(v) for k, v in buckets.items()})
+            for attr, (column, buckets) in (model._columns or {}).items()}
+
+
+def scan_columns(model: FeatureModel, answers: dict) -> dict:
+    """What column_answers should say of the attributes in `answers`, from
+    a scan of the features; buckets only where `answers` has them."""
+    scanned = {}
+    for attr, (_, built) in answers.items():
+        read = attr_reader(attr)
+        entries = [(f.name, read(f)) for f in model.features.values() if read(f) is not None]
+        buckets: dict = {}
+        for name, pair in entries:
+            if (key := equality_key(*pair)) is not None:
+                buckets.setdefault(key, []).append(name)
+        scanned[attr] = (entries, None if built is None else buckets)
+    return scanned
 
 
 def reference_deriver(slot, ambiguity_message, list_values=True, constant=False):

@@ -24,6 +24,7 @@ from conftest import (
     SERVICES,
     brute_force_resolve,
     build,
+    column_answers,
     index_answers,
     isomorphic,
     model_state,
@@ -31,6 +32,7 @@ from conftest import (
     random_model,
     random_where,
     run,
+    scan_columns,
     scan_groups,
     scan_subtrees,
     validate,
@@ -525,3 +527,25 @@ def test_indices_answer_as_a_scan_after_every_command(monkeypatch):
     monkeypatch.setitem(globals(), "execute", checked_execute)
     test_criterion_3_integrity_fuzz()
     assert len(checked) == 10_000
+
+
+def test_columns_answer_as_a_scan_after_every_command(monkeypatch):
+    # rerun criterion 3's stream; after every command each attribute column
+    # that the model given and the model returned keep, with its buckets
+    # where built, must be what a scan of that model's features finds
+    checked, kept, original = [], {"columns": 0, "buckets": 0}, commands.execute
+
+    def checked_execute(model, cmd):
+        after, results = original(model, cmd)
+        for m in (model, after):
+            answers = column_answers(m)
+            assert answers == scan_columns(m, answers), cmd
+        kept["columns"] += len(answers)
+        kept["buckets"] += sum(built is not None for _, built in answers.values())
+        checked.append(cmd)
+        return after, results
+
+    monkeypatch.setitem(globals(), "execute", checked_execute)
+    test_criterion_3_integrity_fuzz()
+    assert len(checked) == 10_000
+    assert kept["columns"] >= 20_000 and kept["buckets"] >= 1_000, kept

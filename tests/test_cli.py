@@ -232,10 +232,28 @@ def test_parse_failure_exit_2(tmp_path, capsys):
     (["-d", "m.fd", "-d", "n.fd"], "flag -d given twice"),
     (["-d", "m.fd", "-t", "m.tvl"], "-d and -t are mutually exclusive"),
     (["-c", "c.feaf", "-o", "o.fd"], "an input file is required (-f, -d, or -t)"),
+    (["-d", "m.fd", "-o", "X", "-ot", "X"], "-o, -ot and -x must name different files"),
+    (["-d", "m.fd", "-x", "X", "-o", "X"], "-o, -ot and -x must name different files"),
+    (["-d", "m.fd", "-ot", "X", "-x", "./X"], "-o, -ot and -x must name different files"),
+    (["-f", "s.feaf", "-x", "out/../X", "-o", "o.fd", "-ot", "X"],
+     "-o, -ot and -x must name different files"),
 ])
 def test_flags_that_cannot_run_are_usage_errors(capsys, args, message):
     assert main(args) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n{USAGE}\n")
+
+
+def test_outputs_that_share_a_file_write_nothing(tmp_path, capsys):
+    # refused before anything is read or written; an output may still name
+    # an input, which is read before the outputs are written
+    src = tmp_path / "m.fd"
+    src.write_text('root "R";\n')
+    shared = tmp_path / "X"
+    assert main(["-d", str(src), "-o", str(shared), "-ot", str(shared)]) == 2
+    assert not shared.exists()
+    assert capsys.readouterr().out == ""
+    assert main(["-d", str(src), "-o", str(src), "-ot", str(shared)]) == 0
+    assert src.read_text() == 'root "R";\n' and shared.exists()
 
 
 def test_usage_errors(tmp_path, capsys):

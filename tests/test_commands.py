@@ -9,7 +9,7 @@ import pytest
 from feather import commands
 from feather.commands import RunMode
 from feather.expressions import AttrRef, Binary, FeatureRef, Lit, VarRef
-from feather.model import Constraint, DecompKind, FeatureModel, ModelError
+from feather.model import Constraint, DecompKind, Feature, FeatureModel
 from feather.parser import (
     AddConstraint,
     AddFeature,
@@ -429,9 +429,12 @@ ATOMIC_MODEL = ('root "R";\nfeature "A" "R" optional attribute n 1;\n'
 
 @pytest.mark.parametrize("write, command", [
     ("attach_feature", 'add feature "N" with attributes (_parent = "R", _decomp = or);'),
-    ("move_feature", 'update feature "B" set _parent = "A", _decomp = or;'),
+    # the move cases keep the ids they had when a move was written by move_feature
+    pytest.param("move_features", 'update feature "B" set _parent = "A", _decomp = or;',
+                 id='move_feature-update feature "B" set _parent = "A", _decomp = or;'),
     ("rename_feature", 'update feature "B" set _name = "Z";'),
-    ("move_feature", "updateall feature V set _decomp = or where V.n > 0;"),
+    pytest.param("move_features", "updateall feature V set _decomp = or where V.n > 0;",
+                 id="move_feature-updateall feature V set _decomp = or where V.n > 0;"),
     ("remove_subtree", 'remove feature "A";'),
     ("remove_subtree", "removeall feature V where V.n > 0;"),
     ("add_constraint", 'add constraint "B" requires "A";'),
@@ -456,6 +459,72 @@ def test_a_command_failing_after_its_first_write_has_no_effect(monkeypatch, writ
     assert calls
     assert [(d.severity, d.message) for d in diags] == [("error", "failed after a write")]
     assert (serialize_declarations(after), after.next_group_id) == before
+
+
+class LoggedAttributes(dict):
+    """A feature's attributes that log the feature's name on each read."""
+
+    log: list = []
+
+    def __init__(self, owner: str, values: dict):
+        super().__init__(values)
+        self.owner = owner
+
+
+def _logged(read):
+    def logged(self, *args):
+        LoggedAttributes.log.append(self.owner)
+        return read(self, *args)
+    return logged
+
+
+for _read in ("get", "__getitem__", "__contains__", "__iter__", "__len__",
+              "keys", "values", "items", "copy"):
+    setattr(LoggedAttributes, _read, _logged(getattr(dict, _read)))
+
+
+@pytest.mark.parametrize("n", [600, 1200])
+def test_a_second_updateall_reads_only_its_targets(n, monkeypatch):
+    # once a first `where F.a = k` has built the column of `a`, a command of
+    # that kind resolves from the column and moves its targets without
+    # reading the attributes of any other feature, at any model size
+    m = FeatureModel.with_root("R")
+    for parent in ("P", "Q"):
+        m.attach_feature(Feature(parent), "R", DecompKind.MANDATORY)
+    for i in range(n):
+        name = f"F{i}"
+        m.attach_feature(Feature(name, attributes=LoggedAttributes(name, {"a": i % 10})),
+                         "R", DecompKind.OPTIONAL)
+    monkeypatch.setattr(LoggedAttributes, "log", [])
+    m, diags = run(m, 'updateall feature F set _parent = "P" where F.a = 3;')
+    assert diags == [] and LoggedAttributes.log
+    LoggedAttributes.log.clear()
+    m, diags = run(m, 'updateall feature F set _parent = "Q", _decomp = optional where F.a = 4;')
+    targets = {f"F{i}" for i in range(4, n, 10)}
+    assert diags == [] and set(LoggedAttributes.log) <= targets
+    assert {name for name, f in m.features.items() if f.parent == "Q"} == targets
+    assert validate(m) == []
+
+
+def test_updateall_moves_each_run_of_targets_in_one_call(monkeypatch):
+    # targets are written in order; consecutive targets with one move share
+    # a call, so a constant move is one call and a varying one one per run
+    calls, original = [], FeatureModel.move_features
+
+    def counted(self, names, new_parent, *rest):
+        calls.append((list(names), new_parent))
+        return original(self, names, new_parent, *rest)
+
+    monkeypatch.setattr(FeatureModel, "move_features", counted)
+    m = build('root "R";\nfeature "P" "R" optional;\nfeature "Q" "R" optional;\n'
+              + "".join(f'feature "{n}" "R" optional attribute home "{home}";\n'
+                        for n, home in zip("ABCD", "PPQP")))
+    after, diags = run(m, 'updateall feature F set _parent = H._name where F.home = H._name;')
+    assert diags == [] and calls == [(["A", "B"], "P"), (["C"], "Q"), (["D"], "P")]
+    assert [after.features[n].parent for n in "ABCD"] == list("PPQP")
+    calls.clear()
+    after, diags = run(after, 'updateall feature F set _parent = "Q" where F.home = "P";')
+    assert diags == [] and calls == [(["A", "B", "D"], "Q")]
 
 
 def test_updateall_no_resolutions_warning(services):
@@ -523,11 +592,8 @@ def test_removeall_matches_removals_one_target_at_a_time():
         m = random_model(rng, max_features=30, max_attrs=4)
         names = list(m.features)
         for _ in range(rng.randint(0, 6)):
-            try:
-                m.move_feature(rng.choice(names), rng.choice(names),
-                               rng.choice([DecompKind.MANDATORY, DecompKind.OPTIONAL]))
-            except ModelError:
-                pass
+            m.move_features([rng.choice(names)], rng.choice(names),
+                            rng.choice([DecompKind.MANDATORY, DecompKind.OPTIONAL]))
         for _ in range(rng.randint(0, 3 * len(names))):
             m.add_constraint(Constraint(rng.choice(names), rng.choice(["requires", "excludes"]),
                                         rng.choice(names)))

@@ -3,11 +3,14 @@ import time
 import pytest
 
 from feather.build import BuildError, build_model
+from feather.expressions import attr_reader
 from feather.model import Constraint, DecompKind, Feature, FeatureModel, ModelError
 from feather.parser import FeatureDecl, RootDecl, ScriptAst
+from feather.resolver import _join_key
 from feather.tvl import TvlError, import_tvl
 
-from conftest import index_answers, model_state, scan_groups, scan_subtrees, validate
+from conftest import (column_answers, index_answers, model_state, scan_columns, scan_groups,
+                      scan_subtrees, validate)
 
 
 def small():
@@ -58,18 +61,36 @@ def test_fits_group_asks_another_member():
 
 def test_move_subtree_follows():
     m = small()
-    m.move_feature("A", "B", DecompKind.OPTIONAL)
+    assert m.move_features(["A"], "B", DecompKind.OPTIONAL) == []
     assert m.features["A"].parent == "B"
     assert m.features["C"].parent == "A"
     assert validate(m) == []
 
 
 def test_move_rejects_cycle_and_root():
+    # a refused move is a value: the names refused, each left as it was
     m = small()
-    with pytest.raises(ModelError):
-        m.move_feature("A", "C", DecompKind.OPTIONAL)
-    with pytest.raises(ModelError):
-        m.move_feature("Root", "A", DecompKind.OPTIONAL)
+    before = model_state(m)
+    assert m.move_features(["A"], "C", DecompKind.OPTIONAL) == ["A"]
+    assert m.move_features(["Root"], "A", DecompKind.OPTIONAL) == ["Root"]
+    assert model_state(m) == before
+    # the refused names keep their place among the moved ones
+    assert m.move_features(["B", "A", "Root"], "C", DecompKind.OPTIONAL) == ["A", "Root"]
+    assert m.features["B"].parent == "C"
+    assert validate(m) == []
+
+
+def test_move_checks_each_name_against_the_group():
+    # C and D form an alternative group under A: every name that would
+    # join it elsewhere is refused, the group's own members included
+    m = small()
+    gid = m.features["C"].group_id
+    before = model_state(m)
+    assert m.move_features(["B", "C", "D"], "Root", DecompKind.ALTERNATIVE,
+                           join_group=gid) == ["B", "C", "D"]
+    assert model_state(m) == before
+    assert m.move_features(["B", "C"], "A", DecompKind.ALTERNATIVE, join_group=gid) == []
+    assert set(m.group_members(gid)) == {"B", "C", "D"}
     assert validate(m) == []
 
 
@@ -77,8 +98,7 @@ def test_move_cannot_join_own_singleton_group():
     m = FeatureModel.with_root("R")
     m.attach_feature(Feature("A"), "R", DecompKind.OR)
     gid = m.features["A"].group_id
-    with pytest.raises(ModelError):
-        m.move_feature("A", "R", DecompKind.OR, join_group=gid)
+    assert m.move_features(["A"], "R", DecompKind.OR, join_group=gid) == ["A"]
     # the failed move must not corrupt the feature
     assert m.features["A"].parent == "R"
     assert m.features["A"].group_id == gid
@@ -157,10 +177,9 @@ def test_move_cycle_check_on_deep_chain():
     for i in range(3000):
         m.attach_feature(Feature(f"F{i}"), parent, DecompKind.OPTIONAL)
         parent = f"F{i}"
-    with pytest.raises(ModelError, match="cycle"):
-        m.move_feature("F0", "F2999", DecompKind.OPTIONAL)
+    assert m.move_features(["F0"], "F2999", DecompKind.OPTIONAL) == ["F0"]
     assert m.features["F0"].parent == "R"
-    m.move_feature("F2999", "R", DecompKind.OPTIONAL)
+    assert m.move_features(["F2999"], "R", DecompKind.OPTIONAL) == []
     assert validate(m) == []
 
 
@@ -239,7 +258,7 @@ def test_tree_check_messages():
 # one call of each edit primitive, in an order in which each applies
 EDITS = [
     ("attach_feature", Feature("E", attributes={"y": 2}), "B", DecompKind.OR),
-    ("move_feature", "C", "Root", DecompKind.OPTIONAL),
+    ("move_features", ["C"], "Root", DecompKind.OPTIONAL),
     ("rename_feature", "A", "A2"),  # D's parent and a constraint follow
     ("update_attributes", "Root", {"price": 11, "x": 1}),
     ("remove_subtree", "B"),  # E and "D excludes B" go with it
@@ -301,6 +320,53 @@ def test_copy_hands_its_indices_to_the_copy():
     assert "B" not in m._indices()[0]
     assert index_answers(m) == (scan_subtrees(m), scan_groups(m))
     assert index_answers(c) == (scan_subtrees(c), scan_groups(c))
+
+
+COLUMN_ATTRS = ("price", "x", "y", "_name", "_parent", "_decomp", "_decompID")
+
+
+def read_columns(m):
+    """Build the column and the buckets of each of COLUMN_ATTRS; their answers."""
+    for attr in COLUMN_ATTRS:
+        m.buckets(attr, attr_reader(attr), _join_key)
+    return column_answers(m)
+
+
+@pytest.mark.parametrize("edit_copy", [True, False])
+def test_copy_hands_its_columns_to_the_copy(edit_copy):
+    # no entry is copied: the copy answers from the columns the original
+    # built, and the original builds new ones from its features; then the
+    # columns of each model stay a scan of its own features, whichever of
+    # the two is edited
+    m = small()
+    built = read_columns(m)
+    columns = m._columns
+    c = m.copy()
+    assert c._columns is columns and m._columns is None
+    assert read_columns(c) == built and read_columns(m) == built
+    assert m._columns is not columns
+    edited, other = (c, m) if edit_copy else (m, c)
+    before = column_answers(other)
+    for method, *args in EDITS:
+        getattr(edited, method)(*args)
+        assert column_answers(other) == before, method
+        answers = column_answers(edited)
+        assert answers == scan_columns(edited, answers), method
+        answers = read_columns(edited)  # what the edit dropped, built again
+        assert answers == scan_columns(edited, answers), method
+
+
+def test_a_move_keeps_the_attribute_columns():
+    # a move keeps each feature's place and attributes: only the columns of
+    # the structural attributes it changes go
+    m = small()
+    read_columns(m)
+    kept = {attr: m._columns[attr] for attr in ("price", "x", "y", "_name")}
+    assert m.move_features(["C", "D"], "B", DecompKind.OPTIONAL) == []
+    assert all(m._columns[attr] is entry for attr, entry in kept.items())
+    assert m._columns.keys() == kept.keys()
+    answers = read_columns(m)
+    assert answers == scan_columns(m, answers)
 
 
 def test_remove_subtree_takes_several_roots():

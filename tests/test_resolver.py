@@ -17,7 +17,7 @@ from feather.expressions import (
     compile_expr,
     referenced_usages,
 )
-from feather.model import Constraint, DecompKind
+from feather.model import Constraint, DecompKind, Feature, FeatureModel
 from feather.parser import parse_commands
 from feather.resolver import candidate_domain, resolve
 
@@ -26,6 +26,7 @@ from conftest import (
     JOIN_VALUES,
     brute_force_resolve,
     build,
+    column_answers,
     parse_expr,
     random_join_model,
     random_join_where,
@@ -33,6 +34,7 @@ from conftest import (
     random_model,
     random_where,
     reference_variables,
+    scan_columns,
 )
 
 
@@ -444,6 +446,27 @@ def test_literal_key_filter_equals_the_oracle():
         assert resolve(m, variables, where, usages=wide).tuples == want, f"case {case}"
         satisfiable += bool(want)
     assert satisfiable >= 100
+
+
+def test_buckets_follow_the_key_rules():
+    # 1 = 1.0 with the names in feature order, true is not 1, "1" is not 1,
+    # and NaN equals nothing, itself included; each answer is the oracle's,
+    # and the buckets the answers are taken from are a scan's
+    nan = float("nan")
+    values = {"A": 1, "B": True, "C": 1.0, "D": nan, "E": "1", "F": 1, "G": 2.0}
+    m = FeatureModel.with_root("R")
+    for name, v in values.items():
+        m.attach_feature(Feature(name, attributes={"a": v}), "R", DecompKind.OPTIONAL)
+    expected = [(1, ["A", "C", "F"]), (1.0, ["A", "C", "F"]), (True, ["B"]),
+                ("1", ["E"]), (nan, []), (2, ["G"]), (False, [])]  # 1 == True as dict keys
+    for lit, names in expected:
+        where = Binary("=", AttrRef(VarRef("V"), "a"), Lit(lit))
+        assert brute_force_resolve(m, ("V",), where) == {(n,) for n in names}, lit
+        assert resolve(m, ["V"], where).tuples == [(n,) for n in names], lit
+    answers = column_answers(m)
+    assert answers == scan_columns(m, answers)
+    assert answers["a"][1] == {("numeric", 1): ["A", "C", "F"], ("boolean", True): ["B"],
+                               ("string", "1"): ["E"], ("numeric", 2): ["G"]}
 
 
 # -- comparison filters against the oracle -------------------------------------

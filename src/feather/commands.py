@@ -21,15 +21,13 @@ import itertools
 import operator
 
 from .expressions import (
-    BOOLEAN,
     EvalError,
-    NUMERIC,
     TypeCheckError,
     VarRef,
     compile_expr,
     referenced_usages,
 )
-from .model import Constraint, DecompKind, Feature, FeatureModel, effect_key
+from .model import BOOLEAN, NUMERIC, Constraint, DecompKind, Feature, FeatureModel, effect_key
 from .parser import (
     AddConstraint,
     AddFeature,

@@ -8,6 +8,10 @@ with compile_expr, into a type and a value: the type is static where the
 rules decide it without a model, else a type pass to run under a binding;
 the value is evaluated under a binding only after the type has been
 checked, so a type error always wins over an evaluation error.
+
+A term reads its attribute as the model does (`model.attr_reader`): the
+value types, their names and the attributes every feature has are the
+model's, and the type rules here are stated over them.
 """
 
 from __future__ import annotations
@@ -16,19 +20,8 @@ import math
 import operator
 import sys
 
-from .model import DecompKind
+from .model import BOOLEAN, INTEGER, NUMERIC, REAL, STRUCTURAL, TYPES, attr_reader, type_of
 from .record import FrozenRecord
-
-# value types, as reported by the type pass
-INTEGER = "integer"
-REAL = "real"
-BOOLEAN = "boolean"
-STRING = "string"
-DECOMP = "decomp"
-DECOMP_ID = "decomp_id"
-
-NUMERIC = (INTEGER, REAL)
-TYPES = NUMERIC + (BOOLEAN, STRING, DECOMP, DECOMP_ID)
 
 ARITH_OPS = ("+", "-", "*", "/", "%")
 REL_OPS = ("<", "<=", ">", ">=")
@@ -70,16 +63,6 @@ class Unary(FrozenRecord):
 
 class Binary(FrozenRecord):
     __slots__ = ("op", "left", "right")
-
-
-_TYPE_OF = {bool: BOOLEAN, int: INTEGER, float: REAL, str: STRING, DecompKind: DECOMP}
-
-
-def type_of(value) -> str:
-    try:
-        return _TYPE_OF[type(value)]
-    except KeyError:
-        raise TypeError(f"unsupported attribute value {value!r}") from None
 
 
 # -- type rules ------------------------------------------------------------
@@ -227,18 +210,6 @@ def _node_type(rule, op: str, *types):
     return lambda features, binding: rule(op, *[p(features, binding) for p in passes])
 
 
-def attr_reader(attr: str):
-    """A reader of one attribute: (type, value), or None where a feature lacks it."""
-    if attr in STRUCTURAL:
-        t, value, on_root = STRUCTURAL[attr]
-        return lambda f: (t, value(f)) if on_root or not f.is_root else None
-
-    def read(f):
-        v = f.attributes.get(attr)
-        return None if v is None else (type_of(v), v)
-    return read
-
-
 def _compile_attr(subject, attr: str):
     """The (type, value) closures of the term `subject.attr`."""
     read, var = attr_reader(attr), subject.name
@@ -259,17 +230,6 @@ def _compile_attr(subject, attr: str):
         return pair[0]
     return term_type, lambda features, binding: read(
         features[var if named else binding[var]])[1]
-
-
-# The attributes every feature has (model.STRUCTURAL_ATTRS), each with its
-# type, a reader of its value and whether the root has it: the root has no
-# decomposition relation.
-STRUCTURAL = {
-    "_name": (STRING, lambda f: f.name, True),
-    "_parent": (STRING, lambda f: f.parent if f.parent is not None else "", True),
-    "_decomp": (DECOMP, lambda f: f.decomp, False),
-    "_decompID": (DECOMP_ID, lambda f: ("decompID", f.group_id), False),
-}
 
 
 # -- usage extraction ------------------------------------------------------

@@ -18,7 +18,10 @@ again when it next needs one.
 
 Attribute columns (`column`, `buckets`) belong to a model the same way. A
 move drops those of `_parent`, `_decomp` and `_decompID`, and any other
-edit drops each column it changes, a removal all of them.
+edit drops each column it changes, a removal all of them. A column reads
+each feature with `attr_reader`, the one reading of an attribute as a typed
+value that the type rules and the resolver share, and a bucket keys it with
+`join_key`, as `=` compares.
 """
 
 from __future__ import annotations
@@ -42,8 +45,61 @@ class DecompKind(enum.Enum):
         return self.value
 
 
-# the attributes every feature has; also reserved words of the script lexer
-STRUCTURAL_ATTRS = ("_name", "_parent", "_decomp", "_decompID")
+# value types, as the type rules name them
+INTEGER = "integer"
+REAL = "real"
+BOOLEAN = "boolean"
+STRING = "string"
+DECOMP = "decomp"
+DECOMP_ID = "decomp_id"
+
+NUMERIC = (INTEGER, REAL)
+TYPES = NUMERIC + (BOOLEAN, STRING, DECOMP, DECOMP_ID)
+
+_TYPE_OF = {bool: BOOLEAN, int: INTEGER, float: REAL, str: STRING, DecompKind: DECOMP}
+
+
+def type_of(value) -> str:
+    try:
+        return _TYPE_OF[type(value)]
+    except KeyError:
+        raise TypeError(f"unsupported attribute value {value!r}") from None
+
+
+# The attributes every feature has, each with its type, a reader of its
+# value and whether the root has it: the root has no decomposition
+# relation. Their names are reserved words of the script lexer.
+STRUCTURAL = {
+    "_name": (STRING, lambda f: f.name, True),
+    "_parent": (STRING, lambda f: f.parent if f.parent is not None else "", True),
+    "_decomp": (DECOMP, lambda f: f.decomp, False),
+    "_decompID": (DECOMP_ID, lambda f: ("decompID", f.group_id), False),
+}
+
+
+def attr_reader(attr: str):
+    """A reader of one attribute: (type, value), or None where a feature lacks it."""
+    if attr in STRUCTURAL:
+        t, value, on_root = STRUCTURAL[attr]
+        return lambda f: (t, value(f)) if on_root or not f.is_root else None
+
+    def read(f):
+        v = f.attributes.get(attr)
+        return None if v is None else (type_of(v), v)
+    return read
+
+
+def join_key(t: str, value):
+    """Hash key of a typed value: values `=` calls equal share a key.
+
+    None when the value is NaN, which equals nothing. Numbers are keyed by
+    their value: an int and a float that `=` calls equal are equal and hash
+    alike, so 1 = 1.0 while 2**53 + 1 is not 2**53. Other values are keyed by
+    type, so true never equals 1.
+    """
+    if t not in NUMERIC:
+        return t, value
+    return None if value != value else ("numeric", value)
 
 
 class ModelError(Exception):
@@ -140,28 +196,29 @@ class FeatureModel(Record):
             self._children, self._groups = children, groups
         return self._children, self._groups
 
-    def column(self, attr: str, read) -> dict:
-        """Each feature that has `attr`, by name in feature order, to read(f),
-        `read` being the same on every call; built on first use. Read-only."""
+    def column(self, attr: str) -> dict:
+        """Each feature that has `attr`, by name in feature order, to its
+        (type, value) as attr_reader reads it; built on first use. Read-only."""
         columns = self._columns = self._columns or {}
         if attr not in columns:
+            read = attr_reader(attr)
             columns[attr] = [{f.name: pair for f in self.features.values()
                               if (pair := read(f)) is not None}, None]
         return columns[attr][0]
 
-    def buckets(self, attr: str, read, key) -> dict:
-        """The names of `attr`'s column grouped in feature order by key(*entry),
-        the same `key` on every call, None in no group; built on first use."""
-        column, entry = self.column(attr, read), self._columns[attr]
+    def buckets(self, attr: str) -> dict:
+        """The names of `attr`'s column grouped in feature order by join_key,
+        None in no group; built on first use. Read-only."""
+        column, entry = self.column(attr), self._columns[attr]
         if entry[1] is None:
-            by_entry: dict = {}  # key() runs once per distinct entry
+            by_entry: dict = {}  # join_key() runs once per distinct entry
             for name, pair in column.items():
                 by_entry.setdefault(pair, []).append(name)
             groups = entry[1] = {}
             for pair, names in by_entry.items():
-                if (k := key(*pair)) is not None:  # 1 and 1.0 share a key: keep feature order
+                if (k := join_key(*pair)) is not None:  # 1 and 1.0 share a key: feature order
                     groups[k] = names if k not in groups else [
-                        n for n, p in column.items() if key(*p) == k]
+                        n for n, p in column.items() if join_key(*p) == k]
         return entry[1]
 
     def _drop_columns(self, attrs) -> None:
@@ -241,7 +298,7 @@ class FeatureModel(Record):
             raise ModelError(f"{name!r} cannot join group {join_group} "
                              f"as {decomp} under {parent!r}")
         gid = self.fresh_group_id() if join_group is None and decomp.is_group else join_group or 0
-        self._drop_columns((*STRUCTURAL_ATTRS, *feature.attributes))
+        self._drop_columns((*STRUCTURAL, *feature.attributes))
         self.features[name] = Feature(name, parent, decomp, gid, feature.attributes)
         if self._children is not None:
             self._children.setdefault(parent, {})[name] = None
@@ -268,7 +325,7 @@ class FeatureModel(Record):
             above.add(n)
             n = self.features[n].parent
         children, groups = self._indices()
-        self._drop_columns(STRUCTURAL_ATTRS[1:])
+        self._drop_columns(("_parent", "_decomp", "_decompID"))
         fresh, refused = join_group is None and decomp.is_group, []
         for name in names:
             f = self.feature(name)

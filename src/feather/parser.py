@@ -9,9 +9,9 @@ Expressions nested deeper than MAX_EXPR_DEPTH are a parse error.
 from __future__ import annotations
 
 from .expressions import AttrRef, Binary, FeatureRef, Lit, Unary, VarRef
-from .model import DecompKind
+from .model import STRUCTURAL, DecompKind
 from .record import Record
-from .tokens import DECLARATIONS, LEXICON, STRUCTURALS, Cursor, LexError, tokenize
+from .tokens import DECLARATIONS, LEXICON, Cursor, LexError, tokenize
 
 DECOMP_KEYWORDS = {kind.value: kind for kind in DecompKind}
 
@@ -297,7 +297,7 @@ class _Parser(Cursor):
 
     def parse_attr_name(self) -> str:
         kind = self.kinds[self.pos]
-        if kind == "IDENT" or kind in STRUCTURALS:
+        if kind == "IDENT" or kind in STRUCTURAL:
             self.pos += 1
             return self.values[self.pos - 1]
         self.fail(f"expected an attribute name, found {self.text()!r}")

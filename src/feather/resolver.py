@@ -9,27 +9,27 @@ Each candidate domain is pruned by attribute presence and type
 compatibility, read from the model's column of each attribute: name to
 (type, value), kept across commands (FeatureModel.column), so that the
 variables and commands that use an attribute read it from the features
-once. Conjuncts compile once per resolve (compile_expr) against the
-columns. A term then costs two dict reads under a binding, and a column of
-one type over the domain gives a static type, so that the type rules over
-it are applied at compile time. A conjunct that fails to typecheck or
-evaluate is false.
+once. Conjuncts compile once per resolve (compile_expr): a term `V.a` whose
+attribute V's usages name reads the column, two dict reads under a binding,
+and a column of one type over the domain gives a static type, applied at
+compile time; any other term reads its feature. A conjunct that fails to
+typecheck or evaluate is false.
 
 Conjuncts of one variable filter its domain before the search; one of the
-form `V.a = lit` keeps the names whose key (see below) equals the literal's,
-the model's bucket of that key (FeatureModel.buckets).
+form `V.a = lit` keeps the names whose key (model.join_key) equals the
+literal's, the model's bucket of that key (FeatureModel.buckets).
 The search binds the variables smallest domain first, deciding each
-conjunct at the depth where its last variable is bound. A conjunct
-`V.a = U.b` is a hash join: `V`'s domain is indexed once by the key of its
-`a` column, and the search visits only the names whose key equals that of
-`U.b`. Keys follow `=` exactly (`1 = 1.0`; a boolean never equals a
-number), so neither the join nor the literal filter needs a check of its
-own. A comparison `V.a op U.b` between bound variables, both columns of one
-type that the rule of `op` admits, filters the depth's names in one pass:
-`U.b` is read once per binding of the earlier depths and compared with each
-name's value by the operator itself, which never raises on such values.
-Each depth walks its names in domain order, so only a search order other
-than the declaration order needs a sort.
+conjunct at the depth where its last variable is bound, by that depth's
+plan. A conjunct `V.a = U.b` is a hash join: `V`'s domain is indexed once by
+the key of its `a` column, and the search visits only the names whose key
+equals that of `U.b`. Keys follow `=` exactly (`1 = 1.0`; a boolean never
+equals a number), so neither the join nor the literal filter needs a check
+of its own. A comparison `V.a op U.b` between bound variables, both columns
+of one type that the rule of `op` admits, filters the depth's names in one
+pass: `U.b` is read once per binding of the earlier depths and compared
+with each name's value by the operator itself, which never raises on such
+values. Each depth walks its names in domain order, so only a search order
+other than the declaration order needs a sort.
 """
 
 from __future__ import annotations
@@ -41,18 +41,15 @@ from .expressions import (
     Binary,
     EvalError,
     Lit,
-    NUMERIC,
     TypeCheckError,
     VarRef,
     _BINARY_OPS,
     _binary_type,
     admitted_types,
-    attr_reader,
     compile_expr,
     referenced_usages,
-    type_of,
 )
-from .model import FeatureModel
+from .model import FeatureModel, join_key, type_of
 from .record import Record
 
 
@@ -64,20 +61,14 @@ class ResolutionSet(Record):
         self.variables, self.tuples = variables, tuples
 
 
-def candidate_domain(model: FeatureModel, usages: list, columns=None) -> list:
+def candidate_domain(model: FeatureModel, usages: list) -> list:
     """Features admissible for a variable given its (attr, context) usages,
-    by name in feature order.
-
-    `columns` receives the model's column of each used attribute, which is
-    read-only (FeatureModel.column).
-    """
+    by name in feature order."""
     contexts: dict = {}
     for attr, ctx in usages:
         contexts.setdefault(attr, []).append(ctx)
-    columns = {} if columns is None else columns
-    for attr in contexts:
-        columns[attr] = model.column(attr, attr_reader(attr))
-    names = min((columns[attr] for attr in contexts), key=len, default=model.features)
+    columns = {attr: model.column(attr) for attr in contexts}
+    names = min(columns.values(), key=len, default=model.features)
     for attr, cs in contexts.items():
         admitted, column = admitted_types(cs), columns[attr]
         if column is names:  # the smallest column: filter its own entries
@@ -97,11 +88,12 @@ def resolve(model: FeatureModel, variables, where=None,
             usages: dict | None = None) -> ResolutionSet:
     """All tuples over the candidate domains satisfying the where-clause.
 
-    `usages` restricts the candidate domains: a command passes the usages
-    of every expression it contains, its where-clause included; without
-    it, the where-clause's own usages do. A binding under which the
-    where-clause fails to typecheck, or raises a dynamic error, does not
-    satisfy the clause. A variable may be declared once only.
+    `usages`, variable -> (attribute, context) pairs, restricts the domains:
+    a command passes those of every expression it contains, and without it
+    the where-clause's own do. Usages that leave out some of the clause's
+    give the same tuples. A binding under which the where-clause fails to
+    typecheck, or raises a dynamic error, does not satisfy the clause. A
+    variable may be declared once only.
     """
     variables = tuple(variables)
     if len(set(variables)) != len(variables):
@@ -111,15 +103,22 @@ def resolve(model: FeatureModel, variables, where=None,
     if usages is None:
         usages = referenced_usages(where) if where is not None else {}
     features, binding = model.features, {}
-    columns = {v: {} for v in variables}
-    domains = {v: candidate_domain(model, usages.get(v, []), columns[v])
-               for v in variables}
+    domains = {v: candidate_domain(model, usages.get(v, [])) for v in variables}
+    named = {v: {attr for attr, _ in usages.get(v, ())} for v in variables}
+
+    def column_of(term):
+        """(V, a, the model's column of a) for a term `V.a` whose variable's
+        usages name a, so that V's whole domain has a; else None."""
+        if (isinstance(term, AttrRef) and isinstance(term.subject, VarRef)
+                and term.attr in named.get(term.subject.name, ())):
+            return term.subject.name, term.attr, model.column(term.attr)
+        return None
 
     def leaf(term):
-        var = _var_term(term)
-        if var not in columns:
+        found = column_of(term)
+        if found is None:
             return None
-        column = columns[var][term.attr]
+        var, _, column = found
         static = _static_column(column, domains[var])
         if static is None:
             return (lambda features, binding: column[binding[var]][0],
@@ -130,7 +129,7 @@ def resolve(model: FeatureModel, variables, where=None,
     single = {v: [] for v in variables}  # conjuncts of one variable, by variable
     joint, constant = [], []  # (conjunct, its variables) of several, conjuncts of none
     for c, used in zip(conjuncts, uses):
-        vs = [v for v in used if v in columns]
+        vs = [v for v in used if v in domains]
         if len(vs) > 1:
             joint.append((c, vs))
         elif vs:
@@ -142,16 +141,17 @@ def resolve(model: FeatureModel, variables, where=None,
     for v, cs in single.items():
         rest = []
         for c in cs:
-            match = _literal_key(c)
-            if match is None:
+            found = _oriented(c, v, column_of)
+            if found is None or found[0] != "=" or not isinstance(found[2], Lit):
                 rest.append(c)
-            else:  # the model's bucket of the key, less what the domain lacks
-                attr, key = match
-                names = model.buckets(attr, attr_reader(attr), _join_key).get(key, [])
-                if len(domains[v]) < len(columns[v][attr]):
-                    kept = set(domains[v])
-                    names = [n for n in names if n in kept]
-                domains[v] = names
+                continue
+            # `v.a = lit`: the model's bucket of lit's key, less what the domain lacks
+            _, (_, attr, column), lit = found
+            names = model.buckets(attr).get(join_key(type_of(lit.value), lit.value), [])
+            if len(domains[v]) < len(column):
+                kept = set(domains[v])
+                names = [n for n in names if n in kept]
+            domains[v] = names
         if rest:
             holds = _all_hold(rest, leaf)
             domains[v] = [n for n in domains[v] if holds(features, {v: n})]
@@ -161,31 +161,29 @@ def resolve(model: FeatureModel, variables, where=None,
     scheduled: list = [[] for _ in order]  # conjuncts decided once order[d] is bound
     for c, vs in joint:
         scheduled[max(map(depth_of.__getitem__, vs))].append(c)
-    probes: list = [None] * len(order)  # per depth: (hash index, U, U's keys) or None
-    filters: list = [[] for _ in order]  # per depth: (op, values, U, U's values)
-    for d, cs in enumerate(scheduled):
+    plans = []  # per depth: (variable, hash probe or None, filters, check or None)
+    for var, cs in zip(order, scheduled):
+        probe, filters, rest = None, [], []
         for c in cs:
-            probes[d] = _equijoin_probe(c, order[d], domains, columns)
-            if probes[d] is not None:
-                cs.remove(c)  # the index lookup decides it
-                break
-        for c in list(cs):
-            found = _comparison_filter(c, order[d], domains, columns)
-            if found is not None:
-                filters[d].append(found)
-                cs.remove(c)  # the filter decides it
-    checks = [_all_hold(cs, leaf) if cs else None for cs in scheduled]
+            if probe is None and (probe := _equijoin_probe(c, var, domains, column_of)):
+                continue  # the index lookup decides it
+            found = _comparison_filter(c, var, domains, column_of)
+            if found is None:
+                rest.append(c)
+            else:
+                filters.append(found)  # the filter decides it
+        plans.append((var, probe, filters, _all_hold(rest, leaf) if rest else None))
     results = [] if order else [()]
     last = len(order) - 1
 
     def search(depth: int) -> None:
-        var, check, probe = order[depth], checks[depth], probes[depth]
+        var, probe, filters, check = plans[depth]
         if probe is None:
             names = domains[var]
         else:
             table, other, keys = probe
             names = table.get(keys[binding[other]], ())
-        for op, values, u, u_values in filters[depth]:
+        for op, values, u, u_values in filters:
             x = u_values[binding[u]]
             names = [n for n in names if op(values[n], x)]
         if depth == last:  # the binding holds order[:last], in order
@@ -233,24 +231,25 @@ def _all_hold(conjuncts, leaf):
     return holds
 
 
-def _var_term(expr):
-    """The variable of a `V.attr` term, else None."""
-    if isinstance(expr, AttrRef) and isinstance(expr.subject, VarRef):
-        return expr.subject.name
+# each comparison with its operands swapped: `a op b` is `b _SWAPPED[op] a`
+# on any two values that the type rule of op admits
+_SWAPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
+
+
+def _oriented(conjunct, var, column_of):
+    """(op, column_of(var.a), other) for a comparison `var.a op other` or
+    `other op var.a`, op swapped in the second form so that it reads as the
+    conjunct does; else None, also where column_of answers None for var.a."""
+    if isinstance(conjunct, Binary) and conjunct.op in _SWAPPED:
+        for op, term, other in ((conjunct.op, conjunct.left, conjunct.right),
+                                (_SWAPPED[conjunct.op], conjunct.right, conjunct.left)):
+            mine = column_of(term)
+            if mine is not None and mine[0] == var:
+                return op, mine, other
     return None
 
 
-def _literal_key(conjunct):
-    """(a, the key of lit) for a conjunct `V.a = lit` or `lit = V.a`, else None."""
-    if isinstance(conjunct, Binary) and conjunct.op == "=":
-        for term, lit in ((conjunct.left, conjunct.right),
-                          (conjunct.right, conjunct.left)):
-            if _var_term(term) is not None and isinstance(lit, Lit):
-                return term.attr, _join_key(type_of(lit.value), lit.value)
-    return None
-
-
-def _equijoin_probe(conjunct, var, domains, columns):
+def _equijoin_probe(conjunct, var, domains, column_of):
     """A hash index answering `var.a = U.b` for another variable U.
 
     The conjunct is decided at `var`'s depth, so U is bound before `var`.
@@ -258,28 +257,19 @@ def _equijoin_probe(conjunct, var, domains, columns):
     of `var`'s domain, in domain order, and keys maps each name of U's domain
     to the key of its `U.b`. None when the conjunct has another shape.
     """
-    if not (isinstance(conjunct, Binary) and conjunct.op == "="):
+    found = _oriented(conjunct, var, column_of)
+    if found is None or found[0] != "=" or (other := column_of(found[2])) is None:
         return None
-    for mine, other in ((conjunct.left, conjunct.right),
-                        (conjunct.right, conjunct.left)):
-        u = _var_term(other)
-        if _var_term(mine) == var and u in domains.keys() - {var}:
-            column, index = columns[var][mine.attr], {}
-            for name in domains[var]:
-                key = _join_key(*column[name])
-                if key is not None:
-                    index.setdefault(key, []).append(name)
-            column = columns[u][other.attr]
-            return index, u, {name: _join_key(*column[name]) for name in domains[u]}
-    return None
+    (_, _, column), (u, _, u_column) = found[1], other
+    index: dict = {}
+    for name in domains[var]:
+        key = join_key(*column[name])
+        if key is not None:
+            index.setdefault(key, []).append(name)
+    return index, u, {name: join_key(*u_column[name]) for name in domains[u]}
 
 
-# each comparison with its operands swapped: `a op b` is `b _SWAPPED[op] a`
-# on any two values that the type rule of op admits
-_SWAPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
-
-
-def _comparison_filter(conjunct, var, domains, columns):
+def _comparison_filter(conjunct, var, domains, column_of):
     """A filter deciding `var.a op U.b` or `U.b op var.a` for another variable U.
 
     The conjunct is decided at `var`'s depth, so U is bound before `var`.
@@ -289,16 +279,12 @@ def _comparison_filter(conjunct, var, domains, columns):
     unless both columns hold one type over their domains that the operator's
     rule admits: only then does the operator alone decide, and never raise.
     """
-    if not (isinstance(conjunct, Binary) and conjunct.op in _SWAPPED):
+    found = _oriented(conjunct, var, column_of)
+    if found is None or (other := column_of(found[2])) is None:
         return None
-    op, mine, other = conjunct.op, conjunct.left, conjunct.right
-    if _var_term(mine) != var:
-        op, mine, other = _SWAPPED[op], other, mine
-    u = _var_term(other)
-    if _var_term(mine) != var or u not in domains.keys() - {var}:
-        return None
-    static = _static_column(columns[var][mine.attr], domains[var])
-    u_static = _static_column(columns[u][other.attr], domains[u])
+    (op, (_, _, column), _), (u, _, u_column) = found, other
+    static = _static_column(column, domains[var])
+    u_static = _static_column(u_column, domains[u])
     if static is None or u_static is None:
         return None
     (t, values), (u_type, u_values) = static, u_static
@@ -316,17 +302,3 @@ def _static_column(column, names):
     if len(types) != 1:
         return None
     return types.pop(), {n: column[n][1] for n in names}
-
-
-def _join_key(t: str, value):
-    """Hash key of a typed value: values `=` calls equal share a key.
-
-    None when the value is NaN, which equals nothing. Numbers are keyed by
-    their value: an int and a float that `=` calls equal are equal and hash
-    alike, so 1 = 1.0 while 2**53 + 1 is not 2**53. Other values are keyed by
-    type, so true never equals 1.
-    """
-    if t not in NUMERIC:
-        return t, value
-    return None if value != value else ("numeric", value)
-

@@ -19,7 +19,7 @@ import math
 import re
 from collections import namedtuple
 
-from .model import STRUCTURAL_ATTRS, DecompKind
+from .model import STRUCTURAL, DecompKind
 
 KEYWORDS = {
     "root", "feature", "attribute", "constraint", "requires", "excludes",
@@ -29,8 +29,6 @@ KEYWORDS = {
     "true", "false", "inherited", "numeric", "boolean", "string",
     "leftfeature", "rightfeature", "constrainttype",
 }
-
-STRUCTURALS = set(STRUCTURAL_ATTRS)
 
 # TVL's, here so that the TVL writer can refuse them without loading the reader
 TVL_KEYWORDS = {
@@ -270,7 +268,7 @@ def _tvl_word(word: str) -> str:
     return "ID"
 
 
-LEXICON = Lexicon(KEYWORDS | STRUCTURALS, SYMBOLS, _feather_word)
+LEXICON = Lexicon(KEYWORDS | STRUCTURAL.keys(), SYMBOLS, _feather_word)
 
 
 def _lexes_as(name: str, kind: str, keywords, classify) -> bool:
@@ -298,7 +296,7 @@ _QUOTED = f'{_BLANKS}"({STRING_CHAR}+)"'
 # name parent kind, one FEATURE token, value (name, parent, kind); a group's
 # "to" and sibling follow as tokens. The kind ends in (?!\w), so that
 # "alternativeto" stays one word; blanks and a quote follow each other keyword.
-DECLARATIONS = Lexicon(KEYWORDS | STRUCTURALS, SYMBOLS, _feather_word, phrases=(
+DECLARATIONS = Lexicon(KEYWORDS | STRUCTURAL.keys(), SYMBOLS, _feather_word, phrases=(
     ("CONSTRAINT", f"constraint{_QUOTED}{_BLANKS}(requires|excludes){_QUOTED}{_BLANKS};", 3),
     ("FEATURE", rf"feature{_QUOTED}{_QUOTED}{_BLANKS}"
                 rf"({'|'.join(kind.value for kind in DecompKind)})(?!\w)", 3)))

@@ -21,9 +21,6 @@ from feather.commands import NO_RESOLUTIONS_MSG, CommandError, RunMode, _listing
 from feather.expressions import (
     _BINARY_OPS,
     _UNARY_OPS,
-    DECOMP,
-    DECOMP_ID,
-    STRING,
     AttrRef,
     Binary,
     EvalError,
@@ -32,13 +29,11 @@ from feather.expressions import (
     TypeCheckError,
     Unary,
     VarRef,
-    NUMERIC,
     _binary_type,
     _unary_type,
-    attr_reader,
-    type_of,
 )
-from feather.model import STRUCTURAL_ATTRS, Constraint, DecompKind, Feature, FeatureModel
+from feather.model import (DECOMP, DECOMP_ID, NUMERIC, STRING, STRUCTURAL, Constraint, DecompKind,
+                           Feature, FeatureModel, attr_reader, type_of)
 from feather.parser import (
     BINARY_PRECEDENCE,
     DECOMP_KEYWORDS,
@@ -65,7 +60,7 @@ from feather.parser import (
     parse_script,
 )
 from feather.resolver import ResolutionSet
-from feather.tokens import (KEYWORDS, STRING_PUNCT, STRUCTURALS, SYMBOLS, TVL_KEYWORDS, LexError,
+from feather.tokens import (KEYWORDS, STRING_PUNCT, SYMBOLS, TVL_KEYWORDS, LexError,
                             Lexicon, Token, _tvl_word, lex)
 from feather.tvl import TvlError, _Block, _TvlParser
 
@@ -184,7 +179,7 @@ def validate(model: FeatureModel) -> list:
                 f"group: {name!r} has kind {f.decomp} but group id {f.group_id}"
             )
         for attr in f.attributes:
-            if attr in STRUCTURAL_ATTRS or not attr[:1].islower():
+            if attr in STRUCTURAL or not attr[:1].islower():
                 problems.append(f"attribute: {name!r} has bad identifier {attr!r}")
 
     # parent graph must be a tree rooted at the root; a walk stops at the
@@ -859,7 +854,7 @@ def reference_tokenize(text: str) -> list:
                 j += 1
             word = text[i:j]
             if word.startswith("_"):
-                if word not in STRUCTURALS:
+                if word not in STRUCTURAL:
                     raise LexError(f"unknown structural attribute {word!r}",
                                    start_line, start_col)
                 kind = word
@@ -1111,7 +1106,7 @@ class ReferenceParser:
 
     def parse_attr_name(self) -> str:
         t = self.peek()
-        if t.kind == "IDENT" or t.kind in STRUCTURALS:
+        if t.kind == "IDENT" or t.kind in STRUCTURAL:
             self.next()
             return t.value
         self.fail(f"expected an attribute name, found {t.text!r}")

@@ -364,6 +364,53 @@ def test_the_process_entry_gives_what_main_gives(tmp_path, monkeypatch, capsys, 
                                     "Saving the transformed model... DONE!\n")
 
 
+# all ten commands over a model whose names TVL takes
+TEN_COMMANDS = """\
+root "Shop" attribute budget 100;
+feature "Pay" "Shop" mandatory attribute fee 2.5 attribute kind "core";
+feature "Card" "Pay" alternative to "Card" attribute fee 1 attribute kind "card";
+feature "Cash" "Pay" alternative to "Card" attribute fee 0 attribute kind "cash";
+feature "Ship" "Shop" optional attribute kind "core" attribute fast true;
+feature "Air" "Ship" or to "Air" attribute cost 9 attribute kind "fast";
+feature "Sea" "Ship" or to "Air" attribute cost 3 attribute kind "slow";
+feature "Rail" "Ship" or to "Air" attribute cost 5 attribute kind "slow";
+feature "Promo" "Shop" optional attribute rate 0.1;
+constraint "Air" requires "Card";
+constraint "Sea" excludes "Cash";
+constraint "Promo" requires "Rail";
+add feature "Drone" with attributes (_parent = P._name, _decomp = or to S,
+    cost = numeric: 12, kind = string: "fast")
+  where P._name = "Ship" and S._parent = P._name and S.cost > 8;
+update feature "Promo" set rate = numeric: 0.2;
+updateall feature F set cost = numeric: F.cost + 1 where F.kind = "slow" and F.cost < 5;
+updateall feature F set _parent = "Pay", _decomp = optional where F.kind = "slow" and F.cost > 4;
+add constraint X requires Y where X.cost > 8 and Y._parent = X._parent and Y.cost < X.cost;
+update constraint "Promo" requires "Rail" set rightfeature = "Sea";
+updateall constraint V requires "Card" set rightfeature = "Cash";
+remove constraint "Sea" excludes "Cash";
+removeall constraint V requires W where V.cost > 10;
+remove feature "Promo";
+removeall feature F where F.kind = "cash";
+"""
+
+
+def test_a_run_does_not_depend_on_the_hash_seed(tmp_path):
+    # sets of names iterate in an order that the seed of str hashing sets
+    runs = []
+    for seed in ("0", "1"):
+        (tmp_path / seed).mkdir()
+        (tmp_path / seed / "in.feaf").write_text(TEN_COMMANDS)
+        proc = feather_process(["-f", "in.feaf", "-o", "out.fd", "-ot", "out.tvl",
+                                "-x", "in.eil"], tmp_path / seed,
+                               env=dict(os.environ, PYTHONHASHSEED=seed))
+        runs.append((proc.returncode, proc.stdout, proc.stderr, files_in(tmp_path / seed)))
+    assert runs[0] == runs[1]
+    code, out, _, files = runs[0]
+    assert code == 0 and "Errors & Warnings" not in out
+    assert set(re.findall(r"^cmd \d+ (\w+)$", files["in.eil"], re.M)) == {
+        "addf", "upf", "upmf", "rmf", "rmmf", "addc", "upc", "upmc", "rmc", "rmmc"}
+
+
 @pytest.mark.parametrize("args, unbuffered", [
     (["-i", "-d", "m.fd", "-c", "c.feaf", "-o", "out.fd"], True),
     (["-i", "-d", "m.fd", "-c", "c.feaf", "-o", "out.fd"], False),

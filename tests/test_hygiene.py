@@ -3,8 +3,8 @@ function of the package is read somewhere in it, the package exports what
 `__all__` lists, a run imports and compiles only what it needs, the TVL
 lexicon keeps to its compile budget, only the process entry
 touches the collector, each declaration invariant is worded in one
-module, and every module parses as the oldest Python that pyproject.toml
-admits."""
+module, the structural attributes are listed in one module, and every
+module parses as the oldest Python that pyproject.toml admits."""
 
 import ast
 import os
@@ -223,6 +223,10 @@ def test_only_the_process_entry_touches_the_collector():
 def test_each_declaration_invariant_is_worded_in_one_module(text):
     assert [p.name for p in MODULES if text in p.read_text()] == [
         "tokens.py" if text == "duplicate attribute" else "build.py"]
+
+
+def test_the_structural_attributes_are_listed_in_one_module():
+    assert [p.name for p in MODULES if '"_decompID"' in p.read_text()] == ["model.py"]
 
 
 def test_validate_static_leaves_the_declarations_to_the_builder():

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from feather import tvl
-from feather.tokens import (KEYWORDS, STRING_PUNCT, STRUCTURALS, TVL_KEYWORDS, LexError,
+from feather.model import STRUCTURAL
+from feather.tokens import (KEYWORDS, STRING_PUNCT, TVL_KEYWORDS, LexError,
                             Lexicon, _tvl_word, is_tvl_id, lex, tokenize)
 from feather.tvl import TvlError, import_tvl
 
@@ -21,9 +22,9 @@ ALPHABET = (sorted(STRING_PUNCT)
             + ['"', "\t", "\r", "\n", "\0", "_name", "_bogus", "<=", "<>", "1.5", "12.",
                "é", "É", "²", "٣", "½", "a", "Z", "7", "{", "}", "<", ">", "=", "-3",
                "+2.5", '"ab 1"']
-            + sorted(KEYWORDS | STRUCTURALS | TVL_KEYWORDS))
+            + sorted(KEYWORDS | STRUCTURAL.keys() | TVL_KEYWORDS))
 # pieces that lex in each language, so that longer token streams occur too
-FEATHER_PIECES = sorted(KEYWORDS | STRUCTURALS) + [" ", "\n", ";", "(", ".", "V", "x", "3"]
+FEATHER_PIECES = sorted(KEYWORDS | STRUCTURAL.keys()) + [" ", "\n", ";", "(", ".", "V", "x", "3"]
 TVL_PIECES = sorted(TVL_KEYWORDS) + [" ", "\n", "{", "}", ",", ";", "x", "-3", "2.5"]
 
 

@@ -3,10 +3,8 @@ import time
 import pytest
 
 from feather.build import BuildError, build_model
-from feather.expressions import attr_reader
 from feather.model import Constraint, DecompKind, Feature, FeatureModel, ModelError
 from feather.parser import FeatureDecl, RootDecl, ScriptAst
-from feather.resolver import _join_key
 from feather.tvl import TvlError, import_tvl
 
 from conftest import (column_answers, index_answers, model_state, scan_columns, scan_groups,
@@ -328,7 +326,7 @@ COLUMN_ATTRS = ("price", "x", "y", "_name", "_parent", "_decomp", "_decompID")
 def read_columns(m):
     """Build the column and the buckets of each of COLUMN_ATTRS; their answers."""
     for attr in COLUMN_ATTRS:
-        m.buckets(attr, attr_reader(attr), _join_key)
+        m.buckets(attr)
     return column_answers(m)
 
 

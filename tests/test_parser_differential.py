@@ -20,9 +20,9 @@ import time
 import pytest
 
 from feather import parser, tokens, tvl
+from feather.model import STRUCTURAL
 from feather.parser import parse_commands, parse_declarations, parse_script
-from feather.tokens import (DECLARATIONS, KEYWORDS, STRUCTURALS, SYMBOLS, TVL_KEYWORDS, lex,
-                            tokenize)
+from feather.tokens import DECLARATIONS, KEYWORDS, SYMBOLS, TVL_KEYWORDS, lex, tokenize
 
 from conftest import (
     PLAIN_TVL_LEXICON,
@@ -77,7 +77,7 @@ F { }
 
 # pieces of random texts; none holds a non-ASCII digit or an over-long
 # integer, on which the reference lexer differs (tests/test_lexer.py)
-FEATHER_PIECES = (sorted(KEYWORDS | STRUCTURALS) + list(SYMBOLS)
+FEATHER_PIECES = (sorted(KEYWORDS | STRUCTURAL.keys()) + list(SYMBOLS)
                   + ['"A"', '"Package 1"', '"x y"', "1", "2.5", "007", "V", "W",
                      "price", "stype", " ", " ", "\n", "\t"])
 FEATHER_BAD = ['"', '""', "_bogus", "#", "1.", "é"]

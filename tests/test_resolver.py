@@ -17,7 +17,7 @@ from feather.expressions import (
     compile_expr,
     referenced_usages,
 )
-from feather.model import Constraint, DecompKind, Feature, FeatureModel
+from feather.model import Constraint, DecompKind, Feature, FeatureModel, join_key
 from feather.parser import parse_commands
 from feather.resolver import candidate_domain, resolve
 
@@ -155,7 +155,7 @@ def test_equal_join_keys_are_exactly_equality():
     a key exactly when `=` on them type-checks and is true."""
     def key(value):
         t, run = compile_expr(Lit(value))
-        return resolver._join_key(t, run({}, {}))
+        return join_key(t, run({}, {}))
 
     equal_pairs = 0
     for a in JOIN_VALUES:
@@ -256,9 +256,9 @@ def test_execute_resolves_once_and_scans_each_domain_once(monkeypatch):
 def test_execute_hands_each_where_usage_to_the_domain_scan_once(monkeypatch):
     usages, real_domain = [], resolver.candidate_domain
 
-    def recording_domain(model, used, columns=None):
+    def recording_domain(model, used):
         usages.append(list(used))
-        return real_domain(model, used, columns)
+        return real_domain(model, used)
 
     monkeypatch.setattr(resolver, "candidate_domain", recording_domain)
     cmd = parse_commands("removeall feature V where V.n > 2;")[0].commands[0]
@@ -537,15 +537,15 @@ def test_comparison_filters_equal_the_oracle(monkeypatch):
     filters = 0
     original = resolver._comparison_filter
 
-    def tally(conjunct, var, domains, columns):
+    def tally(conjunct, var, domains, column_of):
         nonlocal filters
-        found = original(conjunct, var, domains, columns)
+        found = original(conjunct, var, domains, column_of)
         if found is not None:
             filters += 1
-            side = "left" if resolver._var_term(conjunct.left) == var else "right"
+            side = "left" if conjunct.left.subject.name == var else "right"
             decided.add((conjunct.op, side))
             mine = conjunct.left if side == "left" else conjunct.right
-            types.add(columns[var][mine.attr][domains[var][0]][0])
+            types.add(column_of(mine)[2][domains[var][0]][0])
             # a column mixing integers with reals is never filtered
             assert len({type(x) for x in found[1].values()}) == 1
             assert len({type(x) for x in found[3].values()}) == 1
@@ -578,3 +578,53 @@ def test_a_column_of_two_types_stays_on_the_compiled_check(monkeypatch):
                      'feature "B" "R" optional attribute w 2.5;\n')
     assert resolve(one_type, ["X", "Y"], where).tuples == [("A", "B")]
     assert tested == [">"] * 4  # Y, bound second, is the right operand
+
+
+# -- usages that leave out attributes of the where-clause ----------------------
+
+
+@pytest.mark.parametrize("variables, text, usages, want", [
+    (["V"], "V.n > 1", {"V": []}, [("A",), ("B",), ("C",)]),
+    (["V"], "V.n = 7", {"V": []}, [("B",), ("C",)]),
+    (["V", "W"], "V.n = W.n", {"V": []},
+     [("R", "R"), ("A", "A"), ("B", "B"), ("B", "C"), ("C", "B"), ("C", "C")]),
+    (["V", "W"], "V.n = W.n", {"W": [("n", "any")]},
+     [("R", "R"), ("A", "A"), ("B", "B"), ("B", "C"), ("C", "B"), ("C", "C")]),
+    (["V", "W"], "V.n < W.n", {"V": [("n", "numeric")]},
+     [("R", "A"), ("R", "B"), ("R", "C"), ("A", "B"), ("A", "C")]),
+])
+def test_a_term_the_usages_leave_out_is_read_per_binding(variables, text, usages, want):
+    # the domain then holds names without the attribute, D here, for which
+    # the term fails to typecheck and the conjunct is false
+    where = parse_expr(text)
+    assert resolve(model(), variables, where, usages=usages).tuples == want
+    assert resolve(model(), variables, where).tuples == want
+
+
+def test_narrowed_usages_give_the_same_tuples():
+    """Usages naming a random part of the where-clause's give the tuples of
+    the full ones, over where-clauses that the literal filter, the hash join,
+    the comparison filter and the compiled check each decide."""
+    rng = random.Random(20261021)
+    narrowed_cases = 0
+    for case in range(1500):
+        shape = case % 3
+        if shape == 0:
+            m = random_model(rng, max_features=10)
+            variables = ("V", "W", "X")[:rng.randint(1, 3)]
+            where = random_where(rng, variables, m)
+        elif shape == 1:
+            m = random_join_model(rng)
+            variables = ("V", "W", "X")[:rng.randint(2, 3)]
+            where = random_join_where(rng, variables, m)
+        else:
+            m = random_filter_model(rng)
+            variables = ("V", "W", "X")[:rng.choice([2, 2, 3])]
+            where = _filter_where(rng, variables, m)
+        full = referenced_usages(where)
+        narrowed = {v: [u for u in us if rng.random() < 0.5]
+                    for v, us in full.items() if rng.random() < 0.8}
+        narrowed_cases += narrowed != full
+        assert resolve(m, variables, where, usages=narrowed).tuples == resolve(
+            m, variables, where).tuples, f"case {case}"
+    assert narrowed_cases >= 1200

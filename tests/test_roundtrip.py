@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from feather.parser import parse_declarations, parse_script
 from feather.build import build_model
-from feather.model import FeatureModel
-from feather.tokens import KEYWORDS, STRUCTURALS
+from feather.model import STRUCTURAL, FeatureModel
+from feather.tokens import KEYWORDS
 from feather.serializer import ExportError, format_real, serialize_declarations
 from feather.tvl import TvlError, import_tvl
 from feather.tvl_export import export_tvl
@@ -102,7 +102,7 @@ def test_declarations_read_back_each_attribute_name_the_writer_admits():
     identifier: written anyway, it would not read back as that name."""
     rng = random.Random(24)
     pieces = ["a", "q", "Q", "_", "7", "中", "ǅ", "²", "٣", "-", " ", " 1 attribute b",
-              *sorted(KEYWORDS), *sorted(STRUCTURALS)]
+              *sorted(KEYWORDS), *sorted(STRUCTURAL)]
     written = refused = 0
     for _ in range(400):
         name = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 3)))

@@ -1,8 +1,10 @@
 """Constructing a FeatureModel: one builder, `assemble`, for both front ends.
 
-`build_model` hands it a row per declared feature. Declaration order does
-not matter, and group membership ("alternative to X" / "or to X") is the
-union of the sibling references. `tvl.import_tvl` hands it TVL blocks.
+Both readers hand it rows: the parser's declaration rows reach it through
+`build_model`, which swaps each group member's sibling for its group key,
+and `tvl.import_tvl` makes one row per group member. Declaration order
+does not matter, and group membership ("alternative to X" / "or to X") is
+the union of the sibling references.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ def unknown_feature(referrer: str, name: str) -> str:
 
 def assemble(root: str, root_attributes: dict, rows: list, constraints) -> FeatureModel:
     """The model of a root, rows of (name, parent, kind, group key,
-    attributes, line) in feature order and constraints (`left`, `kind`,
-    `right`, `line`), checked in linear time; each error names the line of
+    attributes, line) in feature order and constraint rows of (left, kind,
+    right, line), checked in linear time; each error names the line of
     the row or constraint at fault. Rows that share a group key (not None)
     form one group; groups are numbered in order of first appearance. Of
     constraints with one effect the first is stored."""
@@ -59,11 +61,10 @@ def assemble(root: str, root_attributes: dict, rows: list, constraints) -> Featu
             raise _error(row[5], f'feature "{row[0]}" names undeclared parent "{parent}"')
 
     stored = model._constraints
-    for c in constraints:
-        left, kind, right = c.left, c.kind, c.right
+    for left, kind, right, line in constraints:
         if left not in features or right not in features:
             end = right if left in features else left
-            raise _error(c.line, unknown_feature(f"constraint ({left} {kind} {right})", end))
+            raise _error(line, unknown_feature(f"constraint ({left} {kind} {right})", end))
         key = effect_key(left, kind, right)
         if key not in stored:
             stored[key] = Constraint(left, kind, right)
@@ -88,22 +89,20 @@ def build_model(ast: ScriptAst) -> FeatureModel:
     if ast.root is None:
         raise BuildError("missing root feature declaration")
     # group membership: union sibling references; a sibling must join a group
-    joined = {fd.name for fd in ast.features if fd.sibling is not None}
+    joined = {row[0] for row in ast.features if row[3] is not None}
     parent_of: dict = {}
-    for fd in ast.features:
-        if fd.sibling in joined:
-            _union(parent_of, fd.name, fd.sibling)
-        elif fd.sibling is not None:
-            if all(d.name != fd.sibling for d in [ast.root, *ast.features]):
-                raise _error(fd.line,
-                             f'feature "{fd.name}" names undeclared sibling "{fd.sibling}"')
-            raise _error(fd.line, f'"{fd.sibling}" is referenced as a group sibling '
-                                  f'but does not join a group')
+    for name, _, _, sibling, _, line in ast.features:
+        if sibling in joined:
+            _union(parent_of, name, sibling)
+        elif sibling is not None:
+            if all(row[0] != sibling for row in [ast.root, *ast.features]):
+                raise _error(line, f'feature "{name}" names undeclared sibling "{sibling}"')
+            raise _error(line, f'"{sibling}" is referenced as a group sibling '
+                               f'but does not join a group')
 
-    rows = [(fd.name, fd.parent, fd.decomp,
-             None if fd.sibling is None else _find(parent_of, fd.name),
-             dict(fd.attributes), fd.line) for fd in ast.features]
-    return assemble(ast.root.name, dict(ast.root.attributes), rows, ast.constraints)
+    rows = [row if row[3] is None else (*row[:3], _find(parent_of, row[0]), *row[4:])
+            for row in ast.features]
+    return assemble(ast.root[0], ast.root[1], rows, ast.constraints)
 
 
 def _find(parent_of: dict, x: str) -> str:

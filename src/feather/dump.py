@@ -51,18 +51,17 @@ def dump_intermediate(ast) -> str:
     """A line-oriented dump of the script with expressions in postfix."""
     lines = []
     if ast.root is not None:
-        lines.append(f'root "{ast.root.name}"')
-        for ident, value in ast.root.attributes:
+        name, attributes, _ = ast.root
+        lines.append(f'root "{name}"')
+        for ident, value in attributes.items():
             lines.append(f"  attr {ident} {format_value(value)}")
-    for f in ast.features:
-        decomp = str(f.decomp)
-        if f.sibling is not None:
-            decomp += f' to "{f.sibling}"'
-        lines.append(f'feature "{f.name}" "{f.parent}" {decomp}')
-        for ident, value in f.attributes:
+    for name, parent, kind, sibling, attributes, _ in ast.features:
+        decomp = str(kind) if sibling is None else f'{kind} to "{sibling}"'
+        lines.append(f'feature "{name}" "{parent}" {decomp}')
+        for ident, value in attributes.items():
             lines.append(f"  attr {ident} {format_value(value)}")
-    for c in ast.constraints:
-        lines.append(f'constraint "{c.left}" {c.kind} "{c.right}"')
+    for left, kind, right, _ in ast.constraints:
+        lines.append(f'constraint "{left}" {kind} "{right}"')
     for i, cmd in enumerate(ast.commands, 1):
         lines.append(f"cmd {i} {cmd.code}")
         if isinstance(cmd, AddFeature):

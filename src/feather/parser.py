@@ -37,28 +37,6 @@ class ParseError(LexError):
 # -- AST -------------------------------------------------------------------
 
 
-class RootDecl(Record):
-    __slots__ = ("name", "attributes", "line")  # attributes: [(ident, literal value)]
-    _defaults = {"line": 0}
-
-
-class FeatureDecl(Record):
-    __slots__ = ("name", "parent", "decomp", "sibling", "attributes", "line")
-
-    def __init__(self, name: str, parent: str, decomp: DecompKind,
-                 sibling: str | None, attributes: list, line: int = 0):
-        self.name, self.parent, self.decomp = name, parent, decomp
-        self.sibling = sibling  # present iff decomp is a group kind
-        self.attributes, self.line = attributes, line
-
-
-class ConstraintDecl(Record):
-    __slots__ = ("left", "kind", "right", "line")
-
-    def __init__(self, left: str, kind: str, right: str, line: int = 0):
-        self.left, self.kind, self.right, self.line = left, kind, right, line
-
-
 class DecompSpec(Record):
     """Right-hand side of a `_decomp =` assignment."""
 
@@ -139,7 +117,11 @@ class RemoveAllConstraints(ConstraintCommand):
 
 
 class ScriptAst(Record):
-    __slots__ = ("root", "features", "constraints", "commands")  # root: RootDecl | None
+    # the declarations as rows: root (name, attributes, line) or None,
+    # features [(name, parent, kind, sibling, attributes, line)], sibling
+    # present iff kind is a group kind, and constraints [(left, kind,
+    # right, line)]; attributes: {ident: literal value}, in text order
+    __slots__ = ("root", "features", "constraints", "commands")
     _defaults = {"root": None, "features": [], "constraints": [], "commands": []}
 
 
@@ -159,22 +141,22 @@ class _Parser(Cursor):
 
     # -- declarations ------------------------------------------------------
 
-    def parse_root(self) -> RootDecl:
+    def parse_root(self) -> tuple:
         line = self.tokens.line(self.pos)
         self.expect("root", "the root feature declaration")
         name = self.expect("STRING", "the root feature name")
         attrs = self.parse_attr_decls(name)
         self.expect(";")
-        return RootDecl(name, attrs, line=line)
+        return name, attrs, line
 
-    def parse_attr_decls(self, owner: str) -> list:
+    def parse_attr_decls(self, owner: str) -> dict:
         attrs = {}
         while self.skip("attribute"):
             at = self.pos - 1
             ident = self.expect("IDENT", "an attribute identifier")
             self.check_new_attribute(ident, attrs, owner, at)
             attrs[ident] = self.parse_literal()
-        return list(attrs.items())
+        return attrs
 
     def parse_literal(self):
         sign, kind = None, self.kinds[self.pos]
@@ -195,7 +177,7 @@ class _Parser(Cursor):
             return self.values[self.pos - 1]
         self.fail(f"expected a literal value, found {self.text()!r}")
 
-    def parse_feature_decl(self) -> FeatureDecl:
+    def parse_feature_decl(self) -> tuple:
         line = self.tokens.line(self.pos)
         self.pos += 1  # feature, or the whole head
         if self.kinds[self.pos - 1] == "FEATURE":
@@ -214,16 +196,16 @@ class _Parser(Cursor):
             sibling = self.expect("STRING", "a sibling feature name")
         attrs = self.parse_attr_decls(name)
         self.expect(";")
-        return FeatureDecl(name, parent, kind, sibling, attrs, line=line)
+        return name, parent, kind, sibling, attrs, line
 
-    def parse_constraint_decl(self) -> ConstraintDecl:
+    def parse_constraint_decl(self) -> tuple:
         line = self.tokens.line(self.pos)
         self.pos += 1  # constraint
         left = self.expect("STRING", "a feature name")
         kind = self.parse_ctc_type()
         right = self.expect("STRING", "a feature name")
         self.expect(";")
-        return ConstraintDecl(left, kind, right, line=line)
+        return left, kind, right, line
 
     def parse_ctc_type(self) -> str:
         kind = self.kinds[self.pos]
@@ -499,8 +481,7 @@ class _Parser(Cursor):
             while kinds[self.pos] in ("feature", "FEATURE", "constraint", "CONSTRAINT"):
                 try:
                     if kinds[self.pos] == "CONSTRAINT":  # a whole constraint
-                        ast.constraints.append(
-                            ConstraintDecl(*values[self.pos], self.tokens.line(self.pos)))
+                        ast.constraints.append((*values[self.pos], self.tokens.line(self.pos)))
                         self.pos += 1
                     elif kinds[self.pos] == "constraint":
                         ast.constraints.append(self.parse_constraint_decl())

@@ -15,8 +15,7 @@ A row, and each constraint, carries the line of the block that lists it.
 from __future__ import annotations
 
 from .build import BuildError, assemble, unknown_feature
-from .model import Constraint, DecompKind, FeatureModel
-from .parser import ConstraintDecl
+from .model import DecompKind, FeatureModel
 from .record import Record
 from .tokens import _BLANKS, TVL_KEYWORDS, Cursor, LexError, Lexicon, _tvl_word, lex
 
@@ -60,6 +59,7 @@ class _Block(Record):
         self.name = name
         self.attributes = {} if attributes is None else attributes
         self.groups = [] if groups is None else groups  # (cardinality, [(opt?, id)])
+        # (left, kind, right, line) rows, each with the line of this block
         self.constraints = [] if constraints is None else constraints
         self.line = line
 
@@ -153,7 +153,7 @@ class _TvlParser(Cursor):
             self.pos += 1
             right = self.expect("ID")
             self.expect(";")
-            constraints.append(Constraint(left, op, right))
+            constraints.append((left, op, right, line))
             tag = kinds[self.pos]
         self.expect("}")
         return _Block(name, attributes, groups, constraints, line)
@@ -203,8 +203,7 @@ def import_tvl(text: str) -> FeatureModel:
                        "is not attached to any group")
     try:
         model = assemble(blocks[0].name, blocks[0].attributes, rows,
-                         [ConstraintDecl(c.left, c.kind, c.right, b.line)
-                          for b in blocks for c in b.constraints])
+                         [c for b in blocks for c in b.constraints])
     except BuildError as e:
         raise TvlError(str(e)) from None
     model.tvl_string_enum = header

@@ -42,15 +42,12 @@ from feather.parser import (
     AddFeature,
     AttrAssign,
     Command,
-    ConstraintDecl,
     DecompSpec,
-    FeatureDecl,
     ParseError,
     RemoveAllConstraints,
     RemoveAllFeatures,
     RemoveConstraint,
     RemoveFeature,
-    RootDecl,
     ScriptAst,
     UpdateAllConstraints,
     UpdateAllFeatures,
@@ -943,7 +940,13 @@ def reference_tvl_tokenize(text: str) -> list:
 # The Token-walking parsers that the column-walking ones replaced, kept as
 # oracles: ReferenceParser reads the tokens of reference_tokenize, and
 # ReferenceTvlParser the Token sequence of the TVL lexer. Both build the
-# program's own AST records. See tests/test_parser_differential.py.
+# program's own AST records, and the declaration rows with their fields
+# named: a namedtuple equals the plain tuple of its values. See
+# tests/test_parser_differential.py.
+
+RootRow = namedtuple("RootRow", "name attributes line")
+FeatureRow = namedtuple("FeatureRow", "name parent decomp sibling attributes line")
+ConstraintRow = namedtuple("ConstraintRow", "left kind right line")
 
 
 class ReferenceParser:
@@ -979,14 +982,16 @@ class ReferenceParser:
 
     # -- declarations ------------------------------------------------------
 
-    def parse_root(self) -> RootDecl:
+    def parse_root(self) -> RootRow:
         t = self.expect("root", "the root feature declaration")
         name = self.expect("STRING", "the root feature name").value
         attrs = self.parse_attr_decls()
         self.expect(";")
-        return RootDecl(name, attrs, line=t.line)
+        return RootRow(name, attrs, t.line)
 
     def parse_attr_decls(self) -> list:
+        """(ident, value) pairs, a repeated ident kept: the parser's dict
+        refuses it."""
         attrs = []
         while self.at("attribute"):
             self.next()
@@ -1010,7 +1015,7 @@ class ReferenceParser:
             return t.value
         self.fail(f"expected a literal value, found {t.text!r}")
 
-    def parse_feature_decl(self) -> FeatureDecl:
+    def parse_feature_decl(self) -> FeatureRow:
         t = self.expect("feature")
         name = self.expect("STRING", "a feature name").value
         parent = self.expect("STRING", "a parent name").value
@@ -1025,15 +1030,15 @@ class ReferenceParser:
             sibling = self.expect("STRING", "a sibling feature name").value
         attrs = self.parse_attr_decls()
         self.expect(";")
-        return FeatureDecl(name, parent, kind, sibling, attrs, line=t.line)
+        return FeatureRow(name, parent, kind, sibling, attrs, t.line)
 
-    def parse_constraint_decl(self) -> ConstraintDecl:
+    def parse_constraint_decl(self) -> ConstraintRow:
         t = self.expect("constraint")
         left = self.expect("STRING", "a feature name").value
         kind = self.parse_ctc_type()
         right = self.expect("STRING", "a feature name").value
         self.expect(";")
-        return ConstraintDecl(left, kind, right, line=t.line)
+        return ConstraintRow(left, kind, right, t.line)
 
     def parse_ctc_type(self) -> str:
         if not self.at("requires", "excludes"):
@@ -1492,7 +1497,7 @@ class ReferenceTvlParser:
             self.next()
             right = self.expect("ID").value
             self.expect(";")
-            block.constraints.append(Constraint(left, op.kind, right))
+            block.constraints.append((left, op.kind, right, block.line))
         self.expect("}")
         return block
 
@@ -1520,6 +1525,8 @@ def reference_build_model(ast: ScriptAst) -> FeatureModel:
     its own order, and `add_constraint` per constraint."""
     if ast.root is None:
         raise BuildError("missing root feature declaration")
+    ast = ScriptAst(RootRow(*ast.root), [FeatureRow(*row) for row in ast.features],
+                    [ConstraintRow(*row) for row in ast.constraints])
     declared = {ast.root.name} | {fd.name for fd in ast.features}
 
     by_name = {fd.name: fd for fd in ast.features}
@@ -1627,8 +1634,9 @@ def reference_import_tvl(text: str) -> FeatureModel:
         raise TvlError(f'feature "{missing[0]}" is not attached to any group')
 
     for b in blocks:
-        for c in b.constraints:
-            for end in (c.left, c.right):
+        for left, kind, right, _ in b.constraints:
+            c = Constraint(left, kind, right)
+            for end in (left, right):
                 if end not in by_name:
                     raise TvlError(f'constraint {c} names unknown feature "{end}"')
             model.add_constraint(c)

@@ -10,11 +10,11 @@ import pytest
 from feather.build import BuildError, build_model
 from feather.cli import main
 from feather.model import DecompKind
-from feather.parser import ConstraintDecl, FeatureDecl, ScriptAst, parse_declarations, parse_script
+from feather.parser import ScriptAst, parse_declarations, parse_script
 from feather.serializer import format_value, serialize_declarations
 from feather.tvl import TvlError, import_tvl
 
-from conftest import model_state, random_model, reference_build_model
+from conftest import ConstraintRow, FeatureRow, model_state, random_model, reference_build_model
 
 
 def declarations(text: str):
@@ -59,7 +59,7 @@ FLIPS = ("duplicate feature", "sibling outside a group")
 def break_declarations(rng, ast, model, defect) -> bool:
     """Give the declarations of `model` one defect; False where the model
     has nothing to break that way."""
-    features = ast.features
+    features = ast.features = [FeatureRow(*row) for row in ast.features]
     members = [fd for fd in features if fd.sibling is not None]
     declared = [model.root] + [fd.name for fd in features]
     if defect in ("undeclared parent", "cycle", "duplicate feature") and not features:
@@ -68,34 +68,35 @@ def break_declarations(rng, ast, model, defect) -> bool:
         return False
     member = rng.choice(members) if members else None
     if defect == "duplicate root":
-        features.append(FeatureDecl(model.root, rng.choice(declared),
-                                    DecompKind.OPTIONAL, None, []))
+        features.append(FeatureRow(model.root, rng.choice(declared),
+                                   DecompKind.OPTIONAL, None, {}, 0))
     elif defect == "duplicate feature":  # the same declaration twice
         fd = rng.choice(features)
-        features.append(FeatureDecl(fd.name, fd.parent, fd.decomp, fd.sibling,
-                                    list(fd.attributes)))
+        features.append(fd._replace(line=0))
     elif defect == "undeclared parent":
-        rng.choice(features).parent = "Ghost"
+        i = rng.randrange(len(features))
+        features[i] = features[i]._replace(parent="Ghost")
     elif defect == "cycle":  # under itself or one of its descendants
-        fd = rng.choice(features)
-        fd.parent = rng.choice(sorted(model.subtree(fd.name)))
+        i = rng.randrange(len(features))
+        fd = features[i]
+        features[i] = fd._replace(parent=rng.choice(sorted(model.subtree(fd.name))))
     elif defect == "undeclared sibling":
-        member.sibling = "Ghost"
+        features[features.index(member)] = member._replace(sibling="Ghost")
     elif defect == "mixed kinds":
         other = GROUP_KINDS[member.decomp is DecompKind.ALTERNATIVE]
-        features.append(FeatureDecl("X", member.parent, other, member.name, []))
+        features.append(FeatureRow("X", member.parent, other, member.name, {}, 0))
     elif defect == "mixed parents":
         parent = rng.choice([n for n in declared if n != member.parent])
-        features.append(FeatureDecl("X", parent, member.decomp, member.name, []))
+        features.append(FeatureRow("X", parent, member.decomp, member.name, {}, 0))
     elif defect == "bad constraint end":
         ends = [rng.choice(declared), "Ghost"]
         rng.shuffle(ends)
-        ast.constraints.append(ConstraintDecl(ends[0], rng.choice(["requires", "excludes"]),
-                                              ends[1]))
+        ast.constraints.append(ConstraintRow(ends[0], rng.choice(["requires", "excludes"]),
+                                             ends[1], 0))
     elif defect == "sibling outside a group":
         outside = [model.root] + [fd.name for fd in features if fd.sibling is None]
-        features.append(FeatureDecl("X", rng.choice(declared), rng.choice(GROUP_KINDS),
-                                    rng.choice(outside), []))
+        features.append(FeatureRow("X", rng.choice(declared), rng.choice(GROUP_KINDS),
+                                   rng.choice(outside), {}, 0))
     return True
 
 
@@ -135,14 +136,14 @@ def test_build_model_equals_the_reference():
 
 def declarations_text(ast) -> str:
     """The declarations of `ast` as Feather text, one a line."""
-    def attributes(pairs):
-        return "".join(f" attribute {name} {format_value(v)}" for name, v in pairs)
-    lines = [f'root "{ast.root.name}"{attributes(ast.root.attributes)};']
-    for fd in ast.features:
-        to = "" if fd.sibling is None else f' to "{fd.sibling}"'
-        lines.append(f'feature "{fd.name}" "{fd.parent}" {fd.decomp}{to}'
-                     f'{attributes(fd.attributes)};')
-    lines += [f'constraint "{cd.left}" {cd.kind} "{cd.right}";' for cd in ast.constraints]
+    def attributes(attrs):
+        return "".join(f" attribute {name} {format_value(v)}" for name, v in attrs.items())
+    name, root_attributes, _ = ast.root
+    lines = [f'root "{name}"{attributes(root_attributes)};']
+    for name, parent, kind, sibling, attrs, _ in ast.features:
+        to = "" if sibling is None else f' to "{sibling}"'
+        lines.append(f'feature "{name}" "{parent}" {kind}{to}{attributes(attrs)};')
+    lines += [f'constraint "{left}" {kind} "{right}";' for left, kind, right, _ in ast.constraints]
     return "\n".join(lines) + "\n"
 
 

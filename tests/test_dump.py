@@ -36,6 +36,34 @@ def test_dump_lists_the_root_attributes(tmp_path):
         'root "R"', "  attr price 5", "  attr ok true", 'feature "A" "R" optional']
 
 
+DECLARATIONS_TEXT = """\
+root "R" attribute size 3 attribute name "r" attribute fast false;
+feature "B" "R" alternative to "C" attribute weight 1.5 attribute cost -2;
+feature "C" "R" alternative to "B";
+feature "D" "B" optional attribute tag "d" attribute ok true attribute alpha 7;
+constraint "C" requires "D";
+constraint "D" excludes "B";
+"""
+
+
+def test_dump_lists_the_declarations_as_written(tmp_path):
+    # -d lexes with the declaration phrases, -f with plain tokens
+    src = tmp_path / "input.fd"
+    src.write_text(DECLARATIONS_TEXT)
+    dumps = []
+    for flag in ("-d", "-f"):
+        dump = tmp_path / f"input{flag}.eil"
+        assert main([flag, str(src), "-x", str(dump)]) == 0
+        dumps.append(dump.read_text())
+    assert dumps[0].splitlines() == [
+        'root "R"', "  attr size 3", '  attr name "r"', "  attr fast false",
+        'feature "B" "R" alternative to "C"', "  attr weight 1.5", "  attr cost -2",
+        'feature "C" "R" alternative to "B"',
+        'feature "D" "B" optional', '  attr tag "d"', "  attr ok true", "  attr alpha 7",
+        'constraint "C" requires "D"', 'constraint "D" excludes "B"']
+    assert dumps[0] == dumps[1]
+
+
 def test_dump_takes_every_random_command():
     rng = random.Random(1313)
     commands = []

@@ -4,11 +4,11 @@ import pytest
 
 from feather.build import BuildError, build_model
 from feather.model import Constraint, DecompKind, Feature, FeatureModel, ModelError
-from feather.parser import FeatureDecl, RootDecl, ScriptAst
+from feather.parser import ScriptAst
 from feather.tvl import TvlError, import_tvl
 
-from conftest import (column_answers, index_answers, model_state, scan_columns, scan_groups,
-                      scan_subtrees, validate)
+from conftest import (FeatureRow, RootRow, column_answers, index_answers, model_state,
+                      scan_columns, scan_groups, scan_subtrees, validate)
 
 
 def small():
@@ -183,8 +183,8 @@ def test_move_cycle_check_on_deep_chain():
 
 def chain(depth: int) -> ScriptAst:
     """Declarations of a chain: F0 under the root R, each F(i) under F(i-1)."""
-    return ScriptAst(RootDecl("R", []), [
-        FeatureDecl(f"F{i}", f"F{i - 1}" if i else "R", DecompKind.MANDATORY, None, [])
+    return ScriptAst(RootRow("R", {}, 0), [
+        FeatureRow(f"F{i}", f"F{i - 1}" if i else "R", DecompKind.MANDATORY, None, {}, 0)
         for i in range(depth)])
 
 
@@ -192,7 +192,7 @@ def closed_chain(depth: int) -> ScriptAst:
     """The chain of `depth` features with its second half closed into a
     cycle: the middle feature hangs under the last one."""
     ast = chain(depth)
-    ast.features[depth // 2].parent = f"F{depth - 1}"
+    ast.features[depth // 2] = ast.features[depth // 2]._replace(parent=f"F{depth - 1}")
     return ast
 
 
@@ -238,7 +238,7 @@ def test_tree_checks_grow_linearly_with_depth():
 
 def test_tree_check_messages():
     ast = chain(3)
-    ast.features[0].parent = "F2"
+    ast.features[0] = ast.features[0]._replace(parent="F2")
     with pytest.raises(BuildError) as e:
         build_model(ast)
     assert str(e.value) == 'parent declarations form a cycle through "F0"'

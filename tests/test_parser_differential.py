@@ -21,7 +21,7 @@ import pytest
 
 from feather import parser, tokens, tvl
 from feather.model import STRUCTURAL
-from feather.parser import parse_commands, parse_declarations, parse_script
+from feather.parser import ScriptAst, parse_commands, parse_declarations, parse_script
 from feather.tokens import DECLARATIONS, KEYWORDS, SYMBOLS, TVL_KEYWORDS, lex, tokenize
 
 from conftest import (
@@ -113,8 +113,19 @@ def mutate(rng, text, token_spans, pieces):
     return text[:start] + new + text[end:]
 
 
+def pairs(attributes) -> list:
+    """Declared attributes as (ident, value) pairs in text order: the
+    parser's dict, or the reference's list, which keeps a repeat."""
+    return list(attributes.items()) if isinstance(attributes, dict) else attributes
+
+
 def feather_outcome(ast, errors):
-    return ast, [(e.message, e.line, e.col) for e in errors]
+    """The tree, with each declaration's attributes as pairs so that their
+    order counts, and the errors as (message, line, column)."""
+    root = ast.root and (ast.root[0], pairs(ast.root[1]), ast.root[2])
+    features = [(*row[:4], pairs(row[4]), row[5]) for row in ast.features]
+    return (ScriptAst(root, features, ast.constraints, ast.commands),
+            [(e.message, e.line, e.col) for e in errors])
 
 
 def test_the_valid_inputs_parse():
@@ -346,10 +357,14 @@ def unquote_number(message: str) -> str:
 
 
 def tvl_outcome(parser_class, text):
+    """The header and the blocks, each block's attributes as pairs so that
+    their order counts, or the error text."""
     try:
-        return parser_class(text).parse()
+        header, blocks = parser_class(text).parse()
     except tvl.TvlError as e:
         return unquote_number(str(e))
+    return header, [(b.name, pairs(b.attributes), b.groups, b.constraints, b.line)
+                    for b in blocks]
 
 
 DUPLICATE_ATTRIBUTE = re.compile(r'line (\d+): duplicate attribute "(\w+)" in feature "(\w+)"')

@@ -13,14 +13,11 @@ from feather.parser import (
     AttrAssign,
     Command,
     ConstraintCommand,
-    ConstraintDecl,
     DecompSpec,
-    FeatureDecl,
     RemoveAllConstraints,
     RemoveAllFeatures,
     RemoveConstraint,
     RemoveFeature,
-    RootDecl,
     ScriptAst,
     UpdateAllConstraints,
     UpdateAllFeatures,
@@ -54,10 +51,6 @@ SPECS = {
     AttrRef: (("subject", "attr"), {}),
     Unary: (("op", "operand"), {}),
     Binary: (("op", "left", "right"), {}),
-    RootDecl: (("name", "attributes", "line"), {"line": 0}),
-    FeatureDecl: (("name", "parent", "decomp", "sibling", "attributes", "line"),
-                  {"line": 0}),
-    ConstraintDecl: (("left", "kind", "right", "line"), {"line": 0}),
     DecompSpec: (("kind", "sibling"), {}),
     AttrAssign: (("name", "tag", "value"), {}),
     Command: (_COMMAND, {"code": "", "where": None, "line": 0}),
@@ -102,7 +95,7 @@ def fields_of(record, fields) -> list:
 
 
 def test_thirty_record_classes():
-    assert len(CLASSES) == 30
+    assert len(CLASSES) == 27
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)

@@ -48,7 +48,7 @@ def test_identifier_classes():
 def test_parse_services_shapes():
     ast, errors = parse_script(SERVICES)
     assert errors == []
-    assert ast.root.name == "Web Services"
+    assert ast.root[0] == "Web Services"
     assert len(ast.features) == 17
     assert len(ast.constraints) == 2
     assert ast.commands == []

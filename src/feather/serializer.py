@@ -8,11 +8,10 @@ reference that first member.
 
 from __future__ import annotations
 
-import re
 from itertools import chain
 
 from .model import FeatureModel
-from .tokens import STRING_CHAR, is_ident
+from .tokens import first_unlexable
 
 
 class ExportError(Exception):
@@ -39,47 +38,42 @@ def format_real(v: float) -> str:
     return s
 
 
-def _readable(strings) -> bool:
-    """Whether the readers take each of `strings` as a string literal: none
-    is empty or holds a character outside `tokens.STRING_CHAR`."""
-    return "" not in strings and bool(re.fullmatch(f"{STRING_CHAR}*", "".join(strings)))
+def attribute_names(model: FeatureModel) -> dict:
+    """The model's attribute names, each once, in the order of first use."""
+    return dict.fromkeys(chain.from_iterable(f.attributes for f in model.features.values()))
 
 
 def unreadable_value(model: FeatureModel) -> str | None:
     """The first string attribute value that the readers refuse, as `value
     "v" of attribute "a" of feature "F"`, or None."""
     features = model.features.values()
-    if _readable([v for f in features for v in f.attributes.values() if type(v) is str]):
-        return None
-    return next(f'value "{v}" of attribute "{a}" of feature "{f.name}"' for f in features
-                for a, v in f.attributes.items() if type(v) is str and not _readable([v]))
+    bad = first_unlexable([v for f in features for v in f.attributes.values()
+                           if type(v) is str], "STRING")
+    return None if bad is None else next(
+        f'value "{v}" of attribute "{a}" of feature "{f.name}"'
+        for f in features for a, v in f.attributes.items() if v == bad)
 
 
 def _attr_text(attributes: dict) -> str:
-    return "".join(
-        f" attribute {ident} {format_value(v)}"
-        for ident, v in attributes.items()
-    )
+    return "".join(f" attribute {ident} {format_value(v)}" for ident, v in attributes.items())
 
 
 def serialize_declarations(model: FeatureModel) -> str:
     """The model as declarations; ExportError if a string cannot hold a
     feature name or a string value, or an attribute name is not an identifier."""
     names = model.features
-    if not _readable(names):
-        bad = next(n for n in names if not _readable([n]))
+    bad = first_unlexable(names, "STRING")
+    if bad is not None:
         raise ExportError(f'feature name "{bad}" is not a valid Feather string')
     bad = unreadable_value(model)
     if bad is not None:
         raise ExportError(f"{bad} is not a valid Feather string")
-    for attr in dict.fromkeys(chain.from_iterable(f.attributes for f in names.values())):
-        if not is_ident(attr):
-            owner = next(f.name for f in names.values() if attr in f.attributes)
-            raise ExportError(f'attribute name "{attr}" of feature "{owner}" '
-                              "is not a valid Feather identifier")
-    lines = []
-    root = model.features[model.root]
-    lines.append(f'root "{root.name}"{_attr_text(root.attributes)};')
+    bad = first_unlexable(attribute_names(model), "IDENT")
+    if bad is not None:
+        owner = next(f.name for f in names.values() if bad in f.attributes)
+        raise ExportError(f'attribute name "{bad}" of feature "{owner}" '
+                          "is not a valid Feather identifier")
+    lines = [f'root "{model.root}"{_attr_text(names[model.root].attributes)};']
 
     children = model.child_features()
     group_first: dict = {}
@@ -91,10 +85,8 @@ def serialize_declarations(model: FeatureModel) -> str:
             decomp = f'{f.decomp} to "{sibling}"'
         else:
             decomp = str(f.decomp)
-        lines.append(
-            f'feature "{f.name}" "{f.parent}" {decomp}{_attr_text(f.attributes)};')
+        lines.append(f'feature "{f.name}" "{f.parent}" {decomp}{_attr_text(f.attributes)};')
         stack.extend(reversed(children.get(f.name, [])))
 
-    for c in model.constraints:
-        lines.append(f'constraint "{c.left}" {c.kind} "{c.right}";')
+    lines.extend(f'constraint "{c.left}" {c.kind} "{c.right}";' for c in model.constraints)
     return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Lexer for transformation scripts, shared with the TVL importer.
+"""Lexer for scripts and TVL, and the judge of what the writers may write.
 
 Whitespace between tokens is insignificant; there is no comment syntax.
 String literals admit letters, digits, spaces, and a fixed punctuation set,
@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
+from operator import itemgetter
 
 from .model import STRUCTURAL, DecompKind
 
@@ -271,22 +272,28 @@ def _tvl_word(word: str) -> str:
 LEXICON = Lexicon(KEYWORDS | STRUCTURAL.keys(), SYMBOLS, _feather_word)
 
 
-def _lexes_as(name: str, kind: str, keywords, classify) -> bool:
-    """Whether `name` lexes as one `kind` word: no keyword, and `classify` gives `kind`."""
-    try:
-        return bool(re.fullmatch(_WORD, name)) and name not in keywords and classify(name) == kind
-    except ValueError:
-        return False
+# What a writer may write as one token of each kind: the regex of a
+# character, the words that lex as another kind, and a test, if any, of the
+# first characters joined, char by char: "a中".islower() holds.
+_WRITTEN = {
+    "STRING": (STRING_CHAR, frozenset(), None),
+    "IDENT": (r"\w", LEXICON.kinds.keys(), lambda s: s.isalpha() and not any(map(str.isupper, s))),
+    "ID": (r"\w", TVL_KEYWORDS, str.isalpha),
+    "ATTRIBUTE_ID": (r"\w", TVL_KEYWORDS, lambda s: s.isalpha() and all(map(str.islower, s))),
+}
 
 
-def is_ident(name: str) -> bool:
-    """Whether `name` lexes as one Feather IDENT, as an attribute name must."""
-    return _lexes_as(name, "IDENT", LEXICON.kinds, _feather_word)
-
-
-def is_tvl_id(name: str) -> bool:
-    """Whether `name` lexes as one TVL ID, as a feature name in TVL must."""
-    return _lexes_as(name, "ID", TVL_KEYWORDS, _tvl_word)
+def first_unlexable(strings, kind: str) -> str | None:
+    """The first of `strings` that does not lex as one token of `kind`, or
+    None: a script's STRING (written quoted) or IDENT, or TVL's ID or
+    ATTRIBUTE_ID, an ID that starts lowercase. One match tests them all."""
+    char, others, first = _WRITTEN[kind]
+    if ("" not in strings and others.isdisjoint(strings)
+            and re.fullmatch(f"{char}*", "".join(strings))
+            and (first is None or first("".join(map(itemgetter(0), strings))))):
+        return None
+    return next((s for s in strings  # a single string that fails is the culprit
+                 if len(strings) == 1 or first_unlexable([s], kind) is not None), None)
 
 
 _QUOTED = f'{_BLANKS}"({STRING_CHAR}+)"'

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from .build import BuildError, assemble, unknown_feature
 from .model import DecompKind, FeatureModel
-from .record import Record
 from .tokens import _BLANKS, TVL_KEYWORDS, Cursor, LexError, Lexicon, _tvl_word, lex
 
 
@@ -51,19 +50,6 @@ _GROUP_KINDS = {"oneof": DecompKind.ALTERNATIVE, "someof": DecompKind.OR}
 _SOLITARY = (DecompKind.MANDATORY, DecompKind.OPTIONAL)
 
 
-class _Block(Record):
-    __slots__ = ("name", "attributes", "groups", "constraints", "line")
-
-    def __init__(self, name: str, attributes: dict | None = None, groups: list | None = None,
-                 constraints: list | None = None, line: int = 0):
-        self.name = name
-        self.attributes = {} if attributes is None else attributes
-        self.groups = [] if groups is None else groups  # (cardinality, [(opt?, id)])
-        # (left, kind, right, line) rows, each with the line of this block
-        self.constraints = [] if constraints is None else constraints
-        self.line = line
-
-
 class _TvlParser(Cursor):
     """The parser of a TVL text, lexed on construction. The parse ends with
     `expect("EOF")`, the one step that passes EOF."""
@@ -89,15 +75,16 @@ class _TvlParser(Cursor):
                 header.append(self.expect("STRING"))
             self.expect("}")
             self.expect(";")
-        blocks = []
         self.expect("root")
-        blocks.append(self.parse_block())
+        blocks = [self.parse_block()]
         while kinds[self.pos] == "ID":
             blocks.append(self.parse_block())
         self.expect("EOF")
         return header, blocks
 
-    def parse_block(self) -> _Block:
+    def parse_block(self) -> tuple:
+        """The next block, (name, attributes, groups, constraints, line): a
+        group is (cardinality, [(opt?, id)]), a constraint (left, kind, right, line)."""
         kinds, values = self.kinds, self.values
         pos = self.pos  # kept equal to self.pos at each loop's test
         if kinds[pos] != "ID" or kinds[pos + 1] != "{":
@@ -156,7 +143,7 @@ class _TvlParser(Cursor):
             constraints.append((left, op, right, line))
             tag = kinds[self.pos]
         self.expect("}")
-        return _Block(name, attributes, groups, constraints, line)
+        return name, attributes, groups, constraints, line
 
     def parse_attr_id(self) -> str:
         if self.kinds[self.pos] != "ID" or not self.values[self.pos][0].islower():
@@ -177,33 +164,31 @@ class _TvlParser(Cursor):
 
 def import_tvl(text: str) -> FeatureModel:
     header, blocks = _TvlParser(text).parse()
-    by_name: dict = {}
-    for b in blocks:
-        if b.name in by_name:
-            raise TvlError(f'line {b.line}: duplicate feature "{b.name}"')
-        by_name[b.name] = b
+    declared: dict = {}  # block name -> its attributes
+    for name, attributes, _, _, line in blocks:
+        if name in declared:
+            raise TvlError(f'line {line}: duplicate feature "{name}"')
+        declared[name] = attributes
 
     # a row per group member, in block order; a oneof or someof group is
     # keyed by the index of its first row
     rows = []
-    for b in blocks:
-        for card, members in b.groups:
+    for parent, _, groups, _, line in blocks:
+        for card, members in groups:
             kind = _GROUP_KINDS.get(card)
             kinds, key = ((kind, kind), len(rows)) if kind else (_SOLITARY, None)
             for opt, child in members:
-                block = by_name.get(child)
-                if block is None:
-                    raise TvlError(f"line {b.line}: "
-                                   + unknown_feature(f'group under "{b.name}"', child))
-                rows.append((child, b.name, kinds[opt], key, block.attributes, b.line))
+                attributes = declared.get(child)
+                if attributes is None:
+                    raise TvlError(f"line {line}: "
+                                   + unknown_feature(f'group under "{parent}"', child))
+                rows.append((child, parent, kinds[opt], key, attributes, line))
     if len(rows) < len(blocks) - 1:  # a block is in no group
         placed = {row[0] for row in rows}
-        missing = next(b for b in blocks[1:] if b.name not in placed)
-        raise TvlError(f'line {missing.line}: feature "{missing.name}" '
-                       "is not attached to any group")
+        name, _, _, _, line = next(b for b in blocks[1:] if b[0] not in placed)
+        raise TvlError(f'line {line}: feature "{name}" is not attached to any group')
     try:
-        model = assemble(blocks[0].name, blocks[0].attributes, rows,
-                         [c for b in blocks for c in b.constraints])
+        model = assemble(*blocks[0][:2], rows, [c for b in blocks for c in b[3]])
     except BuildError as e:
         raise TvlError(str(e)) from None
     model.tvl_string_enum = header

@@ -6,9 +6,12 @@ neither the TVL reader nor its lexicon.
 
 from __future__ import annotations
 
-from .model import DecompKind, FeatureModel
-from .serializer import ExportError, format_real, unreadable_value
-from .tokens import TVL_KEYWORDS, is_tvl_id
+from .model import BOOLEAN, INTEGER, REAL, STRING, DecompKind, FeatureModel, type_of
+from .serializer import ExportError, attribute_names, format_value, unreadable_value
+from .tokens import first_unlexable
+
+# TVL's name of each attribute value type
+_TVL_TYPES = {INTEGER: "int", REAL: "real", BOOLEAN: "bool", STRING: "string"}
 
 
 class TvlExportError(ExportError):
@@ -16,26 +19,20 @@ class TvlExportError(ExportError):
 
 
 def _check_exportable(model: FeatureModel) -> None:
-    for name, f in model.features.items():
-        if not is_tvl_id(name):
+    name = first_unlexable(model.features, "ID")
+    attr = first_unlexable(attribute_names(model), "ATTRIBUTE_ID")
+    if name is not None or attr is not None:  # the first feature at fault
+        f = next(f for f in model.features.values() if f.name == name or attr in f.attributes)
+        if f.name == name:
             raise TvlExportError(f'feature name "{name}" is not a valid TVL identifier')
-        for attr in f.attributes:
-            if not attr[:1].islower() or attr in TVL_KEYWORDS:
-                raise TvlExportError(f'attribute name "{attr}" of feature "{name}" '
-                                     "is not a valid TVL attribute id")
+        raise TvlExportError(f'attribute name "{attr}" of feature "{f.name}" '
+                             "is not a valid TVL attribute id")
     bad = unreadable_value(model)
     if bad is not None:
         raise TvlExportError(f"{bad} is not a valid TVL string")
-
-
-def _attr_line(name: str, value) -> str:
-    if isinstance(value, bool):
-        return f"  bool {name} is {'true' if value else 'false'};"
-    if isinstance(value, int):
-        return f"  int {name} is {value};"
-    if isinstance(value, float):
-        return f"  real {name} is {format_real(value)};"
-    return f'  string {name} is "{value}";'
+    bad = first_unlexable(model.tvl_string_enum or (), "STRING")
+    if bad is not None:
+        raise TvlExportError(f'enum string "{bad}" is not a valid TVL string')
 
 
 def export_tvl(model: FeatureModel) -> str:
@@ -55,13 +52,12 @@ def export_tvl(model: FeatureModel) -> str:
         is_root = name == model.root
         lines.append(("root " if is_root else "") + name + " {")
         for attr, value in f.attributes.items():
-            lines.append(_attr_line(attr, value))
+            lines.append(f"  {_TVL_TYPES[type_of(value)]} {attr} is {format_value(value)};")
         kids = children.get(name, [])
         solitary = [k for k in kids if not k.decomp.is_group]
         if solitary:
-            listed = ", ".join(
-                ("opt " if k.decomp is DecompKind.OPTIONAL else "") + k.name
-                for k in solitary)
+            listed = ", ".join(("opt " if k.decomp is DecompKind.OPTIONAL else "") + k.name
+                               for k in solitary)
             lines.append(f"  group allof {{ {listed} }}")
         listing_order = list(solitary)
         groups: dict = {}  # group id -> members, both in first-appearance order
@@ -74,8 +70,7 @@ def export_tvl(model: FeatureModel) -> str:
             lines.append(f"  group {card} {{ {listed} }}")
             listing_order.extend(members)
         if is_root:
-            for c in model.constraints:
-                lines.append(f"  {c.left} {c.kind} {c.right};")
+            lines.extend(f"  {c.left} {c.kind} {c.right};" for c in model.constraints)
         lines.append("}")
         # children in listing order, so that export(import(text)) is stable
         stack.extend(k.name for k in reversed(listing_order))

@@ -59,7 +59,7 @@ from feather.parser import (
 from feather.resolver import ResolutionSet
 from feather.tokens import (KEYWORDS, STRING_PUNCT, SYMBOLS, TVL_KEYWORDS, LexError,
                             Lexicon, Token, _tvl_word, lex)
-from feather.tvl import TvlError, _Block, _TvlParser
+from feather.tvl import TvlError, _TvlParser
 
 SERVICES = """\
 root "Web Services";
@@ -940,13 +940,14 @@ def reference_tvl_tokenize(text: str) -> list:
 # The Token-walking parsers that the column-walking ones replaced, kept as
 # oracles: ReferenceParser reads the tokens of reference_tokenize, and
 # ReferenceTvlParser the Token sequence of the TVL lexer. Both build the
-# program's own AST records, and the declaration rows with their fields
-# named: a namedtuple equals the plain tuple of its values. See
+# program's own AST records, and the declaration rows and TVL blocks with
+# their fields named: a namedtuple equals the plain tuple of its values. See
 # tests/test_parser_differential.py.
 
 RootRow = namedtuple("RootRow", "name attributes line")
 FeatureRow = namedtuple("FeatureRow", "name parent decomp sibling attributes line")
 ConstraintRow = namedtuple("ConstraintRow", "left kind right line")
+TvlBlock = namedtuple("TvlBlock", "name attributes groups constraints line")
 
 
 class ReferenceParser:
@@ -1459,9 +1460,9 @@ class ReferenceTvlParser:
         self.expect("EOF")
         return header, blocks
 
-    def parse_block(self) -> _Block:
+    def parse_block(self) -> TvlBlock:
         t = self.expect("ID")
-        block = _Block(t.value, line=t.line)
+        block = TvlBlock(t.value, {}, [], [], t.line)
         self.expect("{")
         while self.peek().kind in ("int", "real", "bool", "string"):
             tag = self.next().kind
@@ -1601,7 +1602,8 @@ def reference_build_model(ast: ScriptAst) -> FeatureModel:
 def reference_import_tvl(text: str) -> FeatureModel:
     """TVL import as it once was: the importer's own checks, then the whole
     of `validate`, whose problems make the error message."""
-    header, blocks = _TvlParser(text).parse()
+    header, rows = _TvlParser(text).parse()
+    blocks = [TvlBlock(*row) for row in rows]
     by_name: dict = {}
     for b in blocks:
         if b.name in by_name:

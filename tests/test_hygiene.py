@@ -3,8 +3,9 @@ function of the package is read somewhere in it, the package exports what
 `__all__` lists, a run imports and compiles only what it needs, the TVL
 lexicon keeps to its compile budget, only the process entry
 touches the collector, each declaration invariant is worded in one
-module, the structural attributes are listed in one module, and every
-module parses as the oldest Python that pyproject.toml admits."""
+module, the structural attributes are listed in one module, the writers
+leave the lexical rules to the lexer, and every module parses as the
+oldest Python that pyproject.toml admits."""
 
 import ast
 import os
@@ -227,6 +228,14 @@ def test_each_declaration_invariant_is_worded_in_one_module(text):
 
 def test_the_structural_attributes_are_listed_in_one_module():
     assert [p.name for p in MODULES if '"_decompID"' in p.read_text()] == ["model.py"]
+
+
+@pytest.mark.parametrize("module", ["serializer.py", "tvl_export.py"])
+def test_the_writers_leave_the_lexical_rules_to_the_lexer(module):
+    # a writer asks tokens.first_unlexable what it may write
+    text = (SRC / module).read_text()
+    assert not re.search(r"^(import re|from re import)\b", text, re.M)
+    assert [name for name in ("STRING_CHAR", "_WORD", "TVL_KEYWORDS") if name in text] == []
 
 
 def test_validate_static_leaves_the_declarations_to_the_builder():

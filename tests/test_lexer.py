@@ -6,8 +6,8 @@ import pytest
 
 from feather import tvl
 from feather.model import STRUCTURAL
-from feather.tokens import (KEYWORDS, STRING_PUNCT, TVL_KEYWORDS, LexError,
-                            Lexicon, _tvl_word, is_tvl_id, lex, tokenize)
+from feather.tokens import (KEYWORDS, LEXICON, STRING_PUNCT, TVL_KEYWORDS, LexError,
+                            Lexicon, _tvl_word, first_unlexable, lex, tokenize)
 from feather.tvl import TvlError, import_tvl
 
 from conftest import PLAIN_TVL_LEXICON, reference_tokenize, reference_tvl_tokenize
@@ -126,18 +126,50 @@ def test_tvl_lexical_errors(text, message):
     assert str(e.value) == message
 
 
+def one_token(name: str, kind: str) -> bool:
+    """Whether `name`, written as a writer writes a token of `kind`, lexes
+    as that one token with `name` as its value. A STRING is written quoted
+    and, like an IDENT, read with the script lexicon; an ID and an
+    ATTRIBUTE_ID are read with TVL's, and an ATTRIBUTE_ID must pass the TVL
+    parser's `parse_attr_id`."""
+    lexicon = LEXICON if kind in ("STRING", "IDENT") else tvl.LEXICON
+    try:
+        tokens = lex(f'"{name}"' if kind == "STRING" else name, lexicon)
+    except LexError:
+        return False
+    if tokens.kinds != [kind.replace("ATTRIBUTE_", ""), "EOF"] or tokens.values[0] != name:
+        return False
+    try:
+        return kind != "ATTRIBUTE_ID" or tvl._TvlParser(name).parse_attr_id() == name
+    except TvlError:
+        return False
+
+
 def test_a_tvl_id_is_what_the_tvl_lexer_reads_as_one():
-    # each character below U+3000 and a sample above, first and after a
-    # letter, the keywords, and the empty name
+    # the same for each kind of token a writer writes: each character below
+    # U+3000 and a sample above, first and after a letter, the keywords of
+    # both languages, a name that holds a newline, and the empty name
     chars = [chr(cp) for cp in [*range(0x3000), *range(0x3000, 0x30000, 97)]]
-    names = [n for c in chars for n in (c + "x", "x" + c)] + sorted(TVL_KEYWORDS) + [""]
-    for name in names:
-        try:
-            tokens = lex(name, tvl.LEXICON)
-            one_id = tokens.kinds == ["ID", "EOF"] and tokens.values[0] == name
-        except LexError:
-            one_id = False
-        assert is_tvl_id(name) == one_id, name
+    names = ([n for c in chars for n in (c + "x", "x" + c)]
+             + sorted(TVL_KEYWORDS | KEYWORDS | STRUCTURAL.keys()) + ["x\nx", ""])
+    for kind in ("STRING", "IDENT", "ID", "ATTRIBUTE_ID"):
+        lexes = {name: one_token(name, kind) for name in names}
+        for name in names:
+            assert (first_unlexable([name], kind) is None) == lexes[name], (kind, name)
+        # a batch, mostly of names that lex, is checked in one match: its
+        # culprit is the first name that does not lex, or None
+        rng = random.Random(kind)
+        good = [n for n in names if lexes[n]]
+        bad = [n for n in names if not lexes[n]]
+        assert len(good) > 100 and len(bad) > 100, kind
+        for _ in range(3000):
+            batch = [rng.choice(bad if rng.random() < 0.1 else good)
+                     for _ in range(rng.randint(0, 12))]
+            rng.shuffle(batch)
+            want = next((n for n in batch if not lexes[n]), None)
+            assert first_unlexable(batch, kind) == want, (kind, batch)
+        assert first_unlexable(good, kind) is None
+        assert first_unlexable(good + bad, kind) == bad[0]
 
 
 def test_a_phrase_of_one_group_is_refused():

@@ -363,8 +363,8 @@ def tvl_outcome(parser_class, text):
         header, blocks = parser_class(text).parse()
     except tvl.TvlError as e:
         return unquote_number(str(e))
-    return header, [(b.name, pairs(b.attributes), b.groups, b.constraints, b.line)
-                    for b in blocks]
+    return header, [(name, pairs(attributes), groups, constraints, line)
+                    for name, attributes, groups, constraints, line in blocks]
 
 
 DUPLICATE_ATTRIBUTE = re.compile(r'line (\d+): duplicate attribute "(\w+)" in feature "(\w+)"')

@@ -25,7 +25,6 @@ from feather.parser import (
     UpdateFeature,
 )
 from feather.resolver import ResolutionSet
-from feather.tvl import _Block
 
 FROZEN = (Constraint, FeatureRef, VarRef, Lit, AttrRef, Unary, Binary)
 
@@ -77,8 +76,6 @@ SPECS = {
                 {"root": None, "features": [], "constraints": [], "commands": []}),
     ResolutionSet: (("variables", "tuples"), {}),
     Diagnostic: (("index", "code", "severity", "message"), {}),
-    _Block: (("name", "attributes", "groups", "constraints", "line"),
-             {"attributes": {}, "groups": [], "constraints": [], "line": 0}),
 }
 
 CLASSES = list(SPECS)
@@ -95,7 +92,7 @@ def fields_of(record, fields) -> list:
 
 
 def test_thirty_record_classes():
-    assert len(CLASSES) == 27
+    assert len(CLASSES) == 26
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)

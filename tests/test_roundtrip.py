@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from feather.parser import parse_declarations, parse_script
 from feather.build import build_model
-from feather.model import STRUCTURAL, FeatureModel
-from feather.tokens import KEYWORDS
+from feather.model import STRUCTURAL, Constraint, DecompKind, Feature, FeatureModel
+from feather.tokens import KEYWORDS, TVL_KEYWORDS, first_unlexable
 from feather.serializer import ExportError, format_real, serialize_declarations
 from feather.tvl import TvlError, import_tvl
-from feather.tvl_export import export_tvl
+from feather.tvl_export import TvlExportError, export_tvl
 
 from conftest import build, isomorphic, random_model, run
 
@@ -120,6 +120,115 @@ def test_declarations_read_back_each_attribute_name_the_writer_admits():
         assert errors == [] and isomorphic(model, build_model(ast)), text
         written += 1
     assert written >= 30 and refused >= 30, (written, refused)
+
+
+# feature and attribute names that both readers take, the keywords of both
+# languages, and names that one reader or neither takes
+FEATURE_NAMES = ["A", "Bx", "C_1", "D"]
+ATTRIBUTE_NAMES = ["w", "n_1", "q", "flag"]
+ODD_NAMES = (sorted(KEYWORDS | STRUCTURAL.keys() | TVL_KEYWORDS),
+             ["a-b", "a b", "_x", "x²", "中", "Café", "", "a\nb", 'a"b'])
+
+
+def pool_model(rng: random.Random) -> FeatureModel:
+    """A model built through the library, one name in ten of its feature
+    names, attribute names, string values and enum strings an odd one."""
+    def pick(names):
+        return rng.choice(names if rng.random() < 0.9 else rng.choice(ODD_NAMES))
+
+    def attributes():
+        return {pick(ATTRIBUTE_NAMES): rng.choice([1, 2.5, True, pick(FEATURE_NAMES)])
+                for _ in range(rng.randint(0, 2))}
+    names = list(dict.fromkeys(pick(FEATURE_NAMES) for _ in range(rng.randint(1, 4))))
+    model = FeatureModel.with_root(names[0], attributes())
+    for i, name in enumerate(names[1:], 1):
+        model.attach_feature(Feature(name, attributes=attributes()), rng.choice(names[:i]),
+                             rng.choice(list(DecompKind)))
+    if len(names) > 1:
+        model.add_constraint(Constraint(names[-1], rng.choice(["requires", "excludes"]),
+                                        rng.choice(names[:-1])))
+    if rng.random() < 0.3:
+        model.tvl_string_enum = [pick(FEATURE_NAMES) for _ in range(rng.randint(1, 3))]
+    return model
+
+
+def lexes(string: str, kind: str) -> bool:
+    return first_unlexable([string], kind) is None
+
+
+def declarations_refusal(model: FeatureModel) -> str | None:
+    """What `serialize_declarations` reports, found one string at a time:
+    the feature names, then the string values, then the attribute names."""
+    features = model.features.values()
+    for f in features:
+        if not lexes(f.name, "STRING"):
+            return f'feature name "{f.name}" is not a valid Feather string'
+    for f in features:
+        for a, v in f.attributes.items():
+            if type(v) is str and not lexes(v, "STRING"):
+                return (f'value "{v}" of attribute "{a}" of feature "{f.name}" '
+                        "is not a valid Feather string")
+    for f in features:
+        for a in f.attributes:
+            if not lexes(a, "IDENT"):
+                return (f'attribute name "{a}" of feature "{f.name}" '
+                        "is not a valid Feather identifier")
+    return None
+
+
+def tvl_refusal(model: FeatureModel) -> str | None:
+    """What `export_tvl` reports, found one string at a time: each feature's
+    name and then its attribute names, then the string values, then the
+    enum strings."""
+    features = model.features.values()
+    for f in features:
+        if not lexes(f.name, "ID"):
+            return f'feature name "{f.name}" is not a valid TVL identifier'
+        for a in f.attributes:
+            if not lexes(a, "ATTRIBUTE_ID"):
+                return (f'attribute name "{a}" of feature "{f.name}" '
+                        "is not a valid TVL attribute id")
+    for f in features:
+        for a, v in f.attributes.items():
+            if type(v) is str and not lexes(v, "STRING"):
+                return (f'value "{v}" of attribute "{a}" of feature "{f.name}" '
+                        "is not a valid TVL string")
+    for s in model.tvl_string_enum or ():
+        if not lexes(s, "STRING"):
+            return f'enum string "{s}" is not a valid TVL string'
+    return None
+
+
+def test_each_writer_writes_what_its_reader_reads_or_refuses():
+    """Each writer refuses a model, with the error that a scan of one string
+    at a time finds first, or writes a text that its reader reads back as
+    the same features, attributes and constraints."""
+    rng = random.Random(32)
+    outcomes = {"tvl": [0, 0], "declarations": [0, 0]}  # written, refused
+    for _ in range(600):
+        model = pool_model(rng)
+        try:
+            text = export_tvl(model)
+        except TvlExportError as e:
+            assert str(e) == tvl_refusal(model)
+            outcomes["tvl"][1] += 1
+        else:
+            assert tvl_refusal(model) is None, text
+            again = import_tvl(text)
+            assert isomorphic(model, again), text
+            assert again.tvl_string_enum == model.tvl_string_enum, text
+            outcomes["tvl"][0] += 1
+        try:
+            text = serialize_declarations(model)
+        except ExportError as e:
+            assert type(e) is ExportError and str(e) == declarations_refusal(model)
+            outcomes["declarations"][1] += 1
+        else:
+            assert declarations_refusal(model) is None, text
+            ast, errors = parse_declarations(text)
+            assert errors == [] and isomorphic(model, build_model(ast)), text
+            outcomes["declarations"][0] += 1
+    assert all(min(counts) >= 100 for counts in outcomes.values()), outcomes
 
 
 def test_reals_stay_finite_through_a_round_trip():

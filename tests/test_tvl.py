@@ -183,6 +183,26 @@ def test_export_refuses_names_the_import_refuses(text, message):
     assert str(e.value) == message
 
 
+def enum_header(*strings):
+    model = FeatureModel.with_root("R")
+    model.tvl_string_enum = list(strings)
+    return model
+
+
+@pytest.mark.parametrize("model, message", [
+    (FeatureModel.with_root("R", {"a-b": 1}),
+     'attribute name "a-b" of feature "R" is not a valid TVL attribute id'),
+    (enum_header('a"b', ""), 'enum string "a"b" is not a valid TVL string'),
+    (enum_header("low", ""), 'enum string "" is not a valid TVL string'),
+], ids=["attribute of three tokens", "quote in an enum string", "empty enum string"])
+def test_export_refuses_what_lexes_as_other_tokens(model, message):
+    # written anyway, "int a-b is 1;" and "enum string in { "a"b", "" };"
+    # are texts that import_tvl refuses
+    with pytest.raises(TvlExportError) as e:
+        export_tvl(model)
+    assert str(e.value) == message
+
+
 def test_export_writes_what_import_reads_or_refuses():
     rng = random.Random(23)
     # (valid names, names TVL refuses), feature names first, then attributes

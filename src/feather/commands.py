@@ -3,14 +3,19 @@
 `execute` resolves each command's feature variables jointly against the
 current model, once; without resolutions the command ends in a warning.
 Otherwise it hands one working copy of the model, which shares the model's
-features (see `feather.model`), to the command's executor.
+features (see `feather.model`), to the command's executor. Each verb has one
+executor; a single-target command is the one-target case of its
+multi-target form (`multi`).
 The executor derives every value it assigns from the resolution tuples, each
 slot compiled once (`_deriver`: the slot's values under the tuples must
 agree, or the command is ambiguous; a slot naming no variable is evaluated
-once). It checks the ambiguity and integrity rules, then edits the copy and
-returns the command's diagnostics. `execute` is the one atomicity point: an
-error discards the copy, even after a write, so a failing command leaves no
-edit behind (multi-target commands may commit a defined partial effect).
+once). A feature command derives a target's slot when that target's check
+reaches it, in one order for every verb: the parent, the decomposition, then
+each attribute after its presence check. It checks the ambiguity and
+integrity rules, then edits the copy and returns the command's diagnostics.
+`execute` is the one atomicity point: an error discards the copy, even after
+a write, so a failing command leaves no edit behind (multi-target commands
+may commit a defined partial effect).
 """
 
 from __future__ import annotations
@@ -315,24 +320,54 @@ def _write_feature_updates(model, updates: dict) -> list:
     return refused
 
 
-def _single_target(model, cmd, res, verb):
-    """The one feature a single-target command edits, with its tuples."""
-    if isinstance(cmd.target, VarRef):
-        subs = _group_by(res, cmd.target.name)
-        if len(subs) > 1:
-            raise CommandError("Command is ambiguous on which feature will be "
-                               f"{verb} {_listing(subs)}")
-        [(fname, sub)] = subs.items()
-        return fname, sub
-    return _existing(model, cmd.target.name), res
+def _targets(model, cmd, res, multi: bool, verb: str, grouped: bool = False) -> dict:
+    """Each feature the command edits, in first-seen order, to its tuples:
+    all of them, or if `grouped` those that bind it. A single-target command
+    edits one feature, so its one group is all the tuples."""
+    if not multi and not isinstance(cmd.target, VarRef):
+        return {_existing(model, cmd.target.name): res}
+    var = cmd.var if multi else cmd.target.name
+    if multi and grouped:
+        return _group_by(res, var)
+    i = res.variables.index(var)
+    targets = dict.fromkeys((t[i] for t in res.tuples), res)
+    if not multi and len(targets) > 1:
+        raise CommandError("Command is ambiguous on which feature will be "
+                           f"{verb} {_listing(targets)}")
+    return targets
 
 
-def exec_update_feature(model: FeatureModel, cmd: UpdateFeature, res: ResolutionSet):
-    fname, sub = _single_target(model, cmd, res, "updated")
-    slots, _varying = _feature_slots(model, cmd)
-    # slots are derived as the check reaches them
-    update = _check_feature_update(model, fname, cmd, lambda key: slots[key](sub))
-    if _write_feature_updates(model, {fname: update}):
+def _group_by(res: ResolutionSet, var: str) -> dict:
+    """The tuples split by their value of `var`, in first-seen order."""
+    i = res.variables.index(var)
+    subs: dict = {}
+    for t in res.tuples:
+        sub = subs.get(t[i])
+        if sub is None:
+            sub = subs[t[i]] = ResolutionSet(res.variables, [])
+        sub.tuples.append(t)
+    return subs
+
+
+def exec_update_feature(model: FeatureModel, cmd, res: ResolutionSet, multi: bool):
+    # every target is checked against the model as the command found it,
+    # before any is written. A target's slot is derived when its check
+    # reaches it, at most once: the root in a structural update is refused
+    # before any. The model refuses the root and a move that does not fit:
+    # `update` fails on such a target, `updateall` skips it
+    slots, varying = _feature_slots(model, cmd)
+    targets = _targets(model, cmd, res, multi, "updated", grouped=varying)
+    # a memo of derived slots per target; targets with all the tuples share one
+    memo = lambda sub: functools.cache(lambda key: slots[key](sub))
+    shared = memo(res)
+    updates = {t: _check_feature_update(model, t, cmd, shared if sub is res else memo(sub))
+               for t, sub in targets.items()}
+    refused = _write_feature_updates(model, updates)
+    if multi:
+        skipped = f"Command had a partial effect: skipped {_listing(refused)}"
+        return [("warning", skipped)] if refused else []
+    [(fname, update)] = updates.items()
+    if refused:
         raise CommandError(FIT_ERROR if update else
                            "The root feature cannot figure in a decomposition relation update")
     # a refused move wins over a name in use, so this check follows the move
@@ -343,49 +378,12 @@ def exec_update_feature(model: FeatureModel, cmd: UpdateFeature, res: Resolution
     return []
 
 
-def _group_by(res: ResolutionSet, var: str) -> dict:
-    """The tuples split by their value of `var`, in first-seen order."""
-    i = res.variables.index(var)
-    subs: dict = {}
-    for t in res.tuples:
-        subs.setdefault(t[i], ResolutionSet(res.variables, [])).tuples.append(t)
-    return subs
-
-
-def exec_update_all_features(model: FeatureModel, cmd: UpdateAllFeatures,
-                             res: ResolutionSet):
-    # every target is derived, then checked, before any is written: an
-    # ambiguity or a failed check leaves the model untouched, each target is
-    # checked against the model as the command found it, and only a move the
-    # edited model refuses skips a target
-    slots, varying = _feature_slots(model, cmd)
-    if varying:
-        derived = {t: {key: derive(sub) for key, derive in slots.items()}
-                   for t, sub in _group_by(res, cmd.var).items()}
-    else:  # one set of values serves every target
-        i = res.variables.index(cmd.var)
-        derived = dict.fromkeys((t[i] for t in res.tuples),
-                                {key: derive(res) for key, derive in slots.items()})
-    updates = {t: _check_feature_update(model, t, cmd, values.__getitem__)
-               for t, values in derived.items()}
-    if skipped := _write_feature_updates(model, updates):
-        return [("warning", f"Command had a partial effect: skipped {_listing(skipped)}")]
-    return []
-
-
-def exec_remove_feature(model: FeatureModel, cmd: RemoveFeature, res: ResolutionSet):
-    fname, _sub = _single_target(model, cmd, res, "removed")
-    if fname == model.root:
-        raise CommandError("The root feature cannot be removed")
-    model.remove_subtree(fname)
-    return []
-
-
-def exec_remove_all_features(model: FeatureModel, cmd: RemoveAllFeatures,
-                             res: ResolutionSet):
-    targets = list(_group_by(res, cmd.var))
+def exec_remove_feature(model: FeatureModel, cmd, res: ResolutionSet, multi: bool):
+    targets = list(_targets(model, cmd, res, multi, "removed"))
     diags = []
     if model.root in targets:
+        if not multi:
+            raise CommandError("The root feature cannot be removed")
         targets.remove(model.root)
         diags.append(("warning", "Command had a partial effect: the root "
                                  "feature cannot be removed"))
@@ -502,10 +500,10 @@ def exec_remove_constraint(model: FeatureModel, cmd, res: ResolutionSet, multi: 
 # keyed by the exact class: UpdateAllConstraints subclasses UpdateConstraint
 _EXECUTORS = {
     AddFeature: exec_add_feature,
-    UpdateFeature: exec_update_feature,
-    UpdateAllFeatures: exec_update_all_features,
-    RemoveFeature: exec_remove_feature,
-    RemoveAllFeatures: exec_remove_all_features,
+    UpdateFeature: functools.partial(exec_update_feature, multi=False),
+    UpdateAllFeatures: functools.partial(exec_update_feature, multi=True),
+    RemoveFeature: functools.partial(exec_remove_feature, multi=False),
+    RemoveAllFeatures: functools.partial(exec_remove_feature, multi=True),
     AddConstraint: exec_add_constraint,
     UpdateConstraint: functools.partial(exec_update_constraint, multi=False),
     UpdateAllConstraints: functools.partial(exec_update_constraint, multi=True),

@@ -8,8 +8,10 @@ reference that first member.
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 
+from .expressions import _max_str_digits, _writable
 from .model import FeatureModel
 from .tokens import first_unlexable
 
@@ -43,15 +45,45 @@ def attribute_names(model: FeatureModel) -> dict:
     return dict.fromkeys(chain.from_iterable(f.attributes for f in model.features.values()))
 
 
-def unreadable_value(model: FeatureModel) -> str | None:
-    """The first string attribute value that the readers refuse, as `value
-    "v" of attribute "a" of feature "F"`, or None."""
+# the attribute value types: each has a literal in both languages
+_LITERAL_TYPES = (str, bool, int, float)
+_NUMBER_TYPES = (bool, int, float)
+
+
+def _unreadable(v, where: str = "", language: str = "") -> str | None:
+    """Why the readers refuse `v` as the attribute value `where`, or None."""
+    if type(v) is str:
+        return None if first_unlexable([v], "STRING") is None else (
+            f'value "{v}" {where} is not a valid {language} string')
+    if type(v) not in _LITERAL_TYPES:
+        return f"value {where} is a {type(v).__name__}, not an attribute value"
+    if type(v) is float and not math.isfinite(v):
+        return f"value {v} {where} is not a finite real"
+    if type(v) is int and not _writable(v):
+        return f"integer value {where} has more than {_max_str_digits()} digits"
+    return None
+
+
+def unreadable_value(model: FeatureModel, language: str) -> str | None:
+    """Why the readers refuse the first attribute value they refuse, or
+    None: a string that does not lex as one, a real that is not finite, an
+    integer longer than str() writes, or a value of no attribute type."""
     features = model.features.values()
-    bad = first_unlexable([v for f in features for v in f.attributes.values()
-                           if type(v) is str], "STRING")
-    return None if bad is None else next(
-        f'value "{v}" of attribute "{a}" of feature "{f.name}"'
-        for f in features for a, v in f.attributes.items() if v == bad)
+    # a number under 8 ** the digit limit, 3 bits per digit, has a literal
+    # that the readers read; every other value gets a closer look
+    limit = _max_str_digits()
+    high = 8 ** limit if limit else math.inf
+    low = -high
+    looked = [v for f in features for v in f.attributes.values()
+              if not (type(v) in _NUMBER_TYPES and low < v < high)]
+    if (first_unlexable([v for v in looked if type(v) is str], "STRING") is None
+            and not any(map(_unreadable, [v for v in looked if type(v) is not str]))):
+        return None
+    for f in features:
+        for a, v in f.attributes.items():
+            if why := _unreadable(v, f'of attribute "{a}" of feature "{f.name}"', language):
+                return why
+    return None
 
 
 def _attr_text(attributes: dict) -> str:
@@ -60,14 +92,15 @@ def _attr_text(attributes: dict) -> str:
 
 def serialize_declarations(model: FeatureModel) -> str:
     """The model as declarations; ExportError if a string cannot hold a
-    feature name or a string value, or an attribute name is not an identifier."""
+    feature name, an attribute value has no literal that the reader reads,
+    or an attribute name is not an identifier."""
     names = model.features
     bad = first_unlexable(names, "STRING")
     if bad is not None:
         raise ExportError(f'feature name "{bad}" is not a valid Feather string')
-    bad = unreadable_value(model)
+    bad = unreadable_value(model, "Feather")
     if bad is not None:
-        raise ExportError(f"{bad} is not a valid Feather string")
+        raise ExportError(bad)
     bad = first_unlexable(attribute_names(model), "IDENT")
     if bad is not None:
         owner = next(f.name for f in names.values() if bad in f.attributes)

@@ -27,9 +27,9 @@ def _check_exportable(model: FeatureModel) -> None:
             raise TvlExportError(f'feature name "{name}" is not a valid TVL identifier')
         raise TvlExportError(f'attribute name "{attr}" of feature "{f.name}" '
                              "is not a valid TVL attribute id")
-    bad = unreadable_value(model)
+    bad = unreadable_value(model, "TVL")
     if bad is not None:
-        raise TvlExportError(f"{bad} is not a valid TVL string")
+        raise TvlExportError(bad)
     bad = first_unlexable(model.tvl_string_enum or (), "STRING")
     if bad is not None:
         raise TvlExportError(f'enum string "{bad}" is not a valid TVL string')

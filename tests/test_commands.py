@@ -22,7 +22,7 @@ from feather.parser import (
     UpdateFeature,
     parse_commands,
 )
-from feather.resolver import ResolutionSet
+from feather.resolver import ResolutionSet, resolve
 from feather.serializer import serialize_declarations
 
 from conftest import (
@@ -34,6 +34,7 @@ from conftest import (
     model_state,
     parse_expr,
     per_tuple_slots,
+    random_command,
     random_model,
     random_where,
     reference_add_constraint,
@@ -257,15 +258,16 @@ def test_command_diagnostic_precedence():
             ('update feature "B" set _parent = "Nope", n = numeric: U.n '
              'where U._parent = "A";',
              'The specified parent (i.e., "Nope") does not exist'),
-            # every target's slots are derived before any target is skipped:
-            # the root would be skipped, "A" has two values for w
+            # each target's slots are derived as its check reaches them: the
+            # root is skipped before any of its slots is derived, and "A"
+            # has two values for w
             ("updateall feature V set _decomp = optional, w = numeric: U.n "
              "where U._parent = V._name;",
              'Command is ambiguous on what the value of attribute "w" will be (1, 2)'),
-            # and before any target's parent is checked
+            # so "A"'s parent is checked before its value of w is derived
             ('updateall feature V set _parent = "Nope", w = numeric: U.n '
              'where U._parent = V._name;',
-             'Command is ambiguous on what the value of attribute "w" will be (1, 2)'),
+             'The specified parent (i.e., "Nope") does not exist'),
             # the new left end is derived before the new right end is checked
             ('update constraint "B" requires "C" set leftfeature = L._name, '
              'rightfeature = "Nope" where L._parent = "A";',
@@ -995,6 +997,50 @@ def test_updateall_equals_single_updates(services):
     update feature "Dating Club" set extracost = numeric: 5;
     """)
     assert isomorphic(multi, single)
+
+
+ROOT_MOVE = "The root feature cannot figure in a decomposition relation update"
+
+
+def one_target_twins(rng):
+    """A random model and an `updateall feature V` from random_command, with
+    its `update feature V` twin, each pinned to one target by `V._name = "X"
+    and <where>`, X one of the updateall's targets where it has any; also X."""
+    m = random_model(rng, max_features=25, max_attrs=4)
+    cmd = random_command(rng, m)
+    while not isinstance(cmd, UpdateAllFeatures):
+        cmd = random_command(rng, m)
+    usages = commands.command_usages(cmd)
+    res = resolve(m, list(usages), cmd.where, usages=usages)
+    i = res.variables.index(cmd.var)
+    name = rng.choice(list(dict.fromkeys(t[i] for t in res.tuples)) or list(m.features))
+    where = Binary("=", AttrRef(VarRef(cmd.var), "_name"), Lit(name))
+    if cmd.where is not None:
+        where = Binary("and", where, cmd.where)
+    slots = dict(parent=cmd.parent, decomp=cmd.decomp, attrs=cmd.attrs, where=where)
+    return m, UpdateAllFeatures(var=cmd.var, **slots), UpdateFeature(
+        target=VarRef(cmd.var), new_name=None, **slots), name
+
+
+def test_update_and_updateall_on_one_target_report_alike():
+    # a single-target command is the one-target case of its multi-target
+    # form: same model, same diagnostics, up to how a refused target is told
+    rng = random.Random(20261022)
+    seen = dict.fromkeys(("edit", "error", "skip"), 0)
+    for case in range(3000):
+        m, multi, single, name = one_target_twins(rng)
+        multi_after, multi_diags = commands.execute(m, multi)
+        single_after, single_diags = commands.execute(m, single)
+        if multi_diags == [("warning", f"Command had a partial effect: skipped ({name})")]:
+            # what `update` reports for the target: the root in a
+            # structural update, or a move the model refuses
+            multi_diags = [("error", ROOT_MOVE if name == m.root else commands.FIT_ERROR)]
+            seen["skip"] += 1
+        assert multi_diags == single_diags, f"case {case}"
+        assert isomorphic(multi_after, single_after), f"case {case}"
+        seen["edit"] += single_after is not m
+        seen["error"] += any(severity == "error" for severity, _ in single_diags)
+    assert seen["error"] >= 300 and seen["skip"] >= 50 and seen["edit"] >= 300, seen
 
 
 def random_slot_command(rng, m):

@@ -9,6 +9,9 @@ a diagnostic shows up as the first diverging (model, command) pair.
 Regenerate the fixture only for an intended change of behaviour:
 
     PYTHONPATH=src python tests/test_differential.py
+
+It prints how many steps changed and which ones (model and command number)
+before it writes the fixture.
 """
 
 from __future__ import annotations
@@ -72,5 +75,10 @@ def test_no_model_error_text_reaches_a_diagnostic(monkeypatch):
 
 
 if __name__ == "__main__":
-    lines = [" ".join(steps) for steps in corpus_digests()]
-    FIXTURE.write_text(json.dumps(lines, indent=0) + "\n")
+    old = [line.split() for line in json.loads(FIXTURE.read_text())]
+    new = corpus_digests()
+    changed = [f"model {m} command {i + 1}" for m, (want, got) in enumerate(zip(old, new))
+               for i, (a, b) in enumerate(zip(want, got)) if a != b]
+    print(f"{len(changed)} of {MODELS * COMMANDS} steps changed"
+          + "".join(f"\n  {step}" for step in changed))
+    FIXTURE.write_text(json.dumps([" ".join(steps) for steps in new], indent=0) + "\n")

@@ -231,6 +231,42 @@ def test_each_writer_writes_what_its_reader_reads_or_refuses():
     assert all(min(counts) >= 100 for counts in outcomes.values()), outcomes
 
 
+# the digit limit of str(), which the readers' int() shares
+DIGITS = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("value, message", [
+    (float("nan"), 'value nan of attribute "w" of feature "A" is not a finite real'),
+    (float("inf"), 'value inf of attribute "w" of feature "A" is not a finite real'),
+    (-float("inf"), 'value -inf of attribute "w" of feature "A" is not a finite real'),
+    (10**DIGITS, f'integer value of attribute "w" of feature "A" has more than {DIGITS} digits'),
+    (-10**DIGITS, f'integer value of attribute "w" of feature "A" has more than {DIGITS} digits'),
+    (None, 'value of attribute "w" of feature "A" is a NoneType, not an attribute value'),
+    (DecompKind.OR, 'value of attribute "w" of feature "A" is a DecompKind, not an attribute value'),
+], ids=["nan", "inf", "-inf", "10**DIGITS", "-10**DIGITS", "None", "decomp"])
+def test_each_writer_refuses_a_value_that_no_reader_reads(value, message):
+    # neither reader reads such a literal back, so neither writer writes one;
+    # the first value at fault is named, alone or before a string at fault
+    for later in ({"w": 2}, {"w": value, "s": 'a"b'}):
+        model = FeatureModel.with_root("R", {"w": 1, "s": "ok"})
+        model.attach_feature(Feature("A", attributes={"v": 2.5, "w": value, "n": 1}), "R",
+                             DecompKind.OPTIONAL)
+        model.attach_feature(Feature("B", attributes=later), "R", DecompKind.OPTIONAL)
+        with pytest.raises(ExportError) as refused:
+            serialize_declarations(model)
+        assert type(refused.value) is ExportError and str(refused.value) == message
+        with pytest.raises(TvlExportError) as refused:
+            export_tvl(model)
+        assert str(refused.value) == message
+
+
+def test_each_writer_writes_the_longest_integer_its_reader_reads():
+    for value in (10**DIGITS - 1, -(10**DIGITS - 1)):
+        model = FeatureModel.with_root("R", {"w": value})
+        assert build(serialize_declarations(model)).features["R"].attributes == {"w": value}
+        assert import_tvl(export_tvl(model)).features["R"].attributes == {"w": value}
+
+
 def test_reals_stay_finite_through_a_round_trip():
     largest = sys.float_info.max
     text = (f'root "R";\n'
